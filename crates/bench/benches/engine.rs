@@ -1,8 +1,9 @@
 //! SoC-level engine comparison: the same firmware workload driven by the
 //! reference interpreter vs the predecoded block cache, on both VP
-//! flavours. The ISS-level numbers live in `benches/iss.rs`; this bench
-//! includes the full platform (bus routing, quantum loop, peripherals) so
-//! it reflects what `Soc::run` users actually get from `--engine block`.
+//! flavours. The ISS-level layer numbers live in `benches/iss.rs`; this
+//! bench includes the full platform (bus routing, quantum loop,
+//! peripherals) so it reflects what `Soc::run` users actually get. It is
+//! the group `bench_guard` gates in CI.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vpdift_rv32::{ExecMode, Plain, TaintMode, Tainted};

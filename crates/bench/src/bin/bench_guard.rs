@@ -1,15 +1,18 @@
 //! CI bench guard: reads a `taintvp-bench/v1` results file (as emitted by
-//! `cargo bench -p vpdift-bench --bench iss -- --json BENCH_iss.json`) and
-//! fails when the block-cache engine is not actually faster than the
-//! reference interpreter on the plain VP — the regression the block cache
-//! exists to prevent.
+//! `cargo bench -p vpdift-bench --bench engine -- --json BENCH_engine.json`)
+//! and fails when the block-cache engine is not at least
+//! [`MIN_SPEEDUP`]× faster than the reference interpreter on the plain VP,
+//! measured end to end through `Soc::run` (the `soc_engine` group) — the
+//! path `taintvp-run`, `table2`, fleet and serve actually take.
 //!
-//! Usage: `bench_guard [BENCH_iss.json]` (default path: `BENCH_iss.json`).
+//! Usage: `bench_guard [BENCH_engine.json]` (default path:
+//! `BENCH_engine.json`).
 //!
 //! Every passing run also appends one compact `taintvp-bench/v1` line to
 //! the committed `BENCH_trajectory.jsonl` (override the path with
-//! `BENCH_TRAJECTORY`), so the perf history accumulates across PRs
-//! instead of living in a single overwritten snapshot.
+//! `BENCH_TRAJECTORY`), with the host's core count next to the medians, so
+//! the perf history accumulates across PRs instead of living in a single
+//! overwritten snapshot.
 //!
 //! The parser is deliberately line-based (one entry object per line, the
 //! shape our criterion shim writes) so the guard needs no JSON dependency.
@@ -20,6 +23,12 @@
 use std::process::ExitCode;
 
 use vpdift_bench::trajectory;
+
+/// The gated bench group.
+const GROUP: &str = "soc_engine";
+
+/// Required plain-VP speedup of the block cache over the interpreter.
+const MIN_SPEEDUP: f64 = 1.3;
 
 /// Extracts `"key": value` (a JSON number or string) from an entry line.
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -57,12 +66,14 @@ fn collect_entries(text: &str) -> Vec<String> {
 }
 
 fn median_of(entries: &[String], name: &str) -> Option<f64> {
-    let line = entries.iter().find(|l| field(l, "name") == Some(name))?;
+    let line = entries
+        .iter()
+        .find(|l| field(l, "group") == Some(GROUP) && field(l, "name") == Some(name))?;
     field(line, "median")?.parse().ok()
 }
 
 fn main() -> ExitCode {
-    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_iss.json".into());
+    let path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_engine.json".into());
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -75,51 +86,38 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let entries = collect_entries(&text);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut fail = false;
-    let ratio = |label: &str, num: &str, den: &str| -> Option<f64> {
-        let (n, d) = (median_of(&entries, num)?, median_of(&entries, den)?);
-        println!("{label}: {num} = {n:.0} ns, {den} = {d:.0} ns ({:.2}x)", d / n);
-        Some(d / n)
+    let (Some(interp), Some(block)) =
+        (median_of(&entries, "vp_plain_interp"), median_of(&entries, "vp_plain_block"))
+    else {
+        eprintln!(
+            "bench_guard: missing {GROUP} vp_plain_interp / vp_plain_block entries in {path}"
+        );
+        return ExitCode::FAILURE;
     };
-
-    match ratio("plain speedup", "vp_plain_cached", "vp_plain") {
-        Some(speedup) if speedup > 1.0 => {}
-        Some(speedup) => {
-            eprintln!(
-                "bench_guard: block-cache vp_plain is not faster than the interpreter \
-                 ({speedup:.2}x)"
-            );
-            fail = true;
-        }
-        None => {
-            eprintln!("bench_guard: missing vp_plain / vp_plain_cached entries in {path}");
-            fail = true;
-        }
-    }
-    // Informational: the VP+ engines and the overhead ratio they imply.
-    if let (Some(ti), Some(tc), Some(pi), Some(pc)) = (
-        median_of(&entries, "vp_plus_tainted"),
-        median_of(&entries, "vp_plus_tainted_cached"),
-        median_of(&entries, "vp_plain"),
-        median_of(&entries, "vp_plain_cached"),
-    ) {
-        println!("VP+/VP overhead: interp {:.2}x, block-cache {:.2}x", ti / pi, tc / pc);
-    }
-
-    if fail {
+    let speedup = interp / block;
+    println!(
+        "plain speedup: vp_plain_interp = {interp:.0} ns, vp_plain_block = {block:.0} ns \
+         ({speedup:.2}x, {cores} host cores)"
+    );
+    if speedup < MIN_SPEEDUP {
+        eprintln!(
+            "bench_guard: block-cache vp_plain is {speedup:.2}x the interpreter \
+             (at least {MIN_SPEEDUP}x required)"
+        );
         return ExitCode::FAILURE;
     }
 
     // Log this run to the append-only perf trajectory.
-    let tracked = ["vp_plain", "vp_plain_cached", "vp_plus_tainted", "vp_plus_tainted_cached"];
-    let logged: Vec<trajectory::Entry> = tracked
+    let tracked = ["vp_plain_interp", "vp_plain_block", "vp_plus_interp", "vp_plus_block"];
+    let mut logged: Vec<trajectory::Entry> = tracked
         .iter()
         .filter_map(|name| {
-            median_of(&entries, name)
-                .map(|m| trajectory::Entry::new("iss_step_rate", name, "ns/iter", m))
+            median_of(&entries, name).map(|m| trajectory::Entry::new(GROUP, name, "ns/iter", m))
         })
         .collect();
+    logged.push(trajectory::Entry::new(GROUP, "host_cores", "count", cores as f64));
     let line = trajectory::render_line("bench_guard", trajectory::now_unix(), &logged);
     let traj_path = trajectory::path();
     match trajectory::append(&traj_path, &line) {
@@ -141,25 +139,34 @@ mod tests {
             "{\n",
             "  \"schema\": \"taintvp-bench/v1\",\n",
             "  \"entries\": [\n",
-            "    {\"group\": \"g\", \"name\": \"vp_plain\", \"unit\": \"ns/iter\", \"median\": 10.0},\n",
+            "    {\"group\": \"soc_engine\", \"name\": \"vp_plain_interp\", \"unit\": \"ns/iter\", \"median\": 10.0},\n",
             "\n",
-            "    {\"group\": \"g\", \"name\": \"vp_plain_cached\", \"unit\": \"ns/iter\", \"median\": 5.0}\n",
+            "    {\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"unit\": \"ns/iter\", \"median\": 5.0}\n",
             "  ]\n",
             "}\n",
-            "{\"group\": \"g\", \"name\": \"torn\", \"unit\": \"ns/iter\", \"med"
+            "{\"group\": \"soc_engine\", \"name\": \"torn\", \"unit\": \"ns/iter\", \"med"
         );
         let entries = collect_entries(text);
         assert_eq!(entries.len(), 2, "blank + torn lines skipped, not parsed");
-        assert_eq!(median_of(&entries, "vp_plain"), Some(10.0));
-        assert_eq!(median_of(&entries, "vp_plain_cached"), Some(5.0));
+        assert_eq!(median_of(&entries, "vp_plain_interp"), Some(10.0));
+        assert_eq!(median_of(&entries, "vp_plain_block"), Some(5.0));
         assert_eq!(median_of(&entries, "torn"), None);
     }
 
     #[test]
+    fn only_the_gated_group_counts() {
+        let entries = collect_entries(concat!(
+            "{\"group\": \"iss_step_rate\", \"name\": \"vp_plain_block\", \"median\": 1.0}\n",
+            "{\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"median\": 2.0}\n",
+        ));
+        assert_eq!(median_of(&entries, "vp_plain_block"), Some(2.0));
+    }
+
+    #[test]
     fn field_extraction() {
-        let line = r#"    {"group": "iss_step_rate", "name": "vp_plain", "unit": "ns/iter", "median": 1234.500, "mean": 1300.000, "min": 1200.000, "max": 1500.000, "samples": 20, "throughput_elems": 90009},"#;
-        assert_eq!(field(line, "name"), Some("vp_plain"));
+        let line = r#"    {"group": "soc_engine", "name": "vp_plain_block", "unit": "ns/iter", "median": 1234.500, "mean": 1300.000, "min": 1200.000, "max": 1500.000, "samples": 15, "throughput_elems": 90009},"#;
+        assert_eq!(field(line, "name"), Some("vp_plain_block"));
         assert_eq!(field(line, "median"), Some("1234.500"));
-        assert_eq!(field(line, "samples"), Some("20"));
+        assert_eq!(field(line, "samples"), Some("15"));
     }
 }

@@ -29,13 +29,13 @@ pub const STREAM_BUF_CAP: usize = 4096;
 
 /// A shared, cloneable "please stop" latch between a watchpoint evaluator
 /// (or any other controller — fleet deadline reapers raise it from another
-/// thread) and the SoC run loop. The loop polls
-/// [`is_requested`](StopFlag::is_requested) every step regardless of the
-/// attached sink: the unraised-flag check is a single relaxed atomic load,
-/// cheap enough for the `NullSink` hot path, and polling unconditionally
-/// is what lets a fleet executor deadline-kill a wedged session that runs
-/// without observability. Raised flags end the run with
-/// `SocExit::Stopped`.
+/// thread) and the SoC run loop. The loop polls [`take`](StopFlag::take)
+/// once per dispatch slice regardless of the attached sink (with an
+/// enabled sink a slice is one step): the unraised-flag check is a single
+/// relaxed atomic load, cheap enough for the `NullSink` hot path, and
+/// polling unconditionally is what lets a fleet executor deadline-kill a
+/// wedged session that runs without observability. Raised flags end the
+/// run with `SocExit::Stopped`.
 #[derive(Clone, Debug, Default)]
 pub struct StopFlag(Arc<AtomicBool>);
 

@@ -76,6 +76,15 @@ pub trait Bus<M: TaintMode> {
         0
     }
 
+    /// `true` once an access may have changed interrupt levels (an MMIO
+    /// side effect the CPU cannot see until its owner re-samples the
+    /// interrupt lines). Execution engines end a slice right after such an
+    /// access; the flag is the owner's to clear. Plain memories have no
+    /// interrupt sources and keep the default `false`.
+    fn irq_dirty(&self) -> bool {
+        false
+    }
+
     /// `true` iff `addr..addr+size` supports atomic (LR/SC/AMO) access.
     /// Atomics are only defined on idempotent backing store: a bus routing
     /// MMIO returns `false` for device regions so the CPU raises an access

@@ -34,6 +34,15 @@ pub enum Step {
     TrapLoop,
 }
 
+impl Step {
+    /// How many steps this outcome counts toward an `exec` budget: every
+    /// outcome is one step except a parked `wfi`, which executes nothing.
+    #[inline]
+    pub(crate) fn count(self) -> u64 {
+        (self != Step::WaitingForInterrupt) as u64
+    }
+}
+
 /// Outcome of one fetch-decode-execute round, as needed by execution
 /// engines: the architectural [`Step`] plus the memory range written by a
 /// retired store (so a block cache can invalidate overlapping code).
@@ -861,21 +870,54 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         }
     }
 
+    /// The interpreter's slice-dispatch entry point, shared in shape with
+    /// [`BlockCache::exec`](crate::BlockCache::exec): executes up to
+    /// `budget` *steps* — retired instructions, taken traps and interrupt
+    /// entries — one [`Cpu::step`] at a time.
+    ///
+    /// Returns the steps taken and the last step's outcome. The slice ends
+    /// early on any outcome other than [`Step::Executed`] and right after an
+    /// access that left [`Bus::irq_dirty`] set. Neither an `Err` (the
+    /// faulting instruction is suppressed) nor a parked `wfi` is a step.
+    pub fn exec(&mut self, bus: &mut impl Bus<M>, budget: u64) -> (u64, Result<Step, Violation>) {
+        let mut steps = 0;
+        while steps < budget {
+            match self.step(bus) {
+                Ok(Step::Executed) if !bus.irq_dirty() => steps += 1,
+                Ok(step) => return (steps + step.count(), Ok(step)),
+                Err(v) => return (steps, Err(v)),
+            }
+        }
+        (steps, Ok(Step::Executed))
+    }
+
     /// Runs until `ebreak`, an enforced violation, `wfi` with nothing
     /// pending, or `max_insns` retirements.
     pub fn run(&mut self, bus: &mut impl Bus<M>, max_insns: u64) -> RunExit {
-        let limit = self.instret + max_insns;
-        while self.instret < limit {
-            match self.step(bus) {
-                Ok(Step::Executed) => {}
-                Ok(Step::Break) => return RunExit::Break,
-                Ok(Step::WaitingForInterrupt) => return RunExit::Wfi,
-                Ok(Step::TrapLoop) => return RunExit::TrapLoop,
-                Err(v) => return RunExit::Violation(v),
-            }
-        }
-        RunExit::MaxInsns
+        run_slices(self, max_insns, |cpu, budget| cpu.exec(bus, budget))
     }
+}
+
+/// The shared body of [`Cpu::run`] and
+/// [`BlockCache::run`](crate::BlockCache::run): `exec` slices until
+/// `max_insns` retirements or a terminal step. Each budget is the
+/// retirements still allowed, so `instret` never passes the limit.
+pub(crate) fn run_slices<M: TaintMode, S: ObsSink>(
+    cpu: &mut Cpu<M, S>,
+    max_insns: u64,
+    mut exec: impl FnMut(&mut Cpu<M, S>, u64) -> (u64, Result<Step, Violation>),
+) -> RunExit {
+    let limit = cpu.instret + max_insns;
+    while cpu.instret < limit {
+        match exec(cpu, limit - cpu.instret).1 {
+            Ok(Step::Executed) => {}
+            Ok(Step::Break) => return RunExit::Break,
+            Ok(Step::WaitingForInterrupt) => return RunExit::Wfi,
+            Ok(Step::TrapLoop) => return RunExit::TrapLoop,
+            Err(v) => return RunExit::Violation(v),
+        }
+    }
+    RunExit::MaxInsns
 }
 
 /// FNV-1a offset basis (64-bit).

@@ -4,8 +4,8 @@
 //! The interpreter ([`Cpu::step`]) re-fetches and re-decodes every
 //! instruction from memory on every step — simple, and the reference
 //! semantics. This module adds a second engine, [`BlockCache`], that
-//! decodes straight-line code once into flat per-block instruction
-//! vectors and afterwards dispatches from the cache. Two mechanisms keep
+//! decodes straight-line code once into blocks over one flat instruction
+//! store and afterwards dispatches from the cache. Two mechanisms keep
 //! it observably identical to the interpreter:
 //!
 //! * **Self-modifying-code invalidation.** Every retired CPU store
@@ -24,11 +24,15 @@
 //!   classification source re-arms the checked path for the rest of the
 //!   run.
 //!
-//! The engine dispatches *one instruction per [`BlockCache::step`]*, so a
-//! caller interleaving interrupt-line sampling, watchdogs or time
-//! accounting between steps (as `vpdift-soc` does) sees exactly the
-//! interpreter's timing; the saving is the skipped fetch/decode work, not
-//! batching.
+//! Both engines share one slice-dispatch entry point, `exec(cpu, bus,
+//! budget)` ([`Cpu::exec`], [`BlockCache::exec`]): it runs up to `budget`
+//! steps and returns early wherever the caller must look at the platform
+//! again — on any step that is not [`Step::Executed`], and right after an
+//! access that left [`Bus::irq_dirty`] set. A caller interleaving
+//! interrupt-line sampling, watchdogs or time accounting between slices
+//! (as `vpdift-soc` does) therefore sees exactly the interpreter's timing;
+//! the saving is the skipped fetch/decode work and the per-block, not
+//! per-instruction, dispatch bookkeeping.
 
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -38,18 +42,18 @@ use vpdift_core::{SharedCensus, Tag, Violation};
 use vpdift_obs::ObsSink;
 
 use crate::bus::Bus;
-use crate::cpu::{Cpu, RunExit, Step};
+use crate::cpu::{run_slices, Cpu, RunExit, Step};
 use crate::mode::{TaintMode, Word};
 
 /// Which execution engine drives the core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Fetch-decode-execute every instruction from memory — the reference
-    /// engine.
-    #[default]
+    /// engine (`engine_diff`, conformance).
     Interp,
     /// Predecoded basic-block cache with taint-idle fast path
-    /// ([`BlockCache`]).
+    /// ([`BlockCache`]) — the default.
+    #[default]
     BlockCache,
 }
 
@@ -103,9 +107,16 @@ pub struct CacheStats {
 const LINE_SHIFT: u32 = 6;
 /// Longest block, in instructions.
 const BLOCK_CAP: usize = 32;
-/// Arena capacity backstop; exceeding it flushes (never expected in
-/// practice — RAM-resident guest code is far smaller).
+/// Capacity backstops for the block arena and the shared instruction
+/// store; exceeding either flushes the cache (killed blocks keep their
+/// slots and code until then). Never reached by ordinary guests —
+/// RAM-resident code is far smaller — only by heavy self-modifying code.
 const MAX_BLOCKS: usize = 4096;
+const MAX_CODE: usize = 1 << 16;
+/// Initial capacities, sized for typical guest code so a warming cache
+/// does not scatter small heap allocations among the SoC's large ones.
+const INIT_BLOCKS: usize = 128;
+const INIT_CODE: usize = 2048;
 
 /// One predecoded instruction, carrying everything [`Cpu::exec_insn`] and
 /// the retirement event need.
@@ -133,10 +144,19 @@ struct CachedInsn {
 #[derive(Debug)]
 struct Block {
     start: u32,
-    insns: Vec<CachedInsn>,
+    /// First byte past the block's code.
+    end: u32,
+    /// The block's instructions: `code[first..first + len]`.
+    first: usize,
+    len: usize,
     alive: bool,
-    first_line: u32,
-    last_line: u32,
+}
+
+impl Block {
+    /// The code lines the block spans.
+    fn lines(&self) -> std::ops::RangeInclusive<u32> {
+        self.start >> LINE_SHIFT..=(self.end - 1) >> LINE_SHIFT
+    }
 }
 
 /// Continue-point inside a block: the next dispatch is `insns[idx]`
@@ -172,6 +192,8 @@ struct Cursor {
 #[derive(Debug, Default)]
 pub struct BlockCache {
     arena: Vec<Block>,
+    /// Every block's decoded instructions, appended in build order.
+    code: Vec<CachedInsn>,
     index: HashMap<u32, usize>,
     /// Per-64-byte-line count of live blocks containing code from that
     /// line; a store only pays the invalidation walk when its line count
@@ -187,7 +209,13 @@ pub struct BlockCache {
 impl BlockCache {
     /// An empty cache.
     pub fn new() -> Self {
-        BlockCache::default()
+        BlockCache {
+            arena: Vec::with_capacity(INIT_BLOCKS),
+            code: Vec::with_capacity(INIT_CODE),
+            index: HashMap::with_capacity(INIT_BLOCKS),
+            line_blocks: HashMap::with_capacity(INIT_BLOCKS),
+            ..BlockCache::default()
+        }
     }
 
     /// Attaches the live-tag census enabling the taint-idle fast path.
@@ -201,134 +229,51 @@ impl BlockCache {
         self.stats
     }
 
-    /// Executes (at most) one instruction, exactly like [`Cpu::step`] but
-    /// dispatching from the block cache where possible.
-    ///
-    /// # Errors
-    /// Returns the [`Violation`] when an enforced DIFT check fails.
-    pub fn step<M: TaintMode, S: ObsSink>(
-        &mut self,
-        cpu: &mut Cpu<M, S>,
-        bus: &mut impl Bus<M>,
-    ) -> Result<Step, Violation> {
-        if let Some(step) = cpu.pre_step()? {
-            return Ok(step);
-        }
-        let epoch = bus.mutation_epoch();
-        if epoch != self.epoch {
-            // Memory changed behind the CPU's back (DMA, classification,
-            // fault injection): all cached decodes and fetch tags are
-            // suspect.
-            self.epoch = epoch;
-            self.flush();
-        }
-        if M::TRACKING {
-            let live = self.census.as_ref().is_none_or(|c| c.is_live());
-            cpu.set_checks_enabled(live);
-            if live {
-                self.stats.checked_steps += 1;
-            } else {
-                self.stats.idle_steps += 1;
-            }
-        }
-
-        let pc = cpu.pc();
-        let (bi, ii) = match self.cursor {
-            Some(c) if c.expected_pc == pc => {
-                self.stats.hits += 1;
-                (c.block, c.idx)
-            }
-            _ => {
-                self.cursor = None;
-                match self.index.get(&pc).copied().filter(|&bi| self.arena[bi].alive) {
-                    Some(bi) => {
-                        self.stats.hits += 1;
-                        (bi, 0)
-                    }
-                    None => {
-                        self.stats.misses += 1;
-                        match self.build(bus, pc) {
-                            Some(bi) => (bi, 0),
-                            None => {
-                                // Unfetchable/undecodable/misaligned pc:
-                                // one reference-interpreter step raises
-                                // the identical trap.
-                                let r = cpu.fetch_decode_exec(bus)?;
-                                if let Some((addr, size)) = r.store {
-                                    self.on_store(addr, size);
-                                }
-                                return Ok(r.step);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-
-        let d = self.arena[bi].insns[ii];
-        if M::TRACKING {
-            cpu.fetch_clearance_check(d.fetch_tag, pc)?;
-        }
-        let r = cpu.exec_insn(bus, d.insn, pc, d.len, d.raw, d.compressed, d.fetch_tag)?;
-        let next = ii + 1;
-        // Set the cursor before invalidation: a store into the current
-        // block must clear it so the remaining cached tail is re-decoded.
-        self.cursor = if next < self.arena[bi].insns.len() {
-            Some(Cursor { block: bi, idx: next, expected_pc: d.next_pc })
-        } else {
-            None
-        };
-        if let Some((addr, size)) = r.store {
-            self.on_store(addr, size);
-        }
-        Ok(r.step)
-    }
-
     /// Runs until `ebreak`, an enforced violation, `wfi` with nothing
     /// pending, or `max_insns` retirements — [`Cpu::run`] on this engine.
-    ///
-    /// Unlike repeated [`BlockCache::step`] calls, `run` dispatches whole
-    /// cached blocks per cache probe: the mutation-epoch read, cursor
-    /// bookkeeping and statistics updates are paid per *block*, not per
-    /// instruction. Observable behaviour stays identical: the epoch is
-    /// re-read after every store, and interrupts are re-polled after every
-    /// instruction that can change interrupt state (loads, stores, CSR
-    /// ops — nothing else inside a straight-line slice can reach
-    /// `mstatus`/`mie`/`mip`).
     pub fn run<M: TaintMode, S: ObsSink>(
         &mut self,
         cpu: &mut Cpu<M, S>,
         bus: &mut impl Bus<M>,
         max_insns: u64,
     ) -> RunExit {
-        let limit = cpu.instret() + max_insns;
-        while cpu.instret() < limit {
-            match self.run_slice(cpu, bus, limit) {
-                Ok(Step::Executed) => {}
-                Ok(Step::Break) => return RunExit::Break,
-                Ok(Step::WaitingForInterrupt) => return RunExit::Wfi,
-                Ok(Step::TrapLoop) => return RunExit::TrapLoop,
-                Err(v) => return RunExit::Violation(v),
-            }
-        }
-        RunExit::MaxInsns
+        run_slices(cpu, max_insns, |cpu, budget| self.exec(cpu, bus, budget))
     }
 
-    /// Executes a run of consecutive instructions from one cached block —
-    /// observationally a sequence of [`BlockCache::step`] calls, ending at
-    /// block end, control-flow divergence, the retirement `limit`, or any
-    /// non-`Executed` step.
-    fn run_slice<M: TaintMode, S: ObsSink>(
+    /// The block cache's slice-dispatch entry point, shared in shape with
+    /// [`Cpu::exec`]: executes up to `budget` steps (retired instructions,
+    /// taken traps, interrupt entries) from one cached block and returns
+    /// the steps taken plus the last step's outcome.
+    ///
+    /// The mutation-epoch read, cache probe and statistics updates are
+    /// paid per slice, not per instruction. The slice ends at block end,
+    /// at control-flow divergence, when the budget is used up, on any step
+    /// that is not [`Step::Executed`], on a mutation-epoch change, and
+    /// right after a load, store, CSR op or atomic that left
+    /// [`Bus::irq_dirty`] set. Observable behaviour equals repeated
+    /// [`Cpu::step`] calls: interrupts are re-polled after every
+    /// instruction that can change interrupt state (the same poll-flagged
+    /// instructions — nothing else inside a straight-line slice can reach
+    /// `mstatus`/`mie`/`mip`).
+    pub fn exec<M: TaintMode, S: ObsSink>(
         &mut self,
         cpu: &mut Cpu<M, S>,
         bus: &mut impl Bus<M>,
-        limit: u64,
-    ) -> Result<Step, Violation> {
-        if let Some(step) = cpu.pre_step()? {
-            return Ok(step);
+        budget: u64,
+    ) -> (u64, Result<Step, Violation>) {
+        if budget == 0 {
+            return (0, Ok(Step::Executed));
+        }
+        match cpu.pre_step() {
+            Ok(None) => {}
+            Ok(Some(step)) => return (step.count(), Ok(step)),
+            Err(v) => return (0, Err(v)),
         }
         let epoch = bus.mutation_epoch();
         if epoch != self.epoch {
+            // Memory changed behind the CPU's back (DMA, classification,
+            // fault injection): all cached decodes and fetch tags are
+            // suspect.
             self.epoch = epoch;
             self.flush();
         }
@@ -341,40 +286,46 @@ impl BlockCache {
         }
 
         let mut pc = cpu.pc();
-        let (bi, mut ii) = match self.cursor {
+        let (bi, mut ii) = match self.cursor.take() {
             Some(c) if c.expected_pc == pc => (c.block, c.idx),
-            _ => {
-                self.cursor = None;
-                match self.index.get(&pc).copied().filter(|&bi| self.arena[bi].alive) {
-                    Some(bi) => (bi, 0),
-                    None => match self.build(bus, pc) {
-                        Some(bi) => {
-                            self.stats.misses += 1;
-                            (bi, 0)
-                        }
+            _ => match self.index.get(&pc).copied().filter(|&bi| self.arena[bi].alive) {
+                Some(bi) => (bi, 0),
+                None => {
+                    self.stats.misses += 1;
+                    match self.build(bus, pc) {
+                        Some(bi) => (bi, 0),
                         None => {
-                            self.stats.misses += 1;
+                            // Unfetchable/undecodable/misaligned pc: one
+                            // reference-interpreter step raises the
+                            // identical trap.
                             if M::TRACKING {
                                 self.count_gating(1, live);
                             }
-                            let r = cpu.fetch_decode_exec(bus)?;
-                            if let Some((addr, size)) = r.store {
-                                self.on_store(addr, size);
-                            }
-                            return Ok(r.step);
+                            return match cpu.fetch_decode_exec(bus) {
+                                Ok(r) => {
+                                    if let Some((addr, size)) = r.store {
+                                        self.on_store(addr, size);
+                                    }
+                                    (r.step.count(), Ok(r.step))
+                                }
+                                Err(v) => (0, Err(v)),
+                            };
                         }
-                    },
+                    }
                 }
-            }
+            },
         };
 
-        // The block's instruction vector is moved out of the arena for the
-        // duration of the slice so the hot loop reads a local, provably
-        // unaliased slice; it is put back below unless the whole cache was
-        // flushed mid-slice (blocks are never rebuilt inside the loop).
-        let start = self.arena[bi].start;
-        let insns = std::mem::take(&mut self.arena[bi].insns);
-        let mut remaining = limit - cpu.instret();
+        // The instruction store is moved out for the duration of the slice
+        // so the hot loop reads a local, provably unaliased slice; it is put
+        // back below, emptied if the whole cache was flushed mid-slice
+        // (blocks are never built inside the loop). Every exit leaves the
+        // cursor cleared except the resumable one (budget used up or
+        // interrupt levels dirty mid-block), so invalidation never has a
+        // cursor to fix up.
+        let mut code = std::mem::take(&mut self.code);
+        let insns = &code[self.arena[bi].first..][..self.arena[bi].len];
+        let mut steps: u64 = 0;
         let mut executed: u64 = 0;
         let (mut checked, mut idle) = (0u64, 0u64);
         // `pre_step` already ran above; it is re-run mid-slice only after
@@ -384,11 +335,11 @@ impl BlockCache {
             if need_poll {
                 match cpu.pre_step() {
                     Ok(None) => {}
-                    Ok(Some(step)) => break Ok(step),
-                    Err(v) => {
-                        self.cursor = None;
-                        break Err(v);
+                    Ok(Some(step)) => {
+                        steps += step.count();
+                        break Ok(step);
                     }
+                    Err(v) => break Err(v),
                 }
             }
             if M::TRACKING && !live {
@@ -405,20 +356,15 @@ impl BlockCache {
                     idle += 1;
                 }
                 if let Err(v) = cpu.fetch_clearance_check(d.fetch_tag, pc) {
-                    self.cursor = None;
                     break Err(v);
                 }
             }
+            executed += 1;
             let r = match cpu.exec_insn(bus, d.insn, pc, d.len, d.raw, d.compressed, d.fetch_tag) {
                 Ok(r) => r,
-                Err(v) => {
-                    self.cursor = None;
-                    executed += 1;
-                    break Err(v);
-                }
+                Err(v) => break Err(v),
             };
-            executed += 1;
-            remaining -= 1;
+            steps += 1;
             if let Some((addr, size)) = r.store {
                 self.on_store(addr, size);
                 let e = bus.mutation_epoch();
@@ -428,42 +374,32 @@ impl BlockCache {
                     break Ok(r.step);
                 }
                 if !self.arena[bi].alive {
-                    self.cursor = None;
                     break Ok(r.step);
                 }
             }
-            if !matches!(r.step, Step::Executed) {
-                self.cursor = None;
+            ii += 1;
+            // Non-`Executed` step, block end, or taken branch/trap: the
+            // next probe starts fresh.
+            if r.step != Step::Executed || ii >= insns.len() || cpu.pc() != d.next_pc {
                 break Ok(r.step);
             }
-            ii += 1;
-            if ii >= insns.len() {
-                self.cursor = None;
-                break Ok(Step::Executed);
-            }
-            if cpu.pc() != d.next_pc {
-                // Taken branch or trap: next probe starts fresh.
-                self.cursor = None;
-                break Ok(Step::Executed);
-            }
             pc = d.next_pc;
-            if remaining == 0 {
+            if steps == budget || (d.poll && bus.irq_dirty()) {
                 self.cursor = Some(Cursor { block: bi, idx: ii, expected_pc: pc });
                 break Ok(Step::Executed);
             }
             need_poll = d.poll;
         };
-        if let Some(b) = self.arena.get_mut(bi) {
-            if b.start == start {
-                b.insns = insns;
-            }
+        if self.arena.is_empty() {
+            code.clear();
         }
+        self.code = code;
         self.stats.hits += executed;
         if M::TRACKING {
             self.stats.checked_steps += checked;
             self.stats.idle_steps += idle;
         }
-        res
+        (steps, res)
     }
 
     #[inline]
@@ -482,7 +418,10 @@ impl BlockCache {
         if !pc.is_multiple_of(2) {
             return None;
         }
-        let mut insns: Vec<CachedInsn> = Vec::with_capacity(8);
+        if self.arena.len() >= MAX_BLOCKS || self.code.len() + BLOCK_CAP > MAX_CODE {
+            self.flush();
+        }
+        let first = self.code.len();
         let mut cur = pc;
         while let Ok(word) = bus.fetch(cur) {
             let compressed = vpdift_asm::is_compressed(word.val() as u16);
@@ -513,7 +452,7 @@ impl BlockCache {
                     | Insn::Sc { .. }
                     | Insn::Amo { .. }
             );
-            insns.push(CachedInsn { insn, next_pc, len, raw, compressed, fetch_tag, poll });
+            self.code.push(CachedInsn { insn, next_pc, len, raw, compressed, fetch_tag, poll });
             // Unconditional control transfers end the block; conditional
             // branches may fall through, so the block continues past them.
             let terminal = matches!(
@@ -527,30 +466,18 @@ impl BlockCache {
                     | Insn::FenceI
             );
             cur = next_pc;
-            if terminal || insns.len() >= BLOCK_CAP {
+            if terminal || self.code.len() - first >= BLOCK_CAP {
                 break;
             }
         }
-        if insns.is_empty() {
-            return None;
-        }
-        let end = insns.last().map(|d| d.next_pc).unwrap_or(pc);
-        let block = Block {
-            start: pc,
-            insns,
-            alive: true,
-            first_line: pc >> LINE_SHIFT,
-            last_line: (end - 1) >> LINE_SHIFT,
-        };
-        Some(self.insert(block))
+        let len = self.code.len() - first;
+        // `cur` is the last decoded instruction's `next_pc`.
+        (len > 0).then(|| self.insert(Block { start: pc, end: cur, first, len, alive: true }))
     }
 
     fn insert(&mut self, block: Block) -> usize {
-        if self.arena.len() >= MAX_BLOCKS {
-            self.flush();
-        }
         let bi = self.arena.len();
-        for line in block.first_line..=block.last_line {
+        for line in block.lines() {
             let li = line as usize;
             if self.line_refs.len() <= li {
                 self.line_refs.resize(li + 1, 0);
@@ -563,43 +490,50 @@ impl BlockCache {
         bi
     }
 
-    /// Store-range invalidation: kill every live block whose code lines
+    /// Store-range invalidation: kill every live block whose code bytes
     /// overlap the written range. The common case (store into data) costs
-    /// one or two refcount probes.
+    /// one or two refcount probes; a store into data that merely shares a
+    /// code line leaves the line's blocks cached.
     #[inline]
     fn on_store(&mut self, addr: u32, size: u32) {
         let first = addr >> LINE_SHIFT;
         let last = addr.wrapping_add(size.saturating_sub(1)) >> LINE_SHIFT;
         for line in first..=last {
             if (line as usize) < self.line_refs.len() && self.line_refs[line as usize] > 0 {
-                self.invalidate_line(line);
+                self.invalidate(line, addr as u64, addr as u64 + size as u64);
             }
         }
     }
 
-    fn invalidate_line(&mut self, line: u32) {
-        if let Some(blocks) = self.line_blocks.remove(&line) {
-            for bi in blocks {
-                self.kill(bi);
-            }
-        }
-    }
-
-    fn kill(&mut self, bi: usize) {
-        if !self.arena[bi].alive {
+    /// Kills the live blocks of `line` that overlap bytes `lo..hi`.
+    fn invalidate(&mut self, line: u32, lo: u64, hi: u64) {
+        let Some(blocks) = self.line_blocks.get_mut(&line) else { return };
+        let arena = &self.arena;
+        let hit = |bi: usize| {
+            arena[bi].alive && lo < u64::from(arena[bi].end) && u64::from(arena[bi].start) < hi
+        };
+        if !blocks.iter().any(|&bi| hit(bi)) {
             return;
         }
-        self.arena[bi].alive = false;
-        let (start, first, last) = {
-            let b = &self.arena[bi];
-            (b.start, b.first_line, b.last_line)
-        };
-        self.index.remove(&start);
-        for line in first..=last {
-            self.line_refs[line as usize] -= 1;
+        let killed: Vec<usize> = blocks.iter().copied().filter(|&bi| hit(bi)).collect();
+        blocks.retain(|&bi| arena[bi].alive && !hit(bi));
+        for bi in killed {
+            self.kill(bi);
         }
-        if self.cursor.is_some_and(|c| c.block == bi) {
-            self.cursor = None;
+    }
+
+    /// Unregisters a block; its slot and code stay allocated until the next
+    /// flush.
+    fn kill(&mut self, bi: usize) {
+        let b = &mut self.arena[bi];
+        if !b.alive {
+            return;
+        }
+        b.alive = false;
+        let (start, lines) = (b.start, b.lines());
+        self.index.remove(&start);
+        for line in lines {
+            self.line_refs[line as usize] -= 1;
         }
         self.stats.invalidations += 1;
     }
@@ -611,6 +545,7 @@ impl BlockCache {
             return;
         }
         self.arena.clear();
+        self.code.clear();
         self.index.clear();
         self.line_refs.clear();
         self.line_blocks.clear();
@@ -710,6 +645,36 @@ mod tests {
     }
 
     #[test]
+    fn store_into_data_sharing_a_code_line_keeps_the_block() {
+        // The loop's counter sits right after its code, inside the same
+        // 64-byte line: only stores overlapping code bytes invalidate.
+        let mut a = Asm::new(0);
+        a.la(Reg::T2, "counter");
+        a.li(Reg::T0, 50);
+        a.label("loop");
+        a.sw(Reg::T0, 0, Reg::T2);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::Zero, "loop");
+        a.ebreak();
+        a.label("counter");
+        a.word(0);
+        let prog = a.assemble().unwrap();
+        assert!(prog.symbol("counter").unwrap() < 1 << LINE_SHIFT, "data shares the code line");
+
+        let (exit_i, exit_b, d_i, d_b) = run_both(&prog);
+        assert_eq!(exit_i, RunExit::Break);
+        assert_eq!((exit_b, d_b), (exit_i, d_i));
+
+        let mut mem = FlatMemory::<Plain>::new(0, 4096);
+        mem.load_image(0, prog.image());
+        let mut cpu = Cpu::<Plain>::new();
+        let mut eng = BlockCache::new();
+        assert_eq!(eng.run(&mut cpu, &mut mem, 10_000), RunExit::Break);
+        assert_eq!(eng.stats().invalidations, 0);
+        assert_eq!(mem.byte_at(prog.symbol("counter").unwrap()), Some((1, Tag::EMPTY)));
+    }
+
+    #[test]
     fn csr_raised_interrupt_is_taken_mid_block() {
         // A `csrw mip` raising MSIP inside a straight-line block must be
         // serviced before the following instruction — exactly where the
@@ -753,13 +718,11 @@ mod tests {
         mem.load_image(0, prog.image());
         let mut cpu = Cpu::<Plain>::new();
         let mut eng = BlockCache::new();
-        for _ in 0..8 {
-            eng.step(&mut cpu, &mut mem).unwrap();
-        }
+        assert_eq!(eng.exec(&mut cpu, &mut mem, 8).1, Ok(Step::Executed));
         assert!(!eng.arena.is_empty());
-        // Host-side image reload bumps the epoch; next step flushes.
+        // Host-side image reload bumps the epoch; the next slice flushes.
         mem.load_image(0, prog.image());
-        eng.step(&mut cpu, &mut mem).unwrap();
+        assert_eq!(eng.exec(&mut cpu, &mut mem, 1), (1, Ok(Step::Executed)));
         assert!(eng.stats().flushes > 0);
     }
 

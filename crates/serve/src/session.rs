@@ -205,10 +205,7 @@ impl Session {
 
     /// `"interp"` or `"block"`.
     pub fn engine(&self) -> &'static str {
-        match self.engine {
-            ExecMode::Interp => "interp",
-            ExecMode::BlockCache => "block",
-        }
+        self.engine.label()
     }
 
     /// The policy's atom table.

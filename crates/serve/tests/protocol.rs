@@ -35,10 +35,13 @@ fn drive(server: &mut Server, lines: &[String]) -> (Vec<String>, Control) {
     (out, control)
 }
 
-fn immo_script() -> Vec<String> {
+/// The golden session script; `engine` adds an `"engine"` field to its
+/// `create` request (`None` runs the default engine).
+fn immo_script(engine: Option<&str>) -> Vec<String> {
+    let engine = engine.map(|e| format!("\"engine\":\"{e}\",")).unwrap_or_default();
     vec![
         format!(
-            "{{\"id\":1,\"cmd\":\"create\",\"session\":\"immo\",\"program\":\"{}\",\"policy\":\"{}\",\"enforce\":\"record\",\"ram_size\":65536}}",
+            "{{\"id\":1,\"cmd\":\"create\",\"session\":\"immo\",\"program\":\"{}\",\"policy\":\"{}\",\"enforce\":\"record\",{engine}\"ram_size\":65536}}",
             escape(IMMO_PROGRAM),
             escape(IMMO_POLICY)
         ),
@@ -60,8 +63,10 @@ fn immo_script() -> Vec<String> {
 
 #[test]
 fn immo_watchpoint_session_matches_golden_transcript() {
+    // The golden pins the reference interpreter; the test below holds the
+    // other engines to it.
     let mut server = Server::new();
-    let (out, control) = drive(&mut server, &immo_script());
+    let (out, control) = drive(&mut server, &immo_script(Some("interp")));
     assert_eq!(control, Control::Shutdown);
     for line in &out {
         validate_json(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
@@ -81,9 +86,29 @@ fn immo_watchpoint_session_matches_golden_transcript() {
 }
 
 #[test]
+fn golden_session_is_identical_on_the_block_cache_and_the_default_engine() {
+    // Same stop points (instret 9, 14, 28), events and digests as the
+    // interpreter golden; only the reported engine label differs.
+    for engine in [Some("block"), None] {
+        let (out, _) = drive(&mut Server::new(), &immo_script(engine));
+        let transcript = out.join("\n") + "\n";
+        assert_eq!(
+            transcript.matches("\"engine\":\"block\"").count(),
+            2,
+            "engine {engine:?}: create and info report the block cache"
+        );
+        assert_eq!(
+            transcript.replace("\"engine\":\"block\"", "\"engine\":\"interp\""),
+            GOLDEN,
+            "engine {engine:?}: transcript differs from the interpreter golden"
+        );
+    }
+}
+
+#[test]
 fn watchpoint_pauses_before_the_leak_completes() {
     let mut server = Server::new();
-    let (out, _) = drive(&mut server, &immo_script()[..4]);
+    let (out, _) = drive(&mut server, &immo_script(None)[..4]);
     // The run response is the last line; the watch stopped the guest
     // before the four-byte leak finished.
     let run = out.last().expect("run response");

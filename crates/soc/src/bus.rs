@@ -70,15 +70,7 @@ impl<M: TaintMode> SocBus<M> {
         }
     }
 
-    /// `true` once an MMIO transaction has run since the last
-    /// [`SocBus::clear_irq_dirty`] — interrupt levels may have changed
-    /// (PLIC claim, CLINT comparator write, peripheral side effects), so
-    /// the SoC loop must re-sample them before the next instruction.
-    pub fn irq_dirty(&self) -> bool {
-        self.irq_dirty
-    }
-
-    /// Acknowledges the dirty flag.
+    /// Acknowledges the [`Bus::irq_dirty`] flag.
     pub fn clear_irq_dirty(&mut self) {
         self.irq_dirty = false;
     }
@@ -202,6 +194,14 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
 
     fn mutation_epoch(&self) -> u64 {
         self.ram_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Set by every MMIO transaction since the last
+    /// [`SocBus::clear_irq_dirty`]: interrupt levels may have changed (PLIC
+    /// claim, CLINT comparator write, peripheral side effects), so the SoC
+    /// loop re-samples them before the next instruction.
+    fn irq_dirty(&self) -> bool {
+        self.irq_dirty
     }
 
     fn atomic_supported(&self, addr: u32, size: u32) -> bool {

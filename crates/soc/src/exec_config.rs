@@ -58,7 +58,7 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             tainted: true,
-            engine: ExecMode::Interp,
+            engine: ExecMode::default(),
             enforce: EnforceMode::Enforce,
             quantum: None,
             ram_size: None,
@@ -193,7 +193,8 @@ mod tests {
         let def = crate::SocConfig::default();
         assert_eq!(cfg.ram_size, def.ram_size);
         assert_eq!(cfg.quantum, def.quantum);
-        assert_eq!(cfg.exec, ExecMode::Interp);
+        assert_eq!(cfg.exec, def.exec);
+        assert_eq!(cfg.exec, ExecMode::BlockCache);
         assert_eq!(cfg.enforce, EnforceMode::Enforce);
         assert!(atoms.names().is_empty());
     }

@@ -15,7 +15,7 @@ use vpdift_periph::{
     AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, IrqLine, Plic, Ram, Sensor,
     TaintDebug, Terminal, Uart, Watchdog,
 };
-use vpdift_rv32::{BlockCache, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
+use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
 use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{Router, SharedFaultHook, SharedTarget};
 
@@ -88,14 +88,16 @@ pub struct SocConfig {
     pub insn_time: SimTime,
     /// Whether the sensor's periodic generation thread runs.
     pub sensor_thread: bool,
-    /// Which execution engine drives the CPU (interpreter or predecoded
-    /// block cache).
+    /// Which execution engine drives the CPU (predecoded block cache by
+    /// default, or the reference interpreter).
     pub exec: ExecMode,
-    /// Cooperative stop flag polled by [`Soc::run`]: raising it (from a
-    /// watchpoint or a controlling session) ends the run with
-    /// [`SocExit::Stopped`] at the next step boundary. Only polled when an
-    /// enabled observability sink is attached — `NullSink` builds compile
-    /// the check out.
+    /// Cooperative stop flag polled by [`Soc::run`] once per dispatch
+    /// slice: raising it (from a watchpoint, a controlling session or a
+    /// fleet deadline reaper) ends the run with [`SocExit::Stopped`] at the
+    /// next slice boundary. With an enabled observability sink every slice
+    /// is one step, so watchpoint stops stay exact per instruction; on
+    /// `NullSink` builds a slice is at most one cached block (block cache)
+    /// or the rest of the quantum up to the next MMIO access (interpreter).
     pub stop: StopFlag,
     /// Live retired-step counter published at quantum boundaries (one
     /// relaxed add per quantum, never per instruction), so external
@@ -122,7 +124,7 @@ impl Default for SocConfig {
             quantum: 1024,
             insn_time: SimTime::from_ns(10), // 100 MIPS guest clock
             sensor_thread: true,
-            exec: ExecMode::Interp,
+            exec: ExecMode::default(),
             stop: StopFlag::new(),
             insns: InsnCell::new(),
             breaks: BreakSet::new(),
@@ -533,9 +535,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// Runs the VP for at most `max_insns` CPU steps. A *step* is one
-    /// retired instruction or one taken trap — exceptions count toward the
-    /// budget so runaway trap loops still terminate (retired-instruction
-    /// statistics remain exact via [`Soc::instret`]).
+    /// retired instruction, one taken trap or one interrupt entry —
+    /// exceptions count toward the budget so runaway trap loops still
+    /// terminate (retired-instruction statistics remain exact via
+    /// [`Soc::instret`]).
     pub fn run(&mut self, max_insns: u64) -> SocExit {
         let exit = self.run_inner(max_insns);
         if S::ENABLED {
@@ -575,12 +578,12 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             let mut stepped = 0u64;
             let mut waiting = false;
             let mut exit = None;
-            for _ in 0..quantum {
+            while stepped < quantum {
                 // Cooperative stop: a watchpoint raised the flag during
-                // the previous step's event emission, a controller raised
+                // the previous slice's event emission, a controller raised
                 // it between runs, or a fleet deadline reaper raised it
-                // from another thread. Polled unconditionally — not gated
-                // on `S::ENABLED` — so deadline kills reach `NullSink`
+                // from another thread. Polled once per slice and not gated
+                // on `S::ENABLED`, so deadline kills reach `NullSink`
                 // sessions too; the unraised check is one relaxed load.
                 if self.config.stop.take() {
                     exit = Some(SocExit::Stopped);
@@ -599,17 +602,22 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                     exit = Some(SocExit::Stopped);
                     break;
                 }
-                // Engine dispatch happens per step, inside the quantum:
-                // interrupt-line resampling, watchdog and time accounting
-                // below stay identical between engines.
-                let step = match &mut self.exec {
-                    EngineKind::Interp => self.cpu.step(&mut self.bus),
-                    EngineKind::Block(bc) => bc.step(&mut self.cpu, &mut self.bus),
+                // Engine dispatch happens per slice, inside the quantum. A
+                // slice ends wherever the platform must be looked at again
+                // (MMIO, non-`Executed` steps, the budget), so interrupt-
+                // line resampling, watchdog and time accounting below stay
+                // identical between engines. Enabled sinks dispatch one
+                // step per slice: watchpoints, breakpoints and streamed
+                // events stay exact per instruction.
+                let budget = if S::ENABLED { 1 } else { quantum - stepped };
+                let (n, step) = match &mut self.exec {
+                    EngineKind::Interp => self.cpu.exec(&mut self.bus, budget),
+                    EngineKind::Block(bc) => bc.exec(&mut self.cpu, &mut self.bus, budget),
                 };
+                stepped += n;
                 match step {
-                    Ok(Step::Executed) => stepped += 1,
+                    Ok(Step::Executed) => {}
                     Ok(Step::Break) => {
-                        stepped += 1;
                         exit = Some(SocExit::Break);
                         break;
                     }
@@ -618,7 +626,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                         break;
                     }
                     Ok(Step::TrapLoop) => {
-                        stepped += 1;
                         exit = Some(SocExit::TrapLoop);
                         break;
                     }
@@ -628,7 +635,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                     }
                 }
                 // MMIO may have changed interrupt levels (PLIC claim,
-                // comparator writes): re-sample before the next step so a
+                // comparator writes): re-sample before the next slice so a
                 // completed handler is not spuriously re-entered.
                 if self.bus.irq_dirty() {
                     self.bus.clear_irq_dirty();

@@ -17,9 +17,9 @@
 //!
 //!   --policy <file>       textual security policy (see vpdift_core::textpolicy)
 //!   --plain               run on the original VP (no taint tracking)
-//!   --engine <name>       execution engine: `interp` (default) or `block`
-//!                         (predecoded basic-block cache with taint-idle
-//!                         fast path)
+//!   --engine <name>       execution engine: `block` (default; predecoded
+//!                         basic-block cache with taint-idle fast path) or
+//!                         `interp` (the reference interpreter)
 //!   --record              log violations instead of stopping at the first
 //!   --input <string>      bytes fed to the terminal (supports \n, \xNN)
 //!   --max-insns <n>       instruction budget (default 100M)
@@ -30,7 +30,7 @@
 //!                         TLM access counts)
 //!   --metrics-json <file> write the metrics registry as a
 //!                         `taintvp-metrics/v1` JSON document (includes
-//!                         block-cache statistics when `--engine block`)
+//!                         block-cache statistics unless `--engine interp`)
 //!   --flight-recorder <n> keep the last n events; on violation print a
 //!                         flight report (disassembled tail + provenance)
 //!   --events-out <file>   write every event as JSON lines

@@ -9,26 +9,30 @@
 //! benign twins), the §VI-A immobilizer scenarios and protocol sessions,
 //! the Table II plain/tainted workloads, and a self-modifying-code
 //! regression where injected code is overwritten *after* being cached.
+//! The slice-dispatch yield rules have their own cases: an interrupt
+//! raised by an MMIO store mid-block, step-exact short run budgets, and a
+//! stop flag raised on a `NullSink` SoC.
 
 use taintvp::asm::{Asm, Reg};
 use taintvp::attacks::{all_attacks, run_attack_captured};
 use taintvp::firmware::table2_workloads;
 use taintvp::immo::{run_scenario_with, run_session_with, PolicyKind, Scenario, Variant};
+use taintvp::kernel::SimTime;
 use taintvp::prelude::{ExecMode, Plain, Soc, SocExit, TaintMode, Tainted};
 
 /// Runs one SoC program under both engines and returns
-/// `(exit, uart, instret, digest)` per engine for comparison.
+/// `(exit, uart, instret, digest, now)` per engine for comparison.
 fn run_both<M: TaintMode>(
     prog: &taintvp::asm::Program,
     budget: u64,
-) -> [(SocExit, Vec<u8>, u64, u64); 2] {
+) -> [(SocExit, Vec<u8>, u64, u64, SimTime); 2] {
     [ExecMode::Interp, ExecMode::BlockCache].map(|mode| {
         let cfg = Soc::<M>::builder().sensor_thread(false).engine(mode).build();
         let mut soc = Soc::<M>::new(cfg);
         soc.load_program(prog);
         let exit = soc.run(budget);
         let uart = soc.uart().borrow().output().to_vec();
-        (exit, uart, soc.instret(), soc.state_digest())
+        (exit, uart, soc.instret(), soc.state_digest(), soc.now())
     })
 }
 
@@ -348,4 +352,148 @@ fn watchdog_timeout_is_engine_invariant() {
     assert_eq!(results[0].0, SocExit::WatchdogTimeout, "interpreter watchdog bites");
     assert_eq!(results[1].0, SocExit::WatchdogTimeout, "block-cache watchdog bites");
     assert_eq!(results[0], results[1], "engines disagree on watchdog timeout");
+}
+
+/// A CLINT `msip` store in the middle of a straight-line block raises a
+/// software interrupt that must be taken before the next instruction, as
+/// the interpreter takes it: the slice has to end right after the MMIO
+/// store so the SoC re-samples the interrupt lines.
+#[test]
+fn mmio_raised_interrupt_is_taken_mid_block_on_both_engines() {
+    use taintvp::asm::csr;
+    use taintvp::periph::clint::regs as clint_regs;
+    use taintvp::soc::map;
+
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T0, "handler");
+    a.csrw(csr::MTVEC, Reg::T0);
+    a.li(Reg::T1, csr::MIE_MSIE as i32); // mie.MSIE and mstatus.MIE
+    a.csrw(csr::MIE, Reg::T1);
+    a.csrw(csr::MSTATUS, Reg::T1);
+    a.li(Reg::S0, (map::CLINT_BASE + clint_regs::MSIP) as i32);
+    a.li(Reg::A0, 0);
+    a.li(Reg::T2, 1);
+    a.sw(Reg::T2, 0, Reg::S0); // msip = 1: the interrupt pends here
+    for _ in 0..8 {
+        a.addi(Reg::A0, Reg::A0, 1); // all eight retire after the handler
+    }
+    a.ebreak();
+    a.align(4);
+    a.label("handler");
+    a.mv(Reg::A1, Reg::A0); // increments retired before the interrupt
+    a.csrr(Reg::A2, csr::INSTRET); // compared across engines via the digest
+    a.sw(Reg::Zero, 0, Reg::S0); // msip = 0
+    a.mret();
+    let prog = a.assemble().expect("msip guest assembles");
+
+    let [pi, pc] = run_both::<Plain>(&prog, 1_000);
+    assert_eq!(pi, pc, "plain VP engines disagree on an MMIO-raised interrupt");
+    let [ti, tc] = run_both::<Tainted>(&prog, 1_000);
+    assert_eq!(ti, tc, "VP+ engines disagree on an MMIO-raised interrupt");
+    assert_eq!(pi.0, SocExit::Break);
+
+    let cfg = Soc::<Plain>::builder().sensor_thread(false).engine(ExecMode::BlockCache).build();
+    let mut soc = Soc::<Plain>::new(cfg);
+    soc.load_program(&prog);
+    assert_eq!(soc.run(1_000), SocExit::Break);
+    assert_eq!(soc.cpu().reg(Reg::A1), 0, "the interrupt preempts the first increment");
+    assert_eq!(soc.cpu().reg(Reg::A0), 8);
+}
+
+/// Repeated short `Soc::run(n)` calls, `n` cycling through `1..=300`,
+/// end every call on the same step under both engines — a budget can
+/// expire mid-block, and the fault injector relies on it landing exactly.
+/// The guest is preemptively scheduled by the CLINT timer, so any
+/// misplaced slice end also moves every later context switch.
+#[test]
+fn step_exact_short_runs_are_engine_invariant() {
+    fn sliced<M: TaintMode>(mode: ExecMode) -> (Vec<u64>, SocExit, u64, SimTime, u64) {
+        let w = taintvp::firmware::rtos::build(6, 100, 5);
+        let cfg = Soc::<M>::builder().sensor_thread(false).engine(mode).build();
+        let mut soc = Soc::<M>::new(cfg);
+        soc.load_program(&w.program);
+        let mut trail = Vec::new();
+        let exit = loop {
+            let n = trail.len() as u64 % 300 + 1;
+            let exit = soc.run(n);
+            trail.push(soc.instret());
+            if exit != SocExit::InstrLimit || trail.len() > 10_000 {
+                break exit;
+            }
+        };
+        (trail, exit, soc.instret(), soc.now(), soc.state_digest())
+    }
+    let interp = sliced::<Plain>(ExecMode::Interp);
+    assert_eq!(interp.1, SocExit::Break, "the sliced guest runs to completion");
+    assert_eq!(interp, sliced::<Plain>(ExecMode::BlockCache), "plain VP engines disagree");
+    assert_eq!(
+        sliced::<Tainted>(ExecMode::Interp),
+        sliced::<Tainted>(ExecMode::BlockCache),
+        "VP+ engines disagree"
+    );
+}
+
+/// A stop flag raised mid-run on a `NullSink` SoC (here by a TLM hook on
+/// the guest's UART write, standing in for a fleet deadline reaper) ends
+/// the run at the next slice boundary on both engines, and the resumed run
+/// reaches the same final state as an uninterrupted one.
+#[test]
+fn stop_flag_on_a_null_sink_soc_stops_and_resumes_on_both_engines() {
+    use taintvp::obs::StopFlag;
+    use taintvp::prelude::shared;
+    use taintvp::soc::map;
+    use taintvp::tlm::{FaultAction, GenericPayload, TlmFaultHook};
+
+    struct StopOnMmio(StopFlag);
+    impl TlmFaultHook for StopOnMmio {
+        fn before(&mut self, _: &mut GenericPayload) -> FaultAction {
+            self.0.request();
+            FaultAction::Pass
+        }
+    }
+
+    let mut a = Asm::new(0);
+    a.entry();
+    a.li(Reg::A0, 0);
+    a.li(Reg::T0, 300);
+    a.label("sum");
+    a.add(Reg::A0, Reg::A0, Reg::T0);
+    a.addi(Reg::T0, Reg::T0, -1);
+    a.bnez(Reg::T0, "sum");
+    a.li(Reg::S0, map::UART_BASE as i32);
+    a.sb(Reg::A0, 0, Reg::S0); // the hook raises the stop flag here
+    a.label("after_store");
+    for _ in 0..4 {
+        a.addi(Reg::A0, Reg::A0, 1);
+    }
+    a.ebreak();
+    let prog = a.assemble().expect("stop guest assembles");
+
+    let reference = {
+        let mut soc = Soc::<Plain>::new(Soc::<Plain>::builder().sensor_thread(false).build());
+        soc.load_program(&prog);
+        assert_eq!(soc.run(100_000), SocExit::Break);
+        (soc.instret(), soc.state_digest())
+    };
+    for mode in [ExecMode::Interp, ExecMode::BlockCache] {
+        let stop = StopFlag::new();
+        let cfg = Soc::<Plain>::builder()
+            .sensor_thread(false)
+            .engine(mode)
+            .stop_flag(stop.clone())
+            .build();
+        let mut soc = Soc::<Plain>::new(cfg);
+        soc.load_program(&prog);
+        soc.set_mmio_fault(shared(StopOnMmio(stop)));
+        assert_eq!(soc.run(100_000), SocExit::Stopped, "{mode}: the raised flag stops the run");
+        assert_eq!(
+            Some(soc.cpu().pc()),
+            prog.symbol("after_store"),
+            "{mode}: stopped right after the MMIO store, not at the quantum end"
+        );
+        soc.clear_mmio_fault();
+        assert_eq!(soc.run(100_000), SocExit::Break, "{mode}: the run resumes");
+        assert_eq!((soc.instret(), soc.state_digest()), reference, "{mode}: final state differs");
+    }
 }
