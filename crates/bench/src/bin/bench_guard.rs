@@ -14,15 +14,17 @@
 //! the perf history accumulates across PRs instead of living in a single
 //! overwritten snapshot.
 //!
-//! The parser is deliberately line-based (one entry object per line, the
-//! shape our criterion shim writes) so the guard needs no JSON dependency.
-//! Blank and truncated lines — the torn tail a killed bench run leaves in
-//! `BENCH_trajectory.jsonl` or a half-written results file — are skipped
-//! with a warning rather than tripping the guard.
+//! Entries are read one line at a time (one entry object per line, the
+//! shape our criterion shim writes): each line that opens an object is
+//! parsed as one JSON value once its trailing `,` is stripped. A line that
+//! does not parse — the torn tail a killed bench run leaves in a
+//! half-written results file — is skipped with a warning rather than
+//! tripping the guard.
 
 use std::process::ExitCode;
 
 use vpdift_bench::trajectory;
+use vpdift_obs::json::{self, Value};
 
 /// The gated bench group.
 const GROUP: &str = "soc_engine";
@@ -30,46 +32,23 @@ const GROUP: &str = "soc_engine";
 /// Required plain-VP speedup of the block cache over the interpreter.
 const MIN_SPEEDUP: f64 = 1.3;
 
-/// Extracts `"key": value` (a JSON number or string) from an entry line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// A complete entry line: starts an object and closes it. A killed writer
-/// leaves a final line that opens `{` but never reaches `}` — that torn
-/// tail (and any blank line) must be tolerated, not parsed as an entry.
-fn is_complete_entry(line: &str) -> bool {
-    let t = line.trim();
-    t.starts_with('{') && (t.ends_with('}') || t.ends_with("},"))
-}
-
-/// Collects the complete entry lines of a `taintvp-bench/v1` file,
-/// warning (once per line) about truncated leftovers instead of erroring.
-fn collect_entries(text: &str) -> Vec<String> {
+/// Parses the entry lines of a `taintvp-bench/v1` file, warning (once per
+/// line) about truncated leftovers instead of erroring.
+fn collect_entries(text: &str) -> Vec<Value> {
     let mut entries = Vec::new();
-    for line in text.lines() {
-        let t = line.trim();
-        if t.is_empty() || !t.starts_with('{') {
-            continue;
-        }
-        if is_complete_entry(line) {
-            entries.push(line.to_owned());
-        } else {
-            eprintln!("bench_guard: warning: skipping truncated line `{:.60}…`", t);
+    for line in text.lines().map(str::trim).filter(|t| t.starts_with("{\"")) {
+        match json::parse(line.strip_suffix(',').unwrap_or(line)) {
+            Ok(entry) => entries.push(entry),
+            Err(e) => eprintln!("bench_guard: warning: skipping truncated line `{line:.60}…`: {e}"),
         }
     }
     entries
 }
 
-fn median_of(entries: &[String], name: &str) -> Option<f64> {
-    let line = entries
-        .iter()
-        .find(|l| field(l, "group") == Some(GROUP) && field(l, "name") == Some(name))?;
-    field(line, "median")?.parse().ok()
+fn median_of(entries: &[Value], name: &str) -> Option<f64> {
+    let is = |e: &Value, key: &str, want: &str| e.get(key).and_then(Value::as_str) == Some(want);
+    let entry = entries.iter().find(|e| is(e, "group", GROUP) && is(e, "name", name))?;
+    entry.get("median")?.as_f64()
 }
 
 fn main() -> ExitCode {
@@ -163,10 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn field_extraction() {
-        let line = r#"    {"group": "soc_engine", "name": "vp_plain_block", "unit": "ns/iter", "median": 1234.500, "mean": 1300.000, "min": 1200.000, "max": 1500.000, "samples": 15, "throughput_elems": 90009},"#;
-        assert_eq!(field(line, "name"), Some("vp_plain_block"));
-        assert_eq!(field(line, "median"), Some("1234.500"));
-        assert_eq!(field(line, "samples"), Some("15"));
+    fn names_with_commas_and_quotes_are_read_whole() {
+        let entries = collect_entries(concat!(
+            r#"    {"group": "soc_engine", "name": "a,\"b\"", "unit": "ns/iter", "median": 1234.500, "mean": 1300.000, "samples": 15},"#,
+            "\n",
+            r#"    {"group": "soc_engine", "name": "a", "unit": "ns/iter", "median": 7.0}"#,
+        ));
+        assert_eq!(median_of(&entries, "a,\"b\""), Some(1234.5));
+        assert_eq!(median_of(&entries, "a"), Some(7.0));
     }
 }

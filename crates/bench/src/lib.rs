@@ -201,6 +201,8 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 pub mod trajectory {
     use std::io::Write as _;
 
+    use vpdift_obs::json::escape;
+
     /// Default trajectory path, relative to the invocation directory;
     /// override with the `BENCH_TRAJECTORY` environment variable.
     pub const DEFAULT_PATH: &str = "BENCH_trajectory.jsonl";
@@ -234,8 +236,9 @@ pub mod trajectory {
     /// `t_unix` orders runs in the log (0 is fine for tests).
     pub fn render_line(suite: &str, t_unix: u64, entries: &[Entry]) -> String {
         let mut line = format!(
-            "{{\"schema\": \"taintvp-bench/v1\", \"suite\": \"{suite}\", \
-             \"t_unix\": {t_unix}, \"entries\": ["
+            "{{\"schema\": \"taintvp-bench/v1\", \"suite\": \"{}\", \
+             \"t_unix\": {t_unix}, \"entries\": [",
+            escape(suite)
         );
         for (i, e) in entries.iter().enumerate() {
             if i > 0 {
@@ -248,7 +251,9 @@ pub mod trajectory {
             };
             line.push_str(&format!(
                 "{{\"group\": \"{}\", \"name\": \"{}\", \"unit\": \"{}\", \"value\": {value}}}",
-                e.group, e.name, e.unit
+                escape(&e.group),
+                escape(&e.name),
+                escape(&e.unit)
             ));
         }
         line.push_str("]}");
@@ -298,10 +303,18 @@ mod tests {
         ];
         let line = trajectory::render_line("bench_guard", 0, &entries);
         assert!(!line.contains('\n'), "one line per run: {line}");
-        vpdift_obs::export::validate_json(&line).expect("trajectory line parses");
+        vpdift_obs::json::parse(&line).expect("trajectory line parses");
         assert!(line.contains("\"schema\": \"taintvp-bench/v1\""));
         assert!(line.contains("\"value\": 1152989"));
         assert!(line.contains("\"value\": 123.456"));
+
+        let odd = trajectory::Entry::new("g\"1", "a,\"b\"\\", "ns\n", 1.0);
+        let line = trajectory::render_line("s\"", 0, &[odd]);
+        let v = vpdift_obs::json::parse(&line).expect("escaped trajectory line parses");
+        let entry = &v.get("entries").and_then(|e| e.as_arr()).expect("entries")[0];
+        assert_eq!(entry.get("name").and_then(|n| n.as_str()), Some("a,\"b\"\\"));
+        assert_eq!(entry.get("unit").and_then(|n| n.as_str()), Some("ns\n"));
+        assert_eq!(v.get("suite").and_then(|n| n.as_str()), Some("s\""));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! DOT/JSON — is structurally well-formed.
 
 use vpdift_firmware::dhrystone;
-use vpdift_obs::export::{validate_json, write_chrome_trace};
+use vpdift_obs::export::write_chrome_trace;
+use vpdift_obs::json::parse;
 use vpdift_obs::{Recorder, SymbolMap};
 use vpdift_rv32::Tainted;
 use vpdift_soc::{Soc, SocBuilder, SocExit};
@@ -37,7 +38,7 @@ fn chrome_trace_of_dhrystone_run_is_valid_json() {
     let mut buf = Vec::new();
     write_chrome_trace(&mut buf, rec.events()).unwrap();
     let json = String::from_utf8(buf).unwrap();
-    validate_json(&json).unwrap_or_else(|e| panic!("invalid chrome trace: {e}\n{json}"));
+    parse(&json).unwrap_or_else(|e| panic!("invalid chrome trace: {e}\n{json}"));
     assert!(json.contains("\"traceEvents\""));
 }
 
@@ -89,6 +90,6 @@ fn flow_exports_on_clean_run_are_wellformed_and_empty() {
     let mut json = Vec::new();
     rec.write_flow_json(&mut json, &atoms).unwrap();
     let json = String::from_utf8(json).unwrap();
-    validate_json(&json).unwrap_or_else(|e| panic!("invalid flow json: {e}\n{json}"));
+    parse(&json).unwrap_or_else(|e| panic!("invalid flow json: {e}\n{json}"));
     assert!(json.contains("\"taintvp-flow/v1\""), "{json}");
 }

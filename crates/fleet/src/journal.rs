@@ -8,15 +8,18 @@
 //! it can, verifies the header matches the campaign being resumed, and
 //! hands back the completed results so the executor can skip them.
 //!
-//! Records are written by this module and parsed by this module, so the
-//! parser leans on the writer's fixed field order (`job`, `status`,
-//! `attempts`, `elapsed_us`, `counts`, `detail`, `payload` — payload
-//! last, because it is itself JSON and runs to the record's final
-//! brace). It is *not* a general JSON parser and does not need one.
+//! A record is intact iff its line parses as one JSON value: every
+//! proper prefix of an object is a parse error, so a torn tail never
+//! passes for a shorter record. Fields are then read through the parsed
+//! [`Value`], except `payload`: the writer puts that raw JSON last, so it
+//! is copied verbatim from its key to the record's closing brace and the
+//! aggregate stays byte-identical to what the job rendered.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
+
+use vpdift_obs::json::{self, escape, Value};
 
 use crate::job::{JobResult, JobStatus};
 
@@ -45,16 +48,35 @@ impl JournalHeader {
         )
     }
 
-    fn parse(line: &str) -> Option<JournalHeader> {
-        let format: String = extract_str(line, "format")?;
-        if format != FORMAT {
-            return None;
-        }
-        Some(JournalHeader {
-            suite: extract_str(line, "suite")?,
-            jobs: extract_u64(line, "jobs")?,
-            seed: extract_u64(line, "seed")?,
-        })
+    /// Why `line` is not this campaign's header. A JSON number cannot hold
+    /// every `u64` seed, so the found fields are read lossily and serve
+    /// the message only; whether a journal matches is decided by comparing
+    /// its header line with [`JournalHeader::render`].
+    fn mismatch(&self, line: &str) -> io::Error {
+        let found = json::parse(line)
+            .ok()
+            .filter(|h| h.get("format").and_then(Value::as_str) == Some(FORMAT));
+        let message = match found {
+            None => format!("journal header is not {FORMAT}"),
+            Some(h) => {
+                let field = |key: &str| match h.get(key) {
+                    Some(Value::Str(s)) => s.clone(),
+                    Some(Value::Num(n)) => n.to_string(),
+                    _ => "?".to_owned(),
+                };
+                format!(
+                    "journal belongs to a different campaign: \
+                     found suite={} jobs={} seed={}, expected suite={} jobs={} seed={}",
+                    field("suite"),
+                    field("jobs"),
+                    field("seed"),
+                    self.suite,
+                    self.jobs,
+                    self.seed
+                )
+            }
+        };
+        io::Error::new(io::ErrorKind::InvalidData, message)
     }
 }
 
@@ -78,166 +100,26 @@ pub fn render_record(r: &JobResult) -> String {
     )
 }
 
-/// `true` iff `line` is one structurally complete JSON object: tracking
-/// string/escape state and `{}`/`[]` depth, the outermost brace must
-/// close exactly at the final byte. Any proper prefix of a record leaves
-/// the outer brace open (or ends mid-string), so a torn tail that
-/// happens to stop at an *internal* `}` — e.g. the end of a nested
-/// payload object — is rejected rather than mistaken for a full record.
-fn record_is_complete(line: &str) -> bool {
-    let bytes = line.as_bytes();
-    if bytes.first() != Some(&b'{') {
-        return false;
-    }
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            match b {
-                b'\\' => i += 1,
-                b'"' => in_string = false,
-                _ => {}
-            }
-        } else {
-            match b {
-                b'"' => in_string = true,
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => {
-                    if depth == 0 {
-                        return false;
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        // Outer object closed: complete only if this is
-                        // the last byte.
-                        return i == bytes.len() - 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
 /// Parses one journal record line; `None` for torn or foreign lines.
 pub fn parse_record(line: &str) -> Option<JobResult> {
     let line = line.trim_end();
-    if !line.starts_with("{\"job\":") || !record_is_complete(line) {
-        return None;
-    }
-    let job_id = extract_u64(line, "job")?;
-    let status = JobStatus::parse(&extract_str(line, "status")?)?;
-    let attempts = extract_u64(line, "attempts")? as u32;
-    let elapsed_us = extract_u64(line, "elapsed_us")?;
-    let counts = extract_u64_array(line, "counts")?;
-    let detail = match find_value(line, "detail")? {
-        v if v.starts_with("null") => None,
-        v if v.starts_with('"') => Some(unescape(&v[1..v.find_unescaped_quote()?])),
-        _ => return None,
+    let v = json::parse(line).ok()?;
+    let detail = match v.get("detail")? {
+        Value::Null => None,
+        d => Some(d.as_str()?.to_owned()),
     };
-    let payload_start = line.find("\"payload\":")? + "\"payload\":".len();
-    // The payload is the last field and is raw JSON: it runs to the
-    // record's closing brace.
-    let payload_raw = &line[payload_start..line.len() - 1];
-    let payload = if payload_raw == "null" { None } else { Some(payload_raw.to_string()) };
-    Some(JobResult { job_id, status, attempts, payload, counts, detail, elapsed_us })
-}
-
-trait FindUnescapedQuote {
-    fn find_unescaped_quote(&self) -> Option<usize>;
-}
-
-impl FindUnescapedQuote for str {
-    /// Index of the closing quote of a string value that starts at
-    /// byte 0 with the opening quote.
-    fn find_unescaped_quote(&self) -> Option<usize> {
-        let bytes = self.as_bytes();
-        let mut i = 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(i),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-}
-
-fn find_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(&line[at..])
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let v = find_value(line, key)?;
-    let digits: String = v.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let v = find_value(line, key)?;
-    if !v.starts_with('"') {
-        return None;
-    }
-    Some(unescape(&v[1..v.find_unescaped_quote()?]))
-}
-
-fn extract_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let v = find_value(line, key)?;
-    let inner = v.strip_prefix('[')?;
-    let end = inner.find(']')?;
-    let inner = &inner[..end];
-    if inner.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    inner.split(',').map(|n| n.trim().parse().ok()).collect()
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
+    let counts = v.get("counts")?.as_arr()?.iter().map(Value::as_u64).collect::<Option<_>>()?;
+    // The line parsed as an object, so it ends in its closing brace.
+    let payload_raw = &line[line.find("\"payload\":")? + "\"payload\":".len()..line.len() - 1];
+    Some(JobResult {
+        job_id: v.get("job")?.as_u64()?,
+        status: JobStatus::parse(v.get("status")?.as_str()?)?,
+        attempts: v.get("attempts")?.as_u32()?,
+        payload: (payload_raw != "null").then(|| payload_raw.to_owned()),
+        counts,
+        detail,
+        elapsed_us: v.get("elapsed_us")?.as_u64()?,
+    })
 }
 
 /// An append handle on a journal file.
@@ -272,18 +154,8 @@ impl Journal {
         let header_line = lines
             .first()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty journal"))?;
-        let header = JournalHeader::parse(header_line).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "journal header is not taintvp-fleet/v1")
-        })?;
-        if &header != expect {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "journal belongs to a different campaign: \
-                     found suite={} jobs={} seed={}, expected suite={} jobs={} seed={}",
-                    header.suite, header.jobs, header.seed, expect.suite, expect.jobs, expect.seed
-                ),
-            ));
+        if *header_line != expect.render() {
+            return Err(expect.mismatch(header_line));
         }
 
         // Byte offset past the last intact line — where appends resume.
@@ -398,6 +270,9 @@ mod tests {
         assert!(torn.ends_with('}'), "tear lands on an internal brace");
         assert!(parse_record(torn).is_none(), "torn-at-internal-brace accepted: {torn}");
         assert!(parse_record(&full).is_some(), "intact record still parses");
+        for n in 0..full.len() {
+            assert!(parse_record(&full[..n]).is_none(), "torn record accepted: {}", &full[..n]);
+        }
 
         // And end-to-end: resume over such a tail recovers only the
         // intact records.
@@ -433,8 +308,8 @@ mod tests {
     #[test]
     fn header_with_quotes_in_suite_round_trips() {
         let header = JournalHeader { suite: "camp \"alpha\" \\ beta".into(), jobs: 2, seed: 1 };
-        let parsed = JournalHeader::parse(&header.render()).expect("escaped header parses");
-        assert_eq!(parsed, header);
+        let parsed = json::parse(&header.render()).expect("escaped header parses");
+        assert_eq!(parsed.get("suite").and_then(Value::as_str), Some(header.suite.as_str()));
 
         // And resume against the same header must succeed, not report a
         // foreign-format journal.
@@ -456,6 +331,26 @@ mod tests {
         Journal::create(&path, &header).unwrap();
         let other = JournalHeader { suite: "a".into(), jobs: 4, seed: 10 };
         let err = Journal::open_resume(&path, &other).unwrap_err();
+        assert!(err.to_string().contains("different campaign"), "{err}");
+        std::fs::write(&path, "{\"format\":\"other/v9\"}\n").unwrap();
+        let err = Journal::open_resume(&path, &header).unwrap_err();
+        assert!(err.to_string().contains("not taintvp-fleet/v1"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn seeds_beyond_f64_precision_are_compared_exactly() {
+        // u64::MAX and u64::MAX - 1 are the same JSON number once read as
+        // an f64; resume must still tell the two campaigns apart.
+        let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("max-seed.jsonl");
+        let header = JournalHeader { suite: "s".into(), jobs: 3, seed: u64::MAX };
+        Journal::create(&path, &header).unwrap();
+        let (_j, recovered) = Journal::open_resume(&path, &header).expect("same campaign resumes");
+        assert!(recovered.is_empty());
+        let near = JournalHeader { seed: u64::MAX - 1, ..header };
+        let err = Journal::open_resume(&path, &near).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
         std::fs::remove_file(&path).ok();
     }

@@ -715,7 +715,7 @@ mod tests {
         assert!(line.contains("\"done\":1"), "{line}");
         assert!(line.contains("\"insns\":42"), "{line}");
         assert!(line.contains("\"worker\":0"), "{line}");
-        vpdift_obs::export::validate_json(&line).expect("stream line is valid JSON");
+        vpdift_obs::json::parse(&line).expect("stream line is valid JSON");
     }
 
     #[test]
@@ -726,7 +726,7 @@ mod tests {
         let d = hub.snapshot().deterministic_json();
         assert!(!d.contains("t_ms") && !d.contains("busy_ns") && !d.contains("jobs_per_s"), "{d}");
         assert!(d.contains("\"insns\":7"), "{d}");
-        vpdift_obs::export::validate_json(&d).expect("deterministic subset is valid JSON");
+        vpdift_obs::json::parse(&d).expect("deterministic subset is valid JSON");
     }
 
     #[test]

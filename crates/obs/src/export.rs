@@ -1,8 +1,8 @@
 //! Event export: JSON Lines and the Chrome trace event format.
 //!
 //! Hand-rolled serialization — the workspace is offline, so no serde.
-//! [`validate_json`] is a minimal structural JSON checker used by the
-//! exporter tests (and available to downstream tests).
+//! Strings go through [`crate::json::escape`]; the tests read every
+//! document back with [`crate::json::parse`].
 
 use std::io::{self, Write};
 
@@ -12,22 +12,8 @@ use crate::event::{CheckKind, ObsEvent};
 use crate::metrics::Metrics;
 use crate::ring::TimedEvent;
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Re-exported from [`crate::json`], the string escaper's home.
+pub use crate::json::escape;
 
 /// Renders a tag as a JSON array of its atom indices.
 pub fn tag_json(tag: Tag) -> String {
@@ -248,138 +234,10 @@ pub fn write_metrics_json_ext<W: Write>(
     Ok(())
 }
 
-/// Minimal structural JSON validator: checks the input is one
-/// syntactically well-formed JSON value. Used by the exporter tests;
-/// not a full parser (numbers are checked loosely).
-///
-/// # Errors
-/// A description of the first syntax problem found.
-pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, "true"),
-        Some(b'f') => literal(b, pos, "false"),
-        Some(b'n') => literal(b, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        _ => Err(format!("expected a value at byte {}", *pos)),
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'{')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'[')?;
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    expect(b, pos, b'"')?;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => *pos += 2,
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    if *pos == start {
-        Err(format!("expected a number at byte {start}"))
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
     use vpdift_kernel::SimTime;
 
     fn sample_events() -> Vec<TimedEvent> {
@@ -416,7 +274,7 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            validate_json(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
         }
         assert!(text.contains("\"kind\":\"classify\""));
         assert!(text.contains("\\\"quoted\\\""), "string escaping applied");
@@ -428,7 +286,7 @@ mod tests {
         let mut buf = Vec::new();
         write_chrome_trace(&mut buf, &sample_events()).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        validate_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ts\":0.01"), "10ns == 0.01µs: {text}");
     }
@@ -452,7 +310,7 @@ mod tests {
         let mut buf = Vec::new();
         write_metrics_json(&mut buf, &m).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        validate_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
         assert!(text.contains("\"schema\": \"taintvp-metrics/v1\""));
         assert!(text.contains("\"hits\": 100"));
         assert!(text.contains("\"checked_steps\": 40"));
@@ -462,7 +320,7 @@ mod tests {
         let mut buf = Vec::new();
         write_metrics_json(&mut buf, &Metrics::default()).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        validate_json(&text).unwrap();
+        parse(&text).unwrap();
         assert!(text.contains("\"engine_cache\": null"));
     }
 
@@ -476,26 +334,17 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(buf).unwrap();
-        validate_json(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
         assert!(text.contains("\"fleet\": {\"done\":3}"), "{text}");
         assert!(text.contains("\"note\": \"x\""), "{text}");
         assert!(text.contains("\"schema\": \"taintvp-metrics/v1\""), "schema unchanged");
     }
 
     #[test]
-    fn validator_rejects_malformed_input() {
-        assert!(validate_json("{\"a\":1}").is_ok());
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("[1,2,]").is_err());
-        assert!(validate_json("{} trailing").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-    }
-
-    #[test]
     fn empty_event_list_exports_cleanly() {
         let mut buf = Vec::new();
         write_chrome_trace(&mut buf, &[]).unwrap();
-        validate_json(&String::from_utf8(buf).unwrap()).unwrap();
+        parse(&String::from_utf8(buf).unwrap()).unwrap();
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &[]).unwrap();
         assert!(buf.is_empty());

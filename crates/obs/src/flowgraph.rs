@@ -12,6 +12,7 @@ use std::io::{self, Write};
 use vpdift_core::AtomTable;
 
 use crate::disasm::RawInsn;
+use crate::json::escape;
 use crate::prof::SymbolMap;
 use crate::provenance::{FlowPath, Hop, HopKind, ProvenanceMap};
 
@@ -122,10 +123,6 @@ pub fn write_dot<W: Write>(
     writeln!(w, "}}")
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", crate::export::escape(s))
-}
-
 fn opt_u32_json(v: Option<u32>) -> String {
     match v {
         Some(v) => v.to_string(),
@@ -150,14 +147,14 @@ pub fn write_json<W: Write>(
         writeln!(w, "    {{")?;
         writeln!(w, "      \"atom\": {a},")?;
         match atoms.name(a) {
-            Some(n) => writeln!(w, "      \"name\": {},", json_str(n))?,
+            Some(n) => writeln!(w, "      \"name\": \"{}\",", escape(n))?,
             None => writeln!(w, "      \"name\": null,")?,
         }
         match path.origin {
             Some(o) => writeln!(
                 w,
-                "      \"origin\": {{\"source\": {}, \"addr\": {}, \"time_ns\": {}}},",
-                json_str(&o.source),
+                "      \"origin\": {{\"source\": \"{}\", \"addr\": {}, \"time_ns\": {}}},",
+                escape(&o.source),
                 opt_u32_json(o.addr),
                 o.time.as_ns()
             )?,
@@ -169,19 +166,19 @@ pub fn write_json<W: Write>(
             let extra = match &hop.kind {
                 HopKind::Reg(r) => format!(", \"reg\": {r}"),
                 HopKind::Tlm { bus, target } => {
-                    format!(", \"bus\": {}, \"target\": {}", json_str(bus), json_str(target))
+                    format!(", \"bus\": \"{}\", \"target\": \"{}\"", escape(bus), escape(target))
                 }
                 _ => String::new(),
             };
             let sym = hop
                 .pc
                 .and_then(|pc| symbols.and_then(|m| m.resolve(pc)))
-                .map(|(name, off)| format!(", \"symbol\": {}, \"offset\": {off}", json_str(name)))
+                .map(|(name, off)| format!(", \"symbol\": \"{}\", \"offset\": {off}", escape(name)))
                 .unwrap_or_default();
             writeln!(
                 w,
-                "        {{\"kind\": {}, \"pc\": {}, \"addr\": {}, \"time_ns\": {}, \"repeats\": {}{extra}{sym}}}{}",
-                json_str(hop.kind.label()),
+                "        {{\"kind\": \"{}\", \"pc\": {}, \"addr\": {}, \"time_ns\": {}, \"repeats\": {}{extra}{sym}}}{}",
+                escape(hop.kind.label()),
                 opt_u32_json(hop.pc),
                 opt_u32_json(hop.addr),
                 hop.time.as_ns(),
@@ -193,8 +190,8 @@ pub fn write_json<W: Write>(
         match path.sink {
             Some(s) => writeln!(
                 w,
-                "      \"sink\": {{\"site\": {}, \"pc\": {}, \"time_ns\": {}}}",
-                json_str(&s.site),
+                "      \"sink\": {{\"site\": \"{}\", \"pc\": {}, \"time_ns\": {}}}",
+                escape(&s.site),
                 opt_u32_json(s.pc),
                 s.time.as_ns()
             )?,
@@ -312,7 +309,7 @@ mod tests {
         let mut buf = Vec::new();
         write_json(&mut buf, &map, &atoms, None).unwrap();
         let json = String::from_utf8(buf).unwrap();
-        crate::export::validate_json(&json).expect("flow JSON must be structurally valid");
+        crate::json::parse(&json).expect("flow JSON must be structurally valid");
         assert!(json.contains("\"schema\": \"taintvp-flow/v1\""), "{json}");
         assert!(json.contains("\"repeats\": 4"), "{json}");
         assert!(json.contains("\"target\": \"uart\""), "{json}");
@@ -342,6 +339,6 @@ mod tests {
         write_dot(&mut dot, &map, &atoms, None).unwrap();
         let mut json = Vec::new();
         write_json(&mut json, &map, &atoms, None).unwrap();
-        crate::export::validate_json(&String::from_utf8(json).unwrap()).unwrap();
+        crate::json::parse(&String::from_utf8(json).unwrap()).unwrap();
     }
 }

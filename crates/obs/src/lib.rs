@@ -29,6 +29,7 @@ pub mod expo;
 pub mod export;
 pub mod flowgraph;
 pub mod hist;
+pub mod json;
 mod metrics;
 pub mod prof;
 mod provenance;

@@ -539,7 +539,7 @@ mod tests {
         assert!(String::from_utf8(dot).unwrap().contains("sink: uart.tx"));
         let mut json = Vec::new();
         r.write_flow_json(&mut json, &atoms).unwrap();
-        crate::export::validate_json(&String::from_utf8(json).unwrap()).unwrap();
+        crate::json::parse(&String::from_utf8(json).unwrap()).unwrap();
     }
 
     #[test]

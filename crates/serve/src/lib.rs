@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
 pub mod metrics;
 pub mod proto;
 mod registry;
@@ -43,3 +42,6 @@ pub use proto::{ErrorCode, ServeError, Version, SCHEMA, SCHEMA_V2};
 pub use registry::{Registry, SessionEntry};
 pub use server::{Connection, Control, Server};
 pub use session::{ByteRead, CreateOpts, RegRead, Session, DEFAULT_MAX_STEPS, UNTIL_CAP};
+
+/// The protocol's JSON reader, re-exported from [`vpdift_obs::json`].
+pub use vpdift_obs::json;

@@ -13,7 +13,8 @@
 //! `unbreak`) are rejected as `unknown_cmd` on a connection pinned to v1
 //! via `hello` — see [`Version`].
 
-use vpdift_obs::export::{escape, event_fields, tag_json};
+use vpdift_obs::export::{event_fields, tag_json};
+use vpdift_obs::json::escape;
 use vpdift_obs::{FlowDelta, HopKind, StreamItem};
 
 /// The v1 schema tag, still accepted by `hello` version negotiation.
@@ -229,20 +230,20 @@ pub fn tag_field(tag: vpdift_core::Tag) -> String {
 mod tests {
     use super::*;
     use vpdift_kernel::SimTime;
-    use vpdift_obs::export::validate_json;
+    use vpdift_obs::json::parse;
     use vpdift_obs::{Hop, ObsEvent, TimedEvent};
 
     #[test]
     fn response_lines_are_valid_json() {
         let ok = ok_line(Some(7), "\"exit\":\"break\",\"instret\":42");
-        validate_json(&ok).expect("ok line parses");
+        parse(&ok).expect("ok line parses");
         assert!(ok.starts_with("{\"id\":7,\"ok\":true,"));
         let bare = ok_line(None, "");
         assert_eq!(bare, "{\"ok\":true}");
         let err = err_line(Some(1), &ServeError::new(ErrorCode::BadWatch, "no \"site\""));
-        validate_json(&err).expect("error line parses");
+        parse(&err).expect("error line parses");
         assert!(err.contains("\"code\":\"bad_watch\""), "{err}");
-        validate_json(&greeting(&["a", "b"])).expect("greeting parses");
+        parse(&greeting(&["a", "b"])).expect("greeting parses");
     }
 
     #[test]
@@ -286,7 +287,7 @@ mod tests {
         };
         for item in [&ev, &flow, &watch, &brk] {
             let line = stream_line("s1", item);
-            validate_json(&line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+            parse(&line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
             assert!(line.contains("\"ev\":\""), "{line}");
         }
     }

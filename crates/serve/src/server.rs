@@ -32,10 +32,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use vpdift_obs::json::{self, Value};
 use vpdift_obs::{BreakKind, StreamItem, WatchKind};
 use vpdift_soc::SocExit;
 
-use crate::json::{self, Value};
 use crate::metrics::SessionStats;
 use crate::proto::{self, ErrorCode, ServeError, Version};
 use crate::registry::Registry;
@@ -222,7 +222,7 @@ impl Connection {
         let mut sess = Session::create(&opts)?;
         let fields = format!(
             "\"session\":\"{}\",\"mode\":\"{}\",\"engine\":\"{}\"",
-            vpdift_obs::export::escape(name),
+            json::escape(name),
             sess.mode(),
             sess.engine()
         );
@@ -246,7 +246,7 @@ impl Connection {
             self.registry
                 .names()
                 .iter()
-                .map(|n| format!("\"{}\"", vpdift_obs::export::escape(n)))
+                .map(|n| format!("\"{}\"", json::escape(n)))
                 .collect::<Vec<_>>()
                 .join(",")
         )))
@@ -370,10 +370,7 @@ impl Connection {
             sess.digest()
         );
         if let SocExit::Violation(v) = &exit {
-            fields.push_str(&format!(
-                ",\"violation\":\"{}\"",
-                vpdift_obs::export::escape(&v.to_string())
-            ));
+            fields.push_str(&format!(",\"violation\":\"{}\"", json::escape(&v.to_string())));
         }
         Ok(Reply::fields(fields))
     }
@@ -528,7 +525,7 @@ impl Connection {
         let mut sess = entry.lock(name)?;
         let text = sess.explain(atom.as_deref())?;
         Ok(Reply::fields(match text {
-            Some(t) => format!("\"explain\":\"{}\"", vpdift_obs::export::escape(&t)),
+            Some(t) => format!("\"explain\":\"{}\"", json::escape(&t)),
             None => "\"explain\":null".to_owned(),
         }))
     }

@@ -8,7 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
-use vpdift_obs::export::escape;
+use vpdift_obs::json::{escape, parse, Value};
 use vpdift_serve::Server;
 
 const IMMO_PROGRAM: &str = include_str!("../../../docs/examples/immo_leak.s");
@@ -80,11 +80,9 @@ impl Client {
 }
 
 fn instret_of(response: &str) -> u64 {
-    response
-        .split("\"instret\":")
-        .nth(1)
-        .and_then(|s| s.split(&[',', '}'][..]).next())
-        .and_then(|s| s.parse().ok())
+    parse(response)
+        .ok()
+        .and_then(|v| v.get("instret").and_then(Value::as_u64))
         .unwrap_or_else(|| panic!("no instret in `{response}`"))
 }
 

@@ -9,7 +9,7 @@
 //! wall clock), so the whole transcript is byte-stable; regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p vpdift-serve --test protocol`.
 
-use vpdift_obs::export::{escape, validate_json};
+use vpdift_obs::json::{escape, parse, Value};
 use vpdift_serve::{Control, Server};
 
 const IMMO_PROGRAM: &str = include_str!("../../../docs/examples/immo_leak.s");
@@ -69,7 +69,7 @@ fn immo_watchpoint_session_matches_golden_transcript() {
     let (out, control) = drive(&mut server, &immo_script(Some("interp")));
     assert_eq!(control, Control::Shutdown);
     for line in &out {
-        validate_json(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+        parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
     }
     let transcript = out.join("\n") + "\n";
 
@@ -150,7 +150,7 @@ fn serve_stepped_digest_matches_batch_digest_on_both_engines() {
         // terminal exit and compare info digests right after it.
         let stepped_break =
             out.iter().find(|l| l.contains("\"exit\":\"break\"")).expect("guest ebreaks");
-        let digest = extract_digest(stepped_break);
+        let digest = str_field(stepped_break, "digest");
 
         let mut batch = Server::new();
         let (out, _) = drive(&mut batch, &[create, r#"{"cmd":"until","session":"s"}"#.into()]);
@@ -158,7 +158,7 @@ fn serve_stepped_digest_matches_batch_digest_on_both_engines() {
         assert!(batch_break.contains("\"exit\":\"break\""), "{batch_break}");
         assert_eq!(
             digest,
-            extract_digest(batch_break),
+            str_field(batch_break, "digest"),
             "engine {engine}: serve-stepped and batch digests diverged"
         );
         digests.push(digest);
@@ -166,9 +166,16 @@ fn serve_stepped_digest_matches_batch_digest_on_both_engines() {
     assert_eq!(digests[0], digests[1], "interp and block-cache digests diverged");
 }
 
-fn extract_digest(line: &str) -> String {
-    let start = line.find("\"digest\":\"").expect("digest field") + "\"digest\":\"".len();
-    line[start..].split('"').next().expect("closing quote").to_owned()
+/// The string field `key` of a response line.
+fn str_field(line: &str, key: &str) -> String {
+    let v = parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+    v.get(key).and_then(Value::as_str).unwrap_or_else(|| panic!("no {key} in `{line}`")).to_owned()
+}
+
+/// The integer field `key` of a response line.
+fn u64_field(line: &str, key: &str) -> u64 {
+    let v = parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+    v.get(key).and_then(Value::as_u64).unwrap_or_else(|| panic!("no {key} in `{line}`"))
 }
 
 // ------------------------------------------------------------- errors ---
@@ -194,7 +201,7 @@ fn malformed_and_unknown_requests_get_typed_errors() {
     for (req, code) in cases {
         let out = one_shot(&mut server, req);
         assert_eq!(out.len(), 1, "exactly one error line for {req}");
-        validate_json(&out[0]).expect("error line parses");
+        parse(&out[0]).expect("error line parses");
         assert!(out[0].contains(&format!("\"code\":\"{code}\"")), "{req} -> {}", out[0]);
         assert!(out[0].contains("\"ok\":false"), "{}", out[0]);
     }
@@ -251,21 +258,11 @@ fn client_disconnect_mid_run_stops_but_keeps_the_session() {
     assert!(info[0].contains("\"ok\":true"), "{}", info[0]);
     // The latched stop was cleared, so a fresh run makes real progress
     // instead of returning `stopped` after zero steps.
-    let before: u64 = info[0]
-        .split("\"instret\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("info carries instret");
+    let before = u64_field(&info[0], "instret");
     let run = one_shot(&mut server, r#"{"cmd":"run","session":"immo","max_steps":200}"#);
     let resp = run.last().expect("run responds");
     assert!(resp.contains("\"ok\":true"), "{resp}");
-    let after: u64 = resp
-        .split("\"instret\":")
-        .nth(1)
-        .and_then(|s| s.split(',').next())
-        .and_then(|s| s.parse().ok())
-        .expect("run reports instret");
+    let after = u64_field(resp, "instret");
     assert!(after > before, "resumed run retired instructions ({before} -> {after})");
 }
 

@@ -148,7 +148,7 @@ fn metrics_json_export_is_valid_and_tagged() {
     ]);
     assert_eq!(code, 0, "record mode completes; stderr: {stderr}");
     let json = std::fs::read_to_string(&path).expect("metrics written");
-    taintvp::obs::export::validate_json(&json).expect("metrics JSON parses");
+    taintvp::obs::json::parse(&json).expect("metrics JSON parses");
     assert!(json.contains("\"schema\": \"taintvp-metrics/v1\""), "schema tag: {json}");
     assert!(json.contains("\"instructions\""), "counter present: {json}");
     let _ = std::fs::remove_file(&path);
@@ -175,11 +175,11 @@ fn run_serve_script(script: &str) -> (i32, Vec<String>) {
 
 #[test]
 fn serve_subcommand_speaks_the_protocol_over_stdio() {
-    let program = taintvp::obs::export::escape(
+    let program = taintvp::obs::json::escape(
         &std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/examples/immo_leak.s"))
             .expect("demo program"),
     );
-    let policy = taintvp::obs::export::escape(
+    let policy = taintvp::obs::json::escape(
         &std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/docs/examples/immobilizer.policy"
@@ -209,8 +209,7 @@ fn serve_subcommand_speaks_the_protocol_over_stdio() {
         "watchpoint paused the run: {lines:?}"
     );
     for line in &lines {
-        taintvp::obs::export::validate_json(line)
-            .unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+        taintvp::obs::json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
     }
 }
 

@@ -8,7 +8,8 @@ use std::process::Command;
 use taintvp::asm::parse_asm;
 use taintvp::core::parse_policy;
 use taintvp::core::EnforceMode;
-use taintvp::obs::export::{validate_json, write_chrome_trace, write_jsonl};
+use taintvp::obs::export::{write_chrome_trace, write_jsonl};
+use taintvp::obs::json::parse;
 use taintvp::obs::{CheckKind, Recorder, StopFlag, StreamItem, StreamSink, WatchKind};
 use taintvp::prelude::{shared, Shared, Soc, SocBuilder, SocExit};
 use taintvp::rv32::Tainted;
@@ -82,7 +83,7 @@ fn exporters_emit_parseable_output() {
     let jsonl = String::from_utf8(jsonl).unwrap();
     assert_eq!(jsonl.lines().count(), rec.events().len());
     for line in jsonl.lines() {
-        validate_json(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e}"));
+        parse(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e}"));
     }
     // The violation itself is exported.
     assert!(jsonl.contains("\"kind\":\"violation\""), "{jsonl}");
@@ -90,7 +91,7 @@ fn exporters_emit_parseable_output() {
     let mut trace = Vec::new();
     write_chrome_trace(&mut trace, rec.events()).unwrap();
     let trace = String::from_utf8(trace).unwrap();
-    validate_json(&trace).expect("chrome trace is one JSON document");
+    parse(&trace).expect("chrome trace is one JSON document");
     assert!(trace.contains("\"traceEvents\""));
 }
 
@@ -140,10 +141,10 @@ fn cli_writes_event_and_chrome_trace_files() {
     let jsonl = std::fs::read_to_string(&events).expect("events file written");
     assert!(!jsonl.is_empty());
     for line in jsonl.lines() {
-        validate_json(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e}"));
+        parse(line).unwrap_or_else(|e| panic!("bad JSONL line `{line}`: {e}"));
     }
     let trace = std::fs::read_to_string(&chrome).expect("chrome trace written");
-    validate_json(&trace).expect("chrome trace parses");
+    parse(&trace).expect("chrome trace parses");
     let _ = std::fs::remove_file(&events);
     let _ = std::fs::remove_file(&chrome);
 }
