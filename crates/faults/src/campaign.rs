@@ -9,7 +9,9 @@
 //! contains at least one `trap_loop`, one `watchdog_timeout` and one
 //! `dift_detected` classification.
 
-use vpdift_asm::{Asm, Reg};
+use std::sync::OnceLock;
+
+use vpdift_asm::{Asm, Program, Reg};
 use vpdift_attacks::{all_attacks, code_injection_policy, LI};
 use vpdift_core::{SecurityPolicy, Tag};
 use vpdift_firmware::rt::emit_runtime;
@@ -291,6 +293,32 @@ fn base_builder() -> SocBuilder {
         .sensor_thread(false)
 }
 
+/// The attack-injection guest: the first applicable attack of the §VI-B
+/// suite with its payload range and malicious terminal input. It is plain
+/// data, so it is assembled once per process and shared by every run
+/// instead of rebuilding the whole suite per run (the suite's input
+/// builder is not `Sync`, so the input is built here, up front).
+struct AttackGuest {
+    program: Program,
+    payload: u32,
+    payload_len: usize,
+    input: Vec<u8>,
+}
+
+fn attack_guest() -> &'static AttackGuest {
+    static GUEST: OnceLock<AttackGuest> = OnceLock::new();
+    GUEST.get_or_init(|| {
+        let form = all_attacks()
+            .into_iter()
+            .find_map(|a| a.form)
+            .expect("the suite contains applicable attacks");
+        let payload = form.program.symbol("payload").expect("payload symbol");
+        let end = form.program.symbol("payload_end").expect("payload end marker");
+        let input = (form.malicious_input)(&form.program);
+        AttackGuest { payload, payload_len: (end - payload) as usize, input, program: form.program }
+    })
+}
+
 /// Runs a *random-schedule* scenario under `plan`. `watchdog` arms the
 /// host-side hang detector (always `None` for the reference run: an
 /// un-kicked dog would bite every long reference).
@@ -330,19 +358,12 @@ pub fn faulted_run(
             observe(&soc, exit, 0, faults)
         }
         ScenarioKind::AttackInjection => {
-            let attack = all_attacks()
-                .into_iter()
-                .find(|a| a.form.is_some())
-                .expect("the suite contains applicable attacks");
-            let form = attack.form.expect("filtered on is_some");
+            let guest = attack_guest();
             let cfg = base_builder().policy(code_injection_policy()).build();
             let mut soc = Soc::<Tainted>::new(cfg);
-            soc.load_program(&form.program);
-            let payload = form.program.symbol("payload").expect("payload symbol");
-            let end = form.program.symbol("payload_end").expect("payload end marker");
-            soc.ram().borrow_mut().classify(payload, (end - payload) as usize, LI);
-            let input = (form.malicious_input)(&form.program);
-            soc.terminal().borrow_mut().feed(&input);
+            soc.load_program(&guest.program);
+            soc.ram().borrow_mut().classify(guest.payload, guest.payload_len, LI);
+            soc.terminal().borrow_mut().feed(&guest.input);
             if let Some(t) = watchdog {
                 soc.watchdog().borrow_mut().arm(t);
             }

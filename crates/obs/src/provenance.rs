@@ -9,10 +9,13 @@
 //! circulating through the same instruction in a loop — fold into one
 //! node with a repeat count, so a bounded ring still spans long runs.
 
+use std::collections::VecDeque;
+
 use vpdift_core::Tag;
 use vpdift_kernel::SimTime;
 
 use crate::sink::ATOM_SLOTS;
+use crate::stream::STREAM_BUF_CAP;
 
 /// Per-atom hop-ring capacity. Old hops are evicted (and counted) once a
 /// ring is full; with consecutive-duplicate folding this comfortably spans
@@ -157,6 +160,26 @@ pub enum FlowDelta {
     },
 }
 
+/// The [`FlowDelta`] queue. It keeps the newest [`STREAM_BUF_CAP`] deltas
+/// and counts the older ones it evicts, so a stream nobody drains stays
+/// bounded; flushing it into a stream buffer of the same bound gives what
+/// flushing the whole backlog would.
+#[derive(Debug, Clone, Default)]
+struct DeltaQueue {
+    items: VecDeque<FlowDelta>,
+    evicted: u64,
+}
+
+impl DeltaQueue {
+    fn push(&mut self, delta: FlowDelta) {
+        if self.items.len() == STREAM_BUF_CAP {
+            self.items.pop_front();
+            self.evicted += 1;
+        }
+        self.items.push_back(delta);
+    }
+}
+
 /// One atom's recorded source→hops→sink path, borrowed from the map.
 #[derive(Debug, Clone)]
 pub struct FlowPath<'a> {
@@ -181,21 +204,31 @@ pub struct ProvenanceMap {
     sinks: [Option<SinkRec>; ATOM_SLOTS],
     /// Incremental-change queue; `None` until
     /// [`ProvenanceMap::enable_deltas`].
-    deltas: Option<Vec<FlowDelta>>,
+    deltas: Option<DeltaQueue>,
 }
 
 impl ProvenanceMap {
     /// Starts queueing [`FlowDelta`]s for every graph change from here on.
     pub fn enable_deltas(&mut self) {
         if self.deltas.is_none() {
-            self.deltas = Some(Vec::new());
+            self.deltas = Some(DeltaQueue::default());
         }
     }
 
-    /// Removes and returns all queued deltas (empty when delta tracking
-    /// is off or nothing changed since the last take).
-    pub fn take_deltas(&mut self) -> Vec<FlowDelta> {
-        self.deltas.as_mut().map(std::mem::take).unwrap_or_default()
+    /// Removes and returns the queued deltas, oldest first, with the
+    /// number evicted before them since the last take (empty and 0 when
+    /// delta tracking is off or nothing changed). The queue holds at most
+    /// [`STREAM_BUF_CAP`] deltas.
+    pub fn take_deltas(&mut self) -> (Vec<FlowDelta>, u64) {
+        match &mut self.deltas {
+            Some(q) => (q.items.drain(..).collect(), std::mem::take(&mut q.evicted)),
+            None => (Vec::new(), 0),
+        }
+    }
+
+    /// Deltas queued since the last [`ProvenanceMap::take_deltas`].
+    pub fn queued_deltas(&self) -> usize {
+        self.deltas.as_ref().map_or(0, |q| q.items.len())
     }
     /// Records a classification event: every atom of `tag` not yet seen
     /// gets `source`/`addr` as its origin. Later sightings are ignored —
@@ -395,7 +428,7 @@ mod tests {
         let mut p = ProvenanceMap::default();
         // Nothing queued while deltas are off.
         p.classify(Tag::atom(0), "pin", Some(0x2000), SimTime::ZERO);
-        assert!(p.take_deltas().is_empty());
+        assert_eq!(p.take_deltas(), (Vec::new(), 0));
 
         p.enable_deltas();
         // Re-classification of a known atom is not a change.
@@ -408,14 +441,29 @@ mod tests {
         }
         p.record_sink(Tag::atom(0), "uart.tx", Some(0x44), SimTime::from_ns(3));
 
-        let deltas = p.take_deltas();
-        assert_eq!(deltas.len(), 3, "{deltas:?}");
+        let (deltas, evicted) = p.take_deltas();
+        assert_eq!((deltas.len(), evicted), (3, 0), "{deltas:?}");
         assert!(
             matches!(&deltas[0], FlowDelta::Origin { atom: 1, source, .. } if source == "can.rx")
         );
         assert!(matches!(&deltas[1], FlowDelta::Hop { atom: 0, .. }));
         assert!(matches!(&deltas[2], FlowDelta::Sink { atom: 0, site, .. } if site == "uart.tx"));
-        assert!(p.take_deltas().is_empty(), "take drains the queue");
+        assert_eq!(p.take_deltas(), (Vec::new(), 0), "take drains the queue");
+    }
+
+    #[test]
+    fn delta_queue_keeps_the_newest_and_counts_the_rest() {
+        let mut p = ProvenanceMap::default();
+        p.enable_deltas();
+        let hops = STREAM_BUF_CAP as u32 + 10;
+        for pc in 0..hops {
+            p.record_hop(Tag::atom(0), hop(HopKind::Load, pc, None));
+            assert!(p.queued_deltas() <= STREAM_BUF_CAP);
+        }
+        let (deltas, evicted) = p.take_deltas();
+        assert_eq!((deltas.len(), evicted), (STREAM_BUF_CAP, 10));
+        assert!(matches!(&deltas[0], FlowDelta::Hop { hop, .. } if hop.pc == Some(10)));
+        assert_eq!(p.take_deltas(), (Vec::new(), 0), "the eviction count is taken once");
     }
 
     #[test]

@@ -101,9 +101,11 @@ impl Recorder {
         self
     }
 
-    /// Removes and returns queued flow-graph deltas (always empty unless
-    /// [`Recorder::with_flow_deltas`] was used).
-    pub fn take_flow_deltas(&mut self) -> Vec<FlowDelta> {
+    /// Removes and returns queued flow-graph deltas with the number the
+    /// bounded queue evicted before them (always empty unless
+    /// [`Recorder::with_flow_deltas`] was used; see
+    /// [`ProvenanceMap::take_deltas`]).
+    pub fn take_flow_deltas(&mut self) -> (Vec<FlowDelta>, u64) {
         self.provenance.take_deltas()
     }
 

@@ -527,7 +527,11 @@ impl ObsSink for StreamSink {
             self.push(item);
         }
         if self.flow_subscribed {
-            for delta in self.recorder.take_flow_deltas() {
+            // Deltas the bounded backlog evicted while nobody subscribed
+            // count as dropped, as if they had passed through `buf`.
+            let (deltas, evicted) = self.recorder.take_flow_deltas();
+            self.dropped += evicted;
+            for delta in deltas {
                 self.push(StreamItem::Flow(delta));
             }
         }

@@ -12,13 +12,21 @@ use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 /// in tainted mode (`tracking = true`), so the plain VP pays neither memory
 /// nor bookkeeping cost — mirroring the paper's VP/VP+ split.
 ///
+/// The tag lane holds raw [`Tag::bits`], one `u32` per data byte, so both
+/// lanes are built with `vec![0; n]`: a zeroed allocation the OS backs
+/// lazily (`vec![Tag::EMPTY; n]` would be filled element by element, since
+/// std zero-allocates only primitive element types). VP+ pays for a page
+/// of tags when the guest first touches it, not at construction, and the
+/// whole-RAM scans ([`Ram::digest`], [`Ram::atom_spread`]) skip all-zero
+/// chunks.
+///
 /// The CPU reaches RAM through the fast accessors below (a DMI-style
 /// shortcut, as the real RISC-V VP does); DMA and other initiators go
 /// through the [`TlmTarget`] implementation.
 #[derive(Debug, Clone)]
 pub struct Ram {
     data: Vec<u8>,
-    tags: Vec<Tag>,
+    tags: Vec<u32>,
     tracking: bool,
     /// Mutation epoch: bumped on every change that bypasses the CPU's
     /// store path (image loads, classification, DMA/TLM writes, injected
@@ -31,12 +39,39 @@ pub struct Ram {
     census: Option<SharedCensus>,
 }
 
+/// Bytes per whole-RAM scan chunk: an all-zero chunk is skipped (or, in
+/// the digest, folded in one multiply).
+const SCAN_CHUNK: usize = 64;
+
+/// Tags per scan chunk: each tag is 4 bytes of the digest.
+const TAG_CHUNK: usize = SCAN_CHUNK / 4;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^SCAN_CHUNK` (wrapping): the digest step for an all-zero chunk.
+const FNV_PRIME_POW_CHUNK: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < SCAN_CHUNK {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// One FNV-1a step.
+#[inline]
+fn fnv1a(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(FNV_PRIME)
+}
+
 impl Ram {
     /// Creates zeroed RAM of `size` bytes; `tracking` selects tag storage.
     pub fn new(size: usize, tracking: bool) -> Self {
         Ram {
             data: vec![0; size],
-            tags: if tracking { vec![Tag::EMPTY; size] } else { Vec::new() },
+            tags: if tracking { vec![0; size] } else { Vec::new() },
             tracking,
             epoch: Arc::new(AtomicU64::new(0)),
             census: None,
@@ -103,14 +138,14 @@ impl Ram {
     pub fn load(&self, offset: u32, size: u32) -> (u32, Tag) {
         let off = offset as usize;
         let mut value = 0u32;
-        let mut tag = Tag::EMPTY;
+        let mut bits = 0u32;
         for i in 0..size as usize {
             value |= (self.data[off + i] as u32) << (8 * i);
             if self.tracking {
-                tag = tag.lub(self.tags[off + i]);
+                bits |= self.tags[off + i];
             }
         }
-        (value, tag)
+        (value, Tag::from_bits(bits))
     }
 
     /// Fast path: stores the low `size` bytes of `value` with `tag` stamped
@@ -123,7 +158,7 @@ impl Ram {
         for i in 0..size as usize {
             self.data[off + i] = (value >> (8 * i)) as u8;
             if self.tracking {
-                self.tags[off + i] = tag;
+                self.tags[off + i] = tag.bits();
             }
         }
     }
@@ -136,9 +171,7 @@ impl Ram {
         let off = offset as usize;
         self.data[off..off + image.len()].copy_from_slice(image);
         if self.tracking {
-            for t in &mut self.tags[off..off + image.len()] {
-                *t = Tag::EMPTY;
-            }
+            self.tags[off..off + image.len()].fill(0);
         }
         self.bump_epoch();
     }
@@ -153,9 +186,7 @@ impl Ram {
             return;
         }
         let off = offset as usize;
-        for t in &mut self.tags[off..off + len] {
-            *t = tag;
-        }
+        self.tags[off..off + len].fill(tag.bits());
         self.bump_epoch();
         if !tag.is_empty() {
             self.arm_census();
@@ -165,7 +196,7 @@ impl Ram {
     /// Reads a byte with its tag (diagnostics, test assertions).
     pub fn byte_at(&self, offset: u32) -> Option<(u8, Tag)> {
         let v = *self.data.get(offset as usize)?;
-        let t = if self.tracking { self.tags[offset as usize] } else { Tag::EMPTY };
+        let t = if self.tracking { Tag::from_bits(self.tags[offset as usize]) } else { Tag::EMPTY };
         Some((v, t))
     }
 
@@ -194,8 +225,8 @@ impl Ram {
             return None;
         }
         let t = self.tags.get_mut(offset as usize)?;
-        let flipped = Tag::from_bits(t.bits() ^ (1u32 << (atom & 31)));
-        *t = flipped;
+        *t ^= 1u32 << (atom & 31);
+        let flipped = Tag::from_bits(*t);
         self.bump_epoch();
         if !flipped.is_empty() {
             self.arm_census();
@@ -203,19 +234,28 @@ impl Ram {
         Some(flipped)
     }
 
-    /// FNV-1a digest over all data bytes and (when tracking) tag bits —
-    /// the memory half of the differential engine harness's final-state
-    /// comparison.
+    /// FNV-1a digest over all data bytes and (when tracking) the
+    /// little-endian tag bits — the memory half of the differential engine
+    /// harness's final-state comparison.
+    ///
+    /// FNV-1a over a zero byte is one multiply by the prime, so an all-zero
+    /// [`SCAN_CHUNK`]-byte chunk folds as one multiply by its power: the
+    /// result equals the byte-by-byte digest, and memory the guest never
+    /// wrote costs one OR-reduction per chunk.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &self.data {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+        let mut h = FNV_OFFSET;
+        for chunk in self.data.chunks(SCAN_CHUNK) {
+            if chunk.len() == SCAN_CHUNK && chunk.iter().fold(0, |a, &b| a | b) == 0 {
+                h = h.wrapping_mul(FNV_PRIME_POW_CHUNK);
+            } else {
+                h = chunk.iter().copied().fold(h, fnv1a);
+            }
         }
-        for t in &self.tags {
-            for b in t.bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
+        for chunk in self.tags.chunks(TAG_CHUNK) {
+            if chunk.len() == TAG_CHUNK && chunk.iter().fold(0, |a, &t| a | t) == 0 {
+                h = h.wrapping_mul(FNV_PRIME_POW_CHUNK);
+            } else {
+                h = chunk.iter().flat_map(|t| t.to_le_bytes()).fold(h, fnv1a);
             }
         }
         h
@@ -223,12 +263,16 @@ impl Ram {
 
     /// Counts, per taint atom, how many bytes currently carry that atom —
     /// the taint-spread sample fed to the observability layer. All-zero
-    /// when not tracking. O(len); callers sample sparingly.
+    /// when not tracking. O(len), but an all-zero chunk of the tag lane
+    /// costs one OR-reduction; callers still sample sparingly.
     pub fn atom_spread(&self) -> [u32; Tag::CAPACITY as usize] {
         let mut counts = [0u32; Tag::CAPACITY as usize];
-        for t in &self.tags {
-            if !t.is_empty() {
-                for atom in t.atoms() {
+        for chunk in self.tags.chunks(TAG_CHUNK) {
+            if chunk.iter().fold(0, |a, &t| a | t) == 0 {
+                continue;
+            }
+            for &t in chunk.iter().filter(|&&t| t != 0) {
+                for atom in Tag::from_bits(t).atoms() {
                     counts[atom as usize] += 1;
                 }
             }
@@ -248,7 +292,8 @@ impl TlmTarget for Ram {
             TlmCommand::Read => {
                 let tracking = self.tracking;
                 for (i, b) in p.data_mut().iter_mut().enumerate() {
-                    let tag = if tracking { self.tags[base + i] } else { Tag::EMPTY };
+                    let tag =
+                        if tracking { Tag::from_bits(self.tags[base + i]) } else { Tag::EMPTY };
                     *b = Taint::new(self.data[base + i], tag);
                 }
             }
@@ -257,7 +302,7 @@ impl TlmTarget for Ram {
                 for (i, b) in p.data().iter().enumerate() {
                     self.data[base + i] = b.value();
                     if self.tracking {
-                        self.tags[base + i] = b.tag();
+                        self.tags[base + i] = b.tag().bits();
                         incoming = incoming.lub(b.tag());
                     }
                 }

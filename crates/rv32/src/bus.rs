@@ -99,7 +99,8 @@ pub trait Bus<M: TaintMode> {
 
 /// A flat byte-addressable memory with per-byte tags (elided in plain
 /// mode by `M::Word`'s tag handling — the tag array is only materialised
-/// when `M::TRACKING`).
+/// when `M::TRACKING`). Tags are stored as raw [`Tag::bits`] so the lane is
+/// a zeroed allocation, the same representation as the SoC's RAM.
 ///
 /// Primarily for tests and small standalone programs; the full SoC memory
 /// lives in `vpdift-periph`.
@@ -107,7 +108,7 @@ pub trait Bus<M: TaintMode> {
 pub struct FlatMemory<M: TaintMode> {
     base: u32,
     data: Vec<u8>,
-    tags: Vec<Tag>,
+    tags: Vec<u32>,
     epoch: u64,
     _mode: core::marker::PhantomData<M>,
 }
@@ -118,7 +119,7 @@ impl<M: TaintMode> FlatMemory<M> {
         FlatMemory {
             base,
             data: vec![0; size],
-            tags: if M::TRACKING { vec![Tag::EMPTY; size] } else { Vec::new() },
+            tags: if M::TRACKING { vec![0; size] } else { Vec::new() },
             epoch: 0,
             _mode: core::marker::PhantomData,
         }
@@ -166,9 +167,7 @@ impl<M: TaintMode> FlatMemory<M> {
             return;
         }
         let off = addr.wrapping_sub(self.base) as usize;
-        for t in &mut self.tags[off..off + len] {
-            *t = tag;
-        }
+        self.tags[off..off + len].fill(tag.bits());
         self.epoch += 1;
     }
 
@@ -176,7 +175,7 @@ impl<M: TaintMode> FlatMemory<M> {
     pub fn byte_at(&self, addr: u32) -> Option<(u8, Tag)> {
         let off = addr.wrapping_sub(self.base) as usize;
         let v = *self.data.get(off)?;
-        let t = if M::TRACKING { self.tags[off] } else { Tag::EMPTY };
+        let t = if M::TRACKING { Tag::from_bits(self.tags[off]) } else { Tag::EMPTY };
         Some((v, t))
     }
 }
@@ -189,14 +188,14 @@ impl<M: TaintMode> Bus<M> for FlatMemory<M> {
     fn load(&mut self, addr: u32, size: u32) -> Result<M::Word, MemError> {
         let off = self.index(addr, size)?;
         let mut value = 0u32;
-        let mut tag = Tag::EMPTY;
+        let mut bits = 0u32;
         for i in 0..size as usize {
             value |= (self.data[off + i] as u32) << (8 * i);
             if M::TRACKING {
-                tag = tag.lub(self.tags[off + i]);
+                bits |= self.tags[off + i];
             }
         }
-        Ok(M::Word::with_tag(value, tag))
+        Ok(M::Word::with_tag(value, Tag::from_bits(bits)))
     }
 
     fn store(&mut self, addr: u32, size: u32, value: M::Word, _pc: u32) -> Result<(), MemError> {
@@ -205,7 +204,7 @@ impl<M: TaintMode> Bus<M> for FlatMemory<M> {
         for i in 0..size as usize {
             self.data[off + i] = (v >> (8 * i)) as u8;
             if M::TRACKING {
-                self.tags[off + i] = value.tag();
+                self.tags[off + i] = value.tag().bits();
             }
         }
         Ok(())

@@ -387,6 +387,8 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpdift_obs::stream::STREAM_BUF_CAP;
+    use vpdift_obs::FlowDelta;
 
     const LOOP_LEAK: &str = "
         li   s0, 0x2000
@@ -511,6 +513,60 @@ sink uart.tx public
             let exit = sess.run_until(None, &mut |_| {});
             assert_eq!(exit, SocExit::Break, "engine {engine:?}: runs to completion");
         }
+    }
+
+    /// Copies a classified byte to a moving address 20 000 times: every
+    /// iteration adds new flow-graph hop nodes, so deltas pile up.
+    const SPREAD: &str = "
+        li   s0, 0x2000
+        li   s3, 0x3000
+        li   s2, 20000
+loop:
+        andi t1, s2, 15
+        add  t2, s0, t1
+        lbu  t0, 0(t2)
+        add  t3, s3, t1
+        sb   t0, 0(t3)
+        addi s2, s2, -1
+        bnez s2, loop
+        ebreak
+";
+
+    #[test]
+    fn unsubscribed_flow_backlog_keeps_only_the_newest_deltas() {
+        const STEPS: u64 = 100_000;
+        let opts = CreateOpts { program: SPREAD.into(), ..leak_opts() };
+        fn flows(items: Vec<StreamItem>) -> impl Iterator<Item = FlowDelta> {
+            items.into_iter().filter_map(|i| match i {
+                StreamItem::Flow(d) => Some(d),
+                _ => None,
+            })
+        }
+
+        // Reference: subscribed from the start and drained after every
+        // slice, so every delta streams.
+        let mut live = Session::create(&opts).expect("session boots");
+        live.subscribe(None, true);
+        let mut all = Vec::new();
+        assert_eq!(live.run(STEPS, &mut |items| all.extend(flows(items))), SocExit::InstrLimit);
+        assert_eq!(live.sink.borrow().dropped(), 0);
+        assert!(all.len() > 2 * STREAM_BUF_CAP, "only {} deltas", all.len());
+
+        // Never subscribed: the backlog stays at the newest deltas.
+        let mut quiet = Session::create(&opts).expect("session boots");
+        assert_eq!(quiet.run(STEPS, &mut |_| {}), SocExit::InstrLimit);
+        assert_eq!(quiet.instret(), live.instret());
+        let queued = quiet.sink.borrow().recorder().provenance().queued_deltas();
+        assert_eq!(queued, STREAM_BUF_CAP, "the unsubscribed backlog is bounded");
+
+        // Subscribing streams the newest deltas at the next event and
+        // counts the evicted ones as dropped.
+        quiet.subscribe(None, true);
+        let mut tail = Vec::new();
+        quiet.run(1, &mut |items| tail.extend(flows(items)));
+        live.run(1, &mut |items| all.extend(flows(items)));
+        assert_eq!(tail, all[all.len() - STREAM_BUF_CAP..]);
+        assert_eq!(quiet.sink.borrow().dropped(), (all.len() - STREAM_BUF_CAP) as u64);
     }
 
     #[test]
