@@ -6,7 +6,7 @@
 //! deterministic JSON: the same seed always produces byte-identical
 //! output.
 //!
-//! With `--workers N` (N > 1) the seeded runs execute on the
+//! The seeded runs execute on `--workers N` (default 1) workers of the
 //! `vpdift-fleet` work-stealing executor; the report is byte-identical
 //! to the serial one regardless of worker count. `--journal FILE`
 //! streams results into a crash-safe `taintvp-fleet/v1` JSONL journal
@@ -14,17 +14,19 @@
 //!
 //! Exit status: `0` on a fully classified campaign, `2` when any run of
 //! the immobilizer session ended in silent data corruption (the outcome
-//! the resilience machinery exists to prevent), `1` on bad arguments.
+//! the resilience machinery exists to prevent), `1` on bad arguments, an
+//! I/O error, or a run that did not complete (crashed, hung or errored:
+//! its outcome, possibly an SDC, is unknown).
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vpdift_bench::trajectory;
 use vpdift_faults::campaign::ReferenceInfo;
-use vpdift_faults::{render_json, run_campaign, CampaignConfig, Outcome};
-use vpdift_fleet::{run_campaign_fleet, spawn_sampler, FleetConfig, SamplerConfig, TelemetryHub};
-use vpdift_obs::MetricsServer;
+use vpdift_faults::{CampaignConfig, Outcome};
+use vpdift_fleet::{run_campaign_fleet, FleetConfig, TelemetryOptions};
 
 const USAGE: &str = "usage: faultcamp [--seed N] [--runs N] [--rate R] [--out FILE] [--json FILE] \
      [--workers N] [--journal FILE] [--resume] [--progress] \
@@ -38,24 +40,12 @@ struct Options {
     workers: usize,
     journal: Option<String>,
     resume: bool,
-    telemetry_interval_ms: u64,
-    telemetry_out: Option<String>,
-    metrics_addr: Option<String>,
-    metrics_linger_ms: u64,
-    progress: bool,
-}
-
-impl Options {
-    /// Whether any telemetry consumer is configured. Telemetry rides the
-    /// fleet executor, so these flags also force the fleet path.
-    fn telemetry_on(&self) -> bool {
-        self.telemetry_out.is_some() || self.metrics_addr.is_some() || self.progress
-    }
+    telemetry: TelemetryOptions,
 }
 
 fn parse_args() -> Result<(CampaignConfig, Options), String> {
     let mut cfg = CampaignConfig::default();
-    let mut opts = Options { workers: 1, telemetry_interval_ms: 500, ..Options::default() };
+    let mut opts = Options { workers: 1, ..Options::default() };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
@@ -86,32 +76,18 @@ fn parse_args() -> Result<(CampaignConfig, Options), String> {
             }
             "--journal" => opts.journal = Some(value("--journal")?),
             "--resume" => opts.resume = true,
-            "--telemetry-interval-ms" => {
-                let v = value("--telemetry-interval-ms")?;
-                opts.telemetry_interval_ms =
-                    v.parse().map_err(|_| format!("bad --telemetry-interval-ms {v}"))?;
-                if opts.telemetry_interval_ms == 0 {
-                    return Err("--telemetry-interval-ms must be at least 1".into());
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => {
+                if !opts.telemetry.take(other, || value(other))? {
+                    return Err(format!("unknown argument {other}\n{USAGE}"));
                 }
             }
-            "--telemetry-out" => opts.telemetry_out = Some(value("--telemetry-out")?),
-            "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?),
-            "--metrics-linger-ms" => {
-                let v = value("--metrics-linger-ms")?;
-                opts.metrics_linger_ms =
-                    v.parse().map_err(|_| format!("bad --metrics-linger-ms {v}"))?;
-            }
-            "--progress" => opts.progress = true,
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
     if opts.resume && opts.journal.is_none() {
         return Err("--resume needs --journal".into());
     }
-    if opts.metrics_linger_ms > 0 && opts.metrics_addr.is_none() {
-        return Err("--metrics-linger-ms needs --metrics-addr".into());
-    }
+    opts.telemetry.check()?;
     Ok((cfg, opts))
 }
 
@@ -160,100 +136,53 @@ fn main() -> ExitCode {
     );
     let wall_start = Instant::now();
 
-    // The fleet path handles parallel execution, journaling, and
-    // telemetry; the plain serial path stays the default.
-    let use_fleet = opts.workers > 1 || opts.journal.is_some() || opts.telemetry_on();
-    let hub = opts.telemetry_on().then(|| TelemetryHub::new(opts.workers));
-    let metrics_server = match (&opts.metrics_addr, &hub) {
-        (Some(addr), Some(h)) => {
-            let render_hub = Arc::clone(h);
-            let render = Arc::new(move || vpdift_fleet::telemetry::render_prom(&render_hub));
-            match MetricsServer::bind(addr, render) {
-                Ok(server) => {
-                    eprintln!(
-                        "faultcamp: metrics endpoint on http://{}/metrics",
-                        server.local_addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("faultcamp: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+    let telemetry =
+        opts.telemetry.requested().then(|| opts.telemetry.start(opts.workers, "faultcamp"));
+    let mut telemetry = match telemetry.transpose() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("faultcamp: {e}");
+            return ExitCode::from(1);
         }
-        _ => None,
     };
-    let sampler = match &hub {
-        Some(h) => {
-            let sampler_config = SamplerConfig {
-                interval: Duration::from_millis(opts.telemetry_interval_ms),
-                out: opts.telemetry_out.as_ref().map(std::path::PathBuf::from),
-                progress: true,
-            };
-            match spawn_sampler(Arc::clone(h), sampler_config) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("faultcamp: cannot start telemetry sampler: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+    let fleet_config = FleetConfig {
+        workers: opts.workers,
+        telemetry: telemetry.as_ref().map(|t| Arc::clone(t.hub())),
+        ..FleetConfig::default()
+    };
+    let journal_path = opts.journal.as_deref().map(Path::new);
+    let campaign = match run_campaign_fleet(&cfg, &fleet_config, journal_path, opts.resume) {
+        Ok(campaign) => campaign,
+        Err(e) => {
+            eprintln!("faultcamp: fleet campaign failed: {e}");
+            return ExitCode::from(1);
         }
-        None => None,
     };
-
-    let (json, references, summary, failures) = if use_fleet {
-        let fleet_config =
-            FleetConfig { workers: opts.workers, telemetry: hub.clone(), ..FleetConfig::default() };
-        let journal_path = opts.journal.as_ref().map(std::path::Path::new);
-        match run_campaign_fleet(&cfg, &fleet_config, journal_path, opts.resume) {
-            Ok(campaign) => {
-                if campaign.resumed > 0 {
-                    eprintln!(
-                        "faultcamp: resumed {} completed run(s) from journal",
-                        campaign.resumed
-                    );
-                }
-                let failures = campaign.failures.clone();
-                (campaign.json, campaign.references, campaign.summary, failures)
-            }
-            Err(e) => {
-                eprintln!("faultcamp: fleet campaign failed: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    } else {
-        let report = run_campaign(&cfg);
-        (render_json(&report), report.references.clone(), report.summary.to_vec(), Vec::new())
-    };
-    let wall_ns = wall_start.elapsed().as_nanos();
-    if let Some(h) = &hub {
-        // run_campaign_fleet does not own the hub lifecycle; finish it
-        // here so the sampler emits its final snapshot and exits.
-        h.mark_done();
+    if campaign.resumed > 0 {
+        eprintln!("faultcamp: resumed {} completed run(s) from journal", campaign.resumed);
     }
-    if let Some(s) = sampler {
-        if let Err(e) = s.finish() {
-            eprintln!("faultcamp: warning: telemetry stream write failed: {e}");
-        }
+    let wall_ns = wall_start.elapsed().as_nanos();
+    if let Some(t) = telemetry.as_mut() {
+        t.end_sampling();
     }
 
     if let Some(path) = &opts.bench_json {
-        if let Err(e) = std::fs::write(path, render_bench_json(&references, wall_ns)) {
+        if let Err(e) = std::fs::write(path, render_bench_json(&campaign.references, wall_ns)) {
             eprintln!("faultcamp: cannot write bench JSON to {path}: {e}");
             return ExitCode::from(1);
         }
         eprintln!("faultcamp: bench trajectory written to {path}");
 
         // And one compact line into the append-only perf trajectory log.
-        let mut logged: Vec<trajectory::Entry> = references
+        let mut logged: Vec<trajectory::Entry> = campaign
+            .references
             .iter()
             .map(|r| trajectory::Entry::new("reference", r.scenario, "steps", r.steps as f64))
             .collect();
         logged.push(trajectory::Entry::new("campaign", "wall_time", "ns", wall_ns as f64));
         logged.push(trajectory::Entry::new("campaign", "workers", "count", opts.workers as f64));
-        if let Some(h) = &hub {
-            let snap = h.snapshot();
+        if let Some(t) = &telemetry {
+            let snap = t.hub().snapshot();
             logged.push(trajectory::Entry::new(
                 "campaign",
                 "jobs_per_s",
@@ -272,43 +201,37 @@ fn main() -> ExitCode {
 
     match &opts.out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
+            if let Err(e) = std::fs::write(path, &campaign.json) {
                 eprintln!("faultcamp: cannot write {path}: {e}");
                 return ExitCode::from(1);
             }
             eprintln!("faultcamp: report written to {path}");
         }
-        None => print!("{json}"),
+        None => print!("{}", campaign.json),
     }
 
     eprintln!("faultcamp: outcome summary:");
     for o in Outcome::ALL {
-        eprintln!("  {:>16}: {}", o.label(), summary[o.index()]);
+        eprintln!("  {:>16}: {}", o.label(), campaign.summary[o.index()]);
     }
-    for (job, status) in &failures {
+    for (job, status) in &campaign.failures {
         eprintln!("faultcamp: run {job} did not complete: {status}");
     }
 
-    let immo_sdc = vpdift_fleet::campaign::count_scenario_outcome(&json, "immo-session", "sdc");
+    let immo_sdc = campaign.scenario_outcome_count("immo-session", "sdc");
     let exit = if immo_sdc > 0 {
         eprintln!(
             "faultcamp: FAIL — {immo_sdc} immobilizer run(s) ended in silent data corruption"
         );
         ExitCode::from(2)
+    } else if !campaign.failures.is_empty() {
+        eprintln!("faultcamp: FAIL — {} run(s) did not complete", campaign.failures.len());
+        ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
     };
-    if let Some(server) = metrics_server {
-        // Keep the endpoint up for post-run scrapes (CI asserts final
-        // counters against the journal) before tearing it down.
-        if opts.metrics_linger_ms > 0 {
-            eprintln!(
-                "faultcamp: metrics endpoint lingering {}ms for final scrapes",
-                opts.metrics_linger_ms
-            );
-            std::thread::sleep(Duration::from_millis(opts.metrics_linger_ms));
-        }
-        server.shutdown();
+    if let Some(t) = telemetry {
+        t.finish();
     }
     exit
 }

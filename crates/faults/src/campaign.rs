@@ -20,9 +20,10 @@ use vpdift_immo::policy as immo_policy;
 use vpdift_immo::protocol::{policy_for, prepare_session, PolicyKind};
 use vpdift_immo::scenarios::{build_program as build_leak_program, Scenario};
 use vpdift_kernel::SimTime;
+use vpdift_obs::ObsSink;
 use vpdift_periph::can::regs as can_regs;
 use vpdift_periph::CanFrame;
-use vpdift_rv32::Tainted;
+use vpdift_rv32::{TaintMode, Tainted};
 use vpdift_soc::{map, ExecConfig, Soc, SocBuilder, SocExit};
 use vpdift_sync::shared;
 
@@ -267,27 +268,32 @@ pub fn classify(reference: &ScenarioRun, run: &ScenarioRun) -> Outcome {
     }
 }
 
-fn observe<S: vpdift_obs::ObsSink>(
-    soc: &Soc<Tainted, S>,
-    exit: SocExit,
-    auths: u32,
-    faults: Vec<FaultRecord>,
-) -> ScenarioRun {
-    ScenarioRun {
-        exit,
-        uart: soc.uart().borrow().output().to_vec(),
-        auths,
-        steps: soc.instret() + soc.cpu().traps_taken(),
-        traps: soc.cpu().traps_taken(),
-        sim_time: soc.now(),
-        faults,
+impl ScenarioRun {
+    /// What a finished run of `soc` shows the classifier: its exit, UART
+    /// output, step and trap counts and simulated time, plus `auths` and
+    /// the `faults` actually applied.
+    pub fn observe<M: TaintMode, S: ObsSink>(
+        soc: &Soc<M, S>,
+        exit: SocExit,
+        auths: u32,
+        faults: Vec<FaultRecord>,
+    ) -> ScenarioRun {
+        ScenarioRun {
+            exit,
+            uart: soc.uart().borrow().output().to_vec(),
+            auths,
+            steps: soc.instret() + soc.cpu().traps_taken(),
+            traps: soc.cpu().traps_taken(),
+            sim_time: soc.now(),
+            faults,
+        }
     }
 }
 
 /// Every campaign SoC starts from the one validated [`ExecConfig`] entry
 /// point; scenario-specific knobs (typed policies, the disabled sensor
 /// thread) layer on top of the resolved builder.
-fn base_builder() -> SocBuilder {
+pub fn base_builder() -> SocBuilder {
     SocBuilder::from_exec_config(&ExecConfig::default())
         .expect("the default exec config is valid")
         .sensor_thread(false)
@@ -341,7 +347,7 @@ pub fn faulted_run(
             let auths =
                 challenges.iter().filter(|ch| ecu.verify_response(soc.can_host(), ch)).count()
                     as u32;
-            observe(&soc, exit, auths, faults)
+            ScenarioRun::observe(&soc, exit, auths, faults)
         }
         ScenarioKind::ImmoLeak => {
             let program = build_leak_program(Scenario::DirectLeakUart);
@@ -355,7 +361,7 @@ pub fn faulted_run(
                 soc.watchdog().borrow_mut().arm(t);
             }
             let (exit, faults) = run_with_faults(&mut soc, budget, plan);
-            observe(&soc, exit, 0, faults)
+            ScenarioRun::observe(&soc, exit, 0, faults)
         }
         ScenarioKind::AttackInjection => {
             let guest = attack_guest();
@@ -368,7 +374,7 @@ pub fn faulted_run(
                 soc.watchdog().borrow_mut().arm(t);
             }
             let (exit, faults) = run_with_faults(&mut soc, budget, plan);
-            observe(&soc, exit, 0, faults)
+            ScenarioRun::observe(&soc, exit, 0, faults)
         }
         directed => directed_run(directed, !plan.is_empty()),
     }
@@ -411,7 +417,7 @@ fn directed_trap_loop(faulted: bool) -> ScenarioRun {
     };
     let (exit, faults) =
         run_with_faults(&mut soc, ScenarioKind::DirectedTrapLoop.reference_budget(), &plan);
-    observe(&soc, exit, 0, faults)
+    ScenarioRun::observe(&soc, exit, 0, faults)
 }
 
 /// The guest spin-waits for a CAN challenge frame. In the faulted twin the
@@ -442,7 +448,7 @@ fn directed_watchdog(faulted: bool) -> ScenarioRun {
     debug_assert_eq!(delivered, !faulted, "the line fault decides delivery");
     let (exit, _) =
         run_with_faults(&mut soc, ScenarioKind::DirectedWatchdog.reference_budget(), &[]);
-    observe(&soc, exit, 0, faults)
+    ScenarioRun::observe(&soc, exit, 0, faults)
 }
 
 /// The guest prints one clean byte. The faulted twin flips a taint-tag
@@ -476,7 +482,7 @@ fn directed_tag_corruption(faulted: bool) -> ScenarioRun {
     };
     let (exit, faults) =
         run_with_faults(&mut soc, ScenarioKind::DirectedTagCorruption.reference_budget(), &plan);
-    observe(&soc, exit, 0, faults)
+    ScenarioRun::observe(&soc, exit, 0, faults)
 }
 
 /// A classified scenario execution, as reported.
@@ -557,13 +563,42 @@ impl CampaignReport {
 }
 
 /// Derives the schedule seed of run `i` from the master seed.
-fn run_seed(master: u64, i: u32) -> u64 {
-    master.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+pub fn run_seed(master: u64, i: u64) -> u64 {
+    master.wrapping_add(i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Schedule size for a reference that took `steps` steps.
-fn plan_size(steps: u64, rate: f64) -> u32 {
-    (((steps as f64) * rate).ceil() as u64).clamp(1, 32) as u32
+/// A seeded fault schedule over `horizon` steps: `⌈horizon·rate⌉` faults,
+/// clamped to `1..=32`, with RAM faults inside the first `0x4000` bytes of
+/// RAM.
+pub fn seeded_plan(seed: u64, horizon: u64, rate: f64) -> Vec<PlannedFault> {
+    let count = ((horizon as f64 * rate).ceil() as u64).clamp(1, 32) as u32;
+    generate_plan(seed, count, horizon, RAM_FAULT_WINDOW)
+}
+
+/// How a faulted replay follows from its fault-free reference. Every
+/// campaign front end derives its replays here, so they all share one
+/// recipe.
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// The fault schedule: [`seeded_plan`] over the reference's steps.
+    pub plan: Vec<PlannedFault>,
+    /// Step budget: four times the reference's steps plus 10 000.
+    pub budget: u64,
+    /// Host-side hang detection, well beyond anything the reference
+    /// needed: four times its simulated time plus 1 ms.
+    pub watchdog: SimTime,
+}
+
+impl Replay {
+    /// The replay of `reference` under the schedule drawn from
+    /// `plan_seed` at `rate` faults per reference step.
+    pub fn of(reference: &ScenarioRun, plan_seed: u64, rate: f64) -> Replay {
+        Replay {
+            plan: seeded_plan(plan_seed, reference.steps, rate),
+            budget: reference.steps.saturating_mul(4).saturating_add(10_000),
+            watchdog: (reference.sim_time * 4).saturating_add(SimTime::from_ms(1)),
+        }
+    }
 }
 
 /// Everything a campaign computes exactly once before the seeded runs
@@ -630,21 +665,12 @@ pub fn random_run(
     config: &CampaignConfig,
     i: u32,
 ) -> RunOutcomes {
-    let seed = run_seed(config.seed, i);
+    let seed = run_seed(config.seed, u64::from(i));
     let mut results = Vec::new();
     let mut steps = 0u64;
     for (kind, reference) in refs {
-        let plan = generate_plan(
-            seed ^ kind.salt(),
-            plan_size(reference.steps, config.rate),
-            reference.steps.max(1),
-            RAM_FAULT_WINDOW,
-        );
-        let budget = reference.steps * 4 + 10_000;
-        // Host-side hang detection: well beyond anything the
-        // reference needed, in both time and steps.
-        let watchdog = (reference.sim_time * 4).saturating_add(SimTime::from_ms(1));
-        let run = faulted_run(*kind, &plan, Some(watchdog), budget);
+        let replay = Replay::of(reference, seed ^ kind.salt(), config.rate);
+        let run = faulted_run(*kind, &replay.plan, Some(replay.watchdog), replay.budget);
         let outcome = classify(reference, &run);
         steps += run.steps;
         results.push(ScenarioOutcome {

@@ -45,10 +45,11 @@ pub mod injector;
 pub mod report;
 
 pub use campaign::{
-    campaign_prelude, classify, random_run, run_campaign, CampaignConfig, CampaignPrelude,
-    CampaignReport, Outcome, RunOutcomes, ScenarioKind, ScenarioOutcome, ScenarioRun,
+    campaign_prelude, classify, random_run, run_campaign, run_seed, seeded_plan, CampaignConfig,
+    CampaignPrelude, CampaignReport, Outcome, Replay, RunOutcomes, ScenarioKind, ScenarioOutcome,
+    ScenarioRun,
 };
 pub use config::{generate_plan, FaultKind, PlannedFault};
 pub use hooks::{ArmedBusFault, BusFaultKind, LossyCanFault};
 pub use injector::{apply_fault, run_with_faults, FaultRecord, InjectorState};
-pub use report::{render_json, run_json, scenario_json};
+pub use report::{campaign_header, render_json, render_report, run_json, scenario_json, Row};

@@ -7,7 +7,9 @@
 
 use std::fmt::Write as _;
 
-use crate::campaign::{CampaignReport, Outcome, RunOutcomes, ScenarioOutcome};
+use crate::campaign::{
+    CampaignConfig, CampaignReport, Outcome, ReferenceInfo, RunOutcomes, ScenarioOutcome,
+};
 use crate::injector::FaultRecord;
 
 /// Renders one fault record as a compact JSON object.
@@ -44,20 +46,31 @@ pub fn run_json(run: &RunOutcomes) -> String {
     format!("{{\"run\":{},\"seed\":{},\"results\":[{}]}}", run.run, run.seed, results.join(","))
 }
 
-/// Renders the report as deterministic JSON: equal reports produce
-/// byte-identical output.
-pub fn render_json(report: &CampaignReport) -> String {
+/// One row of a report's `"runs"` array.
+#[derive(Debug, Clone, Copy)]
+pub enum Row<'a> {
+    /// A completed run's rendered fragment, such as [`run_json`].
+    Done(&'a str),
+    /// A run that did not complete: its id and failure label.
+    Failed(u64, &'a str),
+}
+
+/// The leading members of a campaign report: its config, the fault-free
+/// references and the directed demonstrations.
+pub fn campaign_header(
+    config: &CampaignConfig,
+    references: &[ReferenceInfo],
+    directed: &[ScenarioOutcome],
+) -> String {
     let mut out = String::new();
-    out.push_str("{\n");
     let _ = writeln!(
         out,
         "  \"campaign\": {{\"seed\": {}, \"runs\": {}, \"rate\": {}}},",
-        report.config.seed, report.config.runs, report.config.rate
+        config.seed, config.runs, config.rate
     );
-
     out.push_str("  \"references\": [\n");
-    for (i, r) in report.references.iter().enumerate() {
-        let comma = if i + 1 < report.references.len() { "," } else { "" };
+    for (i, r) in references.iter().enumerate() {
+        let comma = if i + 1 < references.len() { "," } else { "" };
         let _ = writeln!(
             out,
             "    {{\"scenario\":\"{}\",\"exit\":\"{}\",\"steps\":{}}}{comma}",
@@ -65,28 +78,60 @@ pub fn render_json(report: &CampaignReport) -> String {
         );
     }
     out.push_str("  ],\n");
-
     out.push_str("  \"directed\": [\n");
-    for (i, s) in report.directed.iter().enumerate() {
-        let comma = if i + 1 < report.directed.len() { "," } else { "" };
+    for (i, s) in directed.iter().enumerate() {
+        let comma = if i + 1 < directed.len() { "," } else { "" };
         let _ = writeln!(out, "    {}{comma}", scenario_json(s));
     }
     out.push_str("  ],\n");
+    out
+}
 
+/// Renders a campaign report: `header` (its leading members, each line
+/// ending in `,`), then the `"runs"` array with one row per line in the
+/// order given, a failed run as `{"<id_key>":N,"failed":"<label>"}`, then
+/// the `"summary"` of outcome counts (indexed by [`Outcome::index`])
+/// followed by the `extra` cells. The serial report, the parallel one and
+/// the `taintvp-run fleet` sweep all render through here.
+pub fn render_report(
+    header: &str,
+    id_key: &str,
+    rows: &[Row<'_>],
+    summary: &[u64],
+    extra: &[(&str, u64)],
+) -> String {
+    let mut out = String::new();
+    out.push_str("{\n");
+    out.push_str(header);
     out.push_str("  \"runs\": [\n");
-    for (i, run) in report.random.iter().enumerate() {
-        let comma = if i + 1 < report.random.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", run_json(run));
+    for (i, row) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = match row {
+            Row::Done(fragment) => writeln!(out, "    {fragment}{comma}"),
+            Row::Failed(id, label) => {
+                writeln!(out, "    {{\"{id_key}\":{id},\"failed\":\"{label}\"}}{comma}")
+            }
+        };
     }
     out.push_str("  ],\n");
-
-    let summary: Vec<String> = Outcome::ALL
+    let cells: Vec<String> = Outcome::ALL
         .iter()
-        .map(|o| format!("\"{}\": {}", o.label(), report.summary[o.index()]))
+        .map(|o| (o.label(), summary[o.index()]))
+        .chain(extra.iter().copied())
+        .map(|(label, n)| format!("\"{label}\": {n}"))
         .collect();
-    let _ = writeln!(out, "  \"summary\": {{{}}}", summary.join(", "));
+    let _ = writeln!(out, "  \"summary\": {{{}}}", cells.join(", "));
     out.push_str("}\n");
     out
+}
+
+/// Renders the report as deterministic JSON: equal reports produce
+/// byte-identical output.
+pub fn render_json(report: &CampaignReport) -> String {
+    let runs: Vec<String> = report.random.iter().map(run_json).collect();
+    let rows: Vec<Row<'_>> = runs.iter().map(|r| Row::Done(r)).collect();
+    let header = campaign_header(&report.config, &report.references, &report.directed);
+    render_report(&header, "run", &rows, &report.summary, &[])
 }
 
 #[cfg(test)]

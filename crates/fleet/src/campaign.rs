@@ -1,22 +1,26 @@
-//! Parallel fault campaigns: the serial `run_campaign` fan-out.
+//! Parallel fault campaigns: the serial `run_campaign` fan-out, and the
+//! journaled run every fleet front end goes through.
 //!
 //! The campaign prelude (directed demonstrations, fault-free references)
 //! runs once on the driver thread, exactly as the serial runner does;
 //! every seeded run then becomes one fleet job whose payload is the
 //! *rendered JSON fragment* the serial report emits for that run. The
-//! aggregate reassembles fragments in run order, so the output is
-//! byte-identical to [`vpdift_faults::render_json`] on a serial
+//! report puts the fragments back in run order through the serial
+//! renderer's own skeleton ([`vpdift_faults::render_report`]), so the
+//! output is byte-identical to [`vpdift_faults::render_json`] on a serial
 //! [`vpdift_faults::run_campaign`] — regardless of worker count,
 //! stealing, or interleaving.
 
-use std::fmt::Write as _;
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use vpdift_faults::campaign::ReferenceInfo;
 use vpdift_faults::{
-    campaign_prelude, random_run, run_json, scenario_json, CampaignConfig, CampaignPrelude, Outcome,
+    campaign_header, campaign_prelude, random_run, render_report, run_json, CampaignConfig,
+    Outcome, Row,
 };
+use vpdift_obs::json::{self, Value};
 
 use crate::executor::{Fleet, FleetConfig};
 use crate::job::{Job, JobOutput, JobResult, JobStatus};
@@ -41,32 +45,112 @@ pub struct FleetCampaign {
 }
 
 impl FleetCampaign {
-    /// Counts classifications of `outcome` for `scenario` by scanning
-    /// the rendered report — the fleet keeps results as journal-ready
-    /// strings, and the fragments are this crate's own deterministic
-    /// renderer output, so a substring scan is exact.
+    /// Counts the scenario objects of the report that name `scenario`
+    /// with `outcome`: the directed demonstrations and the results of
+    /// every completed run.
+    ///
+    /// # Panics
+    ///
+    /// If the report does not parse as JSON (a non-finite
+    /// [`CampaignConfig::rate`] renders as `NaN` or `inf`): an SDC gate
+    /// must not read an unreadable report as zero.
     pub fn scenario_outcome_count(&self, scenario: &str, outcome: &str) -> u64 {
-        count_scenario_outcome(&self.json, scenario, outcome)
+        fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+            v.get(key).and_then(Value::as_arr).unwrap_or_default()
+        }
+        let report = json::parse(&self.json).expect("a rendered campaign report is JSON");
+        let runs = array(&report, "runs").iter().flat_map(|run| array(run, "results"));
+        array(&report, "directed")
+            .iter()
+            .chain(runs)
+            .filter(|s| {
+                s.get("scenario").and_then(Value::as_str) == Some(scenario)
+                    && s.get("outcome").and_then(Value::as_str) == Some(outcome)
+            })
+            .count() as u64
     }
 }
 
-/// Counts scenario objects in `json` (rendered by
-/// [`vpdift_faults::scenario_json`]) naming `scenario` with `outcome`.
-pub fn count_scenario_outcome(json: &str, scenario: &str, outcome: &str) -> u64 {
-    let open = format!("{{\"scenario\":\"{scenario}\",");
-    let want = format!("\"outcome\":\"{outcome}\"");
-    let mut count = 0u64;
-    let mut rest = json;
-    while let Some(at) = rest.find(&open) {
-        rest = &rest[at + open.len()..];
-        // The outcome key sits inside this scenario object, before its
-        // faults array (fixed field order from the renderer).
-        let end = rest.find("\"faults\":").unwrap_or(rest.len());
-        if rest[..end].contains(&want) {
-            count += 1;
+/// Every result of a journaled run, in job-id order.
+#[derive(Debug)]
+pub struct JournaledRun {
+    /// Recovered and fresh results, sorted by job id.
+    pub results: Vec<JobResult>,
+    /// How many results came from the journal instead of running.
+    pub resumed: usize,
+}
+
+impl JournaledRun {
+    fn completed(r: &JobResult) -> Option<&str> {
+        match (&r.status, &r.payload) {
+            (JobStatus::Ok, Some(payload)) => Some(payload),
+            _ => None,
         }
     }
-    count
+
+    /// The report rows: one per job in id order, a job that did not
+    /// complete as an explicit failed row.
+    pub fn rows(&self) -> Vec<Row<'_>> {
+        self.results
+            .iter()
+            .map(|r| match Self::completed(r) {
+                Some(payload) => Row::Done(payload),
+                None => Row::Failed(r.job_id, r.status.label()),
+            })
+            .collect()
+    }
+
+    /// Outcome counts summed over the completed jobs, indexed by
+    /// [`Outcome::index`].
+    pub fn summary(&self) -> Vec<u64> {
+        let mut summary = vec![0u64; Outcome::COUNT];
+        for r in self.results.iter().filter(|r| Self::completed(r).is_some()) {
+            for (cell, n) in summary.iter_mut().zip(&r.counts) {
+                *cell += n;
+            }
+        }
+        summary
+    }
+
+    /// The jobs that did not complete.
+    pub fn failures(&self) -> impl Iterator<Item = &JobResult> {
+        self.results.iter().filter(|r| Self::completed(r).is_none())
+    }
+}
+
+/// Runs `jobs` on a fleet configured by `fleet_config`. With `journal`,
+/// results stream into a crash-safe journal created under `header`; with
+/// `resume` the journal is reopened instead, refused unless its header is
+/// `header`, and the jobs it already holds are skipped and counted into
+/// telemetry as resumed.
+pub fn run_journaled(
+    fleet_config: &FleetConfig,
+    jobs: Vec<Job>,
+    journal: Option<&Path>,
+    header: &JournalHeader,
+    resume: bool,
+) -> io::Result<JournaledRun> {
+    let context = |what: &str, path: &Path, e: io::Error| {
+        io::Error::new(e.kind(), format!("cannot {what} journal {}: {e}", path.display()))
+    };
+    let (mut journal, mut results) = match journal {
+        Some(path) if resume => {
+            let (j, recovered) =
+                Journal::open_resume(path, header).map_err(|e| context("resume", path, e))?;
+            (Some(j), recovered)
+        }
+        Some(path) => {
+            (Some(Journal::create(path, header).map_err(|e| context("create", path, e))?), vec![])
+        }
+        None => (None, Vec::new()),
+    };
+    let skip: Vec<u64> = results.iter().map(|r| r.job_id).collect();
+    if let Some(hub) = &fleet_config.telemetry {
+        hub.add_resumed(skip.len() as u64);
+    }
+    results.extend(Fleet::new(fleet_config.clone()).run(jobs, journal.as_mut(), &skip));
+    results.sort_by_key(|r| r.job_id);
+    Ok(JournaledRun { results, resumed: skip.len() })
 }
 
 /// Runs `config` as a parallel campaign on `fleet_config.workers`
@@ -78,9 +162,8 @@ pub fn run_campaign_fleet(
     fleet_config: &FleetConfig,
     journal_path: Option<&Path>,
     resume: bool,
-) -> std::io::Result<FleetCampaign> {
-    let prelude = campaign_prelude(config);
-    let prelude = Arc::new(prelude);
+) -> io::Result<FleetCampaign> {
+    let prelude = Arc::new(campaign_prelude(config));
     let campaign = *config;
 
     let jobs: Vec<Job> = (0..config.runs)
@@ -101,106 +184,29 @@ pub fn run_campaign_fleet(
         suite: "faultcamp".into(),
         jobs: u64::from(config.runs),
         seed: config.seed,
+        rate: config.rate,
+        inputs: Vec::new(),
     };
-    let (mut journal, recovered) = match (journal_path, resume) {
-        (Some(path), true) => {
-            let (j, recovered) = Journal::open_resume(path, &header)?;
-            (Some(j), recovered)
-        }
-        (Some(path), false) => (Some(Journal::create(path, &header)?), Vec::new()),
-        (None, _) => (None, Vec::new()),
-    };
+    let run = run_journaled(fleet_config, jobs, journal_path, &header, resume)?;
 
-    let skip: Vec<u64> = recovered.iter().map(|r| r.job_id).collect();
-    let resumed = skip.len();
-    if let Some(hub) = &fleet_config.telemetry {
-        hub.add_resumed(resumed as u64);
-    }
-    let fresh = Fleet::new(fleet_config.clone()).run(jobs, journal.as_mut(), &skip);
-
-    let mut results = recovered;
-    results.extend(fresh);
-    results.sort_by_key(|r| r.job_id);
-
-    Ok(assemble(&prelude, config, &results, resumed))
-}
-
-/// Reassembles the deterministic report from the prelude and per-run
-/// results. Failed runs are rendered as explicit `"failed"` rows (they
-/// cost exactly one classified result each — never the campaign).
-fn assemble(
-    prelude: &CampaignPrelude,
-    config: &CampaignConfig,
-    results: &[JobResult],
-    resumed: usize,
-) -> FleetCampaign {
-    let mut summary = vec![0u64; Outcome::COUNT];
+    let mut summary = run.summary();
     for s in &prelude.directed {
         summary[s.outcome.index()] += 1;
     }
-    let mut failures = Vec::new();
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"campaign\": {{\"seed\": {}, \"runs\": {}, \"rate\": {}}},",
-        config.seed, config.runs, config.rate
-    );
-    out.push_str("  \"references\": [\n");
-    for (i, r) in prelude.references.iter().enumerate() {
-        let comma = if i + 1 < prelude.references.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\":\"{}\",\"exit\":\"{}\",\"steps\":{}}}{comma}",
-            r.scenario, r.exit, r.steps
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"directed\": [\n");
-    for (i, s) in prelude.directed.iter().enumerate() {
-        let comma = if i + 1 < prelude.directed.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", scenario_json(s));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        match (&r.status, &r.payload) {
-            (JobStatus::Ok, Some(payload)) => {
-                for (slot, n) in r.counts.iter().enumerate() {
-                    if let Some(cell) = summary.get_mut(slot) {
-                        *cell += n;
-                    }
-                }
-                let _ = writeln!(out, "    {payload}{comma}");
-            }
-            _ => {
-                failures.push((r.job_id, r.status.label()));
-                let _ = writeln!(
-                    out,
-                    "    {{\"run\":{},\"failed\":\"{}\"}}{comma}",
-                    r.job_id,
-                    r.status.label()
-                );
-            }
-        }
-    }
-    out.push_str("  ],\n");
-
-    let rendered: Vec<String> =
-        Outcome::ALL.iter().map(|o| format!("\"{}\": {}", o.label(), summary[o.index()])).collect();
-    let _ = writeln!(out, "  \"summary\": {{{}}}", rendered.join(", "));
-    out.push_str("}\n");
-
-    FleetCampaign { json: out, failures, resumed, references: prelude.references.clone(), summary }
+    let header = campaign_header(config, &prelude.references, &prelude.directed);
+    Ok(FleetCampaign {
+        json: render_report(&header, "run", &run.rows(), &summary, &[]),
+        failures: run.failures().map(|r| (r.job_id, r.status.label())).collect(),
+        resumed: run.resumed,
+        references: prelude.references.clone(),
+        summary,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpdift_faults::{render_json, run_campaign};
+    use vpdift_faults::{render_json, run_campaign, ScenarioKind};
 
     #[test]
     fn parallel_campaign_is_byte_identical_to_serial() {
@@ -215,5 +221,41 @@ mod tests {
                 "{workers}-worker campaign must render the serial bytes"
             );
         }
+    }
+
+    #[test]
+    fn report_counts_match_the_serial_tally() {
+        let config = CampaignConfig { seed: 0x5CA1E, runs: 3, rate: 5e-5 };
+        let serial = run_campaign(&config);
+        let fleet = run_campaign_fleet(&config, &FleetConfig::default(), None, false).unwrap();
+        let scenarios = ScenarioKind::RANDOM.iter().chain(&ScenarioKind::DIRECTED);
+        for kind in scenarios {
+            for outcome in Outcome::ALL {
+                assert_eq!(
+                    fleet.scenario_outcome_count(kind.name(), outcome.label()),
+                    serial.scenario_count(kind.name(), outcome),
+                    "{} / {}",
+                    kind.name(),
+                    outcome.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_of_another_rate() {
+        let path =
+            std::env::temp_dir().join(format!("fleet-campaign-rate-{}.jsonl", std::process::id()));
+        let config = CampaignConfig { seed: 7, runs: 2, rate: 5e-5 };
+        let fleet_config = FleetConfig::default();
+        run_campaign_fleet(&config, &fleet_config, Some(&path), false).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        let other = CampaignConfig { rate: 1e-3, ..config };
+        let err = run_campaign_fleet(&other, &fleet_config, Some(&path), true).unwrap_err();
+        assert!(err.to_string().contains("different campaign"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), written, "a refused journal is untouched");
+        let resumed = run_campaign_fleet(&config, &fleet_config, Some(&path), true).unwrap();
+        assert_eq!(resumed.resumed, 2, "the same campaign resumes");
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,6 +1,7 @@
 //! The crash-safe results journal: `taintvp-fleet/v1` JSONL.
 //!
-//! Line 1 is the header (format tag, suite name, job count, seed); every
+//! Line 1 is the header (format tag, suite name, job count, seed, fault
+//! rate and any further payload-changing inputs); every
 //! following line is one terminal [`JobResult`]. Appends are fsync'd per
 //! batch by the executor, so after SIGKILL the file holds every result
 //! reported before the last sync plus at most one torn line. Resume
@@ -27,54 +28,53 @@ use crate::job::{JobResult, JobStatus};
 pub const FORMAT: &str = "taintvp-fleet/v1";
 
 /// Campaign identity, pinned in the header line and re-verified on
-/// resume so a journal can never splice results from a different sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// resume so a journal can never splice results from a different sweep:
+/// every input that changes a job's payload belongs here.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
-    /// Suite name (e.g. `faultcamp`, `immo-fleet`).
+    /// Suite name (e.g. `faultcamp`, `immo-sweep`).
     pub suite: String,
     /// Total jobs in the campaign.
     pub jobs: u64,
     /// Master seed.
     pub seed: u64,
+    /// Fault rate: faults per step of the reference run.
+    pub rate: f64,
+    /// The suite's further payload-changing inputs as named string
+    /// values, such as a digest of the swept program or the jobs replaced
+    /// by injected failures; empty when it has none.
+    pub inputs: Vec<(&'static str, String)>,
 }
 
 impl JournalHeader {
     fn render(&self) -> String {
-        format!(
-            "{{\"format\":\"{FORMAT}\",\"suite\":\"{}\",\"jobs\":{},\"seed\":{}}}",
+        let mut line = format!(
+            "{{\"format\":\"{FORMAT}\",\"suite\":\"{}\",\"jobs\":{},\"seed\":{},\"rate\":{}",
             escape(&self.suite),
             self.jobs,
-            self.seed
-        )
+            self.seed,
+            self.rate
+        );
+        for (name, value) in &self.inputs {
+            line.push_str(&format!(",\"{}\":\"{}\"", escape(name), escape(value)));
+        }
+        line.push('}');
+        line
     }
 
-    /// Why `line` is not this campaign's header. A JSON number cannot hold
-    /// every `u64` seed, so the found fields are read lossily and serve
-    /// the message only; whether a journal matches is decided by comparing
-    /// its header line with [`JournalHeader::render`].
+    /// Why `line` is not this campaign's header. Whether a journal matches
+    /// is decided by comparing its header line with
+    /// [`JournalHeader::render`] as text, so every `u64` seed is exact.
     fn mismatch(&self, line: &str) -> io::Error {
-        let found = json::parse(line)
-            .ok()
-            .filter(|h| h.get("format").and_then(Value::as_str) == Some(FORMAT));
-        let message = match found {
-            None => format!("journal header is not {FORMAT}"),
-            Some(h) => {
-                let field = |key: &str| match h.get(key) {
-                    Some(Value::Str(s)) => s.clone(),
-                    Some(Value::Num(n)) => n.to_string(),
-                    _ => "?".to_owned(),
-                };
-                format!(
-                    "journal belongs to a different campaign: \
-                     found suite={} jobs={} seed={}, expected suite={} jobs={} seed={}",
-                    field("suite"),
-                    field("jobs"),
-                    field("seed"),
-                    self.suite,
-                    self.jobs,
-                    self.seed
-                )
-            }
+        let ours = json::parse(line)
+            .is_ok_and(|h| h.get("format").and_then(Value::as_str) == Some(FORMAT));
+        let message = if ours {
+            format!(
+                "journal belongs to a different campaign: found {line}, expected {}",
+                self.render()
+            )
+        } else {
+            format!("journal header is not {FORMAT}")
         };
         io::Error::new(io::ErrorKind::InvalidData, message)
     }
@@ -239,7 +239,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header =
+            JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, inputs: Vec::new() };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -279,7 +280,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn-brace.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header =
+            JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, inputs: Vec::new() };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -307,7 +309,13 @@ mod tests {
 
     #[test]
     fn header_with_quotes_in_suite_round_trips() {
-        let header = JournalHeader { suite: "camp \"alpha\" \\ beta".into(), jobs: 2, seed: 1 };
+        let header = JournalHeader {
+            suite: "camp \"alpha\" \\ beta".into(),
+            jobs: 2,
+            seed: 1,
+            rate: 5e-5,
+            inputs: vec![("note", "a \"quoted\" value".into())],
+        };
         let parsed = json::parse(&header.render()).expect("escaped header parses");
         assert_eq!(parsed.get("suite").and_then(Value::as_str), Some(header.suite.as_str()));
 
@@ -327,11 +335,20 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mismatch.jsonl");
-        let header = JournalHeader { suite: "a".into(), jobs: 4, seed: 9 };
+        let header =
+            JournalHeader { suite: "a".into(), jobs: 4, seed: 9, rate: 5e-5, inputs: Vec::new() };
         Journal::create(&path, &header).unwrap();
-        let other = JournalHeader { suite: "a".into(), jobs: 4, seed: 10 };
-        let err = Journal::open_resume(&path, &other).unwrap_err();
-        assert!(err.to_string().contains("different campaign"), "{err}");
+        let written = std::fs::read(&path).unwrap();
+        let others = [
+            JournalHeader { seed: 10, ..header.clone() },
+            JournalHeader { rate: 1e-3, ..header.clone() },
+            JournalHeader { inputs: vec![("program", "00ff".into())], ..header.clone() },
+        ];
+        for other in &others {
+            let err = Journal::open_resume(&path, other).unwrap_err();
+            assert!(err.to_string().contains("different campaign"), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), written, "a refused journal is untouched");
+        }
         std::fs::write(&path, "{\"format\":\"other/v9\"}\n").unwrap();
         let err = Journal::open_resume(&path, &header).unwrap_err();
         assert!(err.to_string().contains("not taintvp-fleet/v1"), "{err}");
@@ -345,7 +362,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("max-seed.jsonl");
-        let header = JournalHeader { suite: "s".into(), jobs: 3, seed: u64::MAX };
+        let header = JournalHeader {
+            suite: "s".into(),
+            jobs: 3,
+            seed: u64::MAX,
+            rate: 5e-5,
+            inputs: Vec::new(),
+        };
         Journal::create(&path, &header).unwrap();
         let (_j, recovered) = Journal::open_resume(&path, &header).expect("same campaign resumes");
         assert!(recovered.is_empty());

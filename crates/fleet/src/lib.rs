@@ -29,11 +29,11 @@ pub mod job;
 pub mod journal;
 pub mod telemetry;
 
-pub use campaign::{run_campaign_fleet, FleetCampaign};
+pub use campaign::{run_campaign_fleet, run_journaled, FleetCampaign, JournaledRun};
 pub use executor::{quiet_worker_panics, retry_backoff, Fleet, FleetConfig};
 pub use job::{Job, JobCtx, JobError, JobFn, JobOutput, JobResult, JobStatus};
 pub use journal::{parse_record, render_record, Journal, JournalHeader, FORMAT};
 pub use telemetry::{
-    spawn_sampler, SamplerConfig, SamplerHandle, TelemSnapshot, TelemetryHub, WorkerSnap,
-    WorkerStats, TELEM_FORMAT,
+    spawn_sampler, SamplerConfig, SamplerHandle, TelemSnapshot, Telemetry, TelemetryHub,
+    TelemetryOptions, WorkerSnap, WorkerStats, TELEM_FORMAT,
 };

@@ -21,7 +21,8 @@
 //! `--telemetry-interval-ms`, appends stream lines, and renders progress
 //! — overwriting a single line on a real terminal, falling back to
 //! periodic plain lines when output is redirected (no `\r` spam in CI
-//! logs).
+//! logs). [`TelemetryOptions`] parses the front ends' telemetry flags and
+//! starts the hub, the sampler and `/metrics` as one [`Telemetry`].
 
 use std::fs::OpenOptions;
 use std::io::{self, IsTerminal, Write};
@@ -30,9 +31,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vpdift_obs::expo::Expo;
+use vpdift_obs::expo::{render_metrics, Expo};
 use vpdift_obs::hist::{AtomicHist, Hist, HistSpec};
-use vpdift_obs::InsnCell;
+use vpdift_obs::{InsnCell, Metrics, MetricsServer};
 
 use crate::job::JobStatus;
 
@@ -423,6 +424,12 @@ impl TelemSnapshot {
         out
     }
 
+    /// The `obs::metrics` registry a fleet reports. Retired instructions
+    /// are the only counter of it a fleet aggregates.
+    pub fn metrics(&self) -> Metrics {
+        Metrics { instructions: self.insns, ..Metrics::default() }
+    }
+
     /// Renders the one-line progress display.
     pub fn progress_line(&self) -> String {
         let mut line = format!(
@@ -522,11 +529,13 @@ impl TelemSnapshot {
     }
 }
 
-/// Renders a complete exposition document for one hub (convenience for
-/// scrape endpoints).
+/// Renders the `/metrics` document for one hub: the fleet series, then
+/// the `obs::metrics` registry under the `vp_` prefix.
 pub fn render_prom(hub: &TelemetryHub) -> String {
     let mut expo = Expo::new();
-    hub.snapshot().render_prom(&mut expo);
+    let snap = hub.snapshot();
+    snap.render_prom(&mut expo);
+    render_metrics(&mut expo, "vp", &[], &snap.metrics());
     expo.finish()
 }
 
@@ -537,13 +546,132 @@ pub struct SamplerConfig {
     pub interval: Duration,
     /// Append `taintvp-telem/v1` lines here (created/truncated at spawn).
     pub out: Option<PathBuf>,
-    /// Render live progress to stderr.
-    pub progress: bool,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        SamplerConfig { interval: Duration::from_millis(500), out: None, progress: false }
+        SamplerConfig { interval: Duration::from_millis(500), out: None }
+    }
+}
+
+/// The five telemetry flags both fleet front ends take (`--progress`,
+/// `--telemetry-interval-ms`, `--telemetry-out`, `--metrics-addr`,
+/// `--metrics-linger-ms`), parsed and checked in one place.
+#[derive(Debug, Default)]
+pub struct TelemetryOptions {
+    progress: bool,
+    sampler: SamplerConfig,
+    metrics_addr: Option<String>,
+    linger: Duration,
+}
+
+impl TelemetryOptions {
+    /// Takes `flag` when it is one of the five, reading its value through
+    /// `value`; `Ok(false)` leaves any other flag to the caller.
+    pub fn take(
+        &mut self,
+        flag: &str,
+        mut value: impl FnMut() -> Result<String, String>,
+    ) -> Result<bool, String> {
+        let mut millis = |flag: &str| -> Result<Duration, String> {
+            let v = value()?;
+            v.parse().map(Duration::from_millis).map_err(|_| format!("bad {flag} `{v}`"))
+        };
+        match flag {
+            "--progress" => self.progress = true,
+            "--telemetry-interval-ms" => {
+                self.sampler.interval = millis(flag)?;
+                if self.sampler.interval.is_zero() {
+                    return Err("--telemetry-interval-ms must be at least 1".into());
+                }
+            }
+            "--telemetry-out" => self.sampler.out = Some(PathBuf::from(value()?)),
+            "--metrics-addr" => self.metrics_addr = Some(value()?),
+            "--metrics-linger-ms" => self.linger = millis(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The checks that span flags, once every flag is taken.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.linger.is_zero() && self.metrics_addr.is_none() {
+            return Err("--metrics-linger-ms needs --metrics-addr".into());
+        }
+        Ok(())
+    }
+
+    /// Whether any of the five flags asks for telemetry.
+    pub fn requested(&self) -> bool {
+        self.progress || self.sampler.out.is_some() || self.metrics_addr.is_some()
+    }
+
+    /// Starts telemetry for a run on `workers` workers: the hub, the
+    /// sampler (stream file and live progress line) and, with
+    /// `--metrics-addr`, the `/metrics` endpoint. `name` prefixes the
+    /// lines it prints.
+    pub fn start(&self, workers: usize, name: &'static str) -> Result<Telemetry, String> {
+        let hub = TelemetryHub::new(workers);
+        let server = match &self.metrics_addr {
+            Some(addr) => {
+                let render_hub = Arc::clone(&hub);
+                let server = MetricsServer::bind(addr, Arc::new(move || render_prom(&render_hub)))
+                    .map_err(|e| e.to_string())?;
+                eprintln!("{name}: metrics endpoint on http://{}/metrics", server.local_addr());
+                Some(server)
+            }
+            None => None,
+        };
+        let sampler = spawn_sampler(Arc::clone(&hub), self.sampler.clone())
+            .map_err(|e| format!("cannot start telemetry sampler: {e}"))?;
+        Ok(Telemetry { hub, sampler: Some(sampler), server, linger: self.linger, name })
+    }
+}
+
+/// Running telemetry, from [`TelemetryOptions::start`].
+#[derive(Debug)]
+pub struct Telemetry {
+    hub: Arc<TelemetryHub>,
+    sampler: Option<SamplerHandle>,
+    server: Option<MetricsServer>,
+    linger: Duration,
+    name: &'static str,
+}
+
+impl Telemetry {
+    /// The hub the executor feeds (`FleetConfig::telemetry`).
+    pub fn hub(&self) -> &Arc<TelemetryHub> {
+        &self.hub
+    }
+
+    /// Waits for the sampler's final snapshot; [`Fleet::run`](crate::Fleet::run)
+    /// marks the hub done when the run ends. Call it before printing the
+    /// results, so the last progress line comes first. A failed stream
+    /// write is only a warning.
+    pub fn end_sampling(&mut self) {
+        if let Some(sampler) = self.sampler.take() {
+            if let Err(e) = sampler.finish() {
+                eprintln!("{}: warning: telemetry stream write failed: {e}", self.name);
+            }
+        }
+    }
+
+    /// Ends telemetry: the sampler's final snapshot if not yet taken,
+    /// then `/metrics` stays up `--metrics-linger-ms` for final scrapes
+    /// before it shuts down.
+    pub fn finish(mut self) {
+        self.end_sampling();
+        if let Some(server) = self.server.take() {
+            if !self.linger.is_zero() {
+                eprintln!(
+                    "{}: metrics endpoint lingering {}ms for final scrapes",
+                    self.name,
+                    self.linger.as_millis()
+                );
+                std::thread::sleep(self.linger);
+            }
+            server.shutdown();
+        }
     }
 }
 
@@ -590,7 +718,7 @@ pub fn spawn_sampler(hub: Arc<TelemetryHub>, config: SamplerConfig) -> io::Resul
     let stop = Arc::new(AtomicBool::new(false));
     let stop_thread = Arc::clone(&stop);
     let handle = std::thread::Builder::new().name("fleet-telem".into()).spawn(move || {
-        let mut progress = ProgressRenderer::new(config.progress);
+        let mut progress = ProgressRenderer::new();
         let tick = Duration::from_millis(20).min(config.interval);
         let mut last_emit = Instant::now();
         loop {
@@ -622,7 +750,6 @@ pub fn spawn_sampler(hub: Arc<TelemetryHub>, config: SamplerConfig) -> io::Resul
 /// [`PLAIN_PERIOD`], so CI logs get periodic progress instead of
 /// carriage-return spam.
 struct ProgressRenderer {
-    enabled: bool,
     tty: bool,
     last_plain: Option<Instant>,
 }
@@ -631,14 +758,11 @@ struct ProgressRenderer {
 const PLAIN_PERIOD: Duration = Duration::from_secs(2);
 
 impl ProgressRenderer {
-    fn new(enabled: bool) -> ProgressRenderer {
-        ProgressRenderer { enabled, tty: io::stderr().is_terminal(), last_plain: None }
+    fn new() -> ProgressRenderer {
+        ProgressRenderer { tty: io::stderr().is_terminal(), last_plain: None }
     }
 
     fn render(&mut self, snap: &TelemSnapshot) {
-        if !self.enabled {
-            return;
-        }
         let mut err = io::stderr().lock();
         if self.tty {
             let _ = write!(err, "\r\x1b[K{}", snap.progress_line());
@@ -654,7 +778,7 @@ impl ProgressRenderer {
 
     /// Ends the overwritten line so subsequent output starts clean.
     fn close(&mut self) {
-        if self.enabled && self.tty {
+        if self.tty {
             let mut err = io::stderr().lock();
             let _ = writeln!(err);
             let _ = err.flush();
@@ -766,11 +890,7 @@ mod tests {
         hub.set_total(1);
         let sampler = spawn_sampler(
             Arc::clone(&hub),
-            SamplerConfig {
-                interval: Duration::from_millis(10),
-                out: Some(path.clone()),
-                progress: false,
-            },
+            SamplerConfig { interval: Duration::from_millis(10), out: Some(path.clone()) },
         )
         .expect("sampler spawns");
         do_job(&hub, 0, JobStatus::Ok, 1, 5);

@@ -279,12 +279,8 @@ mod tests {
             reason: "sink uart.tx tagged".into(),
             time: SimTime::from_ns(9),
         };
-        let brk = StreamItem::Break {
-            id: 1,
-            reason: "pc=0x00000040".into(),
-            pc: 0x40,
-            instret: 17,
-        };
+        let brk =
+            StreamItem::Break { id: 1, reason: "pc=0x00000040".into(), pc: 0x40, instret: 17 };
         for item in [&ev, &flow, &watch, &brk] {
             let line = stream_line("s1", item);
             parse(&line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));

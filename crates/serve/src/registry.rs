@@ -60,7 +60,9 @@ impl SessionEntry {
             Ok(guard) => Ok(guard),
             Err(TryLockError::WouldBlock) => Err(ServeError::new(
                 ErrorCode::Busy,
-                format!("session `{name}` is busy (mid-run on another connection); `stop` it first"),
+                format!(
+                    "session `{name}` is busy (mid-run on another connection); `stop` it first"
+                ),
             )),
             // A connection thread panicking mid-command is isolated to
             // its session; treat the poisoned state as still-usable
@@ -170,9 +172,9 @@ impl Registry {
     /// [`ErrorCode::UnknownSession`].
     pub fn remove(&self, name: &str) -> Result<Arc<SessionEntry>, ServeError> {
         let mut map = self.sessions.lock().unwrap();
-        let entry = map
-            .remove(name)
-            .ok_or_else(|| ServeError::new(ErrorCode::UnknownSession, format!("no session `{name}`")))?;
+        let entry = map.remove(name).ok_or_else(|| {
+            ServeError::new(ErrorCode::UnknownSession, format!("no session `{name}`"))
+        })?;
         entry.stop().request();
         if let Some(m) = self.metrics() {
             m.drop_session(name);

@@ -130,8 +130,23 @@ impl Connection {
             // Client-chosen command strings are folded to `unknown` so
             // the label set stays bounded.
             const KNOWN: &[&str] = &[
-                "hello", "create", "destroy", "list", "step", "run", "until", "read", "watch",
-                "unwatch", "break", "unbreak", "stop", "subscribe", "explain", "info", "shutdown",
+                "hello",
+                "create",
+                "destroy",
+                "list",
+                "step",
+                "run",
+                "until",
+                "read",
+                "watch",
+                "unwatch",
+                "break",
+                "unbreak",
+                "stop",
+                "subscribe",
+                "explain",
+                "info",
+                "shutdown",
             ];
             m.on_request(if KNOWN.contains(&cmd) { cmd } else { "unknown" });
         }
@@ -205,7 +220,8 @@ impl Connection {
             .and_then(Value::as_str)
             .ok_or_else(|| ServeError::new(ErrorCode::BadRequest, "missing `program` string"))?;
         let mut opts = CreateOpts { program: program.to_owned(), ..CreateOpts::default() };
-        let bad = |e: vpdift_soc::ExecConfigError| ServeError::new(ErrorCode::BadRequest, e.to_string());
+        let bad =
+            |e: vpdift_soc::ExecConfigError| ServeError::new(ErrorCode::BadRequest, e.to_string());
         opts.exec.policy = req.get("policy").and_then(Value::as_str).map(str::to_owned);
         if let Some(mode) = req.get("mode").and_then(Value::as_str) {
             opts.exec.set_mode_str(mode).map_err(bad)?;
@@ -552,7 +568,9 @@ impl Connection {
             let rendered: Vec<String> = breaks
                 .iter()
                 .map(|b| match b.kind {
-                    BreakKind::Pc(pc) => format!("{{\"break\":{},\"kind\":\"pc\",\"pc\":{pc}}}", b.id),
+                    BreakKind::Pc(pc) => {
+                        format!("{{\"break\":{},\"kind\":\"pc\",\"pc\":{pc}}}", b.id)
+                    }
                     BreakKind::Instret(n) => {
                         format!("{{\"break\":{},\"kind\":\"instret\",\"instret\":{n}}}", b.id)
                     }

@@ -39,7 +39,8 @@ impl Client {
     /// Connects and consumes the greeting line.
     fn connect(addr: &str) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
-        let mut c = Client { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream };
+        let mut c =
+            Client { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream };
         let greeting = c.recv();
         assert!(greeting.contains("\"schema\":\"taintvp-serve/v2\""), "{greeting}");
         c
@@ -201,8 +202,9 @@ fn breakpoint_then_watchpoint_pause_the_guest_on_both_engines() {
         // First pause: the breakpoint, streamed as an `"ev":"break"` line
         // ahead of the `stopped` response, well before the leak reaches
         // the UART.
-        let (events, r) =
-            c.request(&format!("{{\"id\":4,\"cmd\":\"run\",\"session\":\"{sess}\",\"max_steps\":100000}}"));
+        let (events, r) = c.request(&format!(
+            "{{\"id\":4,\"cmd\":\"run\",\"session\":\"{sess}\",\"max_steps\":100000}}"
+        ));
         assert!(r.contains("\"exit\":\"stopped\""), "{r}");
         assert_eq!(instret_of(&r), 5, "paused exactly at the requested instret: {r}");
         assert!(
@@ -211,12 +213,15 @@ fn breakpoint_then_watchpoint_pause_the_guest_on_both_engines() {
         );
 
         // Paused guests are inspectable like any stopped session.
-        let (_, r) = c.request(&format!("{{\"id\":5,\"cmd\":\"read\",\"session\":\"{sess}\",\"what\":\"regs\"}}"));
+        let (_, r) = c.request(&format!(
+            "{{\"id\":5,\"cmd\":\"read\",\"session\":\"{sess}\",\"what\":\"regs\"}}"
+        ));
         assert!(r.contains("\"pc\":"), "{r}");
 
         // Second pause: resume runs on to the taint watchpoint.
-        let (events, r) =
-            c.request(&format!("{{\"id\":6,\"cmd\":\"run\",\"session\":\"{sess}\",\"max_steps\":100000}}"));
+        let (events, r) = c.request(&format!(
+            "{{\"id\":6,\"cmd\":\"run\",\"session\":\"{sess}\",\"max_steps\":100000}}"
+        ));
         assert!(r.contains("\"exit\":\"stopped\""), "{r}");
         assert!(instret_of(&r) > 5, "the resumed run advanced: {r}");
         assert!(

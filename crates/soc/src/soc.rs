@@ -137,12 +137,6 @@ impl SocConfig {
     pub fn builder() -> SocBuilder {
         SocBuilder::new()
     }
-
-    /// Configuration with a specific policy, defaults elsewhere.
-    #[deprecated(since = "0.1.0", note = "use `Soc::<M>::builder().policy(p).build()`")]
-    pub fn with_policy(policy: SecurityPolicy) -> Self {
-        SocBuilder::new().policy(policy).build()
-    }
 }
 
 /// Why [`Soc::run`] stopped.

@@ -104,9 +104,11 @@ use vpdift_sync::{shared, Shared};
 
 use taintvp::asm::{parse_asm, Program};
 use taintvp::core::{AtomTable, Tag};
+use taintvp::faults::campaign::base_builder;
 use taintvp::faults::{
-    classify, generate_plan, run_with_faults, Outcome, PlannedFault, ScenarioRun,
+    classify, run_seed, run_with_faults, seeded_plan, Outcome, PlannedFault, Replay, ScenarioRun,
 };
+use taintvp::fleet::TelemetryOptions;
 use taintvp::loader::{is_elf, Elf32};
 use taintvp::obs::export::{write_chrome_trace, write_jsonl, write_metrics_json};
 use taintvp::obs::{NullSink, ObsSink, Recorder, SymbolMap};
@@ -115,10 +117,6 @@ use taintvp::soc::{ExecConfig, Soc, SocBuilder, SocExit};
 
 /// Ring capacity when observability is on but `--flight-recorder` is not.
 const DEFAULT_RING: usize = 32;
-
-/// RAM window (bytes from offset 0) that random fault schedules target —
-/// the loaded program plus its working data, matching the campaign runner.
-const RAM_FAULT_WINDOW: u32 = 0x4000;
 
 /// Exit code for a malformed guest binary (see the doc-comment table).
 const EXIT_LOADER: u8 = 8;
@@ -559,36 +557,6 @@ fn obs_epilogue(
     Ok(())
 }
 
-/// Deterministic fault schedule for a single `--fault-seed` run: the plan
-/// is sized by `--fault-rate` over the instruction budget (capped at 32
-/// faults, matching the campaign runner).
-fn fault_plan(opts: &Options) -> Vec<PlannedFault> {
-    match opts.fault_seed {
-        None => Vec::new(),
-        Some(seed) => {
-            let count = (opts.max_insns as f64 * opts.fault_rate).ceil() as u32;
-            generate_plan(seed, count.clamp(1, 32), opts.max_insns, RAM_FAULT_WINDOW)
-        }
-    }
-}
-
-/// Snapshot of a finished run in the campaign classifier's terms.
-fn snapshot<M: TaintMode, S: ObsSink>(
-    exit: SocExit,
-    soc: &Soc<M, S>,
-    faults: Vec<taintvp::faults::FaultRecord>,
-) -> ScenarioRun {
-    ScenarioRun {
-        exit,
-        uart: soc.uart().borrow().output().to_vec(),
-        auths: 0,
-        steps: soc.instret() + soc.cpu().traps_taken(),
-        traps: soc.cpu().traps_taken(),
-        sim_time: soc.now(),
-        faults,
-    }
-}
-
 /// `--campaign n`: one fault-free reference plus `n` faulted replays with
 /// derived seeds, each classified against the reference. Exits 2 when any
 /// replay ended in silent data corruption.
@@ -602,7 +570,7 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
             return ExitCode::from(EXIT_LOADER);
         }
     };
-    let reference = snapshot(exit, &soc, Vec::new());
+    let reference = ScenarioRun::observe(&soc, exit, 0, Vec::new());
     eprintln!(
         "reference: exit {} after {} steps, {} UART bytes",
         reference.exit.label(),
@@ -610,13 +578,10 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
         reference.uart.len()
     );
 
-    let horizon = reference.steps.max(1);
-    let budget = reference.steps.saturating_mul(4).saturating_add(10_000);
-    let count = ((horizon as f64 * opts.fault_rate).ceil() as u32).clamp(1, 32);
     let mut totals = [0u64; Outcome::COUNT];
     for i in 0..opts.campaign {
-        let seed = master.wrapping_add(u64::from(i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let plan = generate_plan(seed, count, horizon, RAM_FAULT_WINDOW);
+        let seed = run_seed(master, u64::from(i));
+        let Replay { plan, budget, .. } = Replay::of(&reference, seed, opts.fault_rate);
         let obs = shared(NullSink);
         // Same options, new budget, no recursion into `--campaign` — the
         // observability flags are already rejected by parse_args here.
@@ -631,7 +596,7 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
                 return ExitCode::from(EXIT_LOADER);
             }
         };
-        let run = snapshot(exit, &soc, records);
+        let run = ScenarioRun::observe(&soc, exit, 0, records);
         let outcome = classify(&reference, &run);
         totals[outcome.index()] += 1;
         eprintln!(
@@ -656,7 +621,11 @@ fn run<M: TaintMode>(opts: &Options, atoms: &AtomTable, guest: &Guest) -> ExitCo
     if opts.campaign > 0 {
         return run_cli_campaign::<M>(opts, guest);
     }
-    let plan = fault_plan(opts);
+    // A single `--fault-seed` run sizes its schedule over the budget.
+    let plan = opts
+        .fault_seed
+        .map(|seed| seeded_plan(seed, opts.max_insns, opts.fault_rate))
+        .unwrap_or_default();
     if !plan.is_empty() {
         eprintln!("fault schedule ({} planned):", plan.len());
         for f in &plan {
@@ -731,23 +700,8 @@ struct FleetOptions {
     out: Option<String>,
     inject_panic: Vec<u64>,
     inject_hang: Vec<u64>,
-    telemetry_interval_ms: u64,
-    telemetry_out: Option<String>,
-    metrics_addr: Option<String>,
-    metrics_linger_ms: u64,
     metrics_json: Option<String>,
-    progress: bool,
-}
-
-impl FleetOptions {
-    /// Whether any telemetry consumer is configured (spawns the hub and
-    /// sampler; off by default so the hot path stays unobserved).
-    fn telemetry_on(&self) -> bool {
-        self.telemetry_out.is_some()
-            || self.metrics_addr.is_some()
-            || self.metrics_json.is_some()
-            || self.progress
-    }
+    telemetry: TelemetryOptions,
 }
 
 const FLEET_USAGE: &str =
@@ -770,12 +724,8 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
         out: None,
         inject_panic: Vec::new(),
         inject_hang: Vec::new(),
-        telemetry_interval_ms: 500,
-        telemetry_out: None,
-        metrics_addr: None,
-        metrics_linger_ms: 0,
         metrics_json: None,
-        progress: false,
+        telemetry: TelemetryOptions::default(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -825,25 +775,13 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
                 let v = value("--inject-hang")?;
                 opts.inject_hang.push(v.parse().map_err(|_| format!("bad --inject-hang `{v}`"))?);
             }
-            "--telemetry-interval-ms" => {
-                let v = value("--telemetry-interval-ms")?;
-                opts.telemetry_interval_ms =
-                    v.parse().map_err(|_| format!("bad --telemetry-interval-ms `{v}`"))?;
-                if opts.telemetry_interval_ms == 0 {
-                    return Err("--telemetry-interval-ms must be at least 1".into());
+            "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?.to_owned()),
+            "--help" | "-h" => return Err(FLEET_USAGE.into()),
+            other => {
+                if !opts.telemetry.take(other, || value(other).map(str::to_owned))? {
+                    return Err(format!("unknown fleet option `{other}`\n{FLEET_USAGE}"));
                 }
             }
-            "--telemetry-out" => opts.telemetry_out = Some(value("--telemetry-out")?.to_owned()),
-            "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?.to_owned()),
-            "--metrics-linger-ms" => {
-                let v = value("--metrics-linger-ms")?;
-                opts.metrics_linger_ms =
-                    v.parse().map_err(|_| format!("bad --metrics-linger-ms `{v}`"))?;
-            }
-            "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?.to_owned()),
-            "--progress" => opts.progress = true,
-            "--help" | "-h" => return Err(FLEET_USAGE.into()),
-            other => return Err(format!("unknown fleet option `{other}`\n{FLEET_USAGE}")),
         }
     }
     if opts.resume && opts.journal.is_none() {
@@ -852,9 +790,7 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
     if !opts.inject_hang.is_empty() && opts.deadline_ms == 0 {
         return Err("--inject-hang needs a nonzero --deadline-ms".into());
     }
-    if opts.metrics_linger_ms > 0 && opts.metrics_addr.is_none() {
-        return Err("--metrics-linger-ms needs --metrics-addr".into());
-    }
+    opts.telemetry.check()?;
     Ok(opts)
 }
 
@@ -874,21 +810,16 @@ fn load_guest_program(path: &str) -> Result<Program, String> {
     }
 }
 
-/// Base builder for fleet guests — the same single [`ExecConfig`] entry
-/// point the CLI and serve front ends resolve through.
-fn fleet_builder() -> SocBuilder {
-    SocBuilder::from_exec_config(&ExecConfig::default())
-        .expect("the default exec config is valid")
-        .sensor_thread(false)
-}
-
-/// Fault-free reference run of an external guest (fleet `--program`).
-fn program_reference(program: &Program) -> ScenarioRun {
-    let cfg = fleet_builder().build();
-    let mut soc = Soc::<Tainted>::new(cfg);
+/// Fault-free reference run of an external guest (fleet `--program`),
+/// with the SoC's state digest right after loading: it fingerprints the
+/// load address, entry point and image, so the fleet journal pins it and
+/// a resume never splices in the rows of another program.
+fn program_reference(program: &Program) -> (ScenarioRun, u64) {
+    let mut soc = Soc::<Tainted>::new(base_builder().build());
     soc.load_program(program);
+    let loaded = soc.state_digest();
     let exit = soc.run(100_000_000);
-    snapshot(exit, &soc, Vec::new())
+    (ScenarioRun::observe(&soc, exit, 0, Vec::new()), loaded)
 }
 
 /// One faulted replay of an external guest under a fleet job's stop flag
@@ -899,11 +830,11 @@ fn program_faulted(
     budget: u64,
     ctx: &taintvp::fleet::JobCtx,
 ) -> ScenarioRun {
-    let cfg = fleet_builder().stop_flag(ctx.stop.clone()).insn_cell(ctx.insns.clone()).build();
+    let cfg = base_builder().stop_flag(ctx.stop.clone()).insn_cell(ctx.insns.clone()).build();
     let mut soc = Soc::<Tainted>::new(cfg);
     soc.load_program(program);
     let (exit, records) = run_with_faults(&mut soc, budget, plan);
-    snapshot(exit, &soc, records)
+    ScenarioRun::observe(&soc, exit, 0, records)
 }
 
 /// `taintvp-run fleet` — N seeded fault runs on the work-stealing
@@ -919,13 +850,11 @@ fn fleet_main(args: &[String]) -> ExitCode {
     use std::time::Duration;
 
     use taintvp::faults::campaign::{faulted_run, reference_run};
-    use taintvp::faults::{classify, generate_plan, scenario_json, Outcome, ScenarioKind};
+    use taintvp::faults::{render_report, scenario_json, ScenarioKind};
     use taintvp::fleet::{
-        quiet_worker_panics, spawn_sampler, Fleet, FleetConfig, Job, JobError, JobOutput,
-        JobStatus, Journal, JournalHeader, SamplerConfig, TelemetryHub,
+        quiet_worker_panics, run_journaled, FleetConfig, Job, JobError, JobOutput, JobStatus,
+        JournalHeader,
     };
-    use taintvp::kernel::SimTime;
-    use taintvp::obs::MetricsServer;
 
     let opts = match parse_fleet_args(args) {
         Ok(o) => o,
@@ -954,10 +883,14 @@ fn fleet_main(args: &[String]) -> ExitCode {
 
     // Driver-side prelude: the fault-free reference every job classifies
     // against (exactly once, like the campaign runner).
-    let reference = Arc::new(match &guest {
-        Some(p) => program_reference(p),
-        None => reference_run(kind),
-    });
+    let (reference, program_digest) = match &guest {
+        Some(p) => {
+            let (run, digest) = program_reference(p);
+            (run, Some(digest))
+        }
+        None => (reference_run(kind), None),
+    };
+    let reference = Arc::new(reference);
     eprintln!(
         "fleet: reference {scenario_name}: exit {} after {} steps",
         reference.exit.label(),
@@ -978,7 +911,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
                     // `ctx.stop` ends this attempt.
                     let program = parse_asm("loop:\n    j loop\n", 0)
                         .map_err(|e| JobError::Fatal(format!("bad hang program: {e}")))?;
-                    let cfg = fleet_builder()
+                    let cfg = base_builder()
                         .stop_flag(ctx.stop.clone())
                         .insn_cell(ctx.insns.clone())
                         .build();
@@ -993,14 +926,11 @@ fn fleet_main(args: &[String]) -> ExitCode {
             let master = opts.seed;
             let rate = opts.rate;
             Job::new(i, move |ctx: &taintvp::fleet::JobCtx| {
-                let seed = master.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let count = ((reference.steps as f64 * rate).ceil() as u32).clamp(1, 32);
-                let plan = generate_plan(seed, count, reference.steps.max(1), RAM_FAULT_WINDOW);
-                let budget = reference.steps * 4 + 10_000;
-                let watchdog = (reference.sim_time * 4).saturating_add(SimTime::from_ms(1));
+                let seed = run_seed(master, i);
+                let replay = Replay::of(&reference, seed, rate);
                 let run = match &guest {
-                    Some(p) => program_faulted(p, &plan, budget, ctx),
-                    None => faulted_run(kind, &plan, Some(watchdog), budget),
+                    Some(p) => program_faulted(p, &replay.plan, replay.budget, ctx),
+                    None => faulted_run(kind, &replay.plan, Some(replay.watchdog), replay.budget),
                 };
                 let outcome = classify(&reference, &run);
                 let mut counts = vec![0u64; Outcome::COUNT];
@@ -1020,154 +950,81 @@ fn fleet_main(args: &[String]) -> ExitCode {
         })
         .collect();
 
-    let header = JournalHeader { suite: suite.into(), jobs: u64::from(opts.jobs), seed: opts.seed };
-    let journal_path = opts.journal.as_ref().map(std::path::Path::new);
-    let (mut journal, recovered) = match (journal_path, opts.resume) {
-        (Some(path), true) => match Journal::open_resume(path, &header) {
-            Ok((j, recovered)) => (Some(j), recovered),
-            Err(e) => {
-                eprintln!("error: cannot resume journal: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        (Some(path), false) => match Journal::create(path, &header) {
-            Ok(j) => (Some(j), Vec::new()),
-            Err(e) => {
-                eprintln!("error: cannot create journal: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        (None, _) => (None, Vec::new()),
-    };
-    if !recovered.is_empty() {
-        eprintln!("fleet: resumed {} completed job(s) from journal", recovered.len());
+    // Every input that changes a job's payload pins the journal.
+    let mut inputs = Vec::new();
+    if let Some(digest) = program_digest {
+        inputs.push(("program", format!("{digest:016x}")));
     }
+    for (name, ids) in [("inject_panic", &opts.inject_panic), ("inject_hang", &opts.inject_hang)] {
+        let mut ids = ids.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        if !ids.is_empty() {
+            inputs.push((name, format!("{ids:?}")));
+        }
+    }
+    let header = JournalHeader {
+        suite: suite.into(),
+        jobs: u64::from(opts.jobs),
+        seed: opts.seed,
+        rate: opts.rate,
+        inputs,
+    };
 
     // Telemetry is opt-in: without any consumer flag no hub exists and
     // the executor's per-job telemetry guard is a null-pointer check.
-    let hub = opts.telemetry_on().then(|| TelemetryHub::new(opts.workers));
-    if let Some(h) = &hub {
-        h.add_resumed(recovered.len() as u64);
-    }
-    let metrics_server = match (&opts.metrics_addr, &hub) {
-        (Some(addr), Some(h)) => {
-            let render_hub = Arc::clone(h);
-            // Fleet series plus the `obs::metrics` registry (under the
-            // `vp_` prefix) — the fleet aggregates one registry counter
-            // live, retired instructions, same as `--metrics-json`.
-            let render = Arc::new(move || {
-                let mut expo = taintvp::obs::Expo::new();
-                let snap = render_hub.snapshot();
-                snap.render_prom(&mut expo);
-                let registry =
-                    taintvp::obs::Metrics { instructions: snap.insns, ..Default::default() };
-                taintvp::obs::expo::render_metrics(&mut expo, "vp", &[], &registry);
-                expo.finish()
-            });
-            match MetricsServer::bind(addr, render) {
-                Ok(server) => {
-                    eprintln!("fleet: metrics endpoint on http://{}/metrics", server.local_addr());
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+    let telemetry = (opts.telemetry.requested() || opts.metrics_json.is_some())
+        .then(|| opts.telemetry.start(opts.workers, "fleet"));
+    let mut telemetry = match telemetry.transpose() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
         }
-        _ => None,
     };
-    let sampler = match &hub {
-        Some(h) => {
-            let config = SamplerConfig {
-                interval: Duration::from_millis(opts.telemetry_interval_ms),
-                out: opts.telemetry_out.as_ref().map(std::path::PathBuf::from),
-                progress: true,
-            };
-            match spawn_sampler(Arc::clone(h), config) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("error: cannot start telemetry sampler: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        None => None,
-    };
-
-    let skip: Vec<u64> = recovered.iter().map(|r| r.job_id).collect();
     let fleet_config = FleetConfig {
         workers: opts.workers,
         deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-        telemetry: hub.clone(),
+        telemetry: telemetry.as_ref().map(|t| Arc::clone(t.hub())),
         ..FleetConfig::default()
     };
-    let fresh = Fleet::new(fleet_config).run(jobs, journal.as_mut(), &skip);
-    if let Some(s) = sampler {
-        // The run marked the hub done; the sampler emits its final
-        // snapshot and exits. A stream-write failure is diagnostic only.
-        if let Err(e) = s.finish() {
-            eprintln!("fleet: warning: telemetry stream write failed: {e}");
+    let journal = opts.journal.as_deref().map(std::path::Path::new);
+    let run = match run_journaled(&fleet_config, jobs, journal, &header, opts.resume) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
         }
+    };
+    if run.resumed > 0 {
+        eprintln!("fleet: resumed {} completed job(s) from journal", run.resumed);
+    }
+    if let Some(t) = telemetry.as_mut() {
+        t.end_sampling();
     }
 
-    let mut results = recovered;
-    results.extend(fresh);
-    results.sort_by_key(|r| r.job_id);
-
-    // Deterministic aggregate: one row per job in id order, failures as
-    // explicit rows — byte-identical for any worker count.
-    use std::fmt::Write as _;
-    let mut summary = [0u64; Outcome::COUNT];
+    // Deterministic aggregate: its own header, then the campaign report's
+    // rows and summary, with the job-level failures counted after the
+    // outcomes — byte-identical for any worker count.
+    let summary = run.summary();
     let mut failed = [0u64; 3]; // crashed, hang, error
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"fleet\": {{\"suite\": \"{suite}\", \"seed\": {}, \"jobs\": {}}},",
-        opts.seed, opts.jobs
-    );
-    let _ = writeln!(
-        out,
-        "  \"reference\": {{\"scenario\":\"{scenario_name}\",\"exit\":\"{}\",\"steps\":{}}},",
+    for r in run.failures() {
+        match r.status {
+            JobStatus::Crashed => failed[0] += 1,
+            JobStatus::Hang => failed[1] += 1,
+            _ => failed[2] += 1,
+        }
+    }
+    let header = format!(
+        "  \"fleet\": {{\"suite\": \"{suite}\", \"seed\": {}, \"jobs\": {}}},\n  \
+         \"reference\": {{\"scenario\":\"{scenario_name}\",\"exit\":\"{}\",\"steps\":{}}},\n",
+        opts.seed,
+        opts.jobs,
         reference.exit.label(),
         reference.steps
     );
-    out.push_str("  \"runs\": [\n");
-    for (n, r) in results.iter().enumerate() {
-        let comma = if n + 1 < results.len() { "," } else { "" };
-        match (&r.status, &r.payload) {
-            (JobStatus::Ok, Some(payload)) => {
-                for (slot, c) in r.counts.iter().enumerate() {
-                    if let Some(cell) = summary.get_mut(slot) {
-                        *cell += c;
-                    }
-                }
-                let _ = writeln!(out, "    {payload}{comma}");
-            }
-            _ => {
-                match r.status {
-                    JobStatus::Crashed => failed[0] += 1,
-                    JobStatus::Hang => failed[1] += 1,
-                    _ => failed[2] += 1,
-                }
-                let _ = writeln!(
-                    out,
-                    "    {{\"job\":{},\"failed\":\"{}\"}}{comma}",
-                    r.job_id,
-                    r.status.label()
-                );
-            }
-        }
-    }
-    out.push_str("  ],\n");
-    let mut cells: Vec<String> =
-        Outcome::ALL.iter().map(|o| format!("\"{}\": {}", o.label(), summary[o.index()])).collect();
-    for (label, n) in [("crashed", failed[0]), ("hang", failed[1]), ("error", failed[2])] {
-        cells.push(format!("\"{label}\": {n}"));
-    }
-    let _ = writeln!(out, "  \"summary\": {{{}}}", cells.join(", "));
-    out.push_str("}\n");
+    let failed_cells = [("crashed", failed[0]), ("hang", failed[1]), ("error", failed[2])];
+    let out = render_report(&header, "job", &run.rows(), &summary, &failed_cells);
 
     match &opts.out {
         Some(path) => {
@@ -1182,30 +1039,26 @@ fn fleet_main(args: &[String]) -> ExitCode {
 
     // `taintvp-metrics/v1` with the fleet extension: outcome-class
     // counts plus the per-worker telemetry snapshot (timing-free).
-    if let (Some(path), Some(h)) = (&opts.metrics_json, &hub) {
-        let snap = h.snapshot();
+    if let (Some(path), Some(t)) = (&opts.metrics_json, &telemetry) {
+        let snap = t.hub().snapshot();
         let mut outcome_cells: Vec<String> = Outcome::ALL
             .iter()
             .map(|o| format!("\"{}\":{}", o.label(), summary[o.index()]))
             .collect();
         // Job-level failure classes are prefixed so they cannot collide
         // with classification labels (`hang` exists in both namespaces).
-        for (label, n) in
-            [("job_crashed", failed[0]), ("job_hang", failed[1]), ("job_error", failed[2])]
-        {
-            outcome_cells.push(format!("\"{label}\":{n}"));
+        for (label, n) in failed_cells {
+            outcome_cells.push(format!("\"job_{label}\":{n}"));
         }
         let fleet_block = format!(
             "{{\"outcomes\":{{{}}},\"telemetry\":{}}}",
             outcome_cells.join(","),
             snap.deterministic_json()
         );
-        let registry =
-            taintvp::obs::Metrics { instructions: snap.insns, ..taintvp::obs::Metrics::default() };
         let write = std::fs::File::create(path).and_then(|f| {
             taintvp::obs::export::write_metrics_json_ext(
                 std::io::BufWriter::new(f),
-                &registry,
+                &snap.metrics(),
                 &[("fleet", &fleet_block)],
             )
         });
@@ -1215,20 +1068,18 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         eprintln!("fleet: metrics JSON written to {path}");
     }
-    for r in &results {
-        if r.status != JobStatus::Ok {
-            eprintln!(
-                "fleet: job {} did not complete: {}{}",
-                r.job_id,
-                r.status.label(),
-                r.detail.as_deref().map(|d| format!(" ({d})")).unwrap_or_default()
-            );
-        }
+    for r in run.failures() {
+        eprintln!(
+            "fleet: job {} did not complete: {}{}",
+            r.job_id,
+            r.status.label(),
+            r.detail.as_deref().map(|d| format!(" ({d})")).unwrap_or_default()
+        );
     }
     eprintln!(
         "fleet: {} job(s), {} completed, {} crashed, {} hung, {} errored",
-        results.len(),
-        results.len() as u64 - failed.iter().sum::<u64>(),
+        run.results.len(),
+        run.results.len() as u64 - failed.iter().sum::<u64>(),
         failed[0],
         failed[1],
         failed[2]
@@ -1249,17 +1100,8 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         ExitCode::SUCCESS
     };
-    if let Some(server) = metrics_server {
-        // Keep the endpoint up for post-run scrapes (CI asserts final
-        // counters against the journal) before tearing it down.
-        if opts.metrics_linger_ms > 0 {
-            eprintln!(
-                "fleet: metrics endpoint lingering {}ms for final scrapes",
-                opts.metrics_linger_ms
-            );
-            std::thread::sleep(Duration::from_millis(opts.metrics_linger_ms));
-        }
-        server.shutdown();
+    if let Some(t) = telemetry {
+        t.finish();
     }
     exit
 }

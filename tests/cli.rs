@@ -312,3 +312,111 @@ fn taint_segment_flag_classifies_elf_ingress() {
     assert!(stderr.contains("only applies to ELF"), "{stderr}");
     let _ = std::fs::remove_file(&path);
 }
+
+/// Runs `taintvp-run fleet` with `args`, writing the report to a temp
+/// file named after `name`; returns the report and stderr.
+fn fleet_report(name: &str, args: &[&str]) -> (String, String) {
+    let out =
+        std::env::temp_dir().join(format!("taintvp_cli_fleet_{}_{name}.json", std::process::id()));
+    let mut argv = vec!["fleet"];
+    argv.extend_from_slice(args);
+    argv.extend_from_slice(&["--out", out.to_str().unwrap()]);
+    let (code, _stdout, stderr) = run_cli(&argv);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let report = std::fs::read_to_string(&out).expect("fleet report written");
+    let _ = std::fs::remove_file(&out);
+    (report, stderr)
+}
+
+fn temp_journal(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("taintvp_cli_fleet_{}_{name}.jsonl", std::process::id()))
+}
+
+#[test]
+fn fleet_report_is_independent_of_worker_count() {
+    let (serial, _) = fleet_report("w1", &["--jobs", "6", "--workers", "1"]);
+    let (parallel, _) = fleet_report("w3", &["--jobs", "6", "--workers", "3"]);
+    assert_eq!(serial.matches("\"result\":").count(), 6, "one row per job: {serial}");
+    assert_eq!(parallel, serial, "3 workers render the serial bytes");
+}
+
+#[test]
+fn fleet_injected_failures_cost_one_row_each() {
+    let (serial, _) = fleet_report("inj_serial", &["--jobs", "6", "--workers", "1"]);
+    let (injected, _) = fleet_report(
+        "inj",
+        &[
+            "--jobs",
+            "6",
+            "--workers",
+            "2",
+            "--deadline-ms",
+            "500",
+            "--inject-panic",
+            "2",
+            "--inject-hang",
+            "4",
+        ],
+    );
+    assert!(injected.contains("{\"job\":2,\"failed\":\"crashed\"}"), "{injected}");
+    assert!(injected.contains("{\"job\":4,\"failed\":\"hang\"}"), "{injected}");
+    // Every other row is the serial one; the summary counts the two
+    // failures, so it differs too.
+    let others = |report: &str| -> Vec<String> {
+        report
+            .lines()
+            .filter(|l| !l.contains("\"job\":2,") && !l.contains("\"job\":4,"))
+            .filter(|l| !l.contains("\"summary\""))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(others(&injected), others(&serial));
+}
+
+#[test]
+fn fleet_resume_after_a_torn_journal_reproduces_the_serial_report() {
+    let journal = temp_journal("torn");
+    let path = journal.to_str().unwrap();
+    let (serial, _) = fleet_report("torn_full", &["--jobs", "6", "--journal", path]);
+
+    // A killed writer leaves the header, three records and a torn line.
+    let text = std::fs::read_to_string(&journal).expect("journal written");
+    let mut cut: String = text.lines().take(4).map(|l| format!("{l}\n")).collect();
+    cut.push_str("{\"job\":5,\"status\":\"ok\",\"att");
+    std::fs::write(&journal, cut).expect("journal cut");
+
+    let (resumed, stderr) = fleet_report(
+        "torn_resumed",
+        &["--jobs", "6", "--workers", "2", "--journal", path, "--resume"],
+    );
+    assert!(stderr.contains("resumed 3 completed job(s)"), "{stderr}");
+    assert_eq!(resumed, serial, "the resumed sweep renders the uninterrupted bytes");
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn fleet_resume_refuses_a_journal_of_another_program() {
+    let journal = temp_journal("program");
+    let path = journal.to_str().unwrap();
+    let leak = ["--jobs", "2", "--program", "docs/examples/leak.s", "--journal", path];
+    fleet_report("program_leak", &leak);
+    let written = std::fs::read(&journal).expect("journal written");
+
+    let (code, _stdout, stderr) = run_cli(&[
+        "fleet",
+        "--jobs",
+        "2",
+        "--program",
+        "docs/examples/immo_leak.s",
+        "--journal",
+        path,
+        "--resume",
+    ]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("different campaign"), "{stderr}");
+    assert_eq!(std::fs::read(&journal).unwrap(), written, "a refused journal is untouched");
+
+    let (_, stderr) = fleet_report("program_again", &[&leak[..], &["--resume"]].concat());
+    assert!(stderr.contains("resumed 2 completed job(s)"), "{stderr}");
+    let _ = std::fs::remove_file(&journal);
+}
