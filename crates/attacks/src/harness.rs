@@ -74,7 +74,7 @@ pub fn run_attack_captured(attack: &Attack, benign: bool, engine: ExecMode) -> O
     // tests" (paper §VI-B): stamp the payload function.
     let payload = form.program.symbol("payload").expect("payload symbol");
     let end = form.program.symbol("payload_end").expect("payload end marker");
-    soc.ram().borrow_mut().classify(payload, (end - payload) as usize, LI);
+    soc.ram_mut().classify(payload, (end - payload) as usize, LI);
 
     let input =
         if benign { form.benign_input.clone() } else { (form.malicious_input)(&form.program) };

@@ -47,17 +47,17 @@ fn bench_dma(c: &mut Criterion) {
     let mut g = c.benchmark_group("dma_copy_4k");
     for (name, tracking) in [("untracked", false), ("tracked", true)] {
         g.bench_function(name, |b| {
-            let ram = Ram::new(64 * 1024, tracking).into_shared();
-            ram.borrow_mut().classify(0, 4096, Tag::from_bits(1));
+            let mut ram = Ram::new(64 * 1024, tracking);
+            ram.classify(0, 4096, Tag::from_bits(1));
             let mut ports = Router::new("dma-ports");
-            ports.map("ram", AddrRange::new(0, 64 * 1024), ram).unwrap();
+            ports.map_memory("ram", AddrRange::new(0, 64 * 1024)).unwrap();
             let mut dma = Dma::new(ports, None, None);
             b.iter(|| {
                 use vpdift_tlm::TlmTarget;
                 let mut d = vpdift_kernel::SimTime::ZERO;
                 for (reg, v) in [(0x0, 0u32), (0x4, 0x4000), (0x8, 4096), (0xC, 1)] {
                     let mut p = GenericPayload::write_word(reg, vpdift_core::Taint::untainted(v));
-                    dma.transport(&mut p, &mut d);
+                    dma.transport_with(&mut p, &mut d, &mut ram);
                     assert!(p.is_ok());
                 }
             })
@@ -101,7 +101,7 @@ fn bench_taint_density(c: &mut Criterion) {
                 let mut soc = Soc::<Tainted>::new(cfg);
                 soc.load_program(&prog);
                 if stride > 0 {
-                    let mut ram = soc.ram().borrow_mut();
+                    let ram = soc.ram_mut();
                     let mut w = 0;
                     while w < 4096 {
                         ram.classify(0x10000 + w * 4, 4, Tag::from_bits(1));

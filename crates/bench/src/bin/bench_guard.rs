@@ -56,18 +56,19 @@ fn collect_entries(text: &str) -> Vec<Value> {
     entries
 }
 
-fn median_of(entries: &[Value], group: &str, name: &str) -> Option<f64> {
+/// One statistic (`median`, `min`, `max`, …) of the named entry.
+fn stat_of(entries: &[Value], group: &str, name: &str, stat: &str) -> Option<f64> {
     let is = |e: &Value, key: &str, want: &str| e.get(key).and_then(Value::as_str) == Some(want);
     let entry = entries.iter().find(|e| is(e, "group", group) && is(e, "name", name))?;
-    entry.get("median")?.as_f64()
+    entry.get(stat)?.as_f64()
 }
 
 /// Checks both gates. `Ok` carries one report line per gate, `Err` the
 /// first gate that fails or lacks its entries.
 fn check_gates(entries: &[Value]) -> Result<Vec<String>, String> {
     let medians = |group: &str, a: &str, b: &str| match (
-        median_of(entries, group, a),
-        median_of(entries, group, b),
+        stat_of(entries, group, a, "median"),
+        stat_of(entries, group, b, "median"),
     ) {
         (Some(x), Some(y)) => Ok((x, y)),
         _ => Err(format!("missing {group} {a} / {b} entries")),
@@ -120,7 +121,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Log this run to the append-only perf trajectory.
+    // Log this run to the append-only perf trajectory: each median with
+    // its spread (the sample min and max) and the host's core count.
     let tracked = [
         (GROUP, "vp_plain_interp"),
         (GROUP, "vp_plain_block"),
@@ -129,13 +131,18 @@ fn main() -> ExitCode {
         (SETUP_GROUP, "vp_plain"),
         (SETUP_GROUP, "vp_plus"),
     ];
-    let mut logged: Vec<trajectory::Entry> = tracked
-        .iter()
-        .filter_map(|&(group, name)| {
-            median_of(&entries, group, name)
-                .map(|m| trajectory::Entry::new(group, name, "ns/iter", m))
-        })
-        .collect();
+    let mut logged = Vec::new();
+    for (group, name) in tracked {
+        for (stat, label) in [
+            ("median", name.into()),
+            ("min", format!("{name}.min")),
+            ("max", format!("{name}.max")),
+        ] {
+            if let Some(v) = stat_of(&entries, group, name, stat) {
+                logged.push(trajectory::Entry::new(group, &label, "ns/iter", v));
+            }
+        }
+    }
     logged.push(trajectory::Entry::new(GROUP, "host_cores", "count", cores as f64));
     let line = trajectory::render_line("bench_guard", trajectory::now_unix(), &logged);
     let traj_path = trajectory::path();
@@ -167,18 +174,19 @@ mod tests {
         );
         let entries = collect_entries(text);
         assert_eq!(entries.len(), 2, "blank + torn lines skipped, not parsed");
-        assert_eq!(median_of(&entries, GROUP, "vp_plain_interp"), Some(10.0));
-        assert_eq!(median_of(&entries, GROUP, "vp_plain_block"), Some(5.0));
-        assert_eq!(median_of(&entries, GROUP, "torn"), None);
+        assert_eq!(stat_of(&entries, GROUP, "vp_plain_interp", "median"), Some(10.0));
+        assert_eq!(stat_of(&entries, GROUP, "vp_plain_block", "median"), Some(5.0));
+        assert_eq!(stat_of(&entries, GROUP, "torn", "median"), None);
     }
 
     #[test]
     fn only_the_gated_group_counts() {
         let entries = collect_entries(concat!(
             "{\"group\": \"iss_step_rate\", \"name\": \"vp_plain_block\", \"median\": 1.0}\n",
-            "{\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"median\": 2.0}\n",
+            "{\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"median\": 2.0, \"min\": 1.5}\n",
         ));
-        assert_eq!(median_of(&entries, GROUP, "vp_plain_block"), Some(2.0));
+        assert_eq!(stat_of(&entries, GROUP, "vp_plain_block", "median"), Some(2.0));
+        assert_eq!(stat_of(&entries, GROUP, "vp_plain_block", "min"), Some(1.5), "the spread");
     }
 
     #[test]
@@ -210,7 +218,7 @@ mod tests {
             "\n",
             r#"    {"group": "soc_engine", "name": "a", "unit": "ns/iter", "median": 7.0}"#,
         ));
-        assert_eq!(median_of(&entries, GROUP, "a,\"b\""), Some(1234.5));
-        assert_eq!(median_of(&entries, GROUP, "a"), Some(7.0));
+        assert_eq!(stat_of(&entries, GROUP, "a,\"b\"", "median"), Some(1234.5));
+        assert_eq!(stat_of(&entries, GROUP, "a", "median"), Some(7.0));
     }
 }

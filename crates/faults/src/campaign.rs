@@ -368,7 +368,7 @@ pub fn faulted_run(
             let cfg = base_builder().policy(code_injection_policy()).build();
             let mut soc = Soc::<Tainted>::new(cfg);
             soc.load_program(&guest.program);
-            soc.ram().borrow_mut().classify(guest.payload, guest.payload_len, LI);
+            soc.ram_mut().classify(guest.payload, guest.payload_len, LI);
             soc.terminal().borrow_mut().feed(&guest.input);
             if let Some(t) = watchdog {
                 soc.watchdog().borrow_mut().arm(t);
@@ -408,7 +408,7 @@ pub fn directed_run(kind: ScenarioKind, faulted: bool) -> ScenarioRun {
 fn directed_trap_loop(faulted: bool) -> ScenarioRun {
     let cfg = base_builder().build();
     let mut soc = Soc::<Tainted>::new(cfg);
-    soc.ram().borrow_mut().load_image(0, &0x0000_006Fu32.to_le_bytes());
+    soc.ram_mut().load_image(0, &0x0000_006Fu32.to_le_bytes());
     soc.cpu_mut().reset(0);
     let plan = if faulted {
         vec![PlannedFault { at_step: 50, kind: FaultKind::RamDataFlip { offset: 0, bit: 6 } }]

@@ -54,10 +54,10 @@ pub fn apply_fault<M: TaintMode, S: ObsSink>(
         FaultKind::RamDataFlip { offset, bit } => {
             // Out-of-range offsets are a no-op (None): the record still
             // notes the attempt so reports stay faithful to the plan.
-            let _ = soc.ram().borrow_mut().flip_data_bit(offset, bit);
+            let _ = soc.ram_mut().flip_data_bit(offset, bit);
         }
         FaultKind::RamTagFlip { offset, atom } => {
-            let _ = soc.ram().borrow_mut().flip_tag_bit(offset, atom);
+            let _ = soc.ram_mut().flip_tag_bit(offset, atom);
         }
         FaultKind::TlmCorrupt | FaultKind::TlmDrop | FaultKind::TlmError => {
             if state.bus.is_none() {
@@ -170,7 +170,7 @@ mod tests {
             .build();
         let mut soc = Soc::<Tainted>::new(cfg);
         soc.load_program(&prog);
-        soc.ram().borrow_mut().load_image(0x2000, &[0x00]);
+        soc.ram_mut().load_image(0x2000, &[0x00]);
         soc
     }
 
@@ -188,7 +188,7 @@ mod tests {
         assert_eq!(records[0].kind, "ram_data_flip");
         assert_eq!(records[0].addr, Some(0x2000));
         // The flip happened mid-run: later iterations copied 0x80.
-        let ram = soc.ram().borrow();
+        let ram = soc.ram();
         assert_eq!(ram.bytes(0x2004, 1), &[0x80], "post-flip value propagated");
     }
 

@@ -4,7 +4,7 @@
 //! The campaign, attack-sweep and brute-force runners all execute seeded
 //! sessions that are independent by construction; this crate runs them
 //! in parallel without giving up the workspace's reproducibility
-//! guarantee. Each [`Job`](job::Job) is a re-runnable closure producing
+//! guarantee. Each [`Job`] is a re-runnable closure producing
 //! a deterministic JSON payload; the executor adds the robustness the
 //! runners cannot provide for themselves:
 //!

@@ -1,7 +1,7 @@
 //! Live-introspection sink: taint watchpoints, a cooperative stop flag,
 //! and a bounded buffer of streamable items.
 //!
-//! Where the [`Recorder`](crate::Recorder) aggregates for post-mortem
+//! Where the [`Recorder`] aggregates for post-mortem
 //! reports, the [`StreamSink`] wraps one and additionally makes the event
 //! stream *interactive*: a serve layer registers [`Watch`]points, runs the
 //! VP in slices, and between slices [`drain`](StreamSink::drain)s whatever

@@ -12,7 +12,7 @@ use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, Router, TlmCommand, TlmResponse, TlmTarget};
 
-use crate::mmio::{get_word, put_word};
+use crate::mmio::{get_word, no_memory, put_word};
 use crate::plic::IrqLine;
 
 /// Hardware limit on a single transfer; `CTRL` writes with a larger
@@ -36,7 +36,8 @@ pub mod regs {
 
 /// The DMA controller. It owns a *private* [`Router`] (configured by the
 /// SoC with the same shared targets as the system bus, minus the DMA
-/// itself), which keeps transfers re-entrant-safe.
+/// itself), which keeps transfers re-entrant-safe. Its RAM window reaches
+/// the memory lent to each transaction ([`TlmTarget::transport_with`]).
 pub struct Dma {
     ports: Router,
     engine: Option<SharedEngine>,
@@ -101,7 +102,11 @@ impl Dma {
     }
 
     /// Performs the staged transfer. Chunked in 16-byte bursts.
-    fn run_transfer(&mut self, delay: &mut SimTime) -> Result<(), Option<Violation>> {
+    fn run_transfer(
+        &mut self,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) -> Result<(), Option<Violation>> {
         if self.len > MAX_TRANSFER {
             return Err(None);
         }
@@ -118,7 +123,7 @@ impl Dma {
             }
             let chunk = remaining.min(16) as usize;
             let mut rd = GenericPayload::read(src, chunk);
-            self.ports.route(&mut rd, delay);
+            self.ports.route(&mut rd, delay, mem);
             if !rd.is_ok() {
                 return Err(rd.take_violation());
             }
@@ -131,7 +136,7 @@ impl Dma {
                 }
             }
             let mut wr = GenericPayload::write(dst, rd.data());
-            self.ports.route(&mut wr, delay);
+            self.ports.route(&mut wr, delay, mem);
             if !wr.is_ok() {
                 return Err(wr.take_violation());
             }
@@ -148,6 +153,15 @@ impl Dma {
 
 impl TlmTarget for Dma {
     fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
+        self.transport_with(p, delay, &mut no_memory);
+    }
+
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -166,7 +180,7 @@ impl TlmTarget for Dma {
                 regs::CTRL => {
                     self.done = false;
                     self.error = false;
-                    match self.run_transfer(delay) {
+                    match self.run_transfer(delay, mem) {
                         Ok(()) => {
                             self.done = true;
                             if let Some(irq) = &self.irq {
@@ -220,40 +234,41 @@ mod tests {
 
     const SECRET: Tag = Tag::from_bits(1);
 
-    fn dma_with_ram() -> (Dma, Shared<Ram>) {
-        let ram = Ram::new(4096, true).into_shared();
+    fn ports(ram_size: u32) -> Router {
         let mut ports = Router::new("dma-ports");
-        ports.map("ram", AddrRange::new(0, 4096), ram.clone()).unwrap();
-        (Dma::new(ports, None, None), ram)
+        ports.map_memory("ram", AddrRange::new(0, ram_size)).unwrap();
+        ports
     }
 
-    fn wr(d: &mut Dma, reg: u32, v: u32) -> GenericPayload {
+    fn dma_with_ram() -> (Dma, Ram) {
+        (Dma::new(ports(4096), None, None), Ram::new(4096, true))
+    }
+
+    fn wr(d: &mut Dma, ram: &mut Ram, reg: u32, v: u32) -> GenericPayload {
         let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
         p
     }
 
-    fn rd(d: &mut Dma, reg: u32) -> u32 {
+    fn rd(d: &mut Dma, ram: &mut Ram, reg: u32) -> u32 {
         let mut p = GenericPayload::read(reg, 4);
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
         p.data_word::<u32>().value()
     }
 
     #[test]
     fn copy_preserves_values_and_tags() {
-        let (mut d, ram) = dma_with_ram();
-        {
-            let mut ram = ram.borrow_mut();
-            ram.load_image(0x100, &[1, 2, 3, 4, 5, 6, 7]);
-            ram.classify(0x102, 3, SECRET);
-        }
-        wr(&mut d, regs::SRC, 0x100);
-        wr(&mut d, regs::DST, 0x200);
-        wr(&mut d, regs::LEN, 7);
-        assert!(wr(&mut d, regs::CTRL, 1).is_ok());
-        assert_eq!(rd(&mut d, regs::STATUS), 1);
+        let (mut d, mut ram) = dma_with_ram();
+        ram.load_image(0x100, &[1, 2, 3, 4, 5, 6, 7]);
+        ram.classify(0x102, 3, SECRET);
+        let epoch = ram.epoch();
+        wr(&mut d, &mut ram, regs::SRC, 0x100);
+        wr(&mut d, &mut ram, regs::DST, 0x200);
+        wr(&mut d, &mut ram, regs::LEN, 7);
+        assert!(wr(&mut d, &mut ram, regs::CTRL, 1).is_ok());
+        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 1);
         assert_eq!(d.bytes_moved(), 7);
-        let ram = ram.borrow();
+        assert!(ram.epoch() > epoch, "a burst bypasses the CPU");
         assert_eq!(ram.bytes(0x200, 7), &[1, 2, 3, 4, 5, 6, 7]);
         // Taint travelled with the bytes — the flow the CPU never saw.
         assert_eq!(ram.byte_at(0x201).unwrap().1, Tag::EMPTY);
@@ -264,90 +279,91 @@ mod tests {
 
     #[test]
     fn long_transfer_chunks() {
-        let (mut d, ram) = dma_with_ram();
+        let (mut d, mut ram) = dma_with_ram();
         let data: Vec<u8> = (0..100).collect();
-        ram.borrow_mut().load_image(0, &data);
-        wr(&mut d, regs::SRC, 0);
-        wr(&mut d, regs::DST, 0x800);
-        wr(&mut d, regs::LEN, 100);
-        assert!(wr(&mut d, regs::CTRL, 1).is_ok());
-        assert_eq!(ram.borrow().bytes(0x800, 100), &data[..]);
+        ram.load_image(0, &data);
+        wr(&mut d, &mut ram, regs::SRC, 0);
+        wr(&mut d, &mut ram, regs::DST, 0x800);
+        wr(&mut d, &mut ram, regs::LEN, 100);
+        assert!(wr(&mut d, &mut ram, regs::CTRL, 1).is_ok());
+        assert_eq!(ram.bytes(0x800, 100), &data[..]);
     }
 
     #[test]
     fn dma_into_protected_region_violates() {
-        let ram = Ram::new(4096, true).into_shared();
-        let mut ports = Router::new("dma-ports");
-        ports.map("ram", AddrRange::new(0, 4096), ram.clone()).unwrap();
+        let mut ram = Ram::new(4096, true);
         let policy = SecurityPolicy::builder("t")
             .protect_region("pin", AddrRange::new(0x300, 16), Tag::EMPTY)
             .build();
         let engine = DiftEngine::new(policy).into_shared();
-        let mut d = Dma::new(ports, Some(engine.clone()), None);
-        ram.borrow_mut().classify(0x100, 4, SECRET);
-        wr(&mut d, regs::SRC, 0x100);
-        wr(&mut d, regs::DST, 0x300);
-        wr(&mut d, regs::LEN, 4);
-        let mut go = wr(&mut d, regs::CTRL, 1);
+        let mut d = Dma::new(ports(4096), Some(engine.clone()), None);
+        ram.classify(0x100, 4, SECRET);
+        wr(&mut d, &mut ram, regs::SRC, 0x100);
+        wr(&mut d, &mut ram, regs::DST, 0x300);
+        wr(&mut d, &mut ram, regs::LEN, 4);
+        let mut go = wr(&mut d, &mut ram, regs::CTRL, 1);
         let v = go.take_violation().expect("violation");
         assert!(matches!(v.kind, ViolationKind::Store { ref region } if region == "pin"));
-        assert_eq!(rd(&mut d, regs::STATUS), 0b10, "error bit set");
+        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10, "error bit set");
     }
 
     #[test]
     fn out_of_range_transfer_errors() {
-        let (mut d, _ram) = dma_with_ram();
-        wr(&mut d, regs::SRC, 0x10_0000);
-        wr(&mut d, regs::DST, 0);
-        wr(&mut d, regs::LEN, 4);
-        let p = wr(&mut d, regs::CTRL, 1);
+        let (mut d, mut ram) = dma_with_ram();
+        wr(&mut d, &mut ram, regs::SRC, 0x10_0000);
+        wr(&mut d, &mut ram, regs::DST, 0);
+        wr(&mut d, &mut ram, regs::LEN, 4);
+        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
         assert_eq!(p.response(), TlmResponse::GenericError);
-        assert_eq!(rd(&mut d, regs::STATUS), 0b10);
+        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10);
+        // Without lent memory the RAM window is out of range too.
+        wr(&mut d, &mut ram, regs::SRC, 0);
+        let mut p = GenericPayload::write_word(regs::CTRL, Taint::untainted(1));
+        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        assert_eq!(p.response(), TlmResponse::GenericError);
     }
 
     #[test]
     fn irq_raised_on_completion() {
         let plic = crate::plic::Plic::new().into_shared();
-        let ram = Ram::new(64, false).into_shared();
-        let mut ports = Router::new("dma-ports");
-        ports.map("ram", AddrRange::new(0, 64), ram).unwrap();
-        let mut d = Dma::new(ports, None, Some(IrqLine::new(plic.clone(), 4)));
-        wr(&mut d, regs::SRC, 0);
-        wr(&mut d, regs::DST, 32);
-        wr(&mut d, regs::LEN, 8);
-        wr(&mut d, regs::CTRL, 1);
+        let mut ram = Ram::new(64, false);
+        let mut d = Dma::new(ports(64), None, Some(IrqLine::new(plic.clone(), 4)));
+        wr(&mut d, &mut ram, regs::SRC, 0);
+        wr(&mut d, &mut ram, regs::DST, 32);
+        wr(&mut d, &mut ram, regs::LEN, 8);
+        wr(&mut d, &mut ram, regs::CTRL, 1);
         assert_eq!(plic.borrow().pending(), 1 << 4);
     }
 
     #[test]
     fn injected_abort_is_one_shot_and_leaves_partial_copy() {
-        let (mut d, ram) = dma_with_ram();
+        let (mut d, mut ram) = dma_with_ram();
         let data: Vec<u8> = (1..=64).collect();
-        ram.borrow_mut().load_image(0, &data);
+        ram.load_image(0, &data);
         d.inject_abort_after(32);
-        wr(&mut d, regs::SRC, 0);
-        wr(&mut d, regs::DST, 0x800);
-        wr(&mut d, regs::LEN, 64);
-        let p = wr(&mut d, regs::CTRL, 1);
+        wr(&mut d, &mut ram, regs::SRC, 0);
+        wr(&mut d, &mut ram, regs::DST, 0x800);
+        wr(&mut d, &mut ram, regs::LEN, 64);
+        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
         assert_eq!(p.response(), TlmResponse::GenericError);
-        assert_eq!(rd(&mut d, regs::STATUS), 0b10, "error bit set");
-        let copied = ram.borrow().bytes(0x800, 64).to_vec();
+        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10, "error bit set");
+        let copied = ram.bytes(0x800, 64).to_vec();
         assert_eq!(&copied[..32], &data[..32], "first two bursts landed");
         assert!(copied[32..].iter().all(|&b| b == 0), "abort before the third burst");
         // The arm is one-shot: retrying the same transfer now succeeds.
-        let p = wr(&mut d, regs::CTRL, 1);
+        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
         assert!(p.is_ok());
-        assert_eq!(ram.borrow().bytes(0x800, 64), &data[..]);
+        assert_eq!(ram.bytes(0x800, 64), &data[..]);
     }
 
     #[test]
     fn register_readback() {
-        let (mut d, _) = dma_with_ram();
-        wr(&mut d, regs::SRC, 0xAA);
-        wr(&mut d, regs::DST, 0xBB);
-        wr(&mut d, regs::LEN, 0xCC);
-        assert_eq!(rd(&mut d, regs::SRC), 0xAA);
-        assert_eq!(rd(&mut d, regs::DST), 0xBB);
-        assert_eq!(rd(&mut d, regs::LEN), 0xCC);
+        let (mut d, mut ram) = dma_with_ram();
+        wr(&mut d, &mut ram, regs::SRC, 0xAA);
+        wr(&mut d, &mut ram, regs::DST, 0xBB);
+        wr(&mut d, &mut ram, regs::LEN, 0xCC);
+        assert_eq!(rd(&mut d, &mut ram, regs::SRC), 0xAA);
+        assert_eq!(rd(&mut d, &mut ram, regs::DST), 0xBB);
+        assert_eq!(rd(&mut d, &mut ram, regs::LEN), 0xCC);
     }
 }

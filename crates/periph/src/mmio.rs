@@ -1,7 +1,8 @@
 //! Small helpers shared by all memory-mapped peripherals.
 
 use vpdift_core::Taint;
-use vpdift_tlm::GenericPayload;
+use vpdift_kernel::SimTime;
+use vpdift_tlm::{GenericPayload, TlmResponse};
 
 /// Copies a tainted register word into a payload of 1, 2 or 4 bytes
 /// (sub-word MMIO reads see the low bytes).
@@ -19,6 +20,11 @@ pub fn get_word(p: &GenericPayload) -> Taint<u32> {
     let n = p.len().min(4);
     lanes[..n].copy_from_slice(&p.data()[..n]);
     Taint::from_bytes(&lanes)
+}
+
+/// The memory lent through plain `transport`: none, so every access misses.
+pub(crate) fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
+    p.set_response(TlmResponse::AddressError);
 }
 
 #[cfg(test)]

@@ -1,11 +1,7 @@
 //! Main memory with per-byte security tags.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use vpdift_core::{SharedCensus, Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 /// Byte-addressable RAM. Tag storage is only materialised when the VP runs
@@ -20,9 +16,10 @@ use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 /// whole-RAM scans ([`Ram::digest`], [`Ram::atom_spread`]) skip all-zero
 /// chunks.
 ///
-/// The CPU reaches RAM through the fast accessors below (a DMI-style
-/// shortcut, as the real RISC-V VP does); DMA and other initiators go
-/// through the [`TlmTarget`] implementation.
+/// The SoC bus owns the RAM. The CPU reaches it through the fast
+/// accessors below (a DMI-style shortcut, as the real RISC-V VP does); the
+/// bus lends it to DMA and other initiators for each transaction, and they
+/// go through the [`TlmTarget`] implementation.
 #[derive(Debug, Clone)]
 pub struct Ram {
     data: Vec<u8>,
@@ -31,9 +28,7 @@ pub struct Ram {
     /// Mutation epoch: bumped on every change that bypasses the CPU's
     /// store path (image loads, classification, DMA/TLM writes, injected
     /// bit flips), so block-caching execution engines know to flush.
-    /// Shared as `Arc<AtomicU64>` so the SoC bus can poll it without
-    /// borrowing the RAM every step, from whichever thread owns the VP.
-    epoch: Arc<AtomicU64>,
+    epoch: u64,
     /// Live-tag census to arm when a non-empty tag enters RAM from
     /// outside the CPU (classification, tagged DMA data, tag-bit flips).
     census: Option<SharedCensus>,
@@ -73,14 +68,9 @@ impl Ram {
             data: vec![0; size],
             tags: if tracking { vec![0; size] } else { Vec::new() },
             tracking,
-            epoch: Arc::new(AtomicU64::new(0)),
+            epoch: 0,
             census: None,
         }
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Ram> {
-        shared(self)
     }
 
     /// Size in bytes.
@@ -98,19 +88,14 @@ impl Ram {
         self.tracking
     }
 
-    /// Handle to the mutation-epoch counter (see the `epoch` field docs).
-    pub fn epoch_handle(&self) -> Arc<AtomicU64> {
-        self.epoch.clone()
-    }
-
-    /// Current mutation epoch.
+    /// Current mutation epoch (see the `epoch` field docs).
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.epoch
     }
 
     #[inline]
-    fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+    fn bump_epoch(&mut self) {
+        self.epoch += 1;
     }
 
     /// Attaches the live-tag census armed by external tag sources.
@@ -239,7 +224,7 @@ impl Ram {
     /// harness's final-state comparison.
     ///
     /// FNV-1a over a zero byte is one multiply by the prime, so an all-zero
-    /// [`SCAN_CHUNK`]-byte chunk folds as one multiply by its power: the
+    /// `SCAN_CHUNK`-byte chunk folds as one multiply by its power: the
     /// result equals the byte-by-byte digest, and memory the guest never
     /// wrote costs one OR-reduction per chunk.
     pub fn digest(&self) -> u64 {
@@ -392,6 +377,14 @@ mod tests {
         assert_eq!(r.data()[0].value(), 9);
         assert_eq!(r.data()[0].tag(), Tag::atom(2));
         assert_eq!(r.data()[1].tag(), Tag::EMPTY);
+    }
+
+    #[test]
+    fn a_clone_keeps_its_own_epoch() {
+        let mut a = Ram::new(64, true);
+        let b = a.clone();
+        a.load_image(0, &[1]);
+        assert_eq!((a.epoch(), b.epoch()), (1, 0));
     }
 
     #[test]

@@ -15,8 +15,7 @@ use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
-use crate::mmio::{get_word, put_word};
-use crate::ram::Ram;
+use crate::mmio::{get_word, no_memory, put_word};
 
 /// Register map (word-aligned offsets).
 pub mod regs {
@@ -31,19 +30,19 @@ pub mod regs {
     pub const FAILED: u32 = 0xC;
 }
 
-/// The introspection peripheral.
+/// The introspection peripheral. It reads tags from the memory lent to
+/// each transaction ([`TlmTarget::transport_with`]).
 #[derive(Debug)]
 pub struct TaintDebug {
-    ram: Shared<Ram>,
     engine: SharedEngine,
     addr: u32,
     failed: u32,
 }
 
 impl TaintDebug {
-    /// Creates the peripheral over the platform RAM.
-    pub fn new(ram: Shared<Ram>, engine: SharedEngine) -> Self {
-        TaintDebug { ram, engine, addr: 0, failed: 0 }
+    /// Creates the peripheral.
+    pub fn new(engine: SharedEngine) -> Self {
+        TaintDebug { engine, addr: 0, failed: 0 }
     }
 
     /// Wraps into the shared handle used by the SoC.
@@ -55,14 +54,26 @@ impl TaintDebug {
     pub fn failed(&self) -> u32 {
         self.failed
     }
+}
 
-    fn tag_at(&self, addr: u32) -> Option<Tag> {
-        self.ram.borrow().byte_at(addr).map(|(_, t)| t)
-    }
+/// The tag of the byte at `addr` in `mem`, by a one-byte TLM read.
+fn tag_at(mem: &mut dyn TlmTarget, addr: u32, delay: &mut SimTime) -> Option<Tag> {
+    let mut p = GenericPayload::read(addr, 1);
+    mem.transport(&mut p, delay);
+    p.is_ok().then(|| p.data()[0].tag())
 }
 
 impl TlmTarget for TaintDebug {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
+        self.transport_with(p, delay, &mut no_memory);
+    }
+
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::ADDR) => {
                 self.addr = get_word(p).value();
@@ -72,7 +83,7 @@ impl TlmTarget for TaintDebug {
                 put_word(p, Taint::untainted(self.addr));
                 p.set_response(TlmResponse::Ok);
             }
-            (TlmCommand::Read, regs::TAG) => match self.tag_at(self.addr) {
+            (TlmCommand::Read, regs::TAG) => match tag_at(mem, self.addr, delay) {
                 Some(tag) => {
                     put_word(p, Taint::untainted(tag.bits()));
                     p.set_response(TlmResponse::Ok);
@@ -81,7 +92,7 @@ impl TlmTarget for TaintDebug {
             },
             (TlmCommand::Write, regs::ASSERT_TAG) => {
                 let expected = Tag::from_bits(get_word(p).value());
-                match self.tag_at(self.addr) {
+                match tag_at(mem, self.addr, delay) {
                     Some(actual) if actual == expected => p.set_response(TlmResponse::Ok),
                     Some(actual) => {
                         self.failed += 1;
@@ -111,57 +122,57 @@ impl TlmTarget for TaintDebug {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ram::Ram;
     use vpdift_core::{DiftEngine, EnforceMode, SecurityPolicy};
 
-    fn setup(mode: EnforceMode) -> (TaintDebug, Shared<Ram>) {
-        let ram = Ram::new(256, true).into_shared();
+    fn setup(mode: EnforceMode) -> (TaintDebug, Ram) {
         let engine = DiftEngine::with_mode(SecurityPolicy::permissive(), mode).into_shared();
-        (TaintDebug::new(ram.clone(), engine), ram)
+        (TaintDebug::new(engine), Ram::new(256, true))
     }
 
-    fn wr(d: &mut TaintDebug, reg: u32, v: u32) -> GenericPayload {
+    fn wr(d: &mut TaintDebug, ram: &mut Ram, reg: u32, v: u32) -> GenericPayload {
         let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
         p
     }
 
-    fn rd(d: &mut TaintDebug, reg: u32) -> u32 {
+    fn rd(d: &mut TaintDebug, ram: &mut Ram, reg: u32) -> u32 {
         let mut p = GenericPayload::read(reg, 4);
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
         assert!(p.is_ok());
         p.data_word::<u32>().value()
     }
 
     #[test]
     fn reads_tags_of_ram_bytes() {
-        let (mut d, ram) = setup(EnforceMode::Enforce);
-        ram.borrow_mut().classify(0x10, 1, Tag::from_bits(0b101));
-        wr(&mut d, regs::ADDR, 0x10);
-        assert_eq!(rd(&mut d, regs::TAG), 0b101);
-        assert_eq!(rd(&mut d, regs::ADDR), 0x10);
-        wr(&mut d, regs::ADDR, 0x11);
-        assert_eq!(rd(&mut d, regs::TAG), 0);
+        let (mut d, mut ram) = setup(EnforceMode::Enforce);
+        ram.classify(0x10, 1, Tag::from_bits(0b101));
+        wr(&mut d, &mut ram, regs::ADDR, 0x10);
+        assert_eq!(rd(&mut d, &mut ram, regs::TAG), 0b101);
+        assert_eq!(rd(&mut d, &mut ram, regs::ADDR), 0x10);
+        wr(&mut d, &mut ram, regs::ADDR, 0x11);
+        assert_eq!(rd(&mut d, &mut ram, regs::TAG), 0);
     }
 
     #[test]
     fn assertions_pass_and_fail() {
-        let (mut d, ram) = setup(EnforceMode::Record);
-        ram.borrow_mut().classify(0x20, 1, Tag::from_bits(0b1));
-        wr(&mut d, regs::ADDR, 0x20);
-        assert!(wr(&mut d, regs::ASSERT_TAG, 0b1).is_ok());
+        let (mut d, mut ram) = setup(EnforceMode::Record);
+        ram.classify(0x20, 1, Tag::from_bits(0b1));
+        wr(&mut d, &mut ram, regs::ADDR, 0x20);
+        assert!(wr(&mut d, &mut ram, regs::ASSERT_TAG, 0b1).is_ok());
         assert_eq!(d.failed(), 0);
         // Wrong expectation: recorded, counted.
-        assert!(wr(&mut d, regs::ASSERT_TAG, 0b10).is_ok());
+        assert!(wr(&mut d, &mut ram, regs::ASSERT_TAG, 0b10).is_ok());
         assert_eq!(d.failed(), 1);
-        assert_eq!(rd(&mut d, regs::FAILED), 1);
+        assert_eq!(rd(&mut d, &mut ram, regs::FAILED), 1);
         assert_eq!(d.engine.borrow().violations().len(), 1);
     }
 
     #[test]
     fn enforce_mode_propagates_assertion_failure() {
-        let (mut d, _ram) = setup(EnforceMode::Enforce);
-        wr(&mut d, regs::ADDR, 0x30);
-        let mut p = wr(&mut d, regs::ASSERT_TAG, 0xFF);
+        let (mut d, mut ram) = setup(EnforceMode::Enforce);
+        wr(&mut d, &mut ram, regs::ADDR, 0x30);
+        let mut p = wr(&mut d, &mut ram, regs::ASSERT_TAG, 0xFF);
         let v = p.take_violation().expect("violation attached");
         assert!(matches!(v.kind, ViolationKind::Custom { .. }));
         assert!(v.context.contains("0x00000030"));
@@ -169,8 +180,13 @@ mod tests {
 
     #[test]
     fn out_of_range_address_errors() {
-        let (mut d, _ram) = setup(EnforceMode::Enforce);
-        wr(&mut d, regs::ADDR, 0x1_0000);
+        let (mut d, mut ram) = setup(EnforceMode::Enforce);
+        wr(&mut d, &mut ram, regs::ADDR, 0x1_0000);
+        let mut p = GenericPayload::read(regs::TAG, 4);
+        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), &mut ram);
+        assert_eq!(p.response(), TlmResponse::AddressError);
+        // Without lent memory no address is in range.
+        wr(&mut d, &mut ram, regs::ADDR, 0x10);
         let mut p = GenericPayload::read(regs::TAG, 4);
         d.transport(&mut p, &mut SimTime::ZERO.clone());
         assert_eq!(p.response(), TlmResponse::AddressError);

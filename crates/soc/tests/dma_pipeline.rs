@@ -93,7 +93,7 @@ fn confidential_sensor_data_is_stopped_at_can_despite_dma() {
 fn dma_destination_carries_the_sensor_tag() {
     let mut soc = soc_with(SECRET, SECRET.lub(UNTRUSTED));
     assert_eq!(soc.run(100_000), SocExit::Break, "permissive CAN clearance");
-    let ram = soc.ram().borrow();
+    let ram = soc.ram();
     for i in 0..8 {
         assert_eq!(ram.byte_at(0x6000 + i).unwrap().1, SECRET, "byte {i}");
     }

@@ -272,10 +272,10 @@ fn aes_encrypt_from_guest_declassifies() {
     });
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&prog);
-    soc.ram().borrow_mut().load_image(0x2000, &[0x2B; 16]);
+    soc.ram_mut().load_image(0x2000, &[0x2B; 16]);
     // classification already applied by load_program; re-apply since we
     // just overwrote the bytes:
-    soc.ram().borrow_mut().classify(0x2000, 16, SECRET);
+    soc.ram_mut().classify(0x2000, 16, SECRET);
     assert_eq!(soc.run(1_000_000), SocExit::Break);
     assert_eq!(soc.uart().borrow().output().len(), 1, "declassified ciphertext left");
 
@@ -293,7 +293,7 @@ fn aes_encrypt_from_guest_declassifies() {
         .build();
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&leak);
-    soc.ram().borrow_mut().classify(0x2000, 16, SECRET);
+    soc.ram_mut().classify(0x2000, 16, SECRET);
     assert!(matches!(soc.run(10_000), SocExit::Violation(_)));
 }
 
@@ -319,8 +319,8 @@ fn dma_copy_from_guest_preserves_taint() {
     });
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&prog);
-    soc.ram().borrow_mut().load_image(0x3000, &[9; 8]);
-    soc.ram().borrow_mut().classify(0x3000, 8, SECRET);
+    soc.ram_mut().load_image(0x3000, &[9; 8]);
+    soc.ram_mut().classify(0x3000, 8, SECRET);
     assert_eq!(soc.run(100_000), SocExit::Break);
     assert_eq!(soc.cpu().reg(A0).val(), 9);
     assert_eq!(Word::tag(soc.cpu().reg(A0)), SECRET, "taint followed the DMA transfer");

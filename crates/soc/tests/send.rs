@@ -27,7 +27,7 @@ fn built_soc_moves_across_threads() {
         // Run zero guest work — the point is that the whole object graph
         // (kernel, bus, peripherals, engine, sink) crossed the thread
         // boundary and is usable there.
-        soc.ram().borrow().len()
+        soc.ram().len()
     });
     assert!(handle.join().unwrap() > 0);
 }

@@ -93,7 +93,7 @@ fn build_program(ops: &[Op]) -> Vec<u8> {
 fn run_soc<M: TaintMode>(image: &[u8]) -> (SocExit, Vec<u32>, u64) {
     let cfg = SocBuilder::new().sensor_thread(false).build();
     let mut soc = Soc::<M>::new(cfg);
-    soc.ram().borrow_mut().load_image(0, image);
+    soc.ram_mut().load_image(0, image);
     soc.cpu_mut().reset(0);
     let exit = soc.run(500_000);
     let regs = WORK_REGS.iter().map(|&reg| soc.cpu().reg(reg).val()).collect();
@@ -122,7 +122,7 @@ proptest! {
     fn random_code_never_panics_the_host(bytes in prop::collection::vec(any::<u8>(), 16..256)) {
         let cfg = SocBuilder::new().sensor_thread(false).build();
         let mut soc = Soc::<Tainted>::new(cfg);
-        soc.ram().borrow_mut().load_image(0, &bytes);
+        soc.ram_mut().load_image(0, &bytes);
         soc.cpu_mut().reset(0);
         // Anything but a host panic is acceptable: Break, InstrLimit,
         // Idle (wfi soup), or TrapLoop (e.g. faulting soup at mtvec=0,
@@ -150,9 +150,9 @@ proptest! {
             .build();
         let cfg = SocBuilder::new().policy(policy).sensor_thread(false).build();
         let mut soc = Soc::<Tainted>::new(cfg);
-        soc.ram().borrow_mut().load_image(0, &bytes);
+        soc.ram_mut().load_image(0, &bytes);
         // Classification rules are applied by load_program; emulate here.
-        soc.ram().borrow_mut().classify(0x8000 + secret_off * 4, 64, secret);
+        soc.ram_mut().classify(0x8000 + secret_off * 4, 64, secret);
         soc.cpu_mut().reset(0);
         let _ = soc.run(20_000);
         // Whatever happened, nothing classified ever left: the engine
@@ -188,9 +188,9 @@ fn taint_survives_copy_chains() {
         let mut soc = Soc::<Tainted>::new(cfg);
         soc.load_program(&prog);
         let tag = Tag::from_bits(rng.gen_range(1..16));
-        soc.ram().borrow_mut().classify(0x5000, 32, tag);
+        soc.ram_mut().classify(0x5000, 32, tag);
         assert_eq!(soc.run(100_000), SocExit::Break);
-        let ram = soc.ram().borrow();
+        let ram = soc.ram();
         for i in 0..8 {
             let (_, t) = ram.byte_at(0x5000 + hops * 0x100 + i * 4).unwrap();
             assert_eq!(t, tag, "hop {hops}, byte {i}");

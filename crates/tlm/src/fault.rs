@@ -44,11 +44,7 @@ pub trait TlmFaultHook: Send + Sync {
 pub type SharedFaultHook = Shared<dyn TlmFaultHook>;
 
 /// A [`Router`] wrapper that injects faults via an optional
-/// [`TlmFaultHook`].
-///
-/// The wrapped router is always reachable through [`FaultRouter::inner`] /
-/// [`FaultRouter::inner_mut`], so construction-time mapping code is
-/// unchanged.
+/// [`TlmFaultHook`]. Map the router's targets before wrapping it.
 pub struct FaultRouter {
     inner: Router,
     hook: Option<SharedFaultHook>,
@@ -58,16 +54,6 @@ impl FaultRouter {
     /// Wraps `inner` with no fault hook installed (transparent).
     pub fn new(inner: Router) -> Self {
         FaultRouter { inner, hook: None }
-    }
-
-    /// The wrapped router.
-    pub fn inner(&self) -> &Router {
-        &self.inner
-    }
-
-    /// The wrapped router, mutably (for mapping targets).
-    pub fn inner_mut(&mut self) -> &mut Router {
-        &mut self.inner
     }
 
     /// Installs the fault hook consulted around every transaction.
@@ -80,16 +66,16 @@ impl FaultRouter {
         self.hook = None;
     }
 
-    /// `true` when a fault hook is installed.
-    pub fn has_hook(&self) -> bool {
-        self.hook.is_some()
-    }
-
     /// Routes one transaction through the hook (if any) and the wrapped
-    /// router. See [`Router::route`] for the routing semantics.
-    pub fn route(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
+    /// router. See [`Router::route`] for the routing semantics and `mem`.
+    pub fn route(
+        &mut self,
+        payload: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
         let Some(hook) = &self.hook else {
-            self.inner.route(payload, delay);
+            self.inner.route(payload, delay, mem);
             return;
         };
         match hook.borrow_mut().before(payload) {
@@ -103,14 +89,8 @@ impl FaultRouter {
                 return;
             }
         }
-        self.inner.route(payload, delay);
+        self.inner.route(payload, delay, mem);
         hook.borrow_mut().after(payload);
-    }
-}
-
-impl TlmTarget for FaultRouter {
-    fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        self.route(payload, delay);
     }
 }
 
@@ -158,6 +138,10 @@ mod tests {
         (FaultRouter::new(router), ram)
     }
 
+    fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::AddressError);
+    }
+
     struct OneShot(FaultAction);
 
     impl TlmFaultHook for OneShot {
@@ -169,9 +153,8 @@ mod tests {
     #[test]
     fn transparent_without_hook() {
         let (mut fr, ram) = wrapped_ram();
-        assert!(!fr.has_hook());
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone());
+        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert!(w.is_ok());
         assert_eq!(ram.borrow()[4].value(), 7);
     }
@@ -181,12 +164,12 @@ mod tests {
         let (mut fr, ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone());
+        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(w.response(), TlmResponse::GenericError);
         assert_eq!(ram.borrow()[4].value(), 0, "write was dropped");
         // The hook is one-shot: the retry goes through.
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone());
+        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert!(w.is_ok());
         assert_eq!(ram.borrow()[4].value(), 7);
     }
@@ -196,7 +179,7 @@ mod tests {
         let (mut fr, _ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Respond(TlmResponse::AddressError))));
         let mut r = GenericPayload::read(0x104, 4);
-        fr.route(&mut r, &mut SimTime::ZERO.clone());
+        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(r.response(), TlmResponse::AddressError);
     }
 
@@ -218,7 +201,7 @@ mod tests {
         ram.borrow_mut()[0] = Taint::untainted(0x11);
         fr.set_hook(vpdift_sync::shared(FlipRead));
         let mut r = GenericPayload::read(0x100, 1);
-        fr.route(&mut r, &mut SimTime::ZERO.clone());
+        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(r.data()[0].value(), 0x91, "read lane corrupted post-route");
         assert_eq!(ram.borrow()[0].value(), 0x11, "memory itself untouched");
     }
@@ -229,7 +212,7 @@ mod tests {
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         fr.clear_hook();
         let mut r = GenericPayload::read(0x100, 1);
-        fr.route(&mut r, &mut SimTime::ZERO.clone());
+        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert!(r.is_ok());
     }
 }

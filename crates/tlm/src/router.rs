@@ -16,6 +16,19 @@ pub trait TlmTarget: Send + Sync {
     /// Processes one transaction addressed to this target. The payload
     /// address has already been rewritten to a target-local offset.
     fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime);
+
+    /// [`TlmTarget::transport`] with the memory its owner lends for this
+    /// one transaction. Targets that reach memory themselves (DMA bursts,
+    /// tag reads) override it; the default ignores `mem`.
+    fn transport_with(
+        &mut self,
+        payload: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
+        let _ = mem;
+        self.transport(payload, delay);
+    }
 }
 
 impl<F> TlmTarget for F
@@ -33,7 +46,8 @@ pub type SharedTarget = Shared<dyn TlmTarget>;
 struct Mapping {
     name: String,
     range: AddrRange,
-    target: SharedTarget,
+    /// `None` maps the range to the memory lent to each [`Router::route`].
+    target: Option<SharedTarget>,
 }
 
 /// Errors raised while building the memory map.
@@ -54,8 +68,7 @@ impl core::fmt::Display for MapError {
 impl std::error::Error for MapError {}
 
 /// Routes transactions to targets by address range, rewriting the payload
-/// address to a target-local offset. Implements [`TlmTarget`] itself so
-/// routers can nest.
+/// address to a target-local offset.
 ///
 /// ```
 /// use vpdift_tlm::{GenericPayload, Router, TlmResponse};
@@ -74,7 +87,8 @@ impl std::error::Error for MapError {}
 ///         p.set_response(TlmResponse::Ok);
 ///     }))?;
 /// let mut p = GenericPayload::write(0x1002, &[Taint::untainted(7)]);
-/// router.route(&mut p, &mut SimTime::ZERO);
+/// let mut no_memory = |_: &mut GenericPayload, _: &mut SimTime| {}; // none mapped
+/// router.route(&mut p, &mut SimTime::ZERO, &mut no_memory);
 /// assert!(p.is_ok());
 /// assert_eq!(*reg.borrow(), 7);
 /// # Ok::<(), vpdift_tlm::MapError>(())
@@ -82,14 +96,13 @@ impl std::error::Error for MapError {}
 pub struct Router {
     name: String,
     mappings: Vec<Mapping>,
-    transactions: u64,
     obs: Option<SharedObs>,
 }
 
 impl Router {
     /// Creates an empty router.
     pub fn new(name: &str) -> Self {
-        Router { name: name.to_owned(), mappings: Vec::new(), transactions: 0, obs: None }
+        Router { name: name.to_owned(), mappings: Vec::new(), obs: None }
     }
 
     /// Attaches an observability sink; every routed transaction is
@@ -114,6 +127,21 @@ impl Router {
         range: AddrRange,
         target: SharedTarget,
     ) -> Result<(), MapError> {
+        self.insert(name, range, Some(target))
+    }
+
+    /// Like [`Router::map`], but maps `range` to the memory lent to each
+    /// [`Router::route`], so the memory's owner keeps it.
+    pub fn map_memory(&mut self, name: &str, range: AddrRange) -> Result<(), MapError> {
+        self.insert(name, range, None)
+    }
+
+    fn insert(
+        &mut self,
+        name: &str,
+        range: AddrRange,
+        target: Option<SharedTarget>,
+    ) -> Result<(), MapError> {
         for m in &self.mappings {
             let disjoint = range.end <= m.range.start || range.start >= m.range.end;
             if !disjoint {
@@ -124,21 +152,16 @@ impl Router {
         Ok(())
     }
 
-    /// The mapped ranges, in mapping order, as `(name, range)` pairs.
-    pub fn mappings(&self) -> impl Iterator<Item = (&str, AddrRange)> {
-        self.mappings.iter().map(|m| (m.name.as_str(), m.range))
-    }
-
-    /// Number of transactions routed so far.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Routes one transaction. On unmapped addresses the payload gets
-    /// [`TlmResponse::AddressError`]; transfers straddling a mapping
-    /// boundary get [`TlmResponse::BurstError`].
-    pub fn route(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        self.transactions += 1;
+    /// Routes one transaction, lending `mem` to the target (see
+    /// [`TlmTarget::transport_with`] and [`Router::map_memory`]). On
+    /// unmapped addresses the payload gets [`TlmResponse::AddressError`];
+    /// transfers straddling a mapping boundary get [`TlmResponse::BurstError`].
+    pub fn route(
+        &mut self,
+        payload: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
         let addr = payload.address();
         let Some(m) = self.mappings.iter().find(|m| m.range.contains(addr)) else {
             payload.set_response(TlmResponse::AddressError);
@@ -154,7 +177,10 @@ impl Router {
         let local = addr - m.range.start;
         payload.set_address(local);
         let before = delay.as_ps();
-        m.target.borrow_mut().transport(payload, delay);
+        match &m.target {
+            Some(target) => target.borrow_mut().transport_with(payload, delay, mem),
+            None => mem.transport(payload, delay),
+        }
         let lat_ps = delay.as_ps().saturating_sub(before);
         payload.set_address(addr);
         self.emit(payload, addr, &m.name, lat_ps);
@@ -177,28 +203,13 @@ impl Router {
             lat_ps,
         });
     }
-
-    /// Looks up which mapping (if any) covers `addr`.
-    pub fn resolve(&self, addr: u32) -> Option<(&str, AddrRange)> {
-        self.mappings.iter().find(|m| m.range.contains(addr)).map(|m| (m.name.as_str(), m.range))
-    }
-}
-
-impl TlmTarget for Router {
-    fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        self.route(payload, delay);
-    }
 }
 
 impl core::fmt::Debug for Router {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let maps: Vec<String> =
             self.mappings.iter().map(|m| format!("{} {}", m.name, m.range)).collect();
-        f.debug_struct("Router")
-            .field("name", &self.name)
-            .field("mappings", &maps)
-            .field("transactions", &self.transactions)
-            .finish()
+        f.debug_struct("Router").field("name", &self.name).field("mappings", &maps).finish()
     }
 }
 
@@ -242,6 +253,11 @@ mod tests {
         })
     }
 
+    /// Lent memory for routes that must not reach any.
+    fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::AddressError);
+    }
+
     #[test]
     fn routes_by_range_with_local_addressing() {
         let mut router = Router::new("bus");
@@ -251,8 +267,9 @@ mod tests {
         let word = Taint::new(0xCAFEu16, Tag::atom(2));
         let mut w = GenericPayload::write_word(0x108, word);
         let mut delay = SimTime::ZERO;
-        router.route(&mut w, &mut delay);
+        router.route(&mut w, &mut delay, &mut no_memory);
         assert!(w.is_ok());
+        assert_eq!(router.name(), "bus");
         assert_eq!(w.address(), 0x108, "global address restored after routing");
         assert_eq!(delay, SimTime::from_ns(10));
         // The target saw the local offset 8.
@@ -261,7 +278,7 @@ mod tests {
         assert_eq!(ram.borrow().bytes[8].tag(), Tag::atom(2));
 
         let mut r = GenericPayload::read(0x108, 2);
-        router.route(&mut r, &mut delay);
+        router.route(&mut r, &mut delay, &mut no_memory);
         let back: Taint<u16> = r.data_word();
         assert_eq!(back.value(), 0xCAFE);
         assert_eq!(back.tag(), Tag::atom(2));
@@ -272,7 +289,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
         let mut p = GenericPayload::read(0x50, 4);
-        router.route(&mut p, &mut SimTime::ZERO.clone());
+        router.route(&mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(p.response(), TlmResponse::AddressError);
     }
 
@@ -281,7 +298,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
         let mut p = GenericPayload::read(0x10E, 4); // crosses 0x110
-        router.route(&mut p, &mut SimTime::ZERO.clone());
+        router.route(&mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(p.response(), TlmResponse::BurstError);
     }
 
@@ -291,23 +308,33 @@ mod tests {
         router.map("a", AddrRange::new(0x100, 16), scratch()).unwrap();
         let err = router.map("b", AddrRange::new(0x108, 16), scratch()).unwrap_err();
         assert_eq!(err, MapError::Overlap("a".into()));
-        // Adjacent is fine.
+        // Adjacent is fine, and the rejected mapping was not added.
         router.map("c", AddrRange::new(0x110, 16), scratch()).unwrap();
-        assert_eq!(router.mappings().count(), 2);
+        let maps = format!("{router:?}");
+        assert!(maps.contains("\"a [") && maps.contains("\"c [") && !maps.contains("\"b ["));
+        let err = router.map_memory("m", AddrRange::new(0x11F, 1)).unwrap_err();
+        assert_eq!(err, MapError::Overlap("c".into()));
     }
 
     #[test]
-    fn nested_routers() {
-        let mut inner = Router::new("periph-bus");
-        let ram = scratch();
-        inner.map("ram", AddrRange::new(0x0, 16), ram.clone()).unwrap();
-        let mut outer = Router::new("sys-bus");
-        outer.map("periph", AddrRange::new(0x1000, 16), vpdift_sync::shared(inner)).unwrap();
+    fn memory_window_reaches_the_lent_memory() {
+        let mut router = Router::new("dma-ports");
+        let reg = scratch();
+        router.map("reg", AddrRange::new(0x1000, 16), reg.clone()).unwrap();
+        router.map_memory("ram", AddrRange::new(0x100, 16)).unwrap();
+        let mut mem = Scratch { bytes: [Taint::untainted(0); 16], latency: SimTime::from_ns(3) };
 
-        let mut p = GenericPayload::write(0x1004, &[Taint::untainted(9)]);
-        outer.route(&mut p, &mut SimTime::ZERO.clone());
-        assert!(p.is_ok());
-        assert_eq!(ram.borrow().bytes[4].value(), 9);
+        let mut w = GenericPayload::write(0x104, &[Taint::new(9, Tag::atom(1))]);
+        let mut delay = SimTime::ZERO;
+        router.route(&mut w, &mut delay, &mut mem);
+        assert!(w.is_ok());
+        assert_eq!(mem.bytes[4], Taint::new(9, Tag::atom(1)), "local offset 4");
+        assert_eq!(delay, SimTime::from_ns(3), "the memory's latency");
+        // A shared target is unaffected by the memory lent alongside.
+        let mut p = GenericPayload::write(0x1004, &[Taint::untainted(7)]);
+        router.route(&mut p, &mut delay, &mut mem);
+        assert_eq!(reg.borrow().bytes[4].value(), 7);
+        assert_eq!(mem.bytes[4].value(), 9);
     }
 
     #[test]
@@ -319,9 +346,9 @@ mod tests {
         router.set_obs(shared_obs(&sink));
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(1, Tag::atom(3))]);
-        router.route(&mut w, &mut SimTime::ZERO.clone());
+        router.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
         let mut bad = GenericPayload::read(0x50, 1);
-        router.route(&mut bad, &mut SimTime::ZERO.clone());
+        router.route(&mut bad, &mut SimTime::ZERO.clone(), &mut no_memory);
 
         let r = sink.borrow();
         assert_eq!(r.metrics().tlm_per_target["ram"], 1);
@@ -337,17 +364,5 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    fn resolve_and_stats() {
-        let mut router = Router::new("bus");
-        router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
-        assert_eq!(router.resolve(0x105).map(|(n, _)| n), Some("ram"));
-        assert!(router.resolve(0x90).is_none());
-        let mut p = GenericPayload::read(0x100, 1);
-        router.route(&mut p, &mut SimTime::ZERO.clone());
-        assert_eq!(router.transactions(), 1);
-        assert_eq!(router.name(), "bus");
     }
 }

@@ -35,8 +35,8 @@ fn main() {
     // 3. Run on the DIFT VP+.
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&program);
-    soc.ram().borrow_mut().load_image(0x2000, &0xC0FF_EE00u32.to_le_bytes());
-    soc.ram().borrow_mut().classify(0x2000, 4, secret);
+    soc.ram_mut().load_image(0x2000, &0xC0FF_EE00u32.to_le_bytes());
+    soc.ram_mut().classify(0x2000, 4, secret);
 
     match soc.run(10_000) {
         SocExit::Violation(v) => {

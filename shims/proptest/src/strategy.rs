@@ -231,7 +231,7 @@ pub fn vec<S: Strategy>(element: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

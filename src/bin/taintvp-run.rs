@@ -432,17 +432,14 @@ fn run_vp<M: TaintMode, S: ObsSink>(
     soc.terminal().borrow_mut().feed(&opts.input);
 
     // Optional instruction trace (single-stepped prefix).
-    let mut remaining = opts.max_insns;
-    for _ in 0..opts.trace.min(remaining) {
-        let pc = soc.cpu().pc();
-        let (text, _) = soc.disassemble_at(pc);
-        let exit = soc.run(1);
-        eprintln!("[{:>8}] {pc:#010x}: {text}", soc.instret());
-        remaining = remaining.saturating_sub(1);
-        if !matches!(exit, SocExit::InstrLimit) {
-            return Ok((exit, soc, Vec::new()));
-        }
+    let traced = opts.trace.min(opts.max_insns);
+    let exit = soc.run_traced(traced, |r| {
+        eprintln!("[{:>8}] {:#010x}: {}", r.instret, r.pc, r.text());
+    });
+    if !matches!(exit, SocExit::InstrLimit) {
+        return Ok((exit, soc, Vec::new()));
     }
+    let remaining = opts.max_insns - traced;
     if plan.is_empty() {
         let exit = soc.run(remaining);
         Ok((exit, soc, Vec::new()))

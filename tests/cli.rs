@@ -45,7 +45,9 @@ fn record_mode_logs_and_traces() {
     ]);
     assert_eq!(code, 0, "record mode completes");
     assert!(stderr.contains("recorded violation"));
-    assert!(stderr.contains("0x00000000: lui"), "trace lines present: {stderr}");
+    let trace = "[       1] 0x00000000: lui t0, 0x2\n[       2] 0x00000004: addi t0, t0, 0\n";
+    assert!(stderr.starts_with(trace), "exactly two trace lines first: {stderr}");
+    assert_eq!(stderr.matches("] 0x0000").count(), 2, "no further trace lines: {stderr}");
 }
 
 #[test]

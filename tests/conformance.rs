@@ -785,7 +785,7 @@ fn run_one<M: TaintMode>(elf: &Elf32, engine: ExecMode, sig_words: usize) -> (St
     soc.load_elf(elf).expect("conformance image fits RAM");
     let exit = soc.run(BUDGET);
     assert!(matches!(exit, SocExit::Break), "expected clean ebreak, got {exit:?}");
-    let ram = soc.ram().borrow();
+    let ram = soc.ram();
     let mut sig = String::new();
     for i in 0..sig_words {
         let (word, _) = ram.load(SIG_BASE + (i as u32) * 4, 4);
@@ -905,7 +905,7 @@ fn elf_and_program_paths_agree() {
         soc.load_program(&program);
         let exit = soc.run(BUDGET);
         assert!(matches!(exit, SocExit::Break));
-        let ram = soc.ram().borrow();
+        let ram = soc.ram();
         let mut via_program = String::new();
         for i in 0..case.sig_words {
             let (word, _) = ram.load(SIG_BASE + (i as u32) * 4, 4);

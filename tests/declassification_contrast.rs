@@ -80,8 +80,8 @@ fn run(prog: &taintvp::asm::Program) -> (SocExit, usize, [u8; 16]) {
     let mut soc = Soc::<Tainted>::new(cfg);
     soc.load_program(prog);
     let key: [u8; 16] = *b"sixteen byte key";
-    soc.ram().borrow_mut().load_image(0x4000, &key);
-    soc.ram().borrow_mut().classify(0x4000, 16, SECRET);
+    soc.ram_mut().load_image(0x4000, &key);
+    soc.ram_mut().classify(0x4000, 16, SECRET);
     let exit = soc.run(10_000_000);
     let n = soc.uart().borrow().output().len();
     (exit, n, key)
@@ -121,10 +121,10 @@ fn software_and_hardware_compute_the_same_ciphertext() {
     let prog = soft_crypto_program();
     soc.load_program(&prog);
     let key: [u8; 16] = *b"sixteen byte key";
-    soc.ram().borrow_mut().load_image(0x4000, &key);
+    soc.ram_mut().load_image(0x4000, &key);
     assert_eq!(soc.run(10_000_000), SocExit::Break);
     let ct_addr = prog.symbol("ct").unwrap();
-    let ram = soc.ram().borrow();
+    let ram = soc.ram();
     let got: Vec<u8> = (0..16).map(|i| ram.byte_at(ct_addr + i).unwrap().0).collect();
     let expected = taintvp::periph::Aes128::new(&key).encrypt_block(&[0u8; 16]);
     assert_eq!(got, expected);

@@ -136,7 +136,7 @@ fn load_elf_with_classifies_segments_on_ingress() {
     })
     .expect("image fits RAM");
     assert_eq!(soc.run(1_000), SocExit::Break);
-    let copied = soc.ram().borrow().load(0x100, 4);
+    let copied = soc.ram().load(0x100, 4);
     assert_eq!(copied.0, 0x1234_5678);
     assert_eq!(copied.1, secret, "ingress tag must propagate through the copy");
 }

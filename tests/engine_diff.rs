@@ -7,8 +7,9 @@
 //! same violation reports, the same UART bytes and the same instruction
 //! count. Covered: the full Wilander-Kamkar attack suite (malicious and
 //! benign twins), the §VI-A immobilizer scenarios and protocol sessions,
-//! the Table II plain/tainted workloads, and a self-modifying-code
-//! regression where injected code is overwritten *after* being cached.
+//! the Table II plain/tainted workloads, and self-modifying-code
+//! regressions where code is overwritten *after* being cached — by a CPU
+//! store, by a DMA burst and from the host.
 //! The slice-dispatch yield rules have their own cases: an interrupt
 //! raised by an MMIO store mid-block, step-exact short run budgets, and a
 //! stop flag raised on a `NullSink` SoC.
@@ -18,7 +19,8 @@ use taintvp::attacks::{all_attacks, run_attack_captured};
 use taintvp::firmware::table2_workloads;
 use taintvp::immo::{run_scenario_with, run_session_with, PolicyKind, Scenario, Variant};
 use taintvp::kernel::SimTime;
-use taintvp::prelude::{ExecMode, Plain, Soc, SocExit, TaintMode, Tainted};
+use taintvp::prelude::{map, ExecMode, Plain, Soc, SocExit, TaintMode, Tainted};
+use taintvp::rv32::Word;
 
 /// Runs one SoC program under both engines and returns
 /// `(exit, uart, instret, digest, now)` per engine for comparison.
@@ -135,6 +137,87 @@ fn smc_overwrite_after_caching_is_engine_invariant() {
     assert!(stats.invalidations > 0, "the overwrite must invalidate a cached block");
 }
 
+/// `addi a0, a0, 100`: the word patched over a cached loop body.
+const ADD_100: u32 = 0x0645_0513;
+
+/// A hot loop of 20 passes over `patch: addi a0, a0, 1`. With `dma`, the
+/// guest itself has the DMA copy `ADD_100` from a data word over `patch`
+/// after the 10th pass, when the block cache has long held the loop.
+fn patched_loop(dma: bool) -> taintvp::asm::Program {
+    let mut a = Asm::new(0);
+    a.entry();
+    a.li(Reg::A0, 0);
+    a.li(Reg::S0, 20);
+    a.li(Reg::T2, 10);
+    a.label("patch");
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.addi(Reg::S0, Reg::S0, -1);
+    a.beqz(Reg::S0, "done");
+    a.bne(Reg::S0, Reg::T2, "patch");
+    if dma {
+        a.li(Reg::T0, map::DMA_BASE as i32);
+        a.la(Reg::T1, "new_insn");
+        a.sw(Reg::T1, 0x0, Reg::T0); // SRC
+        a.la(Reg::T1, "patch");
+        a.sw(Reg::T1, 0x4, Reg::T0); // DST
+        a.li(Reg::T1, 4);
+        a.sw(Reg::T1, 0x8, Reg::T0); // LEN
+        a.li(Reg::T1, 1);
+        a.sw(Reg::T1, 0xC, Reg::T0); // CTRL: start
+    }
+    a.j("patch");
+    a.label("done");
+    a.ebreak();
+    a.label("new_insn");
+    a.word(ADD_100);
+    a.assemble().expect("patched-loop guest assembles")
+}
+
+/// Runs `prog` on both engines: `first` steps, then `patch` (host side),
+/// then to the end. Returns `(exit, a0, instret, digest)` per engine.
+fn run_patched<M: TaintMode>(
+    prog: &taintvp::asm::Program,
+    first: u64,
+    patch: impl Fn(&mut Soc<M>),
+) -> [(SocExit, u32, u64, u64); 2] {
+    [ExecMode::Interp, ExecMode::BlockCache].map(|mode| {
+        let cfg = Soc::<M>::builder().sensor_thread(false).engine(mode).build();
+        let mut soc = Soc::<M>::new(cfg);
+        soc.load_program(prog);
+        assert_eq!(soc.run(first), SocExit::InstrLimit);
+        patch(&mut soc);
+        let exit = soc.run(10_000);
+        (exit, soc.cpu().reg(Reg::A0).val(), soc.instret(), soc.state_digest())
+    })
+}
+
+/// Code overwritten by DMA, not by the CPU: the burst bypasses the CPU's
+/// store path, so only the RAM's mutation epoch tells the block cache its
+/// decoded loop body is stale.
+#[test]
+fn dma_overwrite_of_cached_code_is_engine_invariant() {
+    let prog = patched_loop(true);
+    let [pi, pc] = run_patched::<Plain>(&prog, 0, |_| {});
+    assert_eq!(pi, pc, "plain VP engines disagree on DMA-patched code");
+    let [ti, tc] = run_patched::<Tainted>(&prog, 0, |_| {});
+    assert_eq!(ti, tc, "VP+ engines disagree on DMA-patched code");
+    assert_eq!(pi.0, SocExit::Break);
+    assert_eq!(pi.1, 10 + 10 * 100, "ten passes before the DMA, ten after");
+}
+
+/// Code overwritten host-side between two runs through `Soc::ram_mut`.
+#[test]
+fn host_overwrite_of_cached_code_is_engine_invariant() {
+    let prog = patched_loop(false);
+    let at = prog.symbol("patch").expect("patch label");
+    // Three `li` of two insns each, then four per pass: stop after pass 10.
+    let patch = |soc: &mut Soc<Tainted>| soc.ram_mut().load_image(at, &ADD_100.to_le_bytes());
+    let [ti, tc] = run_patched::<Tainted>(&prog, 3 * 2 + 10 * 4, patch);
+    assert_eq!(ti, tc, "VP+ engines disagree on host-patched code");
+    assert_eq!(ti.0, SocExit::Break);
+    assert_eq!(ti.1, 10 + 10 * 100, "ten passes before the patch, ten after");
+}
+
 /// The block cache reports its statistics; on a hot loop nearly every
 /// step is a cache hit, and on the plain VP no taint checks run at all.
 #[test]
@@ -172,7 +255,7 @@ fn trap_loop_detection_is_engine_invariant() {
         let mut soc = Soc::<Tainted>::new(cfg);
         // `jal x0, 0`: spin-at-zero; the flipped bit 6 makes it faulting,
         // and with mtvec=0 every trap lands back on the broken opcode.
-        soc.ram().borrow_mut().load_image(0, &0x0000_006Fu32.to_le_bytes());
+        soc.ram_mut().load_image(0, &0x0000_006Fu32.to_le_bytes());
         soc.cpu_mut().reset(0);
         let plan =
             vec![PlannedFault { at_step: 50, kind: FaultKind::RamDataFlip { offset: 0, bit: 6 } }];
@@ -302,10 +385,10 @@ fn tainted_atomics_digest_is_engine_invariant() {
         let cfg = Soc::<Tainted>::builder().sensor_thread(false).engine(mode).build();
         let mut soc = Soc::<Tainted>::new(cfg);
         soc.load_program(&prog);
-        soc.ram().borrow_mut().classify(cell, 4, Tag::from_bits(0b10));
+        soc.ram_mut().classify(cell, 4, Tag::from_bits(0b10));
         let exit = soc.run(1_000);
-        let spread_tag = soc.ram().borrow().load(cell + 32, 4).1;
-        let cell_tag = soc.ram().borrow().load(cell, 4).1;
+        let spread_tag = soc.ram().load(cell + 32, 4).1;
+        let cell_tag = soc.ram().load(cell, 4).1;
         let sc_result = soc.cpu().reg(Reg::A0).val();
         (exit, sc_result, soc.instret(), soc.state_digest(), spread_tag, cell_tag)
     });

@@ -36,8 +36,8 @@ fn textual_program_and_policy_enforce_together() {
 
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&program);
-    soc.ram().borrow_mut().load_image(0x2000, b"KEY!");
-    soc.ram().borrow_mut().classify(0x2000, 4, atoms.tag("secret").unwrap());
+    soc.ram_mut().load_image(0x2000, b"KEY!");
+    soc.ram_mut().classify(0x2000, 4, atoms.tag("secret").unwrap());
     match soc.run(10_000) {
         SocExit::Violation(v) => {
             assert_eq!(atoms.describe(v.tag), "secret");
@@ -54,7 +54,7 @@ fn textual_program_runs_clean_without_classification() {
     let (policy, _) = parse_policy("policy open\nsink uart.tx public\n").unwrap();
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&program);
-    soc.ram().borrow_mut().load_image(0x2000, b"ok!!");
+    soc.ram_mut().load_image(0x2000, b"ok!!");
     assert_eq!(soc.run(10_000), SocExit::Break);
     assert_eq!(soc.uart().borrow().output(), b"ok!!");
 }
