@@ -15,7 +15,7 @@ use vpdift_asm::{Asm, Program, Reg};
 use vpdift_attacks::{all_attacks, code_injection_policy, LI};
 use vpdift_core::{SecurityPolicy, Tag};
 use vpdift_firmware::rt::emit_runtime;
-use vpdift_immo::firmware::{self as immo_fw, Variant, CHALLENGE_ID};
+use vpdift_immo::firmware::{self as immo_fw, ImmoFirmware, Variant, CHALLENGE_ID};
 use vpdift_immo::policy as immo_policy;
 use vpdift_immo::protocol::{policy_for, prepare_session, PolicyKind};
 use vpdift_immo::scenarios::{build_program as build_leak_program, Scenario};
@@ -325,6 +325,18 @@ fn attack_guest() -> &'static AttackGuest {
     })
 }
 
+/// The fixed immobilizer firmware, assembled once per process.
+fn immo_firmware() -> &'static ImmoFirmware {
+    static FIRMWARE: OnceLock<ImmoFirmware> = OnceLock::new();
+    FIRMWARE.get_or_init(|| immo_fw::build(Variant::Fixed))
+}
+
+/// The §VI-A direct-leak guest, assembled once per process.
+fn leak_program() -> &'static Program {
+    static PROGRAM: OnceLock<Program> = OnceLock::new();
+    PROGRAM.get_or_init(|| build_leak_program(Scenario::DirectLeakUart))
+}
+
 /// Runs a *random-schedule* scenario under `plan`. `watchdog` arms the
 /// host-side hang detector (always `None` for the reference run: an
 /// un-kicked dog would bite every long reference).
@@ -336,10 +348,10 @@ pub fn faulted_run(
 ) -> ScenarioRun {
     match kind {
         ScenarioKind::ImmoSession => {
-            let fw = immo_fw::build(Variant::Fixed);
-            let cfg = base_builder().policy(policy_for(PolicyKind::PerByte, &fw)).build();
+            let fw = immo_firmware();
+            let cfg = base_builder().policy(policy_for(PolicyKind::PerByte, fw)).build();
             let mut soc = Soc::<Tainted>::new(cfg);
-            let (mut ecu, challenges) = prepare_session(&mut soc, &fw, 1, b"q", 0xEC0);
+            let (mut ecu, challenges) = prepare_session(&mut soc, fw, 1, b"q", 0xEC0);
             if let Some(t) = watchdog {
                 soc.watchdog().borrow_mut().arm(t);
             }
@@ -350,12 +362,12 @@ pub fn faulted_run(
             ScenarioRun::observe(&soc, exit, auths, faults)
         }
         ScenarioKind::ImmoLeak => {
-            let program = build_leak_program(Scenario::DirectLeakUart);
+            let program = leak_program();
             let pin_addr = program.symbol("pin").expect("leak program has a pin label");
             let (policy, _tags) = immo_policy::per_byte(pin_addr, 16);
             let cfg = base_builder().policy(policy).build();
             let mut soc = Soc::<Tainted>::new(cfg);
-            soc.load_program(&program);
+            soc.load_program(program);
             soc.terminal().borrow_mut().feed(b"Z");
             if let Some(t) = watchdog {
                 soc.watchdog().borrow_mut().arm(t);
@@ -525,6 +537,17 @@ pub struct ReferenceInfo {
     pub steps: u64,
 }
 
+impl ReferenceInfo {
+    /// The reported facts of `kind`'s fault-free run `reference`.
+    pub fn of(kind: ScenarioKind, reference: &ScenarioRun) -> ReferenceInfo {
+        ReferenceInfo {
+            scenario: kind.name(),
+            exit: reference.exit.label(),
+            steps: reference.steps,
+        }
+    }
+}
+
 /// The complete campaign result.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
@@ -601,10 +624,9 @@ impl Replay {
     }
 }
 
-/// Everything a campaign computes exactly once before the seeded runs
-/// fan out: the three directed demonstrations and the fault-free
-/// references for every random scenario. A parallel executor computes
-/// this on the driver thread, then hands [`random_run`] jobs to workers.
+/// Everything a campaign computes exactly once besides the seeded runs:
+/// the three directed demonstrations and the fault-free references for
+/// every random scenario.
 #[derive(Debug, Clone)]
 pub struct CampaignPrelude {
     /// Fault-free reference facts, one per scenario (directed first, in
@@ -617,41 +639,39 @@ pub struct CampaignPrelude {
     pub refs: Vec<(ScenarioKind, ScenarioRun)>,
 }
 
-/// Runs the once-per-campaign work: directed demonstrations and
-/// fault-free references. Deterministic for equal configs.
+/// The directed half of the prelude: each demonstration's fault-free
+/// reference facts and its classified faulted run. No seeded run depends
+/// on it, so a parallel executor runs it beside its workers.
+pub fn directed_demos() -> (Vec<ReferenceInfo>, Vec<ScenarioOutcome>) {
+    ScenarioKind::DIRECTED
+        .iter()
+        .map(|&kind| {
+            let reference = directed_run(kind, false);
+            let run = directed_run(kind, true);
+            let outcome = classify(&reference, &run);
+            let demo = ScenarioOutcome {
+                scenario: kind.name(),
+                exit: run.exit.label(),
+                outcome,
+                faults: run.faults,
+            };
+            (ReferenceInfo::of(kind, &reference), demo)
+        })
+        .unzip()
+}
+
+/// The random half of the prelude: the fault-free reference of every
+/// random scenario, which every seeded run needs first.
+pub fn random_references() -> Vec<(ScenarioKind, ScenarioRun)> {
+    ScenarioKind::RANDOM.iter().map(|&kind| (kind, reference_run(kind))).collect()
+}
+
+/// Runs the once-per-campaign work: [`directed_demos`], then
+/// [`random_references`]. Deterministic for equal configs.
 pub fn campaign_prelude(_config: &CampaignConfig) -> CampaignPrelude {
-    let mut references = Vec::new();
-    let mut directed = Vec::new();
-
-    // Directed demonstrations: fixed schedules, once per campaign.
-    for &kind in &ScenarioKind::DIRECTED {
-        let reference = directed_run(kind, false);
-        let run = directed_run(kind, true);
-        let outcome = classify(&reference, &run);
-        references.push(ReferenceInfo {
-            scenario: kind.name(),
-            exit: reference.exit.label(),
-            steps: reference.steps,
-        });
-        directed.push(ScenarioOutcome {
-            scenario: kind.name(),
-            exit: run.exit.label(),
-            outcome,
-            faults: run.faults,
-        });
-    }
-
-    // Fault-free references for the random scenarios, once per campaign.
-    let refs: Vec<(ScenarioKind, ScenarioRun)> =
-        ScenarioKind::RANDOM.iter().map(|&kind| (kind, reference_run(kind))).collect();
-    for (kind, r) in &refs {
-        references.push(ReferenceInfo {
-            scenario: kind.name(),
-            exit: r.exit.label(),
-            steps: r.steps,
-        });
-    }
-
+    let (mut references, directed) = directed_demos();
+    let refs = random_references();
+    references.extend(refs.iter().map(|(kind, r)| ReferenceInfo::of(*kind, r)));
     CampaignPrelude { references, directed, refs }
 }
 

@@ -45,9 +45,9 @@ pub mod injector;
 pub mod report;
 
 pub use campaign::{
-    campaign_prelude, classify, random_run, run_campaign, run_seed, seeded_plan, CampaignConfig,
-    CampaignPrelude, CampaignReport, Outcome, Replay, RunOutcomes, ScenarioKind, ScenarioOutcome,
-    ScenarioRun,
+    campaign_prelude, classify, directed_demos, random_references, random_run, run_campaign,
+    run_seed, seeded_plan, CampaignConfig, CampaignPrelude, CampaignReport, Outcome, Replay,
+    RunOutcomes, ScenarioKind, ScenarioOutcome, ScenarioRun,
 };
 pub use config::{generate_plan, FaultKind, PlannedFault};
 pub use hooks::{ArmedBusFault, BusFaultKind, LossyCanFault};

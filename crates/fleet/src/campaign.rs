@@ -1,10 +1,11 @@
 //! Parallel fault campaigns: the serial `run_campaign` fan-out, and the
 //! journaled run every fleet front end goes through.
 //!
-//! The campaign prelude (directed demonstrations, fault-free references)
-//! runs once on the driver thread, exactly as the serial runner does;
-//! every seeded run then becomes one fleet job whose payload is the
-//! *rendered JSON fragment* the serial report emits for that run. The
+//! The fault-free references of the random scenarios run once on the
+//! calling thread, as in the serial runner; every seeded run then becomes
+//! one fleet job whose payload is the *rendered JSON fragment* the serial
+//! report emits for that run. No job needs the three directed
+//! demonstrations, so they run on one more thread beside the workers. The
 //! report puts the fragments back in run order through the serial
 //! renderer's own skeleton ([`vpdift_faults::render_report`]), so the
 //! output is byte-identical to [`vpdift_faults::render_json`] on a serial
@@ -17,8 +18,8 @@ use std::sync::Arc;
 
 use vpdift_faults::campaign::ReferenceInfo;
 use vpdift_faults::{
-    campaign_header, campaign_prelude, random_run, render_report, run_json, CampaignConfig,
-    Outcome, Row,
+    campaign_header, directed_demos, random_references, random_run, render_report, run_json,
+    CampaignConfig, Outcome, Row,
 };
 use vpdift_obs::json::{self, Value};
 
@@ -154,23 +155,23 @@ pub fn run_journaled(
 }
 
 /// Runs `config` as a parallel campaign on `fleet_config.workers`
-/// workers. With `journal_path`, results stream into a crash-safe
-/// journal; `resume` recovers previously completed jobs from it instead
-/// of re-running them.
+/// workers, plus one thread for the directed demonstrations. With
+/// `journal_path`, results stream into a crash-safe journal; `resume`
+/// recovers previously completed jobs from it instead of re-running them.
 pub fn run_campaign_fleet(
     config: &CampaignConfig,
     fleet_config: &FleetConfig,
     journal_path: Option<&Path>,
     resume: bool,
 ) -> io::Result<FleetCampaign> {
-    let prelude = Arc::new(campaign_prelude(config));
+    let refs = Arc::new(random_references());
     let campaign = *config;
 
     let jobs: Vec<Job> = (0..config.runs)
         .map(|i| {
-            let prelude = Arc::clone(&prelude);
+            let refs = Arc::clone(&refs);
             Job::new(u64::from(i), move |_ctx| {
-                let run = random_run(&prelude.refs, &campaign, i);
+                let run = random_run(&refs, &campaign, i);
                 let mut counts = vec![0u64; Outcome::COUNT];
                 for s in &run.results {
                     counts[s.outcome.index()] += 1;
@@ -187,18 +188,25 @@ pub fn run_campaign_fleet(
         rate: config.rate,
         inputs: Vec::new(),
     };
-    let run = run_journaled(fleet_config, jobs, journal_path, &header, resume)?;
+    let (demos, run) = std::thread::scope(|scope| {
+        let demos = scope.spawn(directed_demos);
+        let run = run_journaled(fleet_config, jobs, journal_path, &header, resume);
+        (demos.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), run)
+    });
+    let run = run?;
+    let (mut references, directed) = demos;
+    references.extend(refs.iter().map(|(kind, r)| ReferenceInfo::of(*kind, r)));
 
     let mut summary = run.summary();
-    for s in &prelude.directed {
+    for s in &directed {
         summary[s.outcome.index()] += 1;
     }
-    let header = campaign_header(config, &prelude.references, &prelude.directed);
+    let header = campaign_header(config, &references, &directed);
     Ok(FleetCampaign {
         json: render_report(&header, "run", &run.rows(), &summary, &[]),
         failures: run.failures().map(|r| (r.job_id, r.status.label())).collect(),
         resumed: run.resumed,
-        references: prelude.references.clone(),
+        references,
         summary,
     })
 }

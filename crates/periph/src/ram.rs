@@ -1,5 +1,7 @@
 //! Main memory with per-byte security tags.
 
+use std::ops::Range;
+
 use vpdift_core::{SharedCensus, Tag, Taint};
 use vpdift_kernel::SimTime;
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
@@ -9,12 +11,18 @@ use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 /// nor bookkeeping cost — mirroring the paper's VP/VP+ split.
 ///
 /// The tag lane holds raw [`Tag::bits`], one `u32` per data byte, so both
-/// lanes are built with `vec![0; n]`: a zeroed allocation the OS backs
-/// lazily (`vec![Tag::EMPTY; n]` would be filled element by element, since
-/// std zero-allocates only primitive element types). VP+ pays for a page
-/// of tags when the guest first touches it, not at construction, and the
-/// whole-RAM scans ([`Ram::digest`], [`Ram::atom_spread`]) skip all-zero
-/// chunks.
+/// lanes are zeroed allocations (`vec![Tag::EMPTY; n]` would be filled
+/// element by element, since std zero-allocates only primitive element
+/// types). Each lane comes from a fresh mapping (see `FRESH_LANE_BYTES`),
+/// which the OS backs lazily: a page costs memory when the guest first
+/// touches it, not at construction.
+///
+/// A written-page map keeps one bit per 4 KiB page, set by every
+/// write path (CPU stores, image loads, classification, bit flips, TLM
+/// writes). A page whose bit is clear holds only zeros in both lanes, so
+/// the whole-RAM scans ([`Ram::digest`], [`Ram::atom_spread`]) and tag
+/// clearing skip it without faulting it in; inside written pages they
+/// still skip all-zero chunks.
 ///
 /// The SoC bus owns the RAM. The CPU reaches it through the fast
 /// accessors below (a DMI-style shortcut, as the real RISC-V VP does); the
@@ -24,6 +32,9 @@ use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 pub struct Ram {
     data: Vec<u8>,
     tags: Vec<u32>,
+    /// One bit per `PAGE`-byte page, set once anything is written there; a
+    /// clear bit means the page is zero in both lanes.
+    written: Vec<u64>,
     tracking: bool,
     /// Mutation epoch: bumped on every change that bypasses the CPU's
     /// store path (image loads, classification, DMA/TLM writes, injected
@@ -34,8 +45,23 @@ pub struct Ram {
     census: Option<SharedCensus>,
 }
 
-/// Bytes per whole-RAM scan chunk: an all-zero chunk is skipped (or, in
-/// the digest, folded in one multiply).
+/// Bytes per page of the written-page map.
+const PAGE: usize = 1 << PAGE_SHIFT;
+const PAGE_SHIFT: u32 = 12;
+
+/// Digest bytes of one page of tags.
+const TAG_PAGE_BYTES: usize = 4 * PAGE;
+
+/// Smallest allocation, in bytes, that a RAM lane requests (the excess
+/// capacity is truncated away). glibc's adaptive mmap threshold rises to
+/// the size of a freed mapped chunk but never above 32 MiB, so a request
+/// this large is always served by a fresh, lazily zero-filled mapping. A
+/// smaller lane, once a dropped SoC had raised the threshold, would come
+/// from a reused heap chunk that `calloc` must clear in full.
+const FRESH_LANE_BYTES: usize = (32 << 20) + 4096;
+
+/// Bytes per whole-RAM scan chunk: inside a written page, an all-zero
+/// chunk is skipped (or, in the digest, folded in one multiply).
 const SCAN_CHUNK: usize = 64;
 
 /// Tags per scan chunk: each tag is 4 bytes of the digest.
@@ -44,16 +70,35 @@ const TAG_CHUNK: usize = SCAN_CHUNK / 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// `FNV_PRIME^SCAN_CHUNK` (wrapping): the digest step for an all-zero chunk.
-const FNV_PRIME_POW_CHUNK: u64 = {
-    let mut p = 1u64;
-    let mut i = 0;
-    while i < SCAN_CHUNK {
-        p = p.wrapping_mul(FNV_PRIME);
-        i += 1;
+/// `FNV_PRIME^n` (wrapping), by square-and-multiply.
+const fn fnv_prime_pow(mut n: usize) -> u64 {
+    let (mut base, mut pow) = (FNV_PRIME, 1u64);
+    while n > 0 {
+        if n & 1 == 1 {
+            pow = pow.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        n >>= 1;
     }
-    p
-};
+    pow
+}
+
+/// The digest after `n` zero bytes: FNV-1a over a zero byte is one
+/// multiply by the prime. The common lengths (a scan chunk, a data page, a
+/// tag page) use precomputed powers.
+#[inline]
+fn fold_zeros(h: u64, n: usize) -> u64 {
+    const CHUNK_POW: u64 = fnv_prime_pow(SCAN_CHUNK);
+    const PAGE_POW: u64 = fnv_prime_pow(PAGE);
+    const TAG_PAGE_POW: u64 = fnv_prime_pow(TAG_PAGE_BYTES);
+    let pow = match n {
+        SCAN_CHUNK => CHUNK_POW,
+        PAGE => PAGE_POW,
+        TAG_PAGE_BYTES => TAG_PAGE_POW,
+        n => fnv_prime_pow(n),
+    };
+    h.wrapping_mul(pow)
+}
 
 /// One FNV-1a step.
 #[inline]
@@ -61,12 +106,39 @@ fn fnv1a(h: u64, byte: u8) -> u64 {
     (h ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
+/// A zeroed lane of `n` elements, allocated from a fresh mapping.
+fn fresh_lane<T: Copy + Default>(n: usize) -> Vec<T> {
+    let mut lane = vec![T::default(); n.max(FRESH_LANE_BYTES.div_ceil(size_of::<T>()))];
+    lane.truncate(n);
+    lane
+}
+
+/// Whether the written-page map `written` has `page`'s bit set.
+#[inline]
+fn page_written(written: &[u64], page: usize) -> bool {
+    written[page / 64] >> (page % 64) & 1 != 0
+}
+
+/// The parts of `[off, off + len)` that lie in written pages, one range
+/// per page.
+fn written_parts(
+    written: &[u64],
+    off: usize,
+    len: usize,
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let end = off + len;
+    (off >> PAGE_SHIFT..end.div_ceil(PAGE))
+        .filter(|&page| page_written(written, page))
+        .map(move |page| (page * PAGE).max(off)..((page + 1) * PAGE).min(end))
+}
+
 impl Ram {
     /// Creates zeroed RAM of `size` bytes; `tracking` selects tag storage.
     pub fn new(size: usize, tracking: bool) -> Self {
         Ram {
-            data: vec![0; size],
-            tags: if tracking { vec![0; size] } else { Vec::new() },
+            data: fresh_lane(size),
+            tags: if tracking { fresh_lane(size) } else { Vec::new() },
+            written: vec![0; size.div_ceil(PAGE).div_ceil(64)],
             tracking,
             epoch: 0,
             census: None,
@@ -96,6 +168,17 @@ impl Ram {
     #[inline]
     fn bump_epoch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Marks the pages of `[off, off + len)` written.
+    #[inline]
+    fn mark_written(&mut self, off: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for page in off >> PAGE_SHIFT..=(off + len - 1) >> PAGE_SHIFT {
+            self.written[page / 64] |= 1 << (page % 64);
+        }
     }
 
     /// Attaches the live-tag census armed by external tag sources.
@@ -140,6 +223,7 @@ impl Ram {
     /// Panics if out of range.
     pub fn store(&mut self, offset: u32, size: u32, value: u32, tag: Tag) {
         let off = offset as usize;
+        self.mark_written(off, size as usize);
         for i in 0..size as usize {
             self.data[off + i] = (value >> (8 * i)) as u8;
             if self.tracking {
@@ -156,7 +240,28 @@ impl Ram {
         let off = offset as usize;
         self.data[off..off + image.len()].copy_from_slice(image);
         if self.tracking {
-            self.tags[off..off + image.len()].fill(0);
+            for part in written_parts(&self.written, off, image.len()) {
+                self.tags[part].fill(0);
+            }
+        }
+        self.mark_written(off, image.len());
+        self.bump_epoch();
+    }
+
+    /// Zeroes `[offset, offset+len)`, data and tags (an ELF segment's BSS
+    /// tail). Pages never written are zero already and stay untouched, so
+    /// a large zero-fill maps no memory.
+    ///
+    /// # Panics
+    /// Panics if out of range.
+    pub fn zero_fill(&mut self, offset: u32, len: usize) {
+        let off = offset as usize;
+        assert!(off + len <= self.data.len(), "zero-fill {off:#x}+{len:#x} past RAM end");
+        for part in written_parts(&self.written, off, len) {
+            self.data[part.clone()].fill(0);
+            if self.tracking {
+                self.tags[part].fill(0);
+            }
         }
         self.bump_epoch();
     }
@@ -172,6 +277,7 @@ impl Ram {
         }
         let off = offset as usize;
         self.tags[off..off + len].fill(tag.bits());
+        self.mark_written(off, len);
         self.bump_epoch();
         if !tag.is_empty() {
             self.arm_census();
@@ -197,6 +303,7 @@ impl Ram {
         let b = self.data.get_mut(offset as usize)?;
         *b ^= 1u8 << (bit & 7);
         let v = *b;
+        self.mark_written(offset as usize, 1);
         self.bump_epoch();
         Some(v)
     }
@@ -212,6 +319,7 @@ impl Ram {
         let t = self.tags.get_mut(offset as usize)?;
         *t ^= 1u32 << (atom & 31);
         let flipped = Tag::from_bits(*t);
+        self.mark_written(offset as usize, 1);
         self.bump_epoch();
         if !flipped.is_empty() {
             self.arm_census();
@@ -223,24 +331,36 @@ impl Ram {
     /// little-endian tag bits — the memory half of the differential engine
     /// harness's final-state comparison.
     ///
-    /// FNV-1a over a zero byte is one multiply by the prime, so an all-zero
-    /// `SCAN_CHUNK`-byte chunk folds as one multiply by its power: the
-    /// result equals the byte-by-byte digest, and memory the guest never
-    /// wrote costs one OR-reduction per chunk.
+    /// FNV-1a over a zero byte is one multiply by the prime, so a page never
+    /// written, or an all-zero `SCAN_CHUNK`-byte chunk of a written one,
+    /// folds as one multiply by its power: the result equals the
+    /// byte-by-byte digest, and memory the guest never wrote is not read.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_OFFSET;
-        for chunk in self.data.chunks(SCAN_CHUNK) {
-            if chunk.len() == SCAN_CHUNK && chunk.iter().fold(0, |a, &b| a | b) == 0 {
-                h = h.wrapping_mul(FNV_PRIME_POW_CHUNK);
-            } else {
-                h = chunk.iter().copied().fold(h, fnv1a);
+        for (page, bytes) in self.data.chunks(PAGE).enumerate() {
+            if !page_written(&self.written, page) {
+                h = fold_zeros(h, bytes.len());
+                continue;
+            }
+            for chunk in bytes.chunks(SCAN_CHUNK) {
+                h = if chunk.iter().fold(0, |a, &b| a | b) == 0 {
+                    fold_zeros(h, chunk.len())
+                } else {
+                    chunk.iter().copied().fold(h, fnv1a)
+                };
             }
         }
-        for chunk in self.tags.chunks(TAG_CHUNK) {
-            if chunk.len() == TAG_CHUNK && chunk.iter().fold(0, |a, &t| a | t) == 0 {
-                h = h.wrapping_mul(FNV_PRIME_POW_CHUNK);
-            } else {
-                h = chunk.iter().flat_map(|t| t.to_le_bytes()).fold(h, fnv1a);
+        for (page, tags) in self.tags.chunks(PAGE).enumerate() {
+            if !page_written(&self.written, page) {
+                h = fold_zeros(h, 4 * tags.len());
+                continue;
+            }
+            for chunk in tags.chunks(TAG_CHUNK) {
+                h = if chunk.iter().fold(0, |a, &t| a | t) == 0 {
+                    fold_zeros(h, 4 * chunk.len())
+                } else {
+                    chunk.iter().flat_map(|t| t.to_le_bytes()).fold(h, fnv1a)
+                };
             }
         }
         h
@@ -248,11 +368,13 @@ impl Ram {
 
     /// Counts, per taint atom, how many bytes currently carry that atom —
     /// the taint-spread sample fed to the observability layer. All-zero
-    /// when not tracking. O(len), but an all-zero chunk of the tag lane
-    /// costs one OR-reduction; callers still sample sparingly.
+    /// when not tracking. Pages never written are skipped and an all-zero
+    /// chunk of a written page costs one OR-reduction; callers still sample
+    /// sparingly.
     pub fn atom_spread(&self) -> [u32; Tag::CAPACITY as usize] {
         let mut counts = [0u32; Tag::CAPACITY as usize];
-        for chunk in self.tags.chunks(TAG_CHUNK) {
+        let pages = written_parts(&self.written, 0, self.tags.len());
+        for chunk in pages.flat_map(|part| self.tags[part].chunks(TAG_CHUNK)) {
             if chunk.iter().fold(0, |a, &t| a | t) == 0 {
                 continue;
             }
@@ -283,6 +405,7 @@ impl TlmTarget for Ram {
                 }
             }
             TlmCommand::Write => {
+                self.mark_written(base, p.len());
                 let mut incoming = Tag::EMPTY;
                 for (i, b) in p.data().iter().enumerate() {
                     self.data[base + i] = b.value();
@@ -336,6 +459,21 @@ mod tests {
         ram.classify(2, 2, Tag::atom(5));
         assert_eq!(ram.byte_at(2).unwrap(), (3, Tag::atom(5)));
         assert_eq!(ram.bytes(0, 4), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn image_load_over_a_classified_page_clears_its_stale_tags() {
+        // The classified run straddles pages 0 and 1; the image covers the
+        // end of page 0, all of page 1 and page 2, which was never written.
+        let mut ram = Ram::new(4 * PAGE, true);
+        let page = PAGE as u32;
+        ram.classify(page - 4, 8, Tag::atom(2));
+        ram.load_image(page - 2, &[7; 2 * PAGE]);
+        assert_eq!(ram.byte_at(page - 4).unwrap(), (0, Tag::atom(2)), "before the image");
+        assert_eq!(ram.byte_at(page - 1).unwrap(), (7, Tag::EMPTY));
+        assert_eq!(ram.byte_at(page + 3).unwrap(), (7, Tag::EMPTY), "stale tag on page 1");
+        assert_eq!(ram.byte_at(3 * page - 3).unwrap(), (7, Tag::EMPTY));
+        assert_eq!(ram.atom_spread()[2], 2);
     }
 
     #[test]

@@ -117,6 +117,9 @@ const MAX_CODE: usize = 1 << 16;
 /// does not scatter small heap allocations among the SoC's large ones.
 const INIT_BLOCKS: usize = 128;
 const INIT_CODE: usize = 2048;
+/// Slots of the direct-mapped jump cache in front of the hashed block
+/// index; pc `p` maps to slot `(p >> 1) % JUMP_SLOTS`.
+const JUMP_SLOTS: usize = 512;
 
 /// One predecoded instruction, carrying everything [`Cpu::exec_insn`] and
 /// the retirement event need.
@@ -189,12 +192,16 @@ struct Cursor {
 /// assert_eq!(engine.run(&mut cpu, &mut mem, 100), RunExit::Break);
 /// assert_eq!(cpu.reg(Reg::A0), 42);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BlockCache {
     arena: Vec<Block>,
     /// Every block's decoded instructions, appended in build order.
     code: Vec<CachedInsn>,
     index: HashMap<u32, usize>,
+    /// Per slot, the arena index of the block last found for a pc of that
+    /// slot. A hint counts only while its block is alive and starts at the
+    /// pc, so kills and flushes need not clear it.
+    jump: [u32; JUMP_SLOTS],
     /// Per-64-byte-line count of live blocks containing code from that
     /// line; a store only pays the invalidation walk when its line count
     /// is non-zero.
@@ -206,6 +213,12 @@ pub struct BlockCache {
     stats: CacheStats,
 }
 
+impl Default for BlockCache {
+    fn default() -> Self {
+        BlockCache::new()
+    }
+}
+
 impl BlockCache {
     /// An empty cache.
     pub fn new() -> Self {
@@ -213,8 +226,13 @@ impl BlockCache {
             arena: Vec::with_capacity(INIT_BLOCKS),
             code: Vec::with_capacity(INIT_CODE),
             index: HashMap::with_capacity(INIT_BLOCKS),
+            jump: [0; JUMP_SLOTS],
+            line_refs: Vec::new(),
             line_blocks: HashMap::with_capacity(INIT_BLOCKS),
-            ..BlockCache::default()
+            cursor: None,
+            epoch: 0,
+            census: None,
+            stats: CacheStats::default(),
         }
     }
 
@@ -288,7 +306,7 @@ impl BlockCache {
         let mut pc = cpu.pc();
         let (bi, mut ii) = match self.cursor.take() {
             Some(c) if c.expected_pc == pc => (c.block, c.idx),
-            _ => match self.index.get(&pc).copied().filter(|&bi| self.arena[bi].alive) {
+            _ => match self.lookup(pc) {
                 Some(bi) => (bi, 0),
                 None => {
                     self.stats.misses += 1;
@@ -402,6 +420,22 @@ impl BlockCache {
         (steps, res)
     }
 
+    /// The live block starting at `pc`: the jump-cache hint if it holds,
+    /// else the hashed index, which then refreshes the hint.
+    #[inline]
+    fn lookup(&mut self, pc: u32) -> Option<usize> {
+        let slot = jump_slot(pc);
+        let hint = self.jump[slot] as usize;
+        // `start == pc` is load-bearing: pcs `2 * JUMP_SLOTS` bytes apart
+        // share a slot, and a flush hands arena indices to new blocks.
+        if self.arena.get(hint).is_some_and(|b| b.alive && b.start == pc) {
+            return Some(hint);
+        }
+        let bi = self.index.get(&pc).copied().filter(|&bi| self.arena[bi].alive)?;
+        self.jump[slot] = bi as u32;
+        Some(bi)
+    }
+
     #[inline]
     fn count_gating(&mut self, n: u64, live: bool) {
         if live {
@@ -486,6 +520,7 @@ impl BlockCache {
             self.line_blocks.entry(line).or_default().push(bi);
         }
         self.index.insert(block.start, bi);
+        self.jump[jump_slot(block.start)] = bi as u32;
         self.arena.push(block);
         bi
     }
@@ -551,6 +586,12 @@ impl BlockCache {
         self.line_blocks.clear();
         self.stats.flushes += 1;
     }
+}
+
+/// The jump-cache slot of `pc` (instructions are at least 2-byte aligned).
+#[inline]
+fn jump_slot(pc: u32) -> usize {
+    (pc >> 1) as usize % JUMP_SLOTS
 }
 
 #[cfg(test)]

@@ -259,8 +259,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             engine.borrow_mut().set_observer(engine_observer(&obs));
         }
 
-        // RAM first: placed after the peripherals' small allocations, its
-        // buffers raised 256 KiB serve sessions' peak RSS by about 8%.
         let ram = Ram::new(config.ram_size, M::TRACKING);
         let plic = Plic::new().into_shared();
         let clint = Clint::new().into_shared();
@@ -461,12 +459,9 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             let off = seg.vaddr - map::RAM_BASE;
             let ram = self.ram_mut();
             ram.load_image(off, &seg.data);
-            let bss = seg.memsz as usize - seg.data.len();
-            if bss > 0 {
-                // `memsz > filesz` tail: the ELF contract requires
-                // zero-fill (the SoC may be reloaded with RAM dirty).
-                ram.load_image(off + seg.data.len() as u32, &vec![0u8; bss]);
-            }
+            // `memsz > filesz` tail: the ELF contract requires zero-fill
+            // (the SoC may be reloaded with RAM dirty).
+            ram.zero_fill(off + seg.data.len() as u32, seg.memsz as usize - seg.data.len());
             let tag = ingress(index, seg);
             if !tag.is_empty() {
                 self.ram_mut().classify(off, seg.memsz as usize, tag);

@@ -10,6 +10,8 @@
 //! the Table II plain/tainted workloads, and self-modifying-code
 //! regressions where code is overwritten *after* being cached — by a CPU
 //! store, by a DMA burst and from the host.
+//! Two hot blocks that share a jump-cache slot, one killed mid-loop, have
+//! a case of their own.
 //! The slice-dispatch yield rules have their own cases: an interrupt
 //! raised by an MMIO store mid-block, step-exact short run budgets, and a
 //! stop flag raised on a `NullSink` SoC.
@@ -135,6 +137,51 @@ fn smc_overwrite_after_caching_is_engine_invariant() {
     assert_eq!(soc.cpu().reg(Reg::A0), 201, "patched add must take effect after caching");
     let stats = soc.engine_stats().expect("block cache stats");
     assert!(stats.invalidations > 0, "the overwrite must invalidate a cached block");
+}
+
+/// Two hot blocks 1024 bytes apart share a slot of the block cache's
+/// direct-mapped jump cache, and a CPU store kills one of them mid-loop.
+/// Every call must run the live block that starts at its own pc — right
+/// after the kill, the slot still names the killed block — exactly as the
+/// interpreter does.
+#[test]
+fn jump_cache_slot_aliasing_is_engine_invariant() {
+    let mut a = Asm::new(0);
+    a.entry();
+    a.li(Reg::A0, 0);
+    a.li(Reg::S0, 20);
+    a.li(Reg::T2, 10);
+    a.label("loop");
+    a.call("near");
+    a.call("far");
+    a.addi(Reg::S0, Reg::S0, -1);
+    a.bne(Reg::S0, Reg::T2, "next");
+    // After the 10th pass, while both blocks are cached, patch `far` and
+    // call it again before `near` takes the slot back.
+    a.la(Reg::T0, "far");
+    a.li(Reg::T1, 0x3E85_0513u32 as i32); // addi a0, a0, 1000
+    a.sw(Reg::T1, 0, Reg::T0);
+    a.call("far");
+    a.label("next");
+    a.bnez(Reg::S0, "loop");
+    a.ebreak();
+    a.align(1024);
+    a.label("near");
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.ret();
+    a.align(1024);
+    a.label("far");
+    a.addi(Reg::A0, Reg::A0, 100);
+    a.ret();
+    let prog = a.assemble().expect("aliasing guest assembles");
+    let (near, far) = (prog.symbol("near").unwrap(), prog.symbol("far").unwrap());
+    assert_eq!(far - near, 1024, "the two blocks must share a jump-cache slot");
+
+    let [pi, pc] = run_both::<Plain>(&prog, 10_000);
+    assert_eq!(pi, pc, "plain VP engines disagree");
+    assert_eq!(pi.0, SocExit::Break);
+    let [ti, tc] = run_both::<Tainted>(&prog, 10_000);
+    assert_eq!(ti, tc, "VP+ engines disagree");
 }
 
 /// `addi a0, a0, 100`: the word patched over a cached loop body.
