@@ -3,12 +3,12 @@
 //! policies, and DMA transfer cost with tag tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vpdift_core::{AddrRange, ExecClearance, SecurityPolicy, Tag};
+use vpdift_core::{AddrRange, DiftEngine, ExecClearance, SecurityPolicy, Tag};
 use vpdift_immo::{protocol, PolicyKind, Variant};
 use vpdift_periph::{Dma, Ram};
 use vpdift_rv32::Tainted;
 use vpdift_soc::{Soc, SocBuilder, SocExit};
-use vpdift_tlm::{GenericPayload, Router};
+use vpdift_tlm::{GenericPayload, Loan, Router};
 
 /// Runs the primes workload under a given exec-clearance configuration.
 fn run_with_exec(exec: ExecClearance) -> u64 {
@@ -51,13 +51,15 @@ fn bench_dma(c: &mut Criterion) {
             ram.classify(0, 4096, Tag::from_bits(1));
             let mut ports = Router::new("dma-ports");
             ports.map_memory("ram", AddrRange::new(0, 64 * 1024)).unwrap();
-            let mut dma = Dma::new(ports, None, None);
+            let mut dma = Dma::new(ports, false, None);
+            let mut engine = DiftEngine::new(SecurityPolicy::permissive());
             b.iter(|| {
                 use vpdift_tlm::TlmTarget;
                 let mut d = vpdift_kernel::SimTime::ZERO;
+                let mut loan = Loan { mem: &mut ram, engine: &mut engine };
                 for (reg, v) in [(0x0, 0u32), (0x4, 0x4000), (0x8, 4096), (0xC, 1)] {
                     let mut p = GenericPayload::write_word(reg, vpdift_core::Taint::untainted(v));
-                    dma.transport_with(&mut p, &mut d, &mut ram);
+                    dma.transport_with(&mut p, &mut d, &mut loan);
                     assert!(p.is_ok());
                 }
             })

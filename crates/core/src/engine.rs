@@ -10,9 +10,8 @@
 use core::fmt;
 use std::collections::HashMap;
 
-use vpdift_sync::{shared, Shared};
+use vpdift_sync::Shared;
 
-use crate::census::{SharedCensus, TaintCensus};
 use crate::error::{Violation, ViolationKind};
 use crate::policy::SecurityPolicy;
 use crate::tag::Tag;
@@ -74,8 +73,8 @@ pub struct EngineStats {
     pub failed: u64,
 }
 
-/// The DIFT engine. Usually shared as a [`SharedEngine`] between the CPU
-/// and all peripherals of a VP.
+/// The DIFT engine. A VP has one, owned by its system bus, which lends it
+/// to the CPU's and the peripherals' check sites.
 ///
 /// ```
 /// use vpdift_core::{DiftEngine, SecurityPolicy, Tag, ViolationKind};
@@ -109,10 +108,6 @@ pub struct DiftEngine {
     observer: Option<SharedFlowObserver>,
     /// Cached [`SecurityPolicy::atom_universe`] for the fail-closed check.
     universe: Tag,
-    /// Live-tag census shared with tag sources and fast execution engines.
-    /// Cloning the engine shares the census — both copies describe the same
-    /// architectural tag state.
-    census: SharedCensus,
     /// Last tag checked per named site, backing
     /// [`FlowObserver::on_tag_change`]. Empty (and never written) while no
     /// observer is attached.
@@ -142,7 +137,6 @@ impl DiftEngine {
             stats: EngineStats::default(),
             observer: None,
             universe,
-            census: TaintCensus::new().into_shared(),
             site_tags: HashMap::new(),
         }
     }
@@ -150,11 +144,6 @@ impl DiftEngine {
     /// Creates an engine with an explicit mode.
     pub fn with_mode(policy: SecurityPolicy, mode: EnforceMode) -> Self {
         DiftEngine { mode, ..DiftEngine::new(policy) }
-    }
-
-    /// Wraps the engine for sharing between VP components.
-    pub fn into_shared(self) -> SharedEngine {
-        shared(self)
     }
 
     /// The policy under evaluation.
@@ -181,14 +170,6 @@ impl DiftEngine {
     /// Detaches the flow observer, if any.
     pub fn clear_observer(&mut self) {
         self.observer = None;
-    }
-
-    /// The engine's live-tag census. Tag sources (RAM classification, DMA,
-    /// tagged MMIO reads) clone this handle and [`arm`](TaintCensus::arm)
-    /// it; fast execution engines consult it to skip provably-passing
-    /// checks while no tag is live.
-    pub fn census(&self) -> &SharedCensus {
-        &self.census
     }
 
     /// Statistics so far.
@@ -339,13 +320,11 @@ impl DiftEngine {
     }
 }
 
-/// The engine as shared between the CPU and peripherals of one VP.
-pub type SharedEngine = Shared<DiftEngine>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::AddrRange;
+    use vpdift_sync::shared;
 
     const SECRET: Tag = Tag::from_bits(0b01);
     const UNTRUSTED: Tag = Tag::from_bits(0b10);
@@ -497,12 +476,5 @@ mod tests {
         let mut e = engine();
         let _ = e.check_output("uart.tx", SECRET, None);
         assert!(e.site_tags.is_empty(), "site tracking must be free under NullSink");
-    }
-
-    #[test]
-    fn shared_engine_is_usable_through_refcell() {
-        let shared = engine().into_shared();
-        assert!(shared.borrow_mut().check_output("uart.tx", SECRET, None).is_err());
-        assert_eq!(shared.borrow().violations().len(), 1);
     }
 }

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod census;
 mod engine;
 mod error;
 pub mod ifp;
@@ -57,10 +56,7 @@ mod tag;
 mod taint;
 pub mod textpolicy;
 
-pub use census::{SharedCensus, TaintCensus};
-pub use engine::{
-    DiftEngine, EnforceMode, EngineStats, FlowObserver, SharedEngine, SharedFlowObserver,
-};
+pub use engine::{DiftEngine, EnforceMode, EngineStats, FlowObserver, SharedFlowObserver};
 pub use error::{Violation, ViolationKind};
 pub use lattice::{ClassId, CompiledLattice, Lattice, LatticeBuilder, LatticeError};
 pub use policy::{AddrRange, DeclassifyCap, ExecClearance, SecurityPolicy, SecurityPolicyBuilder};

@@ -256,10 +256,10 @@ pub enum ObsEvent {
         invalidations: u64,
         /// Whole-cache flushes from external memory mutation.
         flushes: u64,
-        /// Steps run with checks skipped because the taint census was
+        /// Steps run with checks skipped because the taint-idle latch was
         /// still clear.
         idle_steps: u64,
-        /// Steps run on the slow checked path after the census armed.
+        /// Steps run on the slow checked path after the latch was set.
         checked_steps: u64,
     },
 }

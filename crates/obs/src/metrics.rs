@@ -27,9 +27,9 @@ pub struct EngineCacheStats {
     pub invalidations: u64,
     /// Whole-cache flushes from external memory mutation.
     pub flushes: u64,
-    /// Steps run with checks skipped (taint census clear).
+    /// Steps run with checks skipped (taint-idle latch clear).
     pub idle_steps: u64,
-    /// Steps run on the slow checked path after the census armed.
+    /// Steps run on the slow checked path after the latch was set.
     pub checked_steps: u64,
 }
 

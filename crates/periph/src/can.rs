@@ -10,9 +10,9 @@
 use std::collections::VecDeque;
 use vpdift_sync::{shared, Shared};
 
-use vpdift_core::{SharedEngine, Tag, Taint};
+use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
 use crate::plic::IrqLine;
@@ -105,17 +105,6 @@ impl CanChannel {
     pub fn host_endpoint(&self) -> CanHostEndpoint {
         CanHostEndpoint { state: Shared::clone(&self.state) }
     }
-
-    /// Installs a line-level fault model (frame corruption/loss) on the
-    /// link; both directions pass through it.
-    pub fn set_line_fault(&self, fault: SharedCanLine) {
-        self.state.borrow_mut().line_fault = Some(fault);
-    }
-
-    /// Removes the line-fault model; the wire is perfect again.
-    pub fn clear_line_fault(&self) {
-        self.state.borrow_mut().line_fault = None;
-    }
 }
 
 /// Host-side access to the CAN link (the scripted remote ECU).
@@ -149,10 +138,8 @@ impl CanHostEndpoint {
         (1..=max_attempts).find(|_| self.send(frame.clone()))
     }
 
-    /// Installs a line-level fault model on the link — the host endpoint
-    /// shares the channel state, so this is the same wire
-    /// [`CanChannel::set_line_fault`] configures. Exists so harnesses that
-    /// only hold the host side of a built SoC can still break the wire.
+    /// Installs a line-level fault model (frame corruption/loss) on the
+    /// link; both directions pass through it.
     pub fn set_line_fault(&self, fault: SharedCanLine) {
         self.state.borrow_mut().line_fault = Some(fault);
     }
@@ -195,12 +182,12 @@ pub mod regs {
     pub const RX_POP: u32 = 0x34;
 }
 
-/// The SoC-side CAN controller.
+/// The SoC-side CAN controller. It checks transmitted frames with the
+/// engine lent to the transaction ([`TlmTarget::transport_with`]).
 #[derive(Debug)]
 pub struct CanController {
     name: String,
     sink: String,
-    engine: SharedEngine,
     input_tag: Tag,
     channel: CanChannel,
     irq: Option<IrqLine>,
@@ -215,17 +202,10 @@ impl CanController {
     /// Creates a controller named `name`: TX clearance is checked against
     /// the sink `"<name>.tx"`, and bytes received from the link are
     /// classified `input_tag`.
-    pub fn new(
-        name: &str,
-        engine: SharedEngine,
-        input_tag: Tag,
-        channel: CanChannel,
-        irq: Option<IrqLine>,
-    ) -> Self {
+    pub fn new(name: &str, input_tag: Tag, channel: CanChannel, irq: Option<IrqLine>) -> Self {
         CanController {
             name: name.to_owned(),
             sink: format!("{name}.tx"),
-            engine,
             input_tag,
             channel,
             irq,
@@ -285,7 +265,17 @@ impl CanController {
 }
 
 impl TlmTarget for CanController {
+    /// Unlent, no engine can clear a frame: the transaction is refused.
     fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::GenericError);
+    }
+
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        _delay: &mut SimTime,
+        loan: &mut Loan<'_>,
+    ) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -314,7 +304,7 @@ impl TlmTarget for CanController {
                     let tag = self.tx_data[..self.tx_dlc as usize]
                         .iter()
                         .fold(Tag::EMPTY, |acc, b| acc.lub(b.tag()));
-                    match self.engine.borrow_mut().check_output(&self.sink, tag, None) {
+                    match loan.engine.check_output(&self.sink, tag, None) {
                         Ok(()) => {
                             let mut frame =
                                 CanFrame { id: self.tx_id, dlc: self.tx_dlc, data: self.tx_data };
@@ -389,28 +379,41 @@ impl TlmTarget for CanController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_engine;
     use vpdift_core::{DiftEngine, SecurityPolicy, ViolationKind};
 
     const SECRET: Tag = Tag::from_bits(0b01);
     const UNTRUSTED: Tag = Tag::from_bits(0b10);
 
-    fn controller() -> (CanController, CanHostEndpoint) {
-        let policy = SecurityPolicy::builder("t").sink("can0.tx", UNTRUSTED).build();
-        let engine = DiftEngine::new(policy).into_shared();
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
-        (CanController::new("can0", engine, UNTRUSTED, channel, None), host)
+    /// A controller with the engine a router would lend it.
+    struct Ctl {
+        c: CanController,
+        engine: DiftEngine,
     }
 
-    fn wr(c: &mut CanController, reg: u32, v: Taint<u32>) -> GenericPayload {
+    impl Ctl {
+        fn transport(&mut self, p: &mut GenericPayload) {
+            lend_engine(&mut self.c, p, &mut self.engine);
+        }
+    }
+
+    fn controller() -> (Ctl, CanHostEndpoint) {
+        let policy = SecurityPolicy::builder("t").sink("can0.tx", UNTRUSTED).build();
+        let channel = CanChannel::new();
+        let host = channel.host_endpoint();
+        let c = CanController::new("can0", UNTRUSTED, channel, None);
+        (Ctl { c, engine: DiftEngine::new(policy) }, host)
+    }
+
+    fn wr(c: &mut Ctl, reg: u32, v: Taint<u32>) -> GenericPayload {
         let mut p = GenericPayload::write_word(reg, v);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         p
     }
 
-    fn rd(c: &mut CanController, reg: u32) -> Taint<u32> {
+    fn rd(c: &mut Ctl, reg: u32) -> Taint<u32> {
         let mut p = GenericPayload::read(reg, 4);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         assert!(p.is_ok(), "read of {reg:#x}");
         p.data_word()
     }
@@ -422,12 +425,12 @@ mod tests {
         wr(&mut c, regs::TX_DLC, Taint::untainted(2));
         let mut p =
             GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0xAA), Taint::untainted(0xBB)]);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
         let f = host.recv().expect("frame delivered");
         assert_eq!(f.id, 0x123);
         assert_eq!(f.bytes(), vec![0xAA, 0xBB]);
-        assert_eq!(c.frames_sent(), 1);
+        assert_eq!(c.c.frames_sent(), 1);
         assert_eq!(host.pending(), 0);
     }
 
@@ -436,7 +439,7 @@ mod tests {
         let (mut c, host) = controller();
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::new(0x42, SECRET)]);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         let mut go = wr(&mut c, regs::TX_GO, Taint::untainted(1));
         let v = go.take_violation().expect("violation");
         assert_eq!(v.kind, ViolationKind::Output { sink: "can0.tx".into() });
@@ -451,7 +454,7 @@ mod tests {
         assert_eq!(rd(&mut c, regs::RX_ID).value(), 0x7FF);
         assert_eq!(rd(&mut c, regs::RX_DLC).value(), 4);
         let mut p = GenericPayload::read(regs::RX_DATA, 4);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         assert_eq!(p.data_values(), vec![1, 2, 3, 4]);
         assert!(p.data().iter().all(|b| b.tag() == UNTRUSTED));
         wr(&mut c, regs::RX_POP, Taint::untainted(1));
@@ -461,16 +464,10 @@ mod tests {
     #[test]
     fn rx_irq_polling() {
         let plic = crate::plic::Plic::new().into_shared();
-        let policy = SecurityPolicy::builder("t").build();
         let channel = CanChannel::new();
         let host = channel.host_endpoint();
-        let c = CanController::new(
-            "can0",
-            DiftEngine::new(policy).into_shared(),
-            Tag::EMPTY,
-            channel,
-            Some(IrqLine::new(plic.clone(), 3)),
-        );
+        let c =
+            CanController::new("can0", Tag::EMPTY, channel, Some(IrqLine::new(plic.clone(), 3)));
         c.poll_rx_irq();
         assert_eq!(plic.borrow().pending(), 0);
         host.send(CanFrame::new(1, &[0]));
@@ -483,7 +480,7 @@ mod tests {
         let (mut c, _host) = controller();
         assert_eq!(rd(&mut c, regs::RX_ID).value(), 0);
         assert_eq!(rd(&mut c, regs::RX_DLC).value(), 0);
-        assert_eq!(c.name(), "can0");
+        assert_eq!(c.c.name(), "can0");
     }
 
     /// Drops the first `drop_n` frames in each direction, then corrupts
@@ -509,36 +506,34 @@ mod tests {
 
     #[test]
     fn line_fault_drops_and_send_reports_it() {
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
-        channel.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
+        let host = CanChannel::new().host_endpoint();
+        host.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "first frame lost");
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "second frame lost");
         assert!(host.send(CanFrame::new(1, &[0xAA])));
-        channel.clear_line_fault();
+        host.clear_line_fault();
         assert!(host.send(CanFrame::new(2, &[0xBB])), "perfect wire again");
     }
 
     #[test]
     fn send_with_retry_survives_bounded_loss() {
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
-        channel.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
+        let host = CanChannel::new().host_endpoint();
+        host.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
         assert_eq!(host.send_with_retry(CanFrame::new(7, &[1]), 5), Some(3), "third attempt lands");
         // Total loss within the attempt budget is reported, not retried forever.
-        channel.set_line_fault(shared(LossyLine { drop_n: 100, corrupt: false, seen: 0 }));
+        host.set_line_fault(shared(LossyLine { drop_n: 100, corrupt: false, seen: 0 }));
         assert_eq!(host.send_with_retry(CanFrame::new(7, &[1]), 4), None);
     }
 
     #[test]
     fn line_fault_corrupts_device_tx_but_send_still_counts() {
         let (mut c, host) = controller();
-        c.channel.set_line_fault(shared(LossyLine { drop_n: 0, corrupt: true, seen: 0 }));
+        host.set_line_fault(shared(LossyLine { drop_n: 0, corrupt: true, seen: 0 }));
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0xAA)]);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
-        assert_eq!(c.frames_sent(), 1);
+        assert_eq!(c.c.frames_sent(), 1);
         let f = host.recv().expect("corrupted, not lost");
         assert_eq!(f.bytes(), vec![0xAB], "bit 0 flipped on the wire");
     }
@@ -546,12 +541,12 @@ mod tests {
     #[test]
     fn line_loss_is_invisible_to_the_device() {
         let (mut c, host) = controller();
-        c.channel.set_line_fault(shared(LossyLine { drop_n: 1, corrupt: false, seen: 0 }));
+        host.set_line_fault(shared(LossyLine { drop_n: 1, corrupt: false, seen: 0 }));
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0x42)]);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok(), "TX_GO still succeeds");
-        assert_eq!(c.frames_sent(), 1, "the controller believes it transmitted");
+        assert_eq!(c.c.frames_sent(), 1, "the controller believes it transmitted");
         assert!(host.recv().is_none(), "but the wire ate the frame");
     }
 }

@@ -7,12 +7,12 @@
 //! the bytes — and transfers into protected regions are still subject to
 //! the policy's store-clearance rules.
 
-use vpdift_core::{SharedEngine, Taint, Violation};
+use vpdift_core::{Taint, Violation};
 use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
-use vpdift_tlm::{GenericPayload, Router, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, Router, TlmCommand, TlmResponse, TlmTarget};
 
-use crate::mmio::{get_word, no_memory, put_word};
+use crate::mmio::{get_word, put_word};
 use crate::plic::IrqLine;
 
 /// Hardware limit on a single transfer; `CTRL` writes with a larger
@@ -36,11 +36,13 @@ pub mod regs {
 
 /// The DMA controller. It owns a *private* [`Router`] (configured by the
 /// SoC with the same shared targets as the system bus, minus the DMA
-/// itself), which keeps transfers re-entrant-safe. Its RAM window reaches
-/// the memory lent to each transaction ([`TlmTarget::transport_with`]).
+/// itself), which keeps transfers re-entrant-safe. Each burst passes on
+/// the loan of the transaction that started it
+/// ([`TlmTarget::transport_with`]): its RAM window reaches the lent memory,
+/// and its targets and its own store-clearance check use the lent engine.
 pub struct Dma {
     ports: Router,
-    engine: Option<SharedEngine>,
+    check_stores: bool,
     irq: Option<IrqLine>,
     src: u32,
     dst: u32,
@@ -65,13 +67,13 @@ impl core::fmt::Debug for Dma {
 }
 
 impl Dma {
-    /// Creates a controller whose transfers go through `ports`. When an
-    /// `engine` is attached, destination bytes are checked against the
-    /// policy's protected-region rules (store clearance).
-    pub fn new(ports: Router, engine: Option<SharedEngine>, irq: Option<IrqLine>) -> Self {
+    /// Creates a controller whose transfers go through `ports`. With
+    /// `check_stores`, destination bytes are checked against the policy's
+    /// protected-region rules (store clearance).
+    pub fn new(ports: Router, check_stores: bool, irq: Option<IrqLine>) -> Self {
         Dma {
             ports,
-            engine,
+            check_stores,
             irq,
             src: 0,
             dst: 0,
@@ -105,7 +107,7 @@ impl Dma {
     fn run_transfer(
         &mut self,
         delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
+        loan: &mut Loan<'_>,
     ) -> Result<(), Option<Violation>> {
         if self.len > MAX_TRANSFER {
             return Err(None);
@@ -123,20 +125,20 @@ impl Dma {
             }
             let chunk = remaining.min(16) as usize;
             let mut rd = GenericPayload::read(src, chunk);
-            self.ports.route(&mut rd, delay, mem);
+            self.ports.route(&mut rd, delay, loan);
             if !rd.is_ok() {
                 return Err(rd.take_violation());
             }
             // Store clearance for protected destination regions.
-            if let Some(engine) = &self.engine {
-                let mut eng = engine.borrow_mut();
+            if self.check_stores {
                 for (i, b) in rd.data().iter().enumerate() {
-                    eng.check_store(dst + i as u32, b.tag(), None)
+                    loan.engine
+                        .check_store(dst + i as u32, b.tag(), None)
                         .map_err(|v| Some(v.with_context("dma transfer")))?;
                 }
             }
             let mut wr = GenericPayload::write(dst, rd.data());
-            self.ports.route(&mut wr, delay, mem);
+            self.ports.route(&mut wr, delay, loan);
             if !wr.is_ok() {
                 return Err(wr.take_violation());
             }
@@ -152,16 +154,13 @@ impl Dma {
 }
 
 impl TlmTarget for Dma {
-    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
-        self.transport_with(p, delay, &mut no_memory);
+    /// Unlent, a burst has no memory or engine to use: the transaction is
+    /// refused.
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::GenericError);
     }
 
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
-    ) {
+    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -180,7 +179,7 @@ impl TlmTarget for Dma {
                 regs::CTRL => {
                     self.done = false;
                     self.error = false;
-                    match self.run_transfer(delay, mem) {
+                    match self.run_transfer(delay, loan) {
                         Ok(()) => {
                             self.done = true;
                             if let Some(irq) = &self.irq {
@@ -234,136 +233,156 @@ mod tests {
 
     const SECRET: Tag = Tag::from_bits(1);
 
-    fn ports(ram_size: u32) -> Router {
-        let mut ports = Router::new("dma-ports");
-        ports.map_memory("ram", AddrRange::new(0, ram_size)).unwrap();
-        ports
+    /// A controller with the RAM and engine its bus would lend it.
+    struct Rig {
+        d: Dma,
+        ram: Ram,
+        engine: DiftEngine,
     }
 
-    fn dma_with_ram() -> (Dma, Ram) {
-        (Dma::new(ports(4096), None, None), Ram::new(4096, true))
+    impl Rig {
+        fn new(ram_size: u32, policy: SecurityPolicy, irq: Option<IrqLine>) -> Self {
+            let mut ports = Router::new("dma-ports");
+            ports.map_memory("ram", AddrRange::new(0, ram_size)).unwrap();
+            Rig {
+                d: Dma::new(ports, true, irq),
+                ram: Ram::new(ram_size as usize, true),
+                engine: DiftEngine::new(policy),
+            }
+        }
+
+        fn transport(&mut self, p: &mut GenericPayload) {
+            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine };
+            self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
+        }
+
+        fn wr(&mut self, reg: u32, v: u32) -> GenericPayload {
+            let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
+            self.transport(&mut p);
+            p
+        }
+
+        fn rd(&mut self, reg: u32) -> u32 {
+            let mut p = GenericPayload::read(reg, 4);
+            self.transport(&mut p);
+            p.data_word::<u32>().value()
+        }
     }
 
-    fn wr(d: &mut Dma, ram: &mut Ram, reg: u32, v: u32) -> GenericPayload {
-        let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
-        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
-        p
-    }
-
-    fn rd(d: &mut Dma, ram: &mut Ram, reg: u32) -> u32 {
-        let mut p = GenericPayload::read(reg, 4);
-        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
-        p.data_word::<u32>().value()
+    fn rig() -> Rig {
+        Rig::new(4096, SecurityPolicy::permissive(), None)
     }
 
     #[test]
     fn copy_preserves_values_and_tags() {
-        let (mut d, mut ram) = dma_with_ram();
-        ram.load_image(0x100, &[1, 2, 3, 4, 5, 6, 7]);
-        ram.classify(0x102, 3, SECRET);
-        let epoch = ram.epoch();
-        wr(&mut d, &mut ram, regs::SRC, 0x100);
-        wr(&mut d, &mut ram, regs::DST, 0x200);
-        wr(&mut d, &mut ram, regs::LEN, 7);
-        assert!(wr(&mut d, &mut ram, regs::CTRL, 1).is_ok());
-        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 1);
-        assert_eq!(d.bytes_moved(), 7);
-        assert!(ram.epoch() > epoch, "a burst bypasses the CPU");
-        assert_eq!(ram.bytes(0x200, 7), &[1, 2, 3, 4, 5, 6, 7]);
+        let mut r = rig();
+        r.ram.load_image(0x100, &[1, 2, 3, 4, 5, 6, 7]);
+        r.ram.classify(0x102, 3, SECRET);
+        let epoch = r.ram.epoch();
+        r.wr(regs::SRC, 0x100);
+        r.wr(regs::DST, 0x200);
+        r.wr(regs::LEN, 7);
+        assert!(r.wr(regs::CTRL, 1).is_ok());
+        assert_eq!(r.rd(regs::STATUS), 1);
+        assert_eq!(r.d.bytes_moved(), 7);
+        assert!(r.ram.epoch() > epoch, "a burst bypasses the CPU");
+        assert_eq!(r.ram.bytes(0x200, 7), &[1, 2, 3, 4, 5, 6, 7]);
         // Taint travelled with the bytes — the flow the CPU never saw.
-        assert_eq!(ram.byte_at(0x201).unwrap().1, Tag::EMPTY);
-        assert_eq!(ram.byte_at(0x202).unwrap().1, SECRET);
-        assert_eq!(ram.byte_at(0x204).unwrap().1, SECRET);
-        assert_eq!(ram.byte_at(0x205).unwrap().1, Tag::EMPTY);
+        assert_eq!(r.ram.byte_at(0x201).unwrap().1, Tag::EMPTY);
+        assert_eq!(r.ram.byte_at(0x202).unwrap().1, SECRET);
+        assert_eq!(r.ram.byte_at(0x204).unwrap().1, SECRET);
+        assert_eq!(r.ram.byte_at(0x205).unwrap().1, Tag::EMPTY);
     }
 
     #[test]
     fn long_transfer_chunks() {
-        let (mut d, mut ram) = dma_with_ram();
+        let mut r = rig();
         let data: Vec<u8> = (0..100).collect();
-        ram.load_image(0, &data);
-        wr(&mut d, &mut ram, regs::SRC, 0);
-        wr(&mut d, &mut ram, regs::DST, 0x800);
-        wr(&mut d, &mut ram, regs::LEN, 100);
-        assert!(wr(&mut d, &mut ram, regs::CTRL, 1).is_ok());
-        assert_eq!(ram.bytes(0x800, 100), &data[..]);
+        r.ram.load_image(0, &data);
+        r.wr(regs::SRC, 0);
+        r.wr(regs::DST, 0x800);
+        r.wr(regs::LEN, 100);
+        assert!(r.wr(regs::CTRL, 1).is_ok());
+        assert_eq!(r.ram.bytes(0x800, 100), &data[..]);
     }
 
     #[test]
     fn dma_into_protected_region_violates() {
-        let mut ram = Ram::new(4096, true);
         let policy = SecurityPolicy::builder("t")
             .protect_region("pin", AddrRange::new(0x300, 16), Tag::EMPTY)
             .build();
-        let engine = DiftEngine::new(policy).into_shared();
-        let mut d = Dma::new(ports(4096), Some(engine.clone()), None);
-        ram.classify(0x100, 4, SECRET);
-        wr(&mut d, &mut ram, regs::SRC, 0x100);
-        wr(&mut d, &mut ram, regs::DST, 0x300);
-        wr(&mut d, &mut ram, regs::LEN, 4);
-        let mut go = wr(&mut d, &mut ram, regs::CTRL, 1);
+        let mut r = Rig::new(4096, policy, None);
+        r.ram.classify(0x100, 4, SECRET);
+        r.wr(regs::SRC, 0x100);
+        r.wr(regs::DST, 0x300);
+        r.wr(regs::LEN, 4);
+        let mut go = r.wr(regs::CTRL, 1);
         let v = go.take_violation().expect("violation");
         assert!(matches!(v.kind, ViolationKind::Store { ref region } if region == "pin"));
-        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10, "error bit set");
+        assert_eq!(r.rd(regs::STATUS), 0b10, "error bit set");
+        assert_eq!(r.engine.violations().len(), 1, "recorded in the lent engine");
+        // Without store checks (the plain VP) the same burst lands.
+        r.d.check_stores = false;
+        assert!(r.wr(regs::CTRL, 1).is_ok());
+        assert_eq!(r.ram.byte_at(0x300).unwrap().1, SECRET);
     }
 
     #[test]
     fn out_of_range_transfer_errors() {
-        let (mut d, mut ram) = dma_with_ram();
-        wr(&mut d, &mut ram, regs::SRC, 0x10_0000);
-        wr(&mut d, &mut ram, regs::DST, 0);
-        wr(&mut d, &mut ram, regs::LEN, 4);
-        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
+        let mut r = rig();
+        r.wr(regs::SRC, 0x10_0000);
+        r.wr(regs::DST, 0);
+        r.wr(regs::LEN, 4);
+        let p = r.wr(regs::CTRL, 1);
         assert_eq!(p.response(), TlmResponse::GenericError);
-        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10);
-        // Without lent memory the RAM window is out of range too.
-        wr(&mut d, &mut ram, regs::SRC, 0);
+        assert_eq!(r.rd(regs::STATUS), 0b10);
+        // Unlent, the controller refuses every transaction.
+        r.wr(regs::SRC, 0);
         let mut p = GenericPayload::write_word(regs::CTRL, Taint::untainted(1));
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
+        r.d.transport(&mut p, &mut SimTime::ZERO.clone());
         assert_eq!(p.response(), TlmResponse::GenericError);
     }
 
     #[test]
     fn irq_raised_on_completion() {
         let plic = crate::plic::Plic::new().into_shared();
-        let mut ram = Ram::new(64, false);
-        let mut d = Dma::new(ports(64), None, Some(IrqLine::new(plic.clone(), 4)));
-        wr(&mut d, &mut ram, regs::SRC, 0);
-        wr(&mut d, &mut ram, regs::DST, 32);
-        wr(&mut d, &mut ram, regs::LEN, 8);
-        wr(&mut d, &mut ram, regs::CTRL, 1);
+        let mut r = Rig::new(64, SecurityPolicy::permissive(), Some(IrqLine::new(plic.clone(), 4)));
+        r.wr(regs::SRC, 0);
+        r.wr(regs::DST, 32);
+        r.wr(regs::LEN, 8);
+        r.wr(regs::CTRL, 1);
         assert_eq!(plic.borrow().pending(), 1 << 4);
     }
 
     #[test]
     fn injected_abort_is_one_shot_and_leaves_partial_copy() {
-        let (mut d, mut ram) = dma_with_ram();
+        let mut r = rig();
         let data: Vec<u8> = (1..=64).collect();
-        ram.load_image(0, &data);
-        d.inject_abort_after(32);
-        wr(&mut d, &mut ram, regs::SRC, 0);
-        wr(&mut d, &mut ram, regs::DST, 0x800);
-        wr(&mut d, &mut ram, regs::LEN, 64);
-        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
+        r.ram.load_image(0, &data);
+        r.d.inject_abort_after(32);
+        r.wr(regs::SRC, 0);
+        r.wr(regs::DST, 0x800);
+        r.wr(regs::LEN, 64);
+        let p = r.wr(regs::CTRL, 1);
         assert_eq!(p.response(), TlmResponse::GenericError);
-        assert_eq!(rd(&mut d, &mut ram, regs::STATUS), 0b10, "error bit set");
-        let copied = ram.bytes(0x800, 64).to_vec();
+        assert_eq!(r.rd(regs::STATUS), 0b10, "error bit set");
+        let copied = r.ram.bytes(0x800, 64).to_vec();
         assert_eq!(&copied[..32], &data[..32], "first two bursts landed");
         assert!(copied[32..].iter().all(|&b| b == 0), "abort before the third burst");
         // The arm is one-shot: retrying the same transfer now succeeds.
-        let p = wr(&mut d, &mut ram, regs::CTRL, 1);
+        let p = r.wr(regs::CTRL, 1);
         assert!(p.is_ok());
-        assert_eq!(ram.bytes(0x800, 64), &data[..]);
+        assert_eq!(r.ram.bytes(0x800, 64), &data[..]);
     }
 
     #[test]
     fn register_readback() {
-        let (mut d, mut ram) = dma_with_ram();
-        wr(&mut d, &mut ram, regs::SRC, 0xAA);
-        wr(&mut d, &mut ram, regs::DST, 0xBB);
-        wr(&mut d, &mut ram, regs::LEN, 0xCC);
-        assert_eq!(rd(&mut d, &mut ram, regs::SRC), 0xAA);
-        assert_eq!(rd(&mut d, &mut ram, regs::DST), 0xBB);
-        assert_eq!(rd(&mut d, &mut ram, regs::LEN), 0xCC);
+        let mut r = rig();
+        r.wr(regs::SRC, 0xAA);
+        r.wr(regs::DST, 0xBB);
+        r.wr(regs::LEN, 0xCC);
+        assert_eq!(r.rd(regs::SRC), 0xAA);
+        assert_eq!(r.rd(regs::DST), 0xBB);
+        assert_eq!(r.rd(regs::LEN), 0xCC);
     }
 }

@@ -1,8 +1,7 @@
 //! Small helpers shared by all memory-mapped peripherals.
 
 use vpdift_core::Taint;
-use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmResponse};
+use vpdift_tlm::GenericPayload;
 
 /// Copies a tainted register word into a payload of 1, 2 or 4 bytes
 /// (sub-word MMIO reads see the low bytes).
@@ -22,15 +21,31 @@ pub fn get_word(p: &GenericPayload) -> Taint<u32> {
     Taint::from_bytes(&lanes)
 }
 
-/// The memory lent through plain `transport`: none, so every access misses.
-pub(crate) fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
-    p.set_response(TlmResponse::AddressError);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use vpdift_core::Tag;
+    use vpdift_core::{DiftEngine, Tag};
+    use vpdift_kernel::SimTime;
+    use vpdift_tlm::{Loan, TlmResponse, TlmTarget};
+
+    /// Lent memory for tests that must not reach any: every access misses.
+    pub(crate) fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::AddressError);
+    }
+
+    /// Runs `p` through `target` the way a router would, lending `engine`
+    /// and no memory.
+    pub(crate) fn lend_engine(
+        target: &mut dyn TlmTarget,
+        p: &mut GenericPayload,
+        engine: &mut DiftEngine,
+    ) {
+        target.transport_with(
+            p,
+            &mut SimTime::ZERO.clone(),
+            &mut Loan { mem: &mut no_memory, engine },
+        );
+    }
 
     #[test]
     fn word_round_trip_full_width() {

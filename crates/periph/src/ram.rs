@@ -2,7 +2,7 @@
 
 use std::ops::Range;
 
-use vpdift_core::{SharedCensus, Tag, Taint};
+use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
@@ -40,9 +40,9 @@ pub struct Ram {
     /// store path (image loads, classification, DMA/TLM writes, injected
     /// bit flips), so block-caching execution engines know to flush.
     epoch: u64,
-    /// Live-tag census to arm when a non-empty tag enters RAM from
-    /// outside the CPU (classification, tagged DMA data, tag-bit flips).
-    census: Option<SharedCensus>,
+    /// One-way taint-idle latch: set once any write path stores a
+    /// non-empty tag (see [`Ram::tags_live`]).
+    tags_live: bool,
 }
 
 /// Bytes per page of the written-page map.
@@ -141,7 +141,7 @@ impl Ram {
             written: vec![0; size.div_ceil(PAGE).div_ceil(64)],
             tracking,
             epoch: 0,
-            census: None,
+            tags_live: false,
         }
     }
 
@@ -181,16 +181,12 @@ impl Ram {
         }
     }
 
-    /// Attaches the live-tag census armed by external tag sources.
-    pub fn set_census(&mut self, census: SharedCensus) {
-        self.census = Some(census);
-    }
-
-    #[inline]
-    fn arm_census(&self) {
-        if let Some(c) = &self.census {
-            c.arm();
-        }
+    /// `false` while every tag RAM has ever held is empty: no store,
+    /// classification, tag-bit flip or TLM write has carried a non-empty
+    /// tag. The system bus reads this half of the taint-idle latch; the
+    /// latch never clears.
+    pub fn tags_live(&self) -> bool {
+        self.tags_live
     }
 
     /// `true` iff the access `[offset, offset+size)` fits.
@@ -224,6 +220,7 @@ impl Ram {
     pub fn store(&mut self, offset: u32, size: u32, value: u32, tag: Tag) {
         let off = offset as usize;
         self.mark_written(off, size as usize);
+        self.tags_live |= self.tracking && !tag.is_empty();
         for i in 0..size as usize {
             self.data[off + i] = (value >> (8 * i)) as u8;
             if self.tracking {
@@ -279,9 +276,7 @@ impl Ram {
         self.tags[off..off + len].fill(tag.bits());
         self.mark_written(off, len);
         self.bump_epoch();
-        if !tag.is_empty() {
-            self.arm_census();
-        }
+        self.tags_live |= !tag.is_empty();
     }
 
     /// Reads a byte with its tag (diagnostics, test assertions).
@@ -321,9 +316,7 @@ impl Ram {
         let flipped = Tag::from_bits(*t);
         self.mark_written(offset as usize, 1);
         self.bump_epoch();
-        if !flipped.is_empty() {
-            self.arm_census();
-        }
+        self.tags_live |= !flipped.is_empty();
         Some(flipped)
     }
 
@@ -417,9 +410,7 @@ impl TlmTarget for Ram {
                 // A DMA burst bypasses the CPU: cached code over the range
                 // is stale, and tagged payload bytes are a taint source.
                 self.bump_epoch();
-                if !incoming.is_empty() {
-                    self.arm_census();
-                }
+                self.tags_live |= !incoming.is_empty();
             }
             TlmCommand::Ignore => {}
         }

@@ -10,12 +10,12 @@
 //! *existence* of a classification is not itself classified in this
 //! model — do not map this peripheral in production-profile platforms).
 
-use vpdift_core::{SharedEngine, Tag, Taint, Violation, ViolationKind};
+use vpdift_core::{Tag, Taint, Violation, ViolationKind};
 use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
-use crate::mmio::{get_word, no_memory, put_word};
+use crate::mmio::{get_word, put_word};
 
 /// Register map (word-aligned offsets).
 pub mod regs {
@@ -31,18 +31,18 @@ pub mod regs {
 }
 
 /// The introspection peripheral. It reads tags from the memory lent to
-/// each transaction ([`TlmTarget::transport_with`]).
-#[derive(Debug)]
+/// each transaction and records failed assertions in the lent engine
+/// ([`TlmTarget::transport_with`]).
+#[derive(Debug, Default)]
 pub struct TaintDebug {
-    engine: SharedEngine,
     addr: u32,
     failed: u32,
 }
 
 impl TaintDebug {
     /// Creates the peripheral.
-    pub fn new(engine: SharedEngine) -> Self {
-        TaintDebug { engine, addr: 0, failed: 0 }
+    pub fn new() -> Self {
+        TaintDebug::default()
     }
 
     /// Wraps into the shared handle used by the SoC.
@@ -64,16 +64,12 @@ fn tag_at(mem: &mut dyn TlmTarget, addr: u32, delay: &mut SimTime) -> Option<Tag
 }
 
 impl TlmTarget for TaintDebug {
-    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
-        self.transport_with(p, delay, &mut no_memory);
+    /// Unlent, there is no memory to inspect: the transaction is refused.
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::GenericError);
     }
 
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
-    ) {
+    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::ADDR) => {
                 self.addr = get_word(p).value();
@@ -83,7 +79,7 @@ impl TlmTarget for TaintDebug {
                 put_word(p, Taint::untainted(self.addr));
                 p.set_response(TlmResponse::Ok);
             }
-            (TlmCommand::Read, regs::TAG) => match tag_at(mem, self.addr, delay) {
+            (TlmCommand::Read, regs::TAG) => match tag_at(loan.mem, self.addr, delay) {
                 Some(tag) => {
                     put_word(p, Taint::untainted(tag.bits()));
                     p.set_response(TlmResponse::Ok);
@@ -92,7 +88,7 @@ impl TlmTarget for TaintDebug {
             },
             (TlmCommand::Write, regs::ASSERT_TAG) => {
                 let expected = Tag::from_bits(get_word(p).value());
-                match tag_at(mem, self.addr, delay) {
+                match tag_at(loan.mem, self.addr, delay) {
                     Some(actual) if actual == expected => p.set_response(TlmResponse::Ok),
                     Some(actual) => {
                         self.failed += 1;
@@ -102,7 +98,7 @@ impl TlmTarget for TaintDebug {
                             expected,
                         )
                         .with_context(format!("taintdbg assert at {:#010x}", self.addr));
-                        match self.engine.borrow_mut().record(v) {
+                        match loan.engine.record(v) {
                             Ok(()) => p.set_response(TlmResponse::Ok),
                             Err(v) => p.set_violation(v),
                         }
@@ -125,54 +121,68 @@ mod tests {
     use crate::ram::Ram;
     use vpdift_core::{DiftEngine, EnforceMode, SecurityPolicy};
 
-    fn setup(mode: EnforceMode) -> (TaintDebug, Ram) {
-        let engine = DiftEngine::with_mode(SecurityPolicy::permissive(), mode).into_shared();
-        (TaintDebug::new(engine), Ram::new(256, true))
+    /// The peripheral with the RAM and engine its bus would lend it.
+    struct Rig {
+        d: TaintDebug,
+        ram: Ram,
+        engine: DiftEngine,
     }
 
-    fn wr(d: &mut TaintDebug, ram: &mut Ram, reg: u32, v: u32) -> GenericPayload {
-        let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
-        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
-        p
-    }
+    impl Rig {
+        fn new(mode: EnforceMode) -> Self {
+            let engine = DiftEngine::with_mode(SecurityPolicy::permissive(), mode);
+            Rig { d: TaintDebug::new(), ram: Ram::new(256, true), engine }
+        }
 
-    fn rd(d: &mut TaintDebug, ram: &mut Ram, reg: u32) -> u32 {
-        let mut p = GenericPayload::read(reg, 4);
-        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), ram);
-        assert!(p.is_ok());
-        p.data_word::<u32>().value()
+        fn transport(&mut self, p: &mut GenericPayload) {
+            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine };
+            self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
+        }
+
+        fn wr(&mut self, reg: u32, v: u32) -> GenericPayload {
+            let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
+            self.transport(&mut p);
+            p
+        }
+
+        fn rd(&mut self, reg: u32) -> u32 {
+            let mut p = GenericPayload::read(reg, 4);
+            self.transport(&mut p);
+            assert!(p.is_ok());
+            p.data_word::<u32>().value()
+        }
     }
 
     #[test]
     fn reads_tags_of_ram_bytes() {
-        let (mut d, mut ram) = setup(EnforceMode::Enforce);
-        ram.classify(0x10, 1, Tag::from_bits(0b101));
-        wr(&mut d, &mut ram, regs::ADDR, 0x10);
-        assert_eq!(rd(&mut d, &mut ram, regs::TAG), 0b101);
-        assert_eq!(rd(&mut d, &mut ram, regs::ADDR), 0x10);
-        wr(&mut d, &mut ram, regs::ADDR, 0x11);
-        assert_eq!(rd(&mut d, &mut ram, regs::TAG), 0);
+        let mut r = Rig::new(EnforceMode::Enforce);
+        r.ram.classify(0x10, 1, Tag::from_bits(0b101));
+        r.wr(regs::ADDR, 0x10);
+        assert_eq!(r.rd(regs::TAG), 0b101);
+        assert_eq!(r.rd(regs::ADDR), 0x10);
+        r.wr(regs::ADDR, 0x11);
+        assert_eq!(r.rd(regs::TAG), 0);
     }
 
     #[test]
     fn assertions_pass_and_fail() {
-        let (mut d, mut ram) = setup(EnforceMode::Record);
-        ram.classify(0x20, 1, Tag::from_bits(0b1));
-        wr(&mut d, &mut ram, regs::ADDR, 0x20);
-        assert!(wr(&mut d, &mut ram, regs::ASSERT_TAG, 0b1).is_ok());
-        assert_eq!(d.failed(), 0);
+        let mut r = Rig::new(EnforceMode::Record);
+        r.ram.classify(0x20, 1, Tag::from_bits(0b1));
+        r.wr(regs::ADDR, 0x20);
+        assert!(r.wr(regs::ASSERT_TAG, 0b1).is_ok());
+        assert_eq!(r.d.failed(), 0);
         // Wrong expectation: recorded, counted.
-        assert!(wr(&mut d, &mut ram, regs::ASSERT_TAG, 0b10).is_ok());
-        assert_eq!(d.failed(), 1);
-        assert_eq!(rd(&mut d, &mut ram, regs::FAILED), 1);
-        assert_eq!(d.engine.borrow().violations().len(), 1);
+        assert!(r.wr(regs::ASSERT_TAG, 0b10).is_ok());
+        assert_eq!(r.d.failed(), 1);
+        assert_eq!(r.rd(regs::FAILED), 1);
+        assert_eq!(r.engine.violations().len(), 1);
     }
 
     #[test]
     fn enforce_mode_propagates_assertion_failure() {
-        let (mut d, mut ram) = setup(EnforceMode::Enforce);
-        wr(&mut d, &mut ram, regs::ADDR, 0x30);
-        let mut p = wr(&mut d, &mut ram, regs::ASSERT_TAG, 0xFF);
+        let mut r = Rig::new(EnforceMode::Enforce);
+        r.wr(regs::ADDR, 0x30);
+        let mut p = r.wr(regs::ASSERT_TAG, 0xFF);
         let v = p.take_violation().expect("violation attached");
         assert!(matches!(v.kind, ViolationKind::Custom { .. }));
         assert!(v.context.contains("0x00000030"));
@@ -180,15 +190,15 @@ mod tests {
 
     #[test]
     fn out_of_range_address_errors() {
-        let (mut d, mut ram) = setup(EnforceMode::Enforce);
-        wr(&mut d, &mut ram, regs::ADDR, 0x1_0000);
+        let mut r = Rig::new(EnforceMode::Enforce);
+        r.wr(regs::ADDR, 0x1_0000);
         let mut p = GenericPayload::read(regs::TAG, 4);
-        d.transport_with(&mut p, &mut SimTime::ZERO.clone(), &mut ram);
+        r.transport(&mut p);
         assert_eq!(p.response(), TlmResponse::AddressError);
-        // Without lent memory no address is in range.
-        wr(&mut d, &mut ram, regs::ADDR, 0x10);
+        // Unlent, the peripheral refuses every transaction.
+        r.wr(regs::ADDR, 0x10);
         let mut p = GenericPayload::read(regs::TAG, 4);
-        d.transport(&mut p, &mut SimTime::ZERO.clone());
-        assert_eq!(p.response(), TlmResponse::AddressError);
+        r.d.transport(&mut p, &mut SimTime::ZERO.clone());
+        assert_eq!(p.response(), TlmResponse::GenericError);
     }
 }

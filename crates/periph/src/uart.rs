@@ -4,10 +4,9 @@
 //! of the sink `"<name>.tx"` before it "leaves the system"; secret data
 //! hitting the UART is exactly the paper's immobilizer debug-dump leak.
 
-use vpdift_core::SharedEngine;
 use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 /// Register map (word-aligned offsets).
 pub mod regs {
@@ -17,19 +16,19 @@ pub mod regs {
     pub const TXSTATUS: u32 = 0x4;
 }
 
-/// The UART model.
+/// The UART model. It checks each byte with the engine lent to the
+/// transaction ([`TlmTarget::transport_with`]).
 #[derive(Debug)]
 pub struct Uart {
     name: String,
     sink: String,
-    engine: SharedEngine,
     tx_log: Vec<u8>,
 }
 
 impl Uart {
     /// Creates a UART named `name`; its output sink is `"<name>.tx"`.
-    pub fn new(name: &str, engine: SharedEngine) -> Self {
-        Uart { name: name.to_owned(), sink: format!("{name}.tx"), engine, tx_log: Vec::new() }
+    pub fn new(name: &str) -> Self {
+        Uart { name: name.to_owned(), sink: format!("{name}.tx"), tx_log: Vec::new() }
     }
 
     /// Wraps into the shared handle used by the SoC.
@@ -60,11 +59,21 @@ impl Uart {
 }
 
 impl TlmTarget for Uart {
+    /// Unlent, no engine can clear a byte: the transaction is refused.
     fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::GenericError);
+    }
+
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        _delay: &mut SimTime,
+        loan: &mut Loan<'_>,
+    ) {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::TXDATA) => {
                 let byte = p.data()[0];
-                match self.engine.borrow_mut().check_output(&self.sink, byte.tag(), None) {
+                match loan.engine.check_output(&self.sink, byte.tag(), None) {
                     Ok(()) => {
                         self.tx_log.push(byte.value());
                         p.set_response(TlmResponse::Ok);
@@ -93,26 +102,27 @@ impl TlmTarget for Uart {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_engine;
     use vpdift_core::{DiftEngine, SecurityPolicy, Tag, Taint, ViolationKind};
 
     const SECRET: Tag = Tag::from_bits(1);
 
-    fn uart() -> Uart {
+    fn uart() -> (Uart, DiftEngine) {
         let policy = SecurityPolicy::builder("t").sink("uart0.tx", Tag::EMPTY).build();
-        Uart::new("uart0", DiftEngine::new(policy).into_shared())
+        (Uart::new("uart0"), DiftEngine::new(policy))
     }
 
-    fn tx(u: &mut Uart, byte: Taint<u8>) -> GenericPayload {
+    fn tx(u: &mut Uart, engine: &mut DiftEngine, byte: Taint<u8>) -> GenericPayload {
         let mut p = GenericPayload::write(regs::TXDATA, &[byte]);
-        u.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_engine(u, &mut p, engine);
         p
     }
 
     #[test]
     fn public_bytes_pass() {
-        let mut u = uart();
+        let (mut u, mut engine) = uart();
         for &b in b"hi" {
-            assert!(tx(&mut u, Taint::untainted(b)).is_ok());
+            assert!(tx(&mut u, &mut engine, Taint::untainted(b)).is_ok());
         }
         assert_eq!(u.output_string(), "hi");
         assert_eq!(u.name(), "uart0");
@@ -120,36 +130,45 @@ mod tests {
 
     #[test]
     fn secret_byte_blocked_with_violation() {
-        let mut u = uart();
-        let mut p = tx(&mut u, Taint::new(b'X', SECRET));
+        let (mut u, mut engine) = uart();
+        let mut p = tx(&mut u, &mut engine, Taint::new(b'X', SECRET));
         let v = p.take_violation().expect("violation attached");
         assert_eq!(v.kind, ViolationKind::Output { sink: "uart0.tx".into() });
         assert!(u.output().is_empty(), "blocked byte never transmitted");
-        assert!(u.engine.borrow().violated());
+        assert!(engine.violated());
+    }
+
+    #[test]
+    fn unlent_transactions_are_refused() {
+        let (mut u, _) = uart();
+        let mut p = GenericPayload::write(regs::TXDATA, &[Taint::untainted(b'a')]);
+        u.transport(&mut p, &mut SimTime::ZERO.clone());
+        assert_eq!(p.response(), TlmResponse::GenericError);
+        assert!(u.output().is_empty(), "no engine, no byte");
     }
 
     #[test]
     fn status_reads_ready() {
-        let mut u = uart();
+        let (mut u, mut engine) = uart();
         let mut p = GenericPayload::read(regs::TXSTATUS, 4);
-        u.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_engine(&mut u, &mut p, &mut engine);
         assert!(p.is_ok());
         assert_eq!(p.data_word::<u32>().value(), 1);
     }
 
     #[test]
     fn take_output_drains() {
-        let mut u = uart();
-        let _ = tx(&mut u, Taint::untainted(b'a'));
+        let (mut u, mut engine) = uart();
+        let _ = tx(&mut u, &mut engine, Taint::untainted(b'a'));
         assert_eq!(u.take_output(), b"a");
         assert!(u.output().is_empty());
     }
 
     #[test]
     fn unknown_register_is_command_error() {
-        let mut u = uart();
+        let (mut u, mut engine) = uart();
         let mut p = GenericPayload::write(0x40, &[Taint::untainted(0)]);
-        u.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_engine(&mut u, &mut p, &mut engine);
         assert_eq!(p.response(), TlmResponse::CommandError);
     }
 }

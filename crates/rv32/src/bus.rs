@@ -5,7 +5,7 @@
 //! bus with a fast RAM path, TLM-routed MMIO, and DIFT store-clearance
 //! checks.
 
-use vpdift_core::{Tag, Violation};
+use vpdift_core::{DiftEngine, Tag, Violation};
 
 use crate::mode::{TaintMode, Word};
 
@@ -85,6 +85,23 @@ pub trait Bus<M: TaintMode> {
         false
     }
 
+    /// The DIFT engine that records the CPU's execution-clearance
+    /// violations, and whose mode decides whether they stop the
+    /// instruction. Without one (the default) a failed check always stops
+    /// it.
+    fn dift_engine(&mut self) -> Option<&mut DiftEngine> {
+        None
+    }
+
+    /// `false` only while every tag the CPU can reach (registers, CSRs,
+    /// memory, device reads) is provably empty, so no clearance check can
+    /// fail. A one-way latch: once `true` it stays `true`. Execution
+    /// engines may skip the checks while it is `false`; the default never
+    /// lets them.
+    fn tags_live(&self) -> bool {
+        true
+    }
+
     /// `true` iff `addr..addr+size` supports atomic (LR/SC/AMO) access.
     /// Atomics are only defined on idempotent backing store: a bus routing
     /// MMIO returns `false` for device regions so the CPU raises an access
@@ -110,6 +127,7 @@ pub struct FlatMemory<M: TaintMode> {
     data: Vec<u8>,
     tags: Vec<u32>,
     epoch: u64,
+    engine: Option<DiftEngine>,
     _mode: core::marker::PhantomData<M>,
 }
 
@@ -121,8 +139,20 @@ impl<M: TaintMode> FlatMemory<M> {
             data: vec![0; size],
             tags: if M::TRACKING { vec![0; size] } else { Vec::new() },
             epoch: 0,
+            engine: None,
             _mode: core::marker::PhantomData,
         }
+    }
+
+    /// Attaches the DIFT engine that records the CPU's violations
+    /// ([`Bus::dift_engine`]).
+    pub fn set_engine(&mut self, engine: DiftEngine) {
+        self.engine = Some(engine);
+    }
+
+    /// The attached DIFT engine, if any.
+    pub fn engine(&self) -> Option<&DiftEngine> {
+        self.engine.as_ref()
     }
 
     /// Base address.
@@ -212,6 +242,10 @@ impl<M: TaintMode> Bus<M> for FlatMemory<M> {
 
     fn mutation_epoch(&self) -> u64 {
         self.epoch
+    }
+
+    fn dift_engine(&mut self) -> Option<&mut DiftEngine> {
+        self.engine.as_mut()
     }
 }
 

@@ -8,7 +8,7 @@
 
 use vpdift_asm::csr as csrn;
 use vpdift_asm::{AluOp, BranchCond, CsrSrc, Insn, MulOp, Reg};
-use vpdift_core::{ExecClearance, SharedEngine, Tag, Violation, ViolationKind};
+use vpdift_core::{ExecClearance, Tag, Violation, ViolationKind};
 use vpdift_obs::{CheckKind, NullSink, ObsEvent, ObsSink};
 use vpdift_sync::{shared, Shared};
 
@@ -100,7 +100,6 @@ pub struct Cpu<M: TaintMode, S: ObsSink = NullSink> {
     regs: [M::Word; 32],
     csrs: CsrFile<M>,
     exec_clearance: ExecClearance,
-    engine: Option<SharedEngine>,
     instret: u64,
     in_wfi: bool,
     traps_taken: u64,
@@ -109,8 +108,8 @@ pub struct Cpu<M: TaintMode, S: ObsSink = NullSink> {
     same_trap_count: u32,
     /// Gate for the taint-idle fast path: while `false`, clearance checks
     /// are skipped wholesale. Only ever cleared by an execution engine that
-    /// has *proved* all architectural tags empty (census clear); the
-    /// interpreter leaves it `true`.
+    /// has *proved* all architectural tags empty ([`Bus::tags_live`] still
+    /// `false`); the interpreter leaves it `true`.
     checks_enabled: bool,
     /// LR/SC reservation: the word address registered by the last `lr.w`,
     /// cleared by any store, by `sc.w` (success or failure) and by traps.
@@ -144,7 +143,6 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             regs: [M::Word::from_u32(0); 32],
             csrs: CsrFile::new(),
             exec_clearance: ExecClearance::UNCHECKED,
-            engine: None,
             instret: 0,
             in_wfi: false,
             traps_taken: 0,
@@ -248,8 +246,13 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// The instruction-fetch clearance check (§V-B2b), exposed so a block
     /// cache replaying predecoded instructions can apply it to the cached
     /// fetch tag exactly as the interpreter would.
-    pub(crate) fn fetch_clearance_check(&mut self, tag: Tag, pc: u32) -> Result<(), Violation> {
-        self.exec_check(ViolationKind::Fetch, tag, self.exec_clearance.fetch, pc)
+    pub(crate) fn fetch_clearance_check(
+        &mut self,
+        bus: &mut impl Bus<M>,
+        tag: Tag,
+        pc: u32,
+    ) -> Result<(), Violation> {
+        self.exec_check(bus, ViolationKind::Fetch, tag, self.exec_clearance.fetch, pc)
     }
 
     /// FNV-1a digest of the full architectural state (pc, registers with
@@ -287,11 +290,6 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         )
     }
 
-    /// Attaches the DIFT engine used to record violations.
-    pub fn set_engine(&mut self, engine: SharedEngine) {
-        self.engine = Some(engine);
-    }
-
     /// Drives the machine timer interrupt pending bit (from the CLINT).
     pub fn set_timer_irq(&mut self, level: bool) {
         self.csrs.set_mip_bit(7, level);
@@ -325,7 +323,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         self.set_reg(r, value);
     }
 
-    /// Records an execution-clearance violation; in `Enforce` mode the
+    /// Records an execution-clearance violation in the bus's DIFT engine
+    /// ([`Bus::dift_engine`]); in `Enforce` mode, or without an engine, the
     /// violation is returned as `Err` and the instruction is suppressed.
     ///
     /// The check itself (pass or fail) is reported to the sink from here;
@@ -333,6 +332,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// failure is recorded, so the two are never double-counted.
     fn exec_check(
         &mut self,
+        bus: &mut impl Bus<M>,
         kind: ViolationKind,
         tag: Tag,
         required: Option<Tag>,
@@ -363,8 +363,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             return Ok(());
         }
         let v = Violation::new(kind, tag, required).at_pc(pc);
-        match &self.engine {
-            Some(e) => e.borrow_mut().record(v),
+        match bus.dift_engine() {
+            Some(e) => e.record(v),
             None => {
                 if S::ENABLED {
                     self.obs.borrow_mut().event(&ObsEvent::Violation(v.clone()));
@@ -386,6 +386,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// retire at least one instruction before any re-entry.
     fn take_trap(
         &mut self,
+        bus: &mut impl Bus<M>,
         cause: u32,
         is_irq: bool,
         tval: u32,
@@ -395,7 +396,13 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         // Traps conservatively break any LR/SC reservation (the handler may
         // touch the reserved word; the spec permits spurious SC failure).
         self.reservation = None;
-        self.exec_check(ViolationKind::TrapVector, mtvec.tag(), self.exec_clearance.branch, pc)?;
+        self.exec_check(
+            bus,
+            ViolationKind::TrapVector,
+            mtvec.tag(),
+            self.exec_clearance.branch,
+            pc,
+        )?;
         if S::ENABLED {
             self.obs.borrow_mut().event(&ObsEvent::Trap { pc, cause, irq: is_irq });
         }
@@ -427,7 +434,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
 
     /// Checks for an enabled pending interrupt and takes it. Priority
     /// follows the privileged spec: external > software > timer.
-    fn poll_interrupts(&mut self) -> Result<bool, Violation> {
+    fn poll_interrupts(&mut self, bus: &mut impl Bus<M>) -> Result<bool, Violation> {
         if !self.csrs.mie_enabled() {
             return Ok(false);
         }
@@ -443,7 +450,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             csrn::cause::M_TIMER_IRQ
         };
         self.in_wfi = false;
-        let _ = self.take_trap(cause, true, 0, self.pc)?;
+        let _ = self.take_trap(bus, cause, true, 0, self.pc)?;
         Ok(true)
     }
 
@@ -453,7 +460,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// Returns the [`Violation`] when an *enforced* DIFT check fails; the
     /// simulation should stop (the paper's `ClearanceException`).
     pub fn step(&mut self, bus: &mut impl Bus<M>) -> Result<Step, Violation> {
-        if let Some(step) = self.pre_step()? {
+        if let Some(step) = self.pre_step(bus)? {
             return Ok(step);
         }
         self.fetch_decode_exec(bus).map(|r| r.step)
@@ -463,8 +470,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// pending interrupts and handles the parked-in-`wfi` state. Returns
     /// `Some(step)` when the step completes here (interrupt taken or still
     /// waiting), `None` when an instruction should be executed.
-    pub(crate) fn pre_step(&mut self) -> Result<Option<Step>, Violation> {
-        if self.poll_interrupts()? {
+    pub(crate) fn pre_step(&mut self, bus: &mut impl Bus<M>) -> Result<Option<Step>, Violation> {
+        if self.poll_interrupts(bus)? {
             // Interrupt taken; fall through to execute the first handler
             // instruction on the next call.
             return Ok(Some(Step::Executed));
@@ -492,13 +499,15 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         let pc = self.pc;
         // RV32C allows 2-byte alignment; only odd PCs are misaligned.
         if !pc.is_multiple_of(2) {
-            return self.take_trap(csrn::cause::MISALIGNED_FETCH, false, pc, pc).map(Retired::of);
+            return self
+                .take_trap(bus, csrn::cause::MISALIGNED_FETCH, false, pc, pc)
+                .map(Retired::of);
         }
 
         // --- fetch, with instruction-fetch clearance (§V-B2b) -----------
         let word = match bus.fetch(pc) {
             Ok(w) => w,
-            Err(e) => return self.mem_trap(e, true, pc).map(Retired::of),
+            Err(e) => return self.mem_trap(bus, e, true, pc).map(Retired::of),
         };
         let compressed = vpdift_asm::is_compressed(word.val() as u16);
         let (fetched, insn_len) = if compressed {
@@ -507,7 +516,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             let parcel = if M::TRACKING {
                 match bus.load(pc, 2) {
                     Ok(p) => p,
-                    Err(e) => return self.mem_trap(e, true, pc).map(Retired::of),
+                    Err(e) => return self.mem_trap(bus, e, true, pc).map(Retired::of),
                 }
             } else {
                 word.map_val(|v| v & 0xFFFF)
@@ -516,7 +525,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         } else {
             (word, 4u32)
         };
-        self.fetch_clearance_check(fetched.tag(), pc)?;
+        self.fetch_clearance_check(bus, fetched.tag(), pc)?;
 
         let decoded = if compressed {
             vpdift_asm::decompress(fetched.val() as u16)
@@ -527,7 +536,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             Ok(i) => i,
             Err(_) => {
                 return self
-                    .take_trap(csrn::cause::ILLEGAL_INSN, false, fetched.val(), pc)
+                    .take_trap(bus, csrn::cause::ILLEGAL_INSN, false, fetched.val(), pc)
                     .map(Retired::of);
             }
         };
@@ -572,7 +581,13 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             Insn::Jalr { rd, rs1, offset } => {
                 let base = rs!(rs1);
                 // Indirect targets reveal the pointer: branch clearance.
-                self.exec_check(ViolationKind::Branch, base.tag(), self.exec_clearance.branch, pc)?;
+                self.exec_check(
+                    bus,
+                    ViolationKind::Branch,
+                    base.tag(),
+                    self.exec_clearance.branch,
+                    pc,
+                )?;
                 self.obs_set_reg(rd, M::Word::from_u32(next_pc), pc);
                 next_pc = base.val().wrapping_add(offset as u32) & !1;
             }
@@ -581,6 +596,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let b = rs!(rs2);
                 // The branch *condition* carries both operand tags (§V-B2a).
                 self.exec_check(
+                    bus,
                     ViolationKind::Branch,
                     a.tag().lub(b.tag()),
                     self.exec_clearance.branch,
@@ -603,6 +619,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let addr = base.val().wrapping_add(offset as u32);
                 // Load addresses leak via access patterns (§V-B2c).
                 self.exec_check(
+                    bus,
                     ViolationKind::MemAddr,
                     base.tag(),
                     self.exec_clearance.mem_addr,
@@ -611,12 +628,12 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let size = width.size();
                 if !addr.is_multiple_of(size) {
                     return self
-                        .take_trap(csrn::cause::MISALIGNED_LOAD, false, addr, pc)
+                        .take_trap(bus, csrn::cause::MISALIGNED_LOAD, false, addr, pc)
                         .map(Retired::of);
                 }
                 let loaded = match bus.load(addr, size) {
                     Ok(w) => w,
-                    Err(e) => return self.mem_trap(e, false, pc).map(Retired::of),
+                    Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
                 if S::ENABLED {
                     self.obs.borrow_mut().event(&ObsEvent::Load {
@@ -637,6 +654,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let base = rs!(rs1);
                 let addr = base.val().wrapping_add(offset as u32);
                 self.exec_check(
+                    bus,
                     ViolationKind::MemAddr,
                     base.tag(),
                     self.exec_clearance.mem_addr,
@@ -645,7 +663,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let size = width.size();
                 if !addr.is_multiple_of(size) {
                     return self
-                        .take_trap(csrn::cause::MISALIGNED_STORE, false, addr, pc)
+                        .take_trap(bus, csrn::cause::MISALIGNED_STORE, false, addr, pc)
                         .map(Retired::of);
                 }
                 if S::ENABLED {
@@ -657,7 +675,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     });
                 }
                 if let Err(e) = bus.store(addr, size, rs!(rs2), pc) {
-                    return self.mem_trap(e, false, pc).map(Retired::of);
+                    return self.mem_trap(bus, e, false, pc).map(Retired::of);
                 }
                 store = Some((addr, size));
                 // Any intervening store breaks an LR/SC reservation.
@@ -667,6 +685,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let base = rs!(rs1);
                 let addr = base.val();
                 self.exec_check(
+                    bus,
                     ViolationKind::MemAddr,
                     base.tag(),
                     self.exec_clearance.mem_addr,
@@ -674,19 +693,19 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 )?;
                 if !addr.is_multiple_of(4) {
                     return self
-                        .take_trap(csrn::cause::MISALIGNED_LOAD, false, addr, pc)
+                        .take_trap(bus, csrn::cause::MISALIGNED_LOAD, false, addr, pc)
                         .map(Retired::of);
                 }
                 if !bus.atomic_supported(addr, 4) {
                     // Atomics are only defined on idempotent memory (RAM);
                     // an LR on MMIO is an access fault, not a side effect.
                     return self
-                        .take_trap(csrn::cause::LOAD_FAULT, false, addr, pc)
+                        .take_trap(bus, csrn::cause::LOAD_FAULT, false, addr, pc)
                         .map(Retired::of);
                 }
                 let loaded = match bus.load(addr, 4) {
                     Ok(w) => w,
-                    Err(e) => return self.mem_trap(e, false, pc).map(Retired::of),
+                    Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
                 if S::ENABLED {
                     self.obs.borrow_mut().event(&ObsEvent::Load {
@@ -703,6 +722,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let base = rs!(rs1);
                 let addr = base.val();
                 self.exec_check(
+                    bus,
                     ViolationKind::MemAddr,
                     base.tag(),
                     self.exec_clearance.mem_addr,
@@ -710,12 +730,12 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 )?;
                 if !addr.is_multiple_of(4) {
                     return self
-                        .take_trap(csrn::cause::MISALIGNED_STORE, false, addr, pc)
+                        .take_trap(bus, csrn::cause::MISALIGNED_STORE, false, addr, pc)
                         .map(Retired::of);
                 }
                 if !bus.atomic_supported(addr, 4) {
                     return self
-                        .take_trap(csrn::cause::STORE_FAULT, false, addr, pc)
+                        .take_trap(bus, csrn::cause::STORE_FAULT, false, addr, pc)
                         .map(Retired::of);
                 }
                 // An SC consumes the reservation whether it succeeds or not.
@@ -730,7 +750,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                         });
                     }
                     if let Err(e) = bus.store(addr, 4, rs!(rs2), pc) {
-                        return self.mem_trap(e, false, pc).map(Retired::of);
+                        return self.mem_trap(bus, e, false, pc).map(Retired::of);
                     }
                     store = Some((addr, 4));
                 }
@@ -742,6 +762,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let base = rs!(rs1);
                 let addr = base.val();
                 self.exec_check(
+                    bus,
                     ViolationKind::MemAddr,
                     base.tag(),
                     self.exec_clearance.mem_addr,
@@ -749,17 +770,17 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 )?;
                 if !addr.is_multiple_of(4) {
                     return self
-                        .take_trap(csrn::cause::MISALIGNED_STORE, false, addr, pc)
+                        .take_trap(bus, csrn::cause::MISALIGNED_STORE, false, addr, pc)
                         .map(Retired::of);
                 }
                 if !bus.atomic_supported(addr, 4) {
                     return self
-                        .take_trap(csrn::cause::STORE_FAULT, false, addr, pc)
+                        .take_trap(bus, csrn::cause::STORE_FAULT, false, addr, pc)
                         .map(Retired::of);
                 }
                 let loaded = match bus.load(addr, 4) {
                     Ok(w) => w,
-                    Err(e) => return self.mem_trap(e, false, pc).map(Retired::of),
+                    Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
                 if S::ENABLED {
                     self.obs.borrow_mut().event(&ObsEvent::Load {
@@ -781,7 +802,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     });
                 }
                 if let Err(e) = bus.store(addr, 4, written, pc) {
-                    return self.mem_trap(e, false, pc).map(Retired::of);
+                    return self.mem_trap(bus, e, false, pc).map(Retired::of);
                 }
                 store = Some((addr, 4));
                 // An AMO is a store: it breaks any reservation, including
@@ -824,7 +845,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             Insn::Ecall => {
                 // mepc points at the ecall itself; the handler returns past
                 // it by adding 4 (standard RISC-V convention).
-                return self.take_trap(csrn::cause::ECALL_M, false, 0, pc).map(Retired::of);
+                return self.take_trap(bus, csrn::cause::ECALL_M, false, 0, pc).map(Retired::of);
             }
             Insn::Ebreak => {
                 outcome = Step::Break;
@@ -833,7 +854,13 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 let mepc = self.csrs.mepc;
                 // Returning to a secret/untrusted address is an indirect
                 // control transfer: branch clearance applies.
-                self.exec_check(ViolationKind::Branch, mepc.tag(), self.exec_clearance.branch, pc)?;
+                self.exec_check(
+                    bus,
+                    ViolationKind::Branch,
+                    mepc.tag(),
+                    self.exec_clearance.branch,
+                    pc,
+                )?;
                 let mut st = self.csrs.mstatus.val();
                 let mpie = (st >> 7) & 1;
                 st = (st & !csrn::MSTATUS_MIE) | (mpie << 3) | csrn::MSTATUS_MPIE;
@@ -859,12 +886,20 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         Ok(Retired { step: outcome, store })
     }
 
-    fn mem_trap(&mut self, e: MemError, is_fetch: bool, pc: u32) -> Result<Step, Violation> {
+    fn mem_trap(
+        &mut self,
+        bus: &mut impl Bus<M>,
+        e: MemError,
+        is_fetch: bool,
+        pc: u32,
+    ) -> Result<Step, Violation> {
         let _ = is_fetch; // fetch faults reuse the load-fault cause in this VP
         match e {
-            MemError::Fault { addr } => self.take_trap(csrn::cause::LOAD_FAULT, false, addr, pc),
+            MemError::Fault { addr } => {
+                self.take_trap(bus, csrn::cause::LOAD_FAULT, false, addr, pc)
+            }
             MemError::Misaligned { addr } => {
-                self.take_trap(csrn::cause::MISALIGNED_LOAD, false, addr, pc)
+                self.take_trap(bus, csrn::cause::MISALIGNED_LOAD, false, addr, pc)
             }
             MemError::Dift(v) => Err(v),
         }

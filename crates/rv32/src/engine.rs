@@ -16,13 +16,12 @@
 //!   the CPU — DMA bursts, host classification, fault-injected bit flips
 //!   — are caught by the bus's [`mutation_epoch`](crate::Bus::mutation_epoch)
 //!   counter, which triggers a full flush on change.
-//! * **Taint-idle gating.** In the tainted VP, while the attached
-//!   [`TaintCensus`](vpdift_core::TaintCensus) is still clear, every
-//!   architectural tag is provably [`Tag::EMPTY`], so every clearance
-//!   check would trivially pass — the engine disables the CPU's check
-//!   sites wholesale and blocks execute with plain-VP cost. The first
-//!   classification source re-arms the checked path for the rest of the
-//!   run.
+//! * **Taint-idle gating.** In the tainted VP, while the bus reports no
+//!   live tag ([`Bus::tags_live`]), every architectural tag is provably
+//!   [`Tag::EMPTY`], so every clearance check would trivially pass — the
+//!   engine disables the CPU's check sites wholesale and blocks execute
+//!   with plain-VP cost. The first tag source switches on the checked
+//!   path for the rest of the run.
 //!
 //! Both engines share one slice-dispatch entry point, `exec(cpu, bus,
 //! budget)` ([`Cpu::exec`], [`BlockCache::exec`]): it runs up to `budget`
@@ -38,7 +37,7 @@ use std::collections::HashMap;
 use std::str::FromStr;
 
 use vpdift_asm::Insn;
-use vpdift_core::{SharedCensus, Tag, Violation};
+use vpdift_core::{Tag, Violation};
 use vpdift_obs::ObsSink;
 
 use crate::bus::Bus;
@@ -97,7 +96,7 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Whole-cache flushes (external mutation epoch changed, or capacity).
     pub flushes: u64,
-    /// Steps executed with clearance checks skipped (taint census clear).
+    /// Steps executed with clearance checks skipped (no tag live yet).
     pub idle_steps: u64,
     /// Steps executed with the full checked semantics.
     pub checked_steps: u64,
@@ -209,7 +208,6 @@ pub struct BlockCache {
     line_blocks: HashMap<u32, Vec<usize>>,
     cursor: Option<Cursor>,
     epoch: u64,
-    census: Option<SharedCensus>,
     stats: CacheStats,
 }
 
@@ -231,15 +229,8 @@ impl BlockCache {
             line_blocks: HashMap::with_capacity(INIT_BLOCKS),
             cursor: None,
             epoch: 0,
-            census: None,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Attaches the live-tag census enabling the taint-idle fast path.
-    /// Without one, the tainted VP always runs the checked semantics.
-    pub fn set_census(&mut self, census: SharedCensus) {
-        self.census = Some(census);
     }
 
     /// Counters so far.
@@ -282,7 +273,7 @@ impl BlockCache {
         if budget == 0 {
             return (0, Ok(Step::Executed));
         }
-        match cpu.pre_step() {
+        match cpu.pre_step(bus) {
             Ok(None) => {}
             Ok(Some(step)) => return (step.count(), Ok(step)),
             Err(v) => return (0, Err(v)),
@@ -295,11 +286,11 @@ impl BlockCache {
             self.epoch = epoch;
             self.flush();
         }
-        // The census is a one-way latch: once live it stays live, so the
+        // `tags_live` is a one-way latch: once live it stays live, so the
         // re-sample below only runs while the fast path is still on.
         let mut live = true;
         if M::TRACKING {
-            live = self.census.as_ref().is_none_or(|c| c.is_live());
+            live = bus.tags_live();
             cpu.set_checks_enabled(live);
         }
 
@@ -351,7 +342,7 @@ impl BlockCache {
         let mut need_poll = false;
         let res = loop {
             if need_poll {
-                match cpu.pre_step() {
+                match cpu.pre_step(bus) {
                     Ok(None) => {}
                     Ok(Some(step)) => {
                         steps += step.count();
@@ -361,7 +352,7 @@ impl BlockCache {
                 }
             }
             if M::TRACKING && !live {
-                live = self.census.as_ref().is_none_or(|c| c.is_live());
+                live = bus.tags_live();
                 if live {
                     cpu.set_checks_enabled(true);
                 }
@@ -373,7 +364,7 @@ impl BlockCache {
                 } else {
                     idle += 1;
                 }
-                if let Err(v) = cpu.fetch_clearance_check(d.fetch_tag, pc) {
+                if let Err(v) = cpu.fetch_clearance_check(bus, d.fetch_tag, pc) {
                     break Err(v);
                 }
             }
@@ -597,10 +588,10 @@ fn jump_slot(pc: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::FlatMemory;
+    use crate::bus::{FlatMemory, MemError};
     use crate::mode::{Plain, Tainted};
     use vpdift_asm::{Asm, Reg};
-    use vpdift_core::{ExecClearance, TaintCensus};
+    use vpdift_core::{ExecClearance, Taint};
 
     fn looped_sum() -> vpdift_asm::Program {
         let mut a = Asm::new(0);
@@ -767,35 +758,51 @@ mod tests {
         assert!(eng.stats().flushes > 0);
     }
 
+    /// A tainted flat memory whose taint-idle latch the test sets by hand.
+    struct Latched {
+        mem: FlatMemory<Tainted>,
+        live: bool,
+    }
+
+    impl Bus<Tainted> for Latched {
+        fn fetch(&mut self, pc: u32) -> Result<Taint<u32>, MemError> {
+            self.mem.fetch(pc)
+        }
+        fn load(&mut self, addr: u32, size: u32) -> Result<Taint<u32>, MemError> {
+            self.mem.load(addr, size)
+        }
+        fn store(&mut self, addr: u32, size: u32, v: Taint<u32>, pc: u32) -> Result<(), MemError> {
+            self.mem.store(addr, size, v, pc)
+        }
+        fn mutation_epoch(&self) -> u64 {
+            self.mem.mutation_epoch()
+        }
+        fn tags_live(&self) -> bool {
+            self.live
+        }
+    }
+
     #[test]
-    fn census_gates_clearance_checks() {
+    fn tag_latch_gates_clearance_checks() {
         // Fetch clearance of EMPTY over classified code: the checked
-        // path must flag it, the idle path must be skipped until armed.
+        // path must flag it, the idle path must be skipped until latched.
         let prog = looped_sum();
         let clearance = ExecClearance { fetch: Some(Tag::EMPTY), ..ExecClearance::UNCHECKED };
-
-        let census = TaintCensus::new().into_shared();
-        let mut mem = FlatMemory::<Tainted>::new(0, 4096);
-        mem.load_image(0, prog.image());
-        mem.classify(0, 64, Tag::atom(0));
-        let mut cpu = Cpu::<Tainted>::new();
-        cpu.set_exec_clearance(clearance);
-        let mut eng = BlockCache::new();
-        eng.set_census(census.clone());
-        // Census clear → checks skipped → the run completes.
-        assert_eq!(eng.run(&mut cpu, &mut mem, 10_000), RunExit::Break);
-        assert!(eng.stats().idle_steps > 0);
-        assert_eq!(eng.stats().checked_steps, 0);
-
-        // Armed census → the very same program trips the fetch check.
-        census.arm();
-        let mut cpu = Cpu::<Tainted>::new();
-        cpu.set_exec_clearance(clearance);
-        let mut mem2 = FlatMemory::<Tainted>::new(0, 4096);
-        mem2.load_image(0, prog.image());
-        mem2.classify(0, 64, Tag::atom(0));
-        let mut eng2 = BlockCache::new();
-        eng2.set_census(census);
-        assert!(matches!(eng2.run(&mut cpu, &mut mem2, 10_000), RunExit::Violation(_)));
+        let run = |live: bool| {
+            let mut mem = FlatMemory::<Tainted>::new(0, 4096);
+            mem.load_image(0, prog.image());
+            mem.classify(0, 64, Tag::atom(0));
+            let mut cpu = Cpu::<Tainted>::new();
+            cpu.set_exec_clearance(clearance);
+            let mut eng = BlockCache::new();
+            (eng.run(&mut cpu, &mut Latched { mem, live }, 10_000), eng.stats())
+        };
+        // Latch clear → checks skipped → the run completes.
+        let (exit, stats) = run(false);
+        assert_eq!(exit, RunExit::Break);
+        assert!(stats.idle_steps > 0);
+        assert_eq!(stats.checked_steps, 0);
+        // Latched → the very same program trips the fetch check.
+        assert!(matches!(run(true).0, RunExit::Violation(_)));
     }
 }

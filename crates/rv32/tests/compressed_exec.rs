@@ -100,7 +100,7 @@ fn fetch_clearance_is_parcel_precise() {
     let mut cpu = Cpu::<Tainted>::new();
     let exec = ExecClearance { fetch: Some(Tag::EMPTY), branch: None, mem_addr: None };
     let policy = SecurityPolicy::builder("c-fetch").exec_clearance(exec).build();
-    cpu.set_engine(DiftEngine::with_mode(policy, EnforceMode::Enforce).into_shared());
+    mem.set_engine(DiftEngine::with_mode(policy, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 100) {
         RunExit::Violation(v) => {

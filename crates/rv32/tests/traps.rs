@@ -162,9 +162,9 @@ fn mstatus_mie_gates_interrupts() {
 
 const SECRET: Tag = Tag::from_bits(0b01);
 
-fn engine_with_exec(exec: ExecClearance, mode: EnforceMode) -> vpdift_core::SharedEngine {
+fn engine_with_exec(exec: ExecClearance, mode: EnforceMode) -> DiftEngine {
     let policy = SecurityPolicy::builder("exec-test").exec_clearance(exec).build();
-    DiftEngine::with_mode(policy, mode).into_shared()
+    DiftEngine::with_mode(policy, mode)
 }
 
 #[test]
@@ -178,8 +178,7 @@ fn branch_on_secret_condition_violates() {
     });
     mem.classify(0x2000, 4, SECRET);
     let exec = ExecClearance { branch: Some(Tag::EMPTY), fetch: None, mem_addr: None };
-    let engine = engine_with_exec(exec, EnforceMode::Enforce);
-    cpu.set_engine(engine.clone());
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 1000) {
         RunExit::Violation(v) => {
@@ -188,7 +187,7 @@ fn branch_on_secret_condition_violates() {
         }
         other => panic!("expected violation, got {other:?}"),
     }
-    assert!(engine.borrow().violated());
+    assert!(mem.engine().unwrap().violated());
 }
 
 #[test]
@@ -200,7 +199,7 @@ fn branch_on_public_condition_is_fine() {
         a.ebreak();
     });
     let exec = ExecClearance { branch: Some(Tag::EMPTY), fetch: None, mem_addr: None };
-    cpu.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     assert_eq!(cpu.run(&mut mem, 1000), RunExit::Break);
 }
@@ -216,7 +215,7 @@ fn indirect_jump_through_secret_pointer_violates() {
     mem.load_image(0x2000, &16u32.to_le_bytes());
     mem.classify(0x2000, 4, SECRET);
     let exec = ExecClearance { branch: Some(Tag::EMPTY), fetch: None, mem_addr: None };
-    cpu.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 1000) {
         RunExit::Violation(v) => assert_eq!(v.kind, ViolationKind::Branch),
@@ -235,7 +234,7 @@ fn memory_access_with_secret_address_violates() {
     mem.load_image(0x2000, &0x3000u32.to_le_bytes());
     mem.classify(0x2000, 4, SECRET);
     let exec = ExecClearance { mem_addr: Some(Tag::EMPTY), fetch: None, branch: None };
-    cpu.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 1000) {
         RunExit::Violation(v) => assert_eq!(v.kind, ViolationKind::MemAddr),
@@ -270,8 +269,7 @@ fn fetching_low_integrity_instruction_violates() {
     };
     mem.classify(payload_addr, 12, untrusted);
     let exec = ExecClearance { fetch: Some(Tag::EMPTY), branch: None, mem_addr: None };
-    let engine = engine_with_exec(exec, EnforceMode::Enforce);
-    cpu.set_engine(engine);
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 1000) {
         RunExit::Violation(v) => {
@@ -294,12 +292,11 @@ fn record_mode_logs_but_continues() {
     });
     mem.classify(0x2000, 4, SECRET);
     let exec = ExecClearance { branch: Some(Tag::EMPTY), fetch: None, mem_addr: None };
-    let engine = engine_with_exec(exec, EnforceMode::Record);
-    cpu.set_engine(engine.clone());
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Record));
     cpu.set_exec_clearance(exec);
     assert_eq!(cpu.run(&mut mem, 1000), RunExit::Break, "record mode continues");
     assert_eq!(cpu.reg(A0).val(), 1);
-    assert_eq!(engine.borrow().violations().len(), 1);
+    assert_eq!(mem.engine().unwrap().violations().len(), 1);
 }
 
 #[test]
@@ -331,7 +328,7 @@ fn tainted_mepc_is_checked_on_mret() {
     mem.load_image(0x2000, &8u32.to_le_bytes());
     mem.classify(0x2000, 4, SECRET);
     let exec = ExecClearance { branch: Some(Tag::EMPTY), fetch: None, mem_addr: None };
-    cpu.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
+    mem.set_engine(engine_with_exec(exec, EnforceMode::Enforce));
     cpu.set_exec_clearance(exec);
     match cpu.run(&mut mem, 1000) {
         RunExit::Violation(v) => assert_eq!(v.kind, ViolationKind::Branch),

@@ -2,66 +2,61 @@
 //! TLM routing for everything else, with DIFT store-clearance checks on
 //! protected regions.
 
-use vpdift_core::{AddrRange, SharedCensus, SharedEngine, Tag};
+use vpdift_core::{AddrRange, DiftEngine, Tag};
 use vpdift_kernel::SimTime;
 use vpdift_periph::Ram;
 use vpdift_rv32::{Bus, MemError, TaintMode, Word};
-use vpdift_tlm::{FaultRouter, GenericPayload, Router, SharedFaultHook, TlmResponse};
+use vpdift_sync::MutCell;
+use vpdift_tlm::{FaultRouter, GenericPayload, Loan, Router, SharedFaultHook, TlmResponse};
 
 use crate::map::RAM_BASE;
 
-/// The CPU ⇄ memory-system adapter, and the one owner of RAM: the CPU
-/// reads and writes it directly, and every MMIO transaction borrows it
-/// for targets that reach memory themselves (DMA, taintdbg).
+/// The CPU ⇄ memory-system adapter, and the one owner of RAM and of the
+/// DIFT engine: the CPU reads and writes RAM directly and records its
+/// violations in the engine, and every MMIO transaction borrows both
+/// ([`Loan`]) for targets that reach memory or check flows themselves
+/// (UART, CAN, DMA, taintdbg).
 pub struct SocBus<M: TaintMode> {
     pub(crate) ram: Ram,
+    /// The VP's one DIFT engine. The cell serves only `Soc::engine`'s
+    /// host-side borrows; the guest path takes `get_mut`.
+    pub(crate) engine: MutCell<DiftEngine>,
     /// The system-bus router behind a fault-injection interposer; with no
     /// hook installed the wrapper is a single `Option` check per MMIO
     /// transaction (and the RAM fast path bypasses it entirely).
     router: FaultRouter,
-    engine: Option<SharedEngine>,
     /// Regions with write clearance, copied from the policy so the hot
-    /// store path can skip the engine borrow when no rule applies.
+    /// store path can skip the engine when no rule applies.
     protected: Vec<AddrRange>,
     mmio_delay: SimTime,
     irq_dirty: bool,
-    /// Live-tag census, armed when tagged data enters the CPU via MMIO
-    /// (peripheral ingress like the terminal, sensor, or CAN RX).
-    census: Option<SharedCensus>,
+    /// The taint-idle latch for tags that reach the core other than from
+    /// RAM: a tagged MMIO read (terminal, sensor, CAN RX, AES) or a host
+    /// register write (`Soc::cpu_mut`). RAM latches its own writes
+    /// ([`Ram::tags_live`]); [`Bus::tags_live`] is the union. Never cleared.
+    pub(crate) tags_live: bool,
     _mode: core::marker::PhantomData<M>,
 }
 
 impl<M: TaintMode> SocBus<M> {
-    /// Creates the bus over `ram`. `router` must map every non-RAM target.
-    pub fn new(mut ram: Ram, router: Router, engine: Option<SharedEngine>) -> Self {
+    /// Creates the bus over `ram` and `engine`. `router` must map every
+    /// non-RAM target.
+    pub fn new(ram: Ram, router: Router, engine: DiftEngine) -> Self {
         let protected = engine
-            .as_ref()
-            .map(|e| {
-                e.borrow()
-                    .policy()
-                    .regions()
-                    .iter()
-                    .filter(|r| r.write_clearance.is_some())
-                    .map(|r| r.range)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let census =
-            M::TRACKING.then(|| engine.as_ref().map(|e| e.borrow().census().clone())).flatten();
-        // External tag sources writing straight into RAM (host
-        // classification, tagged DMA payloads, tag-bit faults) arm the
-        // census, so a block cache leaves its idle fast path.
-        if let Some(c) = &census {
-            ram.set_census(c.clone());
-        }
+            .policy()
+            .regions()
+            .iter()
+            .filter(|r| r.write_clearance.is_some())
+            .map(|r| r.range)
+            .collect();
         SocBus {
             ram,
+            engine: MutCell::new(engine),
             router: FaultRouter::new(router),
-            engine,
             protected,
             mmio_delay: SimTime::ZERO,
             irq_dirty: false,
-            census,
+            tags_live: false,
             _mode: core::marker::PhantomData,
         }
     }
@@ -101,7 +96,7 @@ impl<M: TaintMode> SocBus<M> {
     }
 
     #[inline]
-    fn store_clearance(&self, addr: u32, size: u32, tag: Tag, pc: u32) -> Result<(), MemError> {
+    fn store_clearance(&mut self, addr: u32, size: u32, tag: Tag, pc: u32) -> Result<(), MemError> {
         if !M::TRACKING || self.protected.is_empty() {
             return Ok(());
         }
@@ -109,21 +104,17 @@ impl<M: TaintMode> SocBus<M> {
         if !hit {
             return Ok(());
         }
-        // Infallible: `protected` is derived from `engine` in `new()` —
-        // it is non-empty only when an engine was supplied, and neither is
-        // reassigned afterwards. The early return above keeps this
-        // unreachable without one.
-        let engine = self.engine.as_ref().expect("protected regions imply engine");
-        let mut eng = engine.borrow_mut();
+        let engine = self.engine.get_mut();
         for a in addr..addr + size {
-            eng.check_store(a, tag, Some(pc)).map_err(MemError::Dift)?;
+            engine.check_store(a, tag, Some(pc)).map_err(MemError::Dift)?;
         }
         Ok(())
     }
 
     fn mmio(&mut self, payload: &mut GenericPayload) -> Result<(), MemError> {
         let mut delay = SimTime::ZERO;
-        self.router.route(payload, &mut delay, &mut self.ram);
+        let mut loan = Loan { mem: &mut self.ram, engine: self.engine.get_mut() };
+        self.router.route(payload, &mut delay, &mut loan);
         self.mmio_delay += delay;
         self.irq_dirty = true;
         match payload.response() {
@@ -160,13 +151,9 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
             lanes[..size as usize].copy_from_slice(p.data());
             lanes
         });
-        if M::TRACKING && !w.tag().is_empty() {
-            // Tagged data entering the core from a peripheral is a taint
-            // source: end any taint-idle fast path.
-            if let Some(c) = &self.census {
-                c.arm();
-            }
-        }
+        // Tagged data entering the core from a peripheral is a taint
+        // source: end any taint-idle fast path.
+        self.tags_live |= M::TRACKING && !w.tag().is_empty();
         Ok(M::Word::with_tag(w.value(), w.tag()))
     }
 
@@ -185,6 +172,14 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
 
     fn mutation_epoch(&self) -> u64 {
         self.ram.epoch()
+    }
+
+    fn dift_engine(&mut self) -> Option<&mut DiftEngine> {
+        Some(self.engine.get_mut())
+    }
+
+    fn tags_live(&self) -> bool {
+        self.tags_live || self.ram.tags_live()
     }
 
     /// Set by every MMIO transaction since the last

@@ -3,9 +3,7 @@
 use core::fmt;
 
 use vpdift_asm::Program;
-use vpdift_core::{
-    AddrRange, DiftEngine, EnforceMode, SecurityPolicy, SharedEngine, Tag, Violation,
-};
+use vpdift_core::{AddrRange, DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
 use vpdift_kernel::{Kernel, SimTime};
 use vpdift_loader::{Elf32, Segment};
 use vpdift_obs::{
@@ -16,7 +14,7 @@ use vpdift_periph::{
     TaintDebug, Terminal, Uart, Watchdog,
 };
 use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
-use vpdift_sync::{shared, Shared};
+use vpdift_sync::{shared, MutCell, Shared};
 use vpdift_tlm::{Router, SharedFaultHook, SharedTarget};
 
 use crate::builder::SocBuilder;
@@ -193,7 +191,6 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     cpu: Cpu<M, S>,
     bus: SocBus<M>,
     exec: EngineKind,
-    engine: SharedEngine,
     obs: Shared<S>,
     /// Quanta since the last taint-spread sample (see [`SPREAD_PERIOD`]).
     quanta_since_spread: u32,
@@ -202,7 +199,6 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     sensor: Shared<Sensor>,
     can: Shared<CanController>,
     can_host: CanHostEndpoint,
-    aes: Shared<AesEngine>,
     dma: Shared<Dma>,
     clint: Shared<Clint>,
     plic: Shared<Plic>,
@@ -254,15 +250,15 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             map::CLINT_BASE
         );
         let policy = config.policy.clone();
-        let engine = DiftEngine::with_mode(policy.clone(), config.enforce).into_shared();
+        let mut engine = DiftEngine::with_mode(policy.clone(), config.enforce);
         if S::ENABLED {
-            engine.borrow_mut().set_observer(engine_observer(&obs));
+            engine.set_observer(engine_observer(&obs));
         }
 
         let ram = Ram::new(config.ram_size, M::TRACKING);
         let plic = Plic::new().into_shared();
         let clint = Clint::new().into_shared();
-        let uart = Uart::new("uart", engine.clone()).into_shared();
+        let uart = Uart::new("uart").into_shared();
         let terminal = Terminal::new("terminal", policy.source_tag("terminal.rx")).into_shared();
         let sensor = Sensor::new(
             policy.source_tag("sensor.data"),
@@ -274,7 +270,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         let can_host = can_channel.host_endpoint();
         let can = CanController::new(
             "can",
-            engine.clone(),
             policy.source_tag("can.rx"),
             can_channel,
             Some(IrqLine::new(plic.clone(), map::IRQ_CAN)),
@@ -310,14 +305,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         if S::ENABLED {
             dma_ports.set_obs(shared_obs(&obs));
         }
-        let dma = Dma::new(
-            dma_ports,
-            M::TRACKING.then(|| engine.clone()),
-            Some(IrqLine::new(plic.clone(), map::IRQ_DMA)),
-        )
-        .into_shared();
+        let dma = Dma::new(dma_ports, M::TRACKING, Some(IrqLine::new(plic.clone(), map::IRQ_DMA)))
+            .into_shared();
 
-        let taintdbg = TaintDebug::new(engine.clone()).into_shared();
+        let taintdbg = TaintDebug::new().into_shared();
         let watchdog = Watchdog::new().into_shared();
 
         let mut router = Router::new("sys-bus");
@@ -360,23 +351,16 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         if S::ENABLED {
             router.set_obs(shared_obs(&obs));
         }
-        let bus = SocBus::new(ram, router, M::TRACKING.then(|| engine.clone()));
+        let bus = SocBus::new(ram, router, engine);
 
         let mut cpu = Cpu::<M, S>::with_obs(obs.clone());
         if M::TRACKING {
-            cpu.set_engine(engine.clone());
             cpu.set_exec_clearance(policy.exec());
         }
 
         let exec = match config.exec {
             ExecMode::Interp => EngineKind::Interp,
-            ExecMode::BlockCache => {
-                let mut bc = BlockCache::new();
-                if M::TRACKING {
-                    bc.set_census(engine.borrow().census().clone());
-                }
-                EngineKind::Block(Box::new(bc))
-            }
+            ExecMode::BlockCache => EngineKind::Block(Box::default()),
         };
 
         let mut kernel = Kernel::new();
@@ -390,7 +374,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             cpu,
             bus,
             exec,
-            engine,
             obs,
             quanta_since_spread: 0,
             uart,
@@ -398,7 +381,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             sensor,
             can,
             can_host,
-            aes,
             dma,
             clint,
             plic,
@@ -711,8 +693,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &self.cpu
     }
 
-    /// Mutable CPU access (test setup).
+    /// Mutable CPU access (test setup). The caller may write tagged
+    /// registers, so this sets the taint-idle latch.
     pub fn cpu_mut(&mut self) -> &mut Cpu<M, S> {
+        self.bus.tags_live = true;
         &mut self.cpu
     }
 
@@ -721,9 +705,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &self.obs
     }
 
-    /// The DIFT engine.
-    pub fn engine(&self) -> &SharedEngine {
-        &self.engine
+    /// The DIFT engine, owned by the system bus. Host code reads it
+    /// through the cell's `borrow()`; a run never holds a borrow.
+    pub fn engine(&self) -> &MutCell<DiftEngine> {
+        &self.bus.engine
     }
 
     /// Main memory, owned by the system bus.
@@ -754,29 +739,14 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &self.sensor
     }
 
-    /// The CAN controller.
-    pub fn can(&self) -> &Shared<CanController> {
-        &self.can
-    }
-
     /// The host side of the CAN link (the remote ECU).
     pub fn can_host(&self) -> &CanHostEndpoint {
         &self.can_host
     }
 
-    /// The AES engine.
-    pub fn aes(&self) -> &Shared<AesEngine> {
-        &self.aes
-    }
-
     /// The DMA controller.
     pub fn dma(&self) -> &Shared<Dma> {
         &self.dma
-    }
-
-    /// The CLINT.
-    pub fn clint(&self) -> &Shared<Clint> {
-        &self.clint
     }
 
     /// The PLIC.

@@ -1,13 +1,14 @@
 //! Thread-safe shared-cell primitives underpinning the `Send` virtual
 //! prototype.
 //!
-//! A [`Soc`](../vpdift_soc/struct.Soc.html) is a densely aliased object
-//! graph: RAM is reachable from the CPU bus, the DMA's private port map and
-//! the taint-introspection peripheral; the DIFT engine from the CPU and
-//! every classifying peripheral; the observability sink from all of them.
-//! Historically that aliasing was `Rc<RefCell<T>>` — correct for the
-//! single-threaded simulator, but it froze every session onto one thread
-//! and made fleet execution (N parallel campaign sessions) impossible.
+//! A [`Soc`](../vpdift_soc/struct.Soc.html) is an aliased object graph:
+//! peripherals are reachable from the system bus, the DMA's private port
+//! map and the SoC itself; the observability sink from every layer. (RAM
+//! and the DIFT engine are not: the system bus owns them and lends them
+//! per transaction.) Historically that aliasing was `Rc<RefCell<T>>` —
+//! correct for the single-threaded simulator, but it froze every session
+//! onto one thread and made fleet execution (N parallel campaign
+//! sessions) impossible.
 //!
 //! [`MutCell`] replaces `RefCell` with the *same dynamic borrow
 //! discipline* — shared borrows count up, an exclusive borrow requires no

@@ -11,7 +11,7 @@ use vpdift_kernel::SimTime;
 use vpdift_sync::Shared;
 
 use crate::payload::{GenericPayload, TlmResponse};
-use crate::router::{Router, TlmTarget};
+use crate::router::{Loan, Router};
 
 /// What a [`TlmFaultHook`] decides to do with a transaction before it is
 /// routed.
@@ -67,15 +67,15 @@ impl FaultRouter {
     }
 
     /// Routes one transaction through the hook (if any) and the wrapped
-    /// router. See [`Router::route`] for the routing semantics and `mem`.
+    /// router. See [`Router::route`] for the routing semantics and `loan`.
     pub fn route(
         &mut self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
+        loan: &mut Loan<'_>,
     ) {
         let Some(hook) = &self.hook else {
-            self.inner.route(payload, delay, mem);
+            self.inner.route(payload, delay, loan);
             return;
         };
         match hook.borrow_mut().before(payload) {
@@ -89,7 +89,7 @@ impl FaultRouter {
                 return;
             }
         }
-        self.inner.route(payload, delay, mem);
+        self.inner.route(payload, delay, loan);
         hook.borrow_mut().after(payload);
     }
 }
@@ -106,7 +106,7 @@ impl core::fmt::Debug for FaultRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpdift_core::{AddrRange, Taint};
+    use vpdift_core::{AddrRange, DiftEngine, SecurityPolicy, Taint};
 
     fn wrapped_ram() -> (FaultRouter, Shared<[Taint<u8>; 16]>) {
         let mut router = Router::new("bus");
@@ -138,8 +138,17 @@ mod tests {
         (FaultRouter::new(router), ram)
     }
 
-    fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::AddressError);
+    /// Routes `p` through `fr`, lending no memory and a permissive engine.
+    fn route(fr: &mut FaultRouter, p: &mut GenericPayload) {
+        let mut no_memory = |p: &mut GenericPayload, _: &mut SimTime| {
+            p.set_response(TlmResponse::AddressError);
+        };
+        let mut engine = DiftEngine::new(SecurityPolicy::permissive());
+        fr.route(
+            p,
+            &mut SimTime::ZERO.clone(),
+            &mut Loan { mem: &mut no_memory, engine: &mut engine },
+        );
     }
 
     struct OneShot(FaultAction);
@@ -154,7 +163,7 @@ mod tests {
     fn transparent_without_hook() {
         let (mut fr, ram) = wrapped_ram();
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut w);
         assert!(w.is_ok());
         assert_eq!(ram.borrow()[4].value(), 7);
     }
@@ -164,12 +173,12 @@ mod tests {
         let (mut fr, ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut w);
         assert_eq!(w.response(), TlmResponse::GenericError);
         assert_eq!(ram.borrow()[4].value(), 0, "write was dropped");
         // The hook is one-shot: the retry goes through.
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        fr.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut w);
         assert!(w.is_ok());
         assert_eq!(ram.borrow()[4].value(), 7);
     }
@@ -179,7 +188,7 @@ mod tests {
         let (mut fr, _ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Respond(TlmResponse::AddressError))));
         let mut r = GenericPayload::read(0x104, 4);
-        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut r);
         assert_eq!(r.response(), TlmResponse::AddressError);
     }
 
@@ -201,7 +210,7 @@ mod tests {
         ram.borrow_mut()[0] = Taint::untainted(0x11);
         fr.set_hook(vpdift_sync::shared(FlipRead));
         let mut r = GenericPayload::read(0x100, 1);
-        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut r);
         assert_eq!(r.data()[0].value(), 0x91, "read lane corrupted post-route");
         assert_eq!(ram.borrow()[0].value(), 0x11, "memory itself untouched");
     }
@@ -212,7 +221,7 @@ mod tests {
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         fr.clear_hook();
         let mut r = GenericPayload::read(0x100, 1);
-        fr.route(&mut r, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut fr, &mut r);
         assert!(r.is_ok());
     }
 }

@@ -18,4 +18,4 @@ mod router;
 
 pub use fault::{FaultAction, FaultRouter, SharedFaultHook, TlmFaultHook};
 pub use payload::{GenericPayload, TlmCommand, TlmResponse};
-pub use router::{MapError, Router, SharedTarget, TlmTarget};
+pub use router::{Loan, MapError, Router, SharedTarget, TlmTarget};

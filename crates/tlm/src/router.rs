@@ -1,6 +1,6 @@
 //! Address-based transaction routing — the TLM interconnect.
 
-use vpdift_core::AddrRange;
+use vpdift_core::{AddrRange, DiftEngine};
 use vpdift_kernel::SimTime;
 use vpdift_obs::{ObsEvent, SharedObs};
 use vpdift_sync::Shared;
@@ -17,18 +17,30 @@ pub trait TlmTarget: Send + Sync {
     /// address has already been rewritten to a target-local offset.
     fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime);
 
-    /// [`TlmTarget::transport`] with the memory its owner lends for this
-    /// one transaction. Targets that reach memory themselves (DMA bursts,
-    /// tag reads) override it; the default ignores `mem`.
+    /// [`TlmTarget::transport`] with what the router's owner lends for
+    /// this one transaction. Targets that reach memory or the DIFT engine
+    /// override it; the default ignores the loan.
     fn transport_with(
         &mut self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
+        loan: &mut Loan<'_>,
     ) {
-        let _ = mem;
+        let _ = loan;
         self.transport(payload, delay);
     }
+}
+
+/// What the owner of a router lends each transaction it routes: its
+/// memory and its DIFT engine. Targets that reach memory themselves (DMA
+/// bursts, tag reads) or check and record flows (output sinks, DMA store
+/// clearance, guest tag assertions) use them for that one transaction, so
+/// no target keeps a handle to either.
+pub struct Loan<'a> {
+    /// The memory behind [`Router::map_memory`] windows.
+    pub mem: &'a mut dyn TlmTarget,
+    /// The engine that checks flows and records violations.
+    pub engine: &'a mut DiftEngine,
 }
 
 impl<F> TlmTarget for F
@@ -71,8 +83,8 @@ impl std::error::Error for MapError {}
 /// address to a target-local offset.
 ///
 /// ```
-/// use vpdift_tlm::{GenericPayload, Router, TlmResponse};
-/// use vpdift_core::{AddrRange, Taint};
+/// use vpdift_tlm::{GenericPayload, Loan, Router, TlmResponse};
+/// use vpdift_core::{AddrRange, DiftEngine, SecurityPolicy, Taint};
 /// use vpdift_kernel::SimTime;
 /// use vpdift_sync::shared;
 ///
@@ -88,7 +100,8 @@ impl std::error::Error for MapError {}
 ///     }))?;
 /// let mut p = GenericPayload::write(0x1002, &[Taint::untainted(7)]);
 /// let mut no_memory = |_: &mut GenericPayload, _: &mut SimTime| {}; // none mapped
-/// router.route(&mut p, &mut SimTime::ZERO, &mut no_memory);
+/// let mut engine = DiftEngine::new(SecurityPolicy::permissive());
+/// router.route(&mut p, &mut SimTime::ZERO, &mut Loan { mem: &mut no_memory, engine: &mut engine });
 /// assert!(p.is_ok());
 /// assert_eq!(*reg.borrow(), 7);
 /// # Ok::<(), vpdift_tlm::MapError>(())
@@ -131,7 +144,7 @@ impl Router {
     }
 
     /// Like [`Router::map`], but maps `range` to the memory lent to each
-    /// [`Router::route`], so the memory's owner keeps it.
+    /// [`Router::route`] ([`Loan::mem`]), so the memory's owner keeps it.
     pub fn map_memory(&mut self, name: &str, range: AddrRange) -> Result<(), MapError> {
         self.insert(name, range, None)
     }
@@ -152,7 +165,7 @@ impl Router {
         Ok(())
     }
 
-    /// Routes one transaction, lending `mem` to the target (see
+    /// Routes one transaction, lending `loan` to the target (see
     /// [`TlmTarget::transport_with`] and [`Router::map_memory`]). On
     /// unmapped addresses the payload gets [`TlmResponse::AddressError`];
     /// transfers straddling a mapping boundary get [`TlmResponse::BurstError`].
@@ -160,7 +173,7 @@ impl Router {
         &mut self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
+        loan: &mut Loan<'_>,
     ) {
         let addr = payload.address();
         let Some(m) = self.mappings.iter().find(|m| m.range.contains(addr)) else {
@@ -178,8 +191,8 @@ impl Router {
         payload.set_address(local);
         let before = delay.as_ps();
         match &m.target {
-            Some(target) => target.borrow_mut().transport_with(payload, delay, mem),
-            None => mem.transport(payload, delay),
+            Some(target) => target.borrow_mut().transport_with(payload, delay, loan),
+            None => loan.mem.transport(payload, delay),
         }
         let lat_ps = delay.as_ps().saturating_sub(before);
         payload.set_address(addr);
@@ -217,7 +230,7 @@ impl core::fmt::Debug for Router {
 mod tests {
     use super::*;
     use crate::payload::TlmCommand;
-    use vpdift_core::{Tag, Taint};
+    use vpdift_core::{SecurityPolicy, Tag, Taint};
 
     /// A 16-byte scratch RAM test double.
     struct Scratch {
@@ -258,6 +271,17 @@ mod tests {
         p.set_response(TlmResponse::AddressError);
     }
 
+    /// Routes `p` lending `mem` and a permissive engine.
+    fn route(
+        router: &mut Router,
+        p: &mut GenericPayload,
+        delay: &mut SimTime,
+        mem: &mut dyn TlmTarget,
+    ) {
+        let mut engine = DiftEngine::new(SecurityPolicy::permissive());
+        router.route(p, delay, &mut Loan { mem, engine: &mut engine });
+    }
+
     #[test]
     fn routes_by_range_with_local_addressing() {
         let mut router = Router::new("bus");
@@ -267,7 +291,7 @@ mod tests {
         let word = Taint::new(0xCAFEu16, Tag::atom(2));
         let mut w = GenericPayload::write_word(0x108, word);
         let mut delay = SimTime::ZERO;
-        router.route(&mut w, &mut delay, &mut no_memory);
+        route(&mut router, &mut w, &mut delay, &mut no_memory);
         assert!(w.is_ok());
         assert_eq!(router.name(), "bus");
         assert_eq!(w.address(), 0x108, "global address restored after routing");
@@ -278,7 +302,7 @@ mod tests {
         assert_eq!(ram.borrow().bytes[8].tag(), Tag::atom(2));
 
         let mut r = GenericPayload::read(0x108, 2);
-        router.route(&mut r, &mut delay, &mut no_memory);
+        route(&mut router, &mut r, &mut delay, &mut no_memory);
         let back: Taint<u16> = r.data_word();
         assert_eq!(back.value(), 0xCAFE);
         assert_eq!(back.tag(), Tag::atom(2));
@@ -289,7 +313,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
         let mut p = GenericPayload::read(0x50, 4);
-        router.route(&mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut router, &mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(p.response(), TlmResponse::AddressError);
     }
 
@@ -298,7 +322,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
         let mut p = GenericPayload::read(0x10E, 4); // crosses 0x110
-        router.route(&mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut router, &mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
         assert_eq!(p.response(), TlmResponse::BurstError);
     }
 
@@ -326,13 +350,13 @@ mod tests {
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(9, Tag::atom(1))]);
         let mut delay = SimTime::ZERO;
-        router.route(&mut w, &mut delay, &mut mem);
+        route(&mut router, &mut w, &mut delay, &mut mem);
         assert!(w.is_ok());
         assert_eq!(mem.bytes[4], Taint::new(9, Tag::atom(1)), "local offset 4");
         assert_eq!(delay, SimTime::from_ns(3), "the memory's latency");
         // A shared target is unaffected by the memory lent alongside.
         let mut p = GenericPayload::write(0x1004, &[Taint::untainted(7)]);
-        router.route(&mut p, &mut delay, &mut mem);
+        route(&mut router, &mut p, &mut delay, &mut mem);
         assert_eq!(reg.borrow().bytes[4].value(), 7);
         assert_eq!(mem.bytes[4].value(), 9);
     }
@@ -346,9 +370,9 @@ mod tests {
         router.set_obs(shared_obs(&sink));
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(1, Tag::atom(3))]);
-        router.route(&mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut router, &mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
         let mut bad = GenericPayload::read(0x50, 1);
-        router.route(&mut bad, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&mut router, &mut bad, &mut SimTime::ZERO.clone(), &mut no_memory);
 
         let r = sink.borrow();
         assert_eq!(r.metrics().tlm_per_target["ram"], 1);

@@ -15,14 +15,26 @@
 //! The slice-dispatch yield rules have their own cases: an interrupt
 //! raised by an MMIO store mid-block, step-exact short run budgets, and a
 //! stop flag raised on a `NullSink` SoC.
+//! Each source of a live tag has a `latch_source_*` case: the block cache
+//! skips clearance checks until the taint-idle latch is set, so a source
+//! that forgot to set it lets a branch pass that the interpreter stops.
+//! One Record-mode guest trips every kind of check site and compares the
+//! engine's violation list with one written from the program.
 
 use taintvp::asm::{Asm, Reg};
 use taintvp::attacks::{all_attacks, run_attack_captured};
+use taintvp::core::AddrRange;
 use taintvp::firmware::table2_workloads;
 use taintvp::immo::{run_scenario_with, run_session_with, PolicyKind, Scenario, Variant};
 use taintvp::kernel::SimTime;
-use taintvp::prelude::{map, ExecMode, Plain, Soc, SocExit, TaintMode, Tainted};
+use taintvp::prelude::{
+    map, EnforceMode, ExecMode, Plain, SecurityPolicy, Soc, SocExit, Tag, Taint, TaintMode,
+    Tainted, ViolationKind,
+};
 use taintvp::rv32::Word;
+
+/// The atom the latch and violation cases classify with.
+const SECRET: Tag = Tag::atom(0);
 
 /// Runs one SoC program under both engines and returns
 /// `(exit, uart, instret, digest, now)` per engine for comparison.
@@ -625,5 +637,227 @@ fn stop_flag_on_a_null_sink_soc_stops_and_resumes_on_both_engines() {
         soc.clear_mmio_fault();
         assert_eq!(soc.run(100_000), SocExit::Break, "{mode}: the run resumes");
         assert_eq!((soc.instret(), soc.state_digest()), reference, "{mode}: final state differs");
+    }
+}
+
+/// A guest that branches on `a0` at `check` after `spins` untainted loop
+/// passes (so the block cache settles on its taint-idle path first);
+/// `load` puts the value to branch on into `a0`. `data` is a word of 1.
+fn branch_guest(spins: i32, load: impl FnOnce(&mut Asm)) -> taintvp::asm::Program {
+    let mut a = Asm::new(0);
+    a.entry();
+    if spins > 0 {
+        a.li(Reg::T0, spins);
+        a.label("spin");
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, "spin");
+    }
+    load(&mut a);
+    a.label("check");
+    a.bnez(Reg::A0, "done");
+    a.label("done");
+    a.ebreak();
+    a.label("data");
+    a.word(1);
+    a.assemble().expect("branch guest assembles")
+}
+
+/// `lw a0, data`.
+fn load_data(a: &mut Asm) {
+    a.la(Reg::T1, "data");
+    a.lw(Reg::A0, 0, Reg::T1);
+}
+
+/// A policy whose only check is branch clearance `EMPTY`.
+fn branch_policy() -> taintvp::core::SecurityPolicyBuilder {
+    SecurityPolicy::builder("latch").branch_clearance(Tag::EMPTY)
+}
+
+/// Runs `prog` under `policy` on both engines: `first` steps (none when
+/// 0), then `host`, then the rest. The interpreter checks every branch;
+/// the block cache checks only once the bus reports a live tag. So both
+/// stop on the branch at `check` only if the tag source that `host` or
+/// the guest exercises sets the taint-idle latch.
+fn assert_branch_trips(
+    prog: &taintvp::asm::Program,
+    policy: SecurityPolicy,
+    first: u64,
+    host: impl Fn(&mut Soc<Tainted>),
+) {
+    let check = prog.symbol("check").expect("check label");
+    let runs = [ExecMode::Interp, ExecMode::BlockCache].map(|mode| {
+        let cfg = Soc::<Tainted>::builder()
+            .policy(policy.clone())
+            .sensor_thread(false)
+            .engine(mode)
+            .build();
+        let mut soc = Soc::<Tainted>::new(cfg);
+        soc.load_program(prog);
+        if first > 0 {
+            assert_eq!(soc.run(first), SocExit::InstrLimit, "{mode}: first run");
+        }
+        host(&mut soc);
+        let exit = soc.run(10_000);
+        match &exit {
+            SocExit::Violation(v) => {
+                assert_eq!((&v.kind, v.pc), (&ViolationKind::Branch, Some(check)), "{mode}")
+            }
+            other => panic!("{mode}: expected the branch at {check:#x} to trip, got {other:?}"),
+        }
+        (exit, soc.instret(), soc.state_digest())
+    });
+    assert_eq!(runs[0], runs[1], "engines disagree");
+}
+
+#[test]
+fn latch_source_policy_classification_at_load() {
+    let prog = branch_guest(0, load_data);
+    let data = prog.symbol("data").unwrap();
+    let policy = branch_policy().classify_region("secret", AddrRange::new(data, 4), SECRET).build();
+    assert_branch_trips(&prog, policy, 0, |_| {});
+}
+
+#[test]
+fn latch_source_host_classify_between_runs() {
+    let prog = branch_guest(100, load_data);
+    let data = prog.symbol("data").unwrap();
+    let classify = |soc: &mut Soc<Tainted>| soc.ram_mut().classify(data, 4, SECRET);
+    assert_branch_trips(&prog, branch_policy().build(), 50, classify);
+}
+
+#[test]
+fn latch_source_dma_burst_from_the_sensor() {
+    use taintvp::periph::dma::regs;
+    let prog = branch_guest(0, |a| {
+        a.li(Reg::T0, map::DMA_BASE as i32);
+        a.li(Reg::T1, map::SENSOR_BASE as i32);
+        a.sw(Reg::T1, regs::SRC as i32, Reg::T0);
+        a.la(Reg::T1, "data");
+        a.sw(Reg::T1, regs::DST as i32, Reg::T0);
+        a.li(Reg::T2, 4);
+        a.sw(Reg::T2, regs::LEN as i32, Reg::T0);
+        a.li(Reg::T2, 1);
+        a.sw(Reg::T2, regs::CTRL as i32, Reg::T0);
+        a.lw(Reg::A0, 0, Reg::T1);
+    });
+    let policy = branch_policy().source("sensor.data", SECRET).build();
+    assert_branch_trips(&prog, policy, 0, |soc| soc.sensor().borrow_mut().generate_frame());
+}
+
+#[test]
+fn latch_source_tag_bit_flip() {
+    let prog = branch_guest(100, load_data);
+    let data = prog.symbol("data").unwrap();
+    let flip = |soc: &mut Soc<Tainted>| {
+        soc.ram_mut().flip_tag_bit(data, 0).expect("VP+ RAM keeps tags");
+    };
+    assert_branch_trips(&prog, branch_policy().build(), 50, flip);
+}
+
+#[test]
+fn latch_source_terminal_byte_read_by_the_guest() {
+    let prog = branch_guest(0, |a| {
+        a.li(Reg::T1, map::TERMINAL_BASE as i32);
+        a.lw(Reg::A0, 0, Reg::T1);
+    });
+    let policy = branch_policy().source("terminal.rx", SECRET).build();
+    assert_branch_trips(&prog, policy, 0, |soc| soc.terminal().borrow_mut().feed(b"x"));
+}
+
+/// A tagged register written from the host: only `Soc::cpu_mut` sees it.
+#[test]
+fn latch_source_host_register_write() {
+    let prog = branch_guest(0, |_| {});
+    assert_eq!(prog.symbol("check"), Some(0));
+    let set = |soc: &mut Soc<Tainted>| soc.cpu_mut().set_reg(Reg::A0, Taint::new(1, SECRET));
+    assert_branch_trips(&prog, branch_policy().build(), 0, set);
+}
+
+/// A tagged word stored from the host with the CPU's own store path.
+#[test]
+fn latch_source_host_ram_store() {
+    let prog = branch_guest(0, |a| {
+        a.lw(Reg::A0, 0x100, Reg::Zero);
+    });
+    assert_eq!(prog.symbol("check"), Some(4));
+    let store = |soc: &mut Soc<Tainted>| soc.ram_mut().store(0x100, 4, 1, SECRET);
+    assert_branch_trips(&prog, branch_policy().build(), 0, store);
+}
+
+/// Every check site records into the SoC's one engine, in program order:
+/// a Record-mode VP+ guest trips branch clearance (CPU), a protected RAM
+/// store (system bus), UART and CAN output clearance, DMA store clearance
+/// and a taintdbg assertion, once each.
+#[test]
+fn every_violation_source_records_into_the_one_engine_in_order() {
+    use taintvp::periph::{can, dma, taintdbg};
+
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T0, "secret");
+    a.lbu(Reg::A0, 0, Reg::T0);
+    a.label("branch");
+    a.bnez(Reg::A0, "next");
+    a.label("next");
+    a.la(Reg::T1, "vault");
+    a.label("store");
+    a.sb(Reg::A0, 0, Reg::T1);
+    a.li(Reg::T2, map::UART_BASE as i32);
+    a.sb(Reg::A0, 0, Reg::T2);
+    a.li(Reg::T3, 1);
+    a.li(Reg::T2, map::CAN_BASE as i32);
+    a.sw(Reg::T3, can::regs::TX_DLC as i32, Reg::T2);
+    a.sb(Reg::A0, can::regs::TX_DATA as i32, Reg::T2);
+    a.sw(Reg::T3, can::regs::TX_GO as i32, Reg::T2);
+    a.li(Reg::T2, map::DMA_BASE as i32);
+    a.sw(Reg::T0, dma::regs::SRC as i32, Reg::T2);
+    a.sw(Reg::T1, dma::regs::DST as i32, Reg::T2);
+    a.sw(Reg::T3, dma::regs::LEN as i32, Reg::T2);
+    a.sw(Reg::T3, dma::regs::CTRL as i32, Reg::T2);
+    a.li(Reg::T2, map::TAINTDBG_BASE as i32);
+    a.sw(Reg::T0, taintdbg::regs::ADDR as i32, Reg::T2);
+    a.sw(Reg::Zero, taintdbg::regs::ASSERT_TAG as i32, Reg::T2);
+    a.ebreak();
+    a.label("secret");
+    a.byte(0x5A);
+    a.label("vault");
+    a.byte(0);
+    let prog = a.assemble().expect("violation guest assembles");
+    let at = |label: &str| prog.symbol(label).expect("label");
+    let (secret, vault) = (at("secret"), at("vault"));
+
+    let policy = branch_policy()
+        .classify_region("secret", AddrRange::new(secret, 1), SECRET)
+        .protect_region("vault", AddrRange::new(vault, 1), Tag::EMPTY)
+        .sink("uart.tx", Tag::EMPTY)
+        .sink("can.tx", Tag::EMPTY)
+        .build();
+    let vault_store = format!("store to {vault:#010x}");
+    let expected = vec![
+        (ViolationKind::Branch, Some(at("branch")), String::new()),
+        (ViolationKind::Store { region: "vault".into() }, Some(at("store")), vault_store.clone()),
+        (ViolationKind::Output { sink: "uart.tx".into() }, None, String::new()),
+        (ViolationKind::Output { sink: "can.tx".into() }, None, String::new()),
+        (ViolationKind::Store { region: "vault".into() }, None, vault_store),
+        (
+            ViolationKind::Custom { what: "guest taint assertion".into() },
+            None,
+            format!("taintdbg assert at {secret:#010x}"),
+        ),
+    ];
+    for mode in [ExecMode::Interp, ExecMode::BlockCache] {
+        let cfg = Soc::<Tainted>::builder()
+            .policy(policy.clone())
+            .enforce(EnforceMode::Record)
+            .sensor_thread(false)
+            .engine(mode)
+            .build();
+        let mut soc = Soc::<Tainted>::new(cfg);
+        soc.load_program(&prog);
+        assert_eq!(soc.run(10_000), SocExit::Break, "{mode}: record mode runs to the end");
+        let engine = soc.engine().borrow();
+        let seen: Vec<_> =
+            engine.violations().iter().map(|v| (v.kind.clone(), v.pc, v.context.clone())).collect();
+        assert_eq!(seen, expected, "{mode}");
     }
 }
