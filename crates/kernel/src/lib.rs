@@ -1,42 +1,20 @@
-//! # vpdift-kernel — discrete-event simulation kernel
+//! # vpdift-kernel — simulated time
 //!
-//! A compact discrete-event kernel (single-threaded execution, `Send`
-//! ownership) standing in for the
-//! IEEE-1666 SystemC simulation kernel used by the paper's virtual
-//! prototype. It provides the subset of SystemC semantics the VP model
-//! relies on:
-//!
-//! * a simulated clock ([`SimTime`], picosecond resolution),
-//! * timed notifications and one-shot scheduled closures,
-//! * *delta cycles* — zero-delay notifications execute at the same
-//!   timestamp but in a later evaluation round,
-//! * cooperative [`Process`]es (`SC_THREAD` substitutes) that wait for
-//!   durations or events, including the [`Periodic`] helper used by
-//!   peripheral models such as the paper's Fig. 4 sensor.
+//! [`SimTime`], the picosecond clock value of the virtual prototype. The
+//! paper's VP runs on the IEEE-1666 SystemC kernel; here one owner, the
+//! SoC, advances the clock and brings each timed device (the Fig. 4
+//! sensor, the CLINT and the watchdog) up to it, so no event scheduler is
+//! needed.
 //!
 //! ```
-//! use vpdift_kernel::{Kernel, Periodic, SimTime};
-//! use std::sync::atomic::{AtomicU32, Ordering};
-//! use std::sync::Arc;
-//!
-//! let mut kernel = Kernel::new();
-//! let frames = Arc::new(AtomicU32::new(0));
-//! let f = frames.clone();
-//! // A 40 Hz sensor thread, like the paper's SimpleSensor::run().
-//! kernel.spawn("sensor", Periodic::new(SimTime::from_ms(25), move |_k| {
-//!     f.fetch_add(1, Ordering::Relaxed);
-//! }));
-//! kernel.run_until(SimTime::from_s(1));
-//! assert_eq!(frames.load(Ordering::Relaxed), 40);
+//! use vpdift_kernel::SimTime;
+//! // The Fig. 4 sensor refills its frame every 25 ms: 40 times a second.
+//! assert_eq!(SimTime::from_s(1).as_ps() / SimTime::from_ms(25).as_ps(), 40);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod process;
-mod scheduler;
 mod time;
 
-pub use process::{FnProcess, Next, Periodic, Process};
-pub use scheduler::{EventId, Kernel, KernelStats, ProcessId};
 pub use time::SimTime;

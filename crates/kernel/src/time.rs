@@ -23,7 +23,8 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The zero duration / simulation start.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable time; used as "run forever" bound.
+    /// The maximum representable time: the end of time, which the clock
+    /// never reaches (a deadline here never fires).
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from raw picoseconds.
@@ -73,7 +74,7 @@ impl SimTime {
         self.0 == 0
     }
 
-    /// Saturating addition, used by schedulers to avoid wrapping at the
+    /// Saturating addition, used by timed devices to avoid wrapping at the
     /// end-of-time sentinel.
     #[must_use]
     pub const fn saturating_add(self, rhs: SimTime) -> SimTime {

@@ -22,7 +22,8 @@ pub mod regs {
     pub const MTIME_HI: u32 = 0xBFFC;
 }
 
-/// The CLINT model. The SoC advances `mtime` as simulated time passes.
+/// The CLINT model. The SoC sets `mtime` to its clock, in microseconds,
+/// whenever simulated time moves.
 #[derive(Debug, Default)]
 pub struct Clint {
     mtime: u64,
@@ -50,11 +51,6 @@ impl Clint {
     /// Sets the timer (SoC clock coupling).
     pub fn set_mtime(&mut self, t: u64) {
         self.mtime = t;
-    }
-
-    /// Advances the timer by `ticks`.
-    pub fn advance(&mut self, ticks: u64) {
-        self.mtime = self.mtime.wrapping_add(ticks);
     }
 
     /// `true` while the timer interrupt is asserted (`mtime >= mtimecmp`).
@@ -136,7 +132,7 @@ mod tests {
         c.mtimecmp = 100;
         c.set_mtime(99);
         assert!(!c.timer_pending());
-        c.advance(1);
+        c.set_mtime(100);
         assert!(c.timer_pending());
         assert_eq!(c.mtime(), 100);
     }

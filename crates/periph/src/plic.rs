@@ -66,6 +66,11 @@ impl Plic {
         self.pending
     }
 
+    /// The enable bitmap (the `ENABLE` register).
+    pub fn enabled(&self) -> u32 {
+        self.enabled
+    }
+
     /// Claims the lowest-numbered pending & enabled source.
     pub fn claim(&mut self) -> u32 {
         let ready = self.pending & self.enabled;

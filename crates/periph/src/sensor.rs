@@ -2,15 +2,19 @@
 //! SystemC.
 //!
 //! A 64-byte memory-mapped data frame is refilled 40 times per simulated
-//! second by a kernel thread with random printable data, classified by the
+//! second with random printable data, classified by the
 //! run-time-configurable `data_tag` register; each refill raises the
 //! sensor's interrupt. Reads return the tagged frame bytes through the TLM
 //! data lane, exactly like the paper's `Taint<uint8_t>` pointer cast.
+//!
+//! Fig. 4's generation thread (`wait(25 ms)`, refill, repeat) is a timed
+//! device here: the SoC brings the sensor up to its clock with
+//! [`Sensor::advance_to`], which performs every refill due by then.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpdift_core::{Tag, Taint};
-use vpdift_kernel::{Kernel, Periodic, SimTime};
+use vpdift_kernel::SimTime;
 use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
@@ -36,6 +40,8 @@ pub struct Sensor {
     rng: StdRng,
     frames_generated: u64,
     stuck_at: Option<u8>,
+    /// When the next refill is due; `None` until [`Sensor::start`].
+    next_refill: Option<SimTime>,
     obs: vpdift_obs::ObsHandle,
 }
 
@@ -50,6 +56,7 @@ impl Sensor {
             rng: StdRng::seed_from_u64(seed),
             frames_generated: 0,
             stuck_at: None,
+            next_refill: None,
             obs: vpdift_obs::ObsHandle::default(),
         }
     }
@@ -73,16 +80,24 @@ impl Sensor {
         shared(self)
     }
 
-    /// Registers the periodic generation thread (Fig. 4's `run`) with the
-    /// simulation kernel.
-    pub fn spawn(this: &Shared<Sensor>, kernel: &mut Kernel) {
-        let me = Shared::clone(this);
-        kernel.spawn(
-            "sensor.run",
-            Periodic::new(PERIOD, move |_k| {
-                me.borrow_mut().generate_frame();
-            }),
-        );
+    /// Starts Fig. 4's generation thread: the first refill is due one
+    /// [`PERIOD`] after time zero, then one every period.
+    pub fn start(&mut self) {
+        self.next_refill = Some(PERIOD);
+    }
+
+    /// When the next refill is due; `None` while the thread is not
+    /// started.
+    pub fn next_refill(&self) -> Option<SimTime> {
+        self.next_refill
+    }
+
+    /// Performs, in order, every refill due by `now`.
+    pub fn advance_to(&mut self, now: SimTime) {
+        while let Some(due) = self.next_refill.filter(|&due| due <= now) {
+            self.generate_frame();
+            self.next_refill = Some(due.saturating_add(PERIOD));
+        }
     }
 
     /// Fills the frame with fresh random printable data of the configured
@@ -112,12 +127,6 @@ impl Sensor {
     /// The currently configured generation tag.
     pub fn data_tag(&self) -> Tag {
         self.data_tag
-    }
-
-    /// Reconfigures the generation tag (host/test use; software uses the
-    /// MMIO register).
-    pub fn set_data_tag(&mut self, tag: Tag) {
-        self.data_tag = tag;
     }
 
     /// Number of frames generated so far.
@@ -173,7 +182,6 @@ impl TlmTarget for Sensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpdift_kernel::Kernel;
 
     const LC: Tag = Tag::EMPTY;
     const HC: Tag = Tag::from_bits(1);
@@ -212,13 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn kernel_thread_runs_at_40_hz_and_raises_irq() {
-        let mut kernel = Kernel::new();
+    fn refills_run_at_40_hz_and_raise_irq() {
         let plic = crate::plic::Plic::new().into_shared();
-        let sensor = Sensor::new(HC, Some(IrqLine::new(plic.clone(), 2)), 7).into_shared();
-        Sensor::spawn(&sensor, &mut kernel);
-        kernel.run_until(SimTime::from_s(1));
-        assert_eq!(sensor.borrow().frames_generated(), 40);
+        let mut s = Sensor::new(HC, Some(IrqLine::new(plic.clone(), 2)), 7);
+        s.advance_to(SimTime::from_s(1));
+        assert_eq!(s.frames_generated(), 0, "no refills before start");
+        s.start();
+        assert_eq!(s.next_refill(), Some(PERIOD));
+        s.advance_to(SimTime::from_s(1));
+        assert_eq!(s.frames_generated(), 40);
+        assert_eq!(s.next_refill(), Some(SimTime::from_s(1) + PERIOD));
         assert_eq!(plic.borrow().pending(), 1 << 2);
     }
 

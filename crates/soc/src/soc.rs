@@ -4,7 +4,7 @@ use core::fmt;
 
 use vpdift_asm::Program;
 use vpdift_core::{AddrRange, DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
-use vpdift_kernel::{Kernel, SimTime};
+use vpdift_kernel::SimTime;
 use vpdift_loader::{Elf32, Segment};
 use vpdift_obs::{
     engine_observer, shared_obs, BreakSet, InsnCell, NullSink, ObsEvent, ObsSink, StopFlag,
@@ -82,7 +82,8 @@ pub struct SocConfig {
     pub seed: u64,
     /// Instructions per scheduling quantum (time-sync granularity).
     pub quantum: u32,
-    /// Whether the sensor's periodic generation thread runs.
+    /// Whether the sensor refills its frame every 25 ms, the first at
+    /// 25 ms (Fig. 4's generation thread, [`Sensor::start`]).
     pub sensor_thread: bool,
     /// Which execution engine drives the CPU (predecoded block cache by
     /// default, or the reference interpreter).
@@ -182,12 +183,14 @@ fn map_port(router: &mut Router, name: &str, range: AddrRange, target: SharedTar
     router.map(name, range, target).expect("SoC map regions are disjoint by construction");
 }
 
-/// The virtual prototype: CPU, bus, memory and all peripherals, coupled to
-/// the simulation kernel. `M` selects the original VP ([`vpdift_rv32::Plain`])
+/// The virtual prototype: CPU, bus, memory and all peripherals on one
+/// simulated clock. `M` selects the original VP ([`vpdift_rv32::Plain`])
 /// or the DIFT-enabled VP+ ([`vpdift_rv32::Tainted`]).
 pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     config: SocConfig,
-    kernel: Kernel,
+    /// Simulated time. Only [`Soc::advance_to`] moves it, and it brings
+    /// the timed devices (sensor, CLINT, watchdog) along.
+    now: SimTime,
     cpu: Cpu<M, S>,
     bus: SocBus<M>,
     exec: EngineKind,
@@ -260,12 +263,15 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         let clint = Clint::new().into_shared();
         let uart = Uart::new("uart").into_shared();
         let terminal = Terminal::new("terminal", policy.source_tag("terminal.rx")).into_shared();
-        let sensor = Sensor::new(
+        let mut sensor = Sensor::new(
             policy.source_tag("sensor.data"),
             Some(IrqLine::new(plic.clone(), map::IRQ_SENSOR)),
             config.seed,
-        )
-        .into_shared();
+        );
+        if config.sensor_thread {
+            sensor.start();
+        }
+        let sensor = sensor.into_shared();
         let can_channel = CanChannel::new();
         let can_host = can_channel.host_endpoint();
         let can = CanController::new(
@@ -363,14 +369,9 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             ExecMode::BlockCache => EngineKind::Block(Box::default()),
         };
 
-        let mut kernel = Kernel::new();
-        if config.sensor_thread {
-            Sensor::spawn(&sensor, &mut kernel);
-        }
-
         Soc {
             config,
-            kernel,
+            now: SimTime::ZERO,
             cpu,
             bus,
             exec,
@@ -506,7 +507,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             // Final timestamp + taint-spread sample so reports and exports
             // reflect the state at exit.
             let mut obs = self.obs.borrow_mut();
-            obs.set_now(self.kernel.now());
+            obs.set_now(self.now);
             if M::TRACKING {
                 obs.taint_spread(&self.ram().atom_spread());
             }
@@ -530,7 +531,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         loop {
             self.sync_irq_lines();
             if S::ENABLED {
-                self.obs.borrow_mut().set_now(self.kernel.now());
+                self.obs.borrow_mut().set_now(self.now);
             }
             if steps_left == 0 {
                 return SocExit::InstrLimit;
@@ -610,9 +611,8 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             // Advance simulated time: executed steps + MMIO latency.
             let executed = stepped;
             let elapsed = INSN_TIME * executed + self.bus.take_mmio_delay();
-            let target = self.kernel.now().saturating_add(elapsed);
-            self.kernel.run_until(target);
-            self.watchdog.borrow_mut().set_now(self.kernel.now());
+            let target = self.now.saturating_add(elapsed);
+            self.advance_to(target);
 
             if S::ENABLED && M::TRACKING {
                 self.quanta_since_spread += 1;
@@ -624,14 +624,12 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             }
 
             if let Some(exit) = exit {
-                self.clint.borrow_mut().set_mtime(self.kernel.now().as_us());
                 return exit;
             }
             // A concrete exit from inside the quantum (break, violation,
             // trap loop) wins over a deadline that passed while time was
             // advanced afterwards.
             if self.watchdog.borrow().expired() {
-                self.clint.borrow_mut().set_mtime(self.kernel.now().as_us());
                 return SocExit::WatchdogTimeout;
             }
             if waiting {
@@ -645,42 +643,60 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 // the instruction count nor simulated time can never make
                 // progress (e.g. a wake condition that is permanently
                 // "now" but never taken).
-                if executed == 0 && self.kernel.now() == target {
+                if executed == 0 && self.now == target {
                     return SocExit::Idle;
                 }
             }
-            let now_us = self.kernel.now().as_us();
-            self.clint.borrow_mut().set_mtime(now_us);
         }
     }
 
+    /// Moves the clock to `t` and brings the timed devices up to it: the
+    /// sensor performs the refills due by then, the watchdog latches an
+    /// expiry, the CLINT's `mtime` reads the new time in microseconds.
+    /// The clock never runs backwards, and [`SimTime::MAX`] (a deadline
+    /// past the end of time) leaves it where it is.
+    fn advance_to(&mut self, t: SimTime) {
+        if t != SimTime::MAX {
+            self.now = self.now.max(t);
+        }
+        self.sensor.borrow_mut().advance_to(self.now);
+        self.watchdog.borrow_mut().set_now(self.now);
+        self.clint.borrow_mut().set_mtime(self.now.as_us());
+    }
+
     /// While the CPU is parked in `wfi`, jump simulated time to the next
-    /// thing that could wake it: a kernel event, the timer comparator, or
+    /// thing that could wake it: a sensor refill, the timer comparator, or
     /// the watchdog deadline (so an armed dog bites even on an otherwise
-    /// event-free platform). Returns `false` when no such event exists
-    /// (true deadlock).
+    /// event-free platform). A refill counts only while a deadline short
+    /// of [`SimTime::MAX`] is pending or the refill can raise an enabled
+    /// interrupt (PLIC source enabled and `mie.MEIE` set); otherwise
+    /// refills alone could never wake the core. Returns `false` when no
+    /// such event exists (true deadlock), with the clock where it is.
     fn advance_to_next_event(&mut self) -> bool {
-        let now = self.kernel.now();
-        let kernel_next = self.kernel.next_activity();
+        let now = self.now;
         let clint = self.clint.borrow();
         let timer_next = (clint.mtimecmp_value() != u64::MAX)
             .then(|| SimTime::from_us(clint.mtimecmp_value()).max(now));
         drop(clint);
         let wd_next = self.watchdog.borrow().deadline().map(|d| d.max(now));
-        let target = match [kernel_next, timer_next, wd_next].into_iter().flatten().min() {
-            Some(t) => t,
-            None => return false,
-        };
-        self.kernel.run_until(target);
-        let now = self.kernel.now();
-        self.clint.borrow_mut().set_mtime(now.as_us());
-        self.watchdog.borrow_mut().set_now(now);
-        true
+        let refill_wakes = self.plic.borrow().enabled() & (1 << map::IRQ_SENSOR) != 0
+            && self.cpu.csrs().mie.val() & vpdift_asm::csr::MIE_MEIE != 0;
+        let deadline_pending =
+            [timer_next, wd_next].into_iter().flatten().any(|t| t < SimTime::MAX);
+        let refill_next =
+            self.sensor.borrow().next_refill().filter(|_| refill_wakes || deadline_pending);
+        match [refill_next, timer_next, wd_next].into_iter().flatten().min() {
+            Some(t) => {
+                self.advance_to(t);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.kernel.now()
+        self.now
     }
 
     /// Retired instruction count.
@@ -804,7 +820,7 @@ impl<M: TaintMode, S: ObsSink> core::fmt::Debug for Soc<M, S> {
         f.debug_struct("Soc")
             .field("tracking", &M::TRACKING)
             .field("instret", &self.cpu.instret())
-            .field("now", &self.kernel.now())
+            .field("now", &self.now)
             .finish()
     }
 }

@@ -25,7 +25,7 @@ fn built_soc_moves_across_threads() {
     let soc: Soc<Tainted> = Soc::new(Soc::<Tainted>::builder().build());
     let handle = std::thread::spawn(move || {
         // Run zero guest work — the point is that the whole object graph
-        // (kernel, bus, peripherals, engine, sink) crossed the thread
+        // (clock, bus, peripherals, engine, sink) crossed the thread
         // boundary and is usable there.
         soc.ram().len()
     });

@@ -138,6 +138,34 @@ fn input_escapes_reach_the_terminal() {
 }
 
 #[test]
+fn sensor_refills_wake_the_guest_and_reach_the_uart() {
+    // docs/examples/sensor_echo.s waits in `wfi` for three refills of the
+    // Fig. 4 sensor and echoes one frame byte per refill.
+    let events =
+        std::env::temp_dir().join(format!("taintvp_cli_sensor_echo_{}.jsonl", std::process::id()));
+    let (code, stdout, stderr) = run_cli(&[
+        "docs/examples/sensor_echo.s",
+        "--policy",
+        "docs/examples/sensor_echo.policy",
+        "--dump-uart-hex",
+        "--events-out",
+        events.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let hex = stdout.trim().strip_prefix("uart[3]: ").unwrap_or_else(|| panic!("{stdout}"));
+    let bytes: Vec<u8> = hex.split(' ').map(|b| u8::from_str_radix(b, 16).unwrap()).collect();
+    assert_eq!(bytes.len(), 3, "{stdout}");
+    assert!(bytes.iter().all(|&b| b >= 128), "Fig. 4's printable range: {stdout}");
+    let jsonl = std::fs::read_to_string(&events).expect("events file written");
+    let frames = jsonl
+        .lines()
+        .filter(|l| l.contains(r#""kind":"classify","source":"sensor.frame""#))
+        .count();
+    assert_eq!(frames, 3, "one classified frame per refill: {jsonl}");
+    let _ = std::fs::remove_file(&events);
+}
+
+#[test]
 fn metrics_json_export_is_valid_and_tagged() {
     let path = std::env::temp_dir().join("taintvp_cli_metrics.json");
     let (code, _stdout, stderr) = run_cli(&[

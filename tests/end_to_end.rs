@@ -179,7 +179,7 @@ fn declassification_end_to_end() {
 }
 
 /// Interrupt-driven data flow keeps its tags: sensor -> IRQ -> ISR ->
-/// register — spanning kernel threads, PLIC, CPU interrupt logic and MMIO.
+/// register — spanning sensor refills, PLIC, CPU interrupt logic and MMIO.
 #[test]
 fn tags_survive_interrupt_driven_flows() {
     let secret = Tag::atom(3);
