@@ -3,12 +3,12 @@
 //! policies, and DMA transfer cost with tag tracking.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vpdift_core::{AddrRange, DiftEngine, ExecClearance, SecurityPolicy, Tag};
+use vpdift_core::{DiftEngine, ExecClearance, SecurityPolicy, Tag};
 use vpdift_immo::{protocol, PolicyKind, Variant};
 use vpdift_periph::{Dma, Ram};
 use vpdift_rv32::Tainted;
 use vpdift_soc::{Soc, SocBuilder, SocExit};
-use vpdift_tlm::{GenericPayload, Loan, Router};
+use vpdift_tlm::{GenericPayload, Loan};
 
 /// Runs the primes workload under a given exec-clearance configuration.
 fn run_with_exec(exec: ExecClearance) -> u64 {
@@ -49,9 +49,8 @@ fn bench_dma(c: &mut Criterion) {
         g.bench_function(name, |b| {
             let mut ram = Ram::new(64 * 1024, tracking);
             ram.classify(0, 4096, Tag::from_bits(1));
-            let mut ports = Router::new("dma-ports");
-            ports.map_memory("ram", AddrRange::new(0, 64 * 1024)).unwrap();
-            let mut dma = Dma::new(ports, false, None);
+            // The controller's port is the RAM itself.
+            let mut dma = Dma::new(false);
             let mut engine = DiftEngine::new(SecurityPolicy::permissive());
             b.iter(|| {
                 use vpdift_tlm::TlmTarget;

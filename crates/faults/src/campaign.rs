@@ -353,7 +353,7 @@ pub fn faulted_run(
             let mut soc = Soc::<Tainted>::new(cfg);
             let (mut ecu, challenges) = prepare_session(&mut soc, fw, 1, b"q", 0xEC0);
             if let Some(t) = watchdog {
-                soc.watchdog().borrow_mut().arm(t);
+                soc.watchdog_mut().arm(t);
             }
             let (exit, faults) = run_with_faults(&mut soc, budget, plan);
             let auths =
@@ -370,7 +370,7 @@ pub fn faulted_run(
             soc.load_program(program);
             soc.terminal().borrow_mut().feed(b"Z");
             if let Some(t) = watchdog {
-                soc.watchdog().borrow_mut().arm(t);
+                soc.watchdog_mut().arm(t);
             }
             let (exit, faults) = run_with_faults(&mut soc, budget, plan);
             ScenarioRun::observe(&soc, exit, 0, faults)
@@ -383,7 +383,7 @@ pub fn faulted_run(
             soc.ram_mut().classify(guest.payload, guest.payload_len, LI);
             soc.terminal().borrow_mut().feed(&guest.input);
             if let Some(t) = watchdog {
-                soc.watchdog().borrow_mut().arm(t);
+                soc.watchdog_mut().arm(t);
             }
             let (exit, faults) = run_with_faults(&mut soc, budget, plan);
             ScenarioRun::observe(&soc, exit, 0, faults)
@@ -453,7 +453,7 @@ fn directed_watchdog(faulted: bool) -> ScenarioRun {
         let line = shared(LossyCanFault::default());
         line.borrow_mut().arm_drop(1);
         soc.can_host().set_line_fault(line);
-        soc.watchdog().borrow_mut().arm(SimTime::from_ms(1));
+        soc.watchdog_mut().arm(SimTime::from_ms(1));
         faults.push(FaultRecord { step: 0, site: "can", kind: "can_drop", addr: None, detail: 1 });
     }
     let delivered = soc.can_host().send(CanFrame::new(CHALLENGE_ID, &[1, 2, 3, 4, 5, 6, 7, 8]));

@@ -86,16 +86,16 @@ pub fn apply_fault<M: TaintMode, S: ObsSink>(
             }
         }
         FaultKind::SensorStuck { value } => {
-            soc.sensor().borrow_mut().set_stuck(Some(value));
+            soc.sensor_mut().set_stuck(Some(value));
         }
         FaultKind::DmaAbort { bytes } => {
-            soc.dma().borrow_mut().inject_abort_after(bytes);
+            soc.dma_mut().inject_abort_after(bytes);
         }
         FaultKind::SpuriousIrq { line } => {
-            soc.plic().borrow_mut().raise(line.clamp(1, 31));
+            soc.plic_mut().raise(line.clamp(1, 31));
         }
         FaultKind::IrqStorm => {
-            let mut plic = soc.plic().borrow_mut();
+            let plic = soc.plic_mut();
             plic.raise(map::IRQ_SENSOR);
             plic.raise(map::IRQ_CAN);
             plic.raise(map::IRQ_DMA);

@@ -8,7 +8,6 @@
 
 use vpdift_core::{DeclassifyCap, Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::aes_core::Aes128;
@@ -67,11 +66,6 @@ impl AesEngine {
     /// it.
     pub fn set_obs(&mut self, obs: vpdift_obs::SharedObs) {
         self.obs.attach(obs);
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<AesEngine> {
-        shared(self)
     }
 
     /// Completed operations count.

@@ -8,14 +8,13 @@
 //! received byte is classified with the controller's input tag.
 
 use std::collections::VecDeque;
-use vpdift_sync::{shared, Shared};
+use vpdift_sync::Shared;
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
-use crate::plic::IrqLine;
 
 /// A CAN frame: identifier plus up to 8 tagged data bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,7 +189,6 @@ pub struct CanController {
     sink: String,
     input_tag: Tag,
     channel: CanChannel,
-    irq: Option<IrqLine>,
     tx_id: u32,
     tx_dlc: u8,
     tx_data: [Taint<u8>; 8],
@@ -202,13 +200,12 @@ impl CanController {
     /// Creates a controller named `name`: TX clearance is checked against
     /// the sink `"<name>.tx"`, and bytes received from the link are
     /// classified `input_tag`.
-    pub fn new(name: &str, input_tag: Tag, channel: CanChannel, irq: Option<IrqLine>) -> Self {
+    pub fn new(name: &str, input_tag: Tag, channel: CanChannel) -> Self {
         CanController {
             name: name.to_owned(),
             sink: format!("{name}.tx"),
             input_tag,
             channel,
-            irq,
             tx_id: 0,
             tx_dlc: 0,
             tx_data: [Taint::untainted(0); 8],
@@ -234,11 +231,6 @@ impl CanController {
         }
     }
 
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<CanController> {
-        shared(self)
-    }
-
     /// Instance name.
     pub fn name(&self) -> &str {
         &self.name
@@ -249,13 +241,10 @@ impl CanController {
         self.frames_sent
     }
 
-    /// Delivers any host-sent frames' interrupt (poll from the SoC loop).
-    pub fn poll_rx_irq(&self) {
-        if let Some(irq) = &self.irq {
-            if !self.channel.state.borrow().to_device.is_empty() {
-                irq.raise();
-            }
-        }
+    /// The RX interrupt level: `true` while host-sent frames wait (the
+    /// SoC polls it when it samples interrupt levels).
+    pub fn rx_pending(&self) -> bool {
+        !self.channel.state.borrow().to_device.is_empty()
     }
 
     fn head<R>(&self, f: impl FnOnce(Option<&CanFrame>) -> R) -> R {
@@ -381,6 +370,7 @@ mod tests {
     use super::*;
     use crate::mmio::tests::lend_engine;
     use vpdift_core::{DiftEngine, SecurityPolicy, ViolationKind};
+    use vpdift_sync::shared;
 
     const SECRET: Tag = Tag::from_bits(0b01);
     const UNTRUSTED: Tag = Tag::from_bits(0b10);
@@ -401,7 +391,7 @@ mod tests {
         let policy = SecurityPolicy::builder("t").sink("can0.tx", UNTRUSTED).build();
         let channel = CanChannel::new();
         let host = channel.host_endpoint();
-        let c = CanController::new("can0", UNTRUSTED, channel, None);
+        let c = CanController::new("can0", UNTRUSTED, channel);
         (Ctl { c, engine: DiftEngine::new(policy) }, host)
     }
 
@@ -463,16 +453,12 @@ mod tests {
 
     #[test]
     fn rx_irq_polling() {
-        let plic = crate::plic::Plic::new().into_shared();
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
-        let c =
-            CanController::new("can0", Tag::EMPTY, channel, Some(IrqLine::new(plic.clone(), 3)));
-        c.poll_rx_irq();
-        assert_eq!(plic.borrow().pending(), 0);
+        let (mut c, host) = controller();
+        assert!(!c.c.rx_pending());
         host.send(CanFrame::new(1, &[0]));
-        c.poll_rx_irq();
-        assert_eq!(plic.borrow().pending(), 1 << 3);
+        assert!(c.c.rx_pending(), "a waiting frame asserts the level");
+        wr(&mut c, regs::RX_POP, Taint::untainted(1));
+        assert!(!c.c.rx_pending(), "popping the last frame drops it");
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
@@ -36,11 +35,6 @@ impl Clint {
     /// pending timer interrupt).
     pub fn new() -> Self {
         Clint { mtime: 0, mtimecmp: u64::MAX, msip: false }
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Clint> {
-        shared(self)
     }
 
     /// Current timer value.

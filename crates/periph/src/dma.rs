@@ -9,11 +9,9 @@
 
 use vpdift_core::{Taint, Violation};
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
-use vpdift_tlm::{GenericPayload, Loan, Router, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
-use crate::plic::IrqLine;
 
 /// Hardware limit on a single transfer; `CTRL` writes with a larger
 /// staged `LEN` fail with the error bit (real DMA engines bound their
@@ -34,16 +32,15 @@ pub mod regs {
     pub const STATUS: u32 = 0x10;
 }
 
-/// The DMA controller. It owns a *private* [`Router`] (configured by the
-/// SoC with the same shared targets as the system bus, minus the DMA
-/// itself), which keeps transfers re-entrant-safe. Each burst passes on
-/// the loan of the transaction that started it
-/// ([`TlmTarget::transport_with`]): its RAM window reaches the lent memory,
-/// and its targets and its own store-clearance check use the lent engine.
+/// The DMA controller. It holds no bus: the `CTRL` write that starts a
+/// transfer is lent its memory port ([`Loan::mem`], the SoC's DMA port map
+/// of RAM and the devices a burst may reach), and every burst goes there
+/// ([`Loan::reach`]) with the lent engine, which also checks the
+/// controller's own store clearance.
 pub struct Dma {
-    ports: Router,
     check_stores: bool,
-    irq: Option<IrqLine>,
+    /// Set by each completed transfer until the SoC raises the interrupt.
+    irq: bool,
     src: u32,
     dst: u32,
     len: u32,
@@ -67,14 +64,13 @@ impl core::fmt::Debug for Dma {
 }
 
 impl Dma {
-    /// Creates a controller whose transfers go through `ports`. With
-    /// `check_stores`, destination bytes are checked against the policy's
-    /// protected-region rules (store clearance).
-    pub fn new(ports: Router, check_stores: bool, irq: Option<IrqLine>) -> Self {
+    /// Creates a controller. With `check_stores`, destination bytes are
+    /// checked against the policy's protected-region rules (store
+    /// clearance).
+    pub fn new(check_stores: bool) -> Self {
         Dma {
-            ports,
             check_stores,
-            irq,
+            irq: false,
             src: 0,
             dst: 0,
             len: 0,
@@ -93,14 +89,15 @@ impl Dma {
         self.abort_after = Some(bytes);
     }
 
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Dma> {
-        shared(self)
-    }
-
     /// Total bytes copied over the controller's lifetime.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
+    }
+
+    /// Whether a transfer completed since the last call, which clears the
+    /// completion-interrupt flag.
+    pub fn take_irq(&mut self) -> bool {
+        std::mem::take(&mut self.irq)
     }
 
     /// Performs the staged transfer. Chunked in 16-byte bursts.
@@ -125,7 +122,7 @@ impl Dma {
             }
             let chunk = remaining.min(16) as usize;
             let mut rd = GenericPayload::read(src, chunk);
-            self.ports.route(&mut rd, delay, loan);
+            loan.reach(&mut rd, delay);
             if !rd.is_ok() {
                 return Err(rd.take_violation());
             }
@@ -138,7 +135,7 @@ impl Dma {
                 }
             }
             let mut wr = GenericPayload::write(dst, rd.data());
-            self.ports.route(&mut wr, delay, loan);
+            loan.reach(&mut wr, delay);
             if !wr.is_ok() {
                 return Err(wr.take_violation());
             }
@@ -182,9 +179,7 @@ impl TlmTarget for Dma {
                     match self.run_transfer(delay, loan) {
                         Ok(()) => {
                             self.done = true;
-                            if let Some(irq) = &self.irq {
-                                irq.raise();
-                            }
+                            self.irq = true;
                             p.set_response(TlmResponse::Ok);
                         }
                         Err(Some(v)) => {
@@ -233,7 +228,8 @@ mod tests {
 
     const SECRET: Tag = Tag::from_bits(1);
 
-    /// A controller with the RAM and engine its bus would lend it.
+    /// A controller lent RAM as its port, with the engine its bus would
+    /// lend it.
     struct Rig {
         d: Dma,
         ram: Ram,
@@ -241,11 +237,9 @@ mod tests {
     }
 
     impl Rig {
-        fn new(ram_size: u32, policy: SecurityPolicy, irq: Option<IrqLine>) -> Self {
-            let mut ports = Router::new("dma-ports");
-            ports.map_memory("ram", AddrRange::new(0, ram_size)).unwrap();
+        fn new(ram_size: u32, policy: SecurityPolicy) -> Self {
             Rig {
-                d: Dma::new(ports, true, irq),
+                d: Dma::new(true),
                 ram: Ram::new(ram_size as usize, true),
                 engine: DiftEngine::new(policy),
             }
@@ -270,7 +264,7 @@ mod tests {
     }
 
     fn rig() -> Rig {
-        Rig::new(4096, SecurityPolicy::permissive(), None)
+        Rig::new(4096, SecurityPolicy::permissive())
     }
 
     #[test]
@@ -311,7 +305,7 @@ mod tests {
         let policy = SecurityPolicy::builder("t")
             .protect_region("pin", AddrRange::new(0x300, 16), Tag::EMPTY)
             .build();
-        let mut r = Rig::new(4096, policy, None);
+        let mut r = Rig::new(4096, policy);
         r.ram.classify(0x100, 4, SECRET);
         r.wr(regs::SRC, 0x100);
         r.wr(regs::DST, 0x300);
@@ -344,14 +338,18 @@ mod tests {
     }
 
     #[test]
-    fn irq_raised_on_completion() {
-        let plic = crate::plic::Plic::new().into_shared();
-        let mut r = Rig::new(64, SecurityPolicy::permissive(), Some(IrqLine::new(plic.clone(), 4)));
+    fn irq_flagged_on_completion() {
+        let mut r = Rig::new(64, SecurityPolicy::permissive());
         r.wr(regs::SRC, 0);
         r.wr(regs::DST, 32);
         r.wr(regs::LEN, 8);
+        assert!(!r.d.take_irq(), "nothing transferred yet");
         r.wr(regs::CTRL, 1);
-        assert_eq!(plic.borrow().pending(), 1 << 4);
+        assert!(r.d.take_irq(), "completion flags the interrupt");
+        assert!(!r.d.take_irq(), "taking it clears the flag");
+        r.wr(regs::SRC, 0x1000);
+        r.wr(regs::CTRL, 1);
+        assert!(!r.d.take_irq(), "a failed transfer flags nothing");
     }
 
     #[test]

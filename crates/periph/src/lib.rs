@@ -36,7 +36,7 @@ pub use aes_core::Aes128;
 pub use can::{CanChannel, CanController, CanFrame, CanHostEndpoint, CanLineFault, SharedCanLine};
 pub use clint::Clint;
 pub use dma::Dma;
-pub use plic::{IrqLine, Plic};
+pub use plic::Plic;
 pub use ram::Ram;
 pub use sensor::Sensor;
 pub use taintdbg::TaintDebug;

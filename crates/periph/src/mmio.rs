@@ -26,25 +26,16 @@ pub(crate) mod tests {
     use super::*;
     use vpdift_core::{DiftEngine, Tag};
     use vpdift_kernel::SimTime;
-    use vpdift_tlm::{Loan, TlmResponse, TlmTarget};
+    use vpdift_tlm::{Loan, TlmTarget};
 
-    /// Lent memory for tests that must not reach any: every access misses.
-    pub(crate) fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::AddressError);
-    }
-
-    /// Runs `p` through `target` the way a router would, lending `engine`
-    /// and no memory.
+    /// Runs `p` through `target` the way a bus would, lending `engine` and
+    /// no memory.
     pub(crate) fn lend_engine(
         target: &mut dyn TlmTarget,
         p: &mut GenericPayload,
         engine: &mut DiftEngine,
     ) {
-        target.transport_with(
-            p,
-            &mut SimTime::ZERO.clone(),
-            &mut Loan { mem: &mut no_memory, engine },
-        );
+        Loan { mem: target, engine }.reach(p, &mut SimTime::ZERO.clone());
     }
 
     #[test]

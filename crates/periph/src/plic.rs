@@ -1,12 +1,13 @@
 //! A simplified platform-level interrupt controller.
 //!
-//! Peripherals raise numbered interrupt sources; software enables sources,
+//! Numbered interrupt sources are raised on it; software enables sources,
 //! claims the highest-priority pending one, and completes it. The `eip()`
-//! level feeds the CPU's machine-external-interrupt pending bit.
+//! level feeds the CPU's machine-external-interrupt pending bit. Devices
+//! do not hold the controller: each flags its own interrupt, and the SoC
+//! raises the flagged sources here when it samples interrupt levels.
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
@@ -34,12 +35,6 @@ impl Plic {
     /// Creates a controller with everything masked.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wraps into the shared handle used by the SoC and by peripherals'
-    /// [`IrqLine`]s.
-    pub fn into_shared(self) -> Shared<Plic> {
-        shared(self)
     }
 
     /// Raises interrupt source `id` (1..=31).
@@ -112,36 +107,6 @@ impl TlmTarget for Plic {
     }
 }
 
-/// A handle a peripheral uses to raise its interrupt line.
-#[derive(Clone)]
-pub struct IrqLine {
-    plic: Shared<Plic>,
-    id: u32,
-}
-
-impl core::fmt::Debug for IrqLine {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "IrqLine(id={})", self.id)
-    }
-}
-
-impl IrqLine {
-    /// Creates the line for source `id` on `plic`.
-    pub fn new(plic: Shared<Plic>, id: u32) -> Self {
-        IrqLine { plic, id }
-    }
-
-    /// Raises the interrupt.
-    pub fn raise(&self) {
-        self.plic.borrow_mut().raise(self.id);
-    }
-
-    /// The source id.
-    pub fn id(&self) -> u32 {
-        self.id
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,15 +154,6 @@ mod tests {
         let mut done = GenericPayload::write_word(regs::CLAIM, Taint::untainted(2u32));
         plic.transport(&mut done, &mut d);
         assert!(done.is_ok());
-    }
-
-    #[test]
-    fn irq_line_raises_through_shared_handle() {
-        let plic = Plic::new().into_shared();
-        let line = IrqLine::new(plic.clone(), 5);
-        assert_eq!(line.id(), 5);
-        line.raise();
-        assert_eq!(plic.borrow().pending(), 1 << 5);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A 64-byte memory-mapped data frame is refilled 40 times per simulated
 //! second with random printable data, classified by the
-//! run-time-configurable `data_tag` register; each refill raises the
-//! sensor's interrupt. Reads return the tagged frame bytes through the TLM
-//! data lane, exactly like the paper's `Taint<uint8_t>` pointer cast.
+//! run-time-configurable `data_tag` register; each refill flags the
+//! sensor's interrupt ([`Sensor::take_irq`]). Reads return the tagged
+//! frame bytes through the TLM data lane, exactly like the paper's
+//! `Taint<uint8_t>` pointer cast.
 //!
 //! Fig. 4's generation thread (`wait(25 ms)`, refill, repeat) is a timed
 //! device here: the SoC brings the sensor up to its clock with
@@ -15,11 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
-use crate::plic::IrqLine;
 
 /// Size of the memory-mapped data frame.
 pub const FRAME_SIZE: usize = 64;
@@ -36,7 +35,8 @@ pub const PERIOD: SimTime = SimTime::from_ms(25);
 pub struct Sensor {
     data_frame: [Taint<u8>; FRAME_SIZE],
     data_tag: Tag,
-    irq: Option<IrqLine>,
+    /// Set by each refill until the SoC raises the interrupt.
+    irq: bool,
     rng: StdRng,
     frames_generated: u64,
     stuck_at: Option<u8>,
@@ -46,13 +46,13 @@ pub struct Sensor {
 }
 
 impl Sensor {
-    /// Creates a sensor generating data classified `data_tag`, raising
-    /// `irq` (if any) on every refill. `seed` makes runs reproducible.
-    pub fn new(data_tag: Tag, irq: Option<IrqLine>, seed: u64) -> Self {
+    /// Creates a sensor generating data classified `data_tag`. `seed`
+    /// makes runs reproducible.
+    pub fn new(data_tag: Tag, seed: u64) -> Self {
         Sensor {
             data_frame: [Taint::untainted(0); FRAME_SIZE],
             data_tag,
-            irq,
+            irq: false,
             rng: StdRng::seed_from_u64(seed),
             frames_generated: 0,
             stuck_at: None,
@@ -73,11 +73,6 @@ impl Sensor {
     /// classification is reported to it.
     pub fn set_obs(&mut self, obs: vpdift_obs::SharedObs) {
         self.obs.attach(obs);
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Sensor> {
-        shared(self)
     }
 
     /// Starts Fig. 4's generation thread: the first refill is due one
@@ -101,7 +96,7 @@ impl Sensor {
     }
 
     /// Fills the frame with fresh random printable data of the configured
-    /// security class and raises the interrupt (Fig. 4, lines 17-24).
+    /// security class and flags the interrupt (Fig. 4, lines 17-24).
     pub fn generate_frame(&mut self) {
         let tag = self.data_tag;
         for n in self.data_frame.iter_mut() {
@@ -119,9 +114,13 @@ impl Sensor {
             });
         }
         self.frames_generated += 1;
-        if let Some(irq) = &self.irq {
-            irq.raise();
-        }
+        self.irq = true;
+    }
+
+    /// Whether a refill flagged the interrupt since the last call, which
+    /// clears the flag.
+    pub fn take_irq(&mut self) -> bool {
+        std::mem::take(&mut self.irq)
     }
 
     /// The currently configured generation tag.
@@ -188,7 +187,7 @@ mod tests {
 
     #[test]
     fn generated_data_carries_configured_tag() {
-        let mut s = Sensor::new(HC, None, 42);
+        let mut s = Sensor::new(HC, 42);
         s.generate_frame();
         assert_eq!(s.frames_generated(), 1);
         assert!(s.frame().iter().all(|b| b.tag() == HC));
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn frame_reads_are_tagged_through_tlm() {
-        let mut s = Sensor::new(HC, None, 1);
+        let mut s = Sensor::new(HC, 1);
         s.generate_frame();
         let mut p = GenericPayload::read(0, 8);
         s.transport(&mut p, &mut SimTime::ZERO.clone());
@@ -207,7 +206,7 @@ mod tests {
 
     #[test]
     fn data_tag_register_reconfigures_classification() {
-        let mut s = Sensor::new(HC, None, 1);
+        let mut s = Sensor::new(HC, 1);
         let mut w = GenericPayload::write_word(DATA_TAG_REG, Taint::untainted(LC.bits()));
         s.transport(&mut w, &mut SimTime::ZERO.clone());
         assert!(w.is_ok());
@@ -220,22 +219,23 @@ mod tests {
     }
 
     #[test]
-    fn refills_run_at_40_hz_and_raise_irq() {
-        let plic = crate::plic::Plic::new().into_shared();
-        let mut s = Sensor::new(HC, Some(IrqLine::new(plic.clone(), 2)), 7);
+    fn refills_run_at_40_hz_and_flag_irq() {
+        let mut s = Sensor::new(HC, 7);
         s.advance_to(SimTime::from_s(1));
         assert_eq!(s.frames_generated(), 0, "no refills before start");
+        assert!(!s.take_irq());
         s.start();
         assert_eq!(s.next_refill(), Some(PERIOD));
         s.advance_to(SimTime::from_s(1));
         assert_eq!(s.frames_generated(), 40);
         assert_eq!(s.next_refill(), Some(SimTime::from_s(1) + PERIOD));
-        assert_eq!(plic.borrow().pending(), 1 << 2);
+        assert!(s.take_irq(), "refills flag the interrupt");
+        assert!(!s.take_irq(), "taking it clears the flag");
     }
 
     #[test]
     fn writes_to_frame_rejected() {
-        let mut s = Sensor::new(HC, None, 1);
+        let mut s = Sensor::new(HC, 1);
         let mut p = GenericPayload::write(0, &[Taint::untainted(1)]);
         s.transport(&mut p, &mut SimTime::ZERO.clone());
         assert_eq!(p.response(), TlmResponse::CommandError);
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn stuck_sensor_pins_values_but_keeps_classification() {
-        let mut s = Sensor::new(HC, None, 3);
+        let mut s = Sensor::new(HC, 3);
         s.set_stuck(Some(0x55));
         s.generate_frame();
         assert!(s.frame().iter().all(|b| b.value() == 0x55));
@@ -259,8 +259,8 @@ mod tests {
 
     #[test]
     fn deterministic_with_same_seed() {
-        let mut a = Sensor::new(LC, None, 99);
-        let mut b = Sensor::new(LC, None, 99);
+        let mut a = Sensor::new(LC, 99);
+        let mut b = Sensor::new(LC, 99);
         a.generate_frame();
         b.generate_frame();
         assert_eq!(

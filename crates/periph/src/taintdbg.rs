@@ -12,7 +12,6 @@
 
 use vpdift_core::{Tag, Taint, Violation, ViolationKind};
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
@@ -43,11 +42,6 @@ impl TaintDebug {
     /// Creates the peripheral.
     pub fn new() -> Self {
         TaintDebug::default()
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<TaintDebug> {
-        shared(self)
     }
 
     /// Failed guest assertions so far.

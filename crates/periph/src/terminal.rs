@@ -6,7 +6,6 @@
 //! moment it enters the system.
 
 use std::collections::VecDeque;
-use vpdift_sync::{shared, Shared};
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
@@ -53,11 +52,6 @@ impl Terminal {
     /// reported to it.
     pub fn set_obs(&mut self, obs: SharedObs) {
         self.obs = Some(obs);
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Terminal> {
-        shared(self)
     }
 
     /// Instance name.

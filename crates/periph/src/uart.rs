@@ -5,7 +5,6 @@
 //! hitting the UART is exactly the paper's immobilizer debug-dump leak.
 
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 /// Register map (word-aligned offsets).
@@ -29,11 +28,6 @@ impl Uart {
     /// Creates a UART named `name`; its output sink is `"<name>.tx"`.
     pub fn new(name: &str) -> Self {
         Uart { name: name.to_owned(), sink: format!("{name}.tx"), tx_log: Vec::new() }
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Uart> {
-        shared(self)
     }
 
     /// Instance name.

@@ -17,7 +17,6 @@
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_sync::{shared, Shared};
 use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
@@ -63,11 +62,6 @@ impl Watchdog {
             now: SimTime::ZERO,
             kicks: 0,
         }
-    }
-
-    /// Wraps into the shared handle used by the SoC.
-    pub fn into_shared(self) -> Shared<Watchdog> {
-        shared(self)
     }
 
     /// Arms (or re-arms) with `timeout` from the current simulated time.

@@ -1,30 +1,162 @@
 //! The system bus as seen by the CPU: a DMI-style fast path into RAM plus
-//! TLM routing for everything else, with DIFT store-clearance checks on
-//! protected regions.
+//! TLM routing by port id to every device, with DIFT store-clearance
+//! checks on protected regions.
 
 use vpdift_core::{AddrRange, DiftEngine, Tag};
 use vpdift_kernel::SimTime;
-use vpdift_periph::Ram;
+use vpdift_obs::SharedObs;
+use vpdift_periph::{
+    AesEngine, CanController, Clint, Dma, Plic, Ram, Sensor, TaintDebug, Terminal, Uart, Watchdog,
+};
 use vpdift_rv32::{Bus, MemError, TaintMode, Word};
 use vpdift_sync::MutCell;
-use vpdift_tlm::{FaultRouter, GenericPayload, Loan, Router, SharedFaultHook, TlmResponse};
+use vpdift_tlm::{
+    FaultRouter, GenericPayload, Loan, Router, SharedFaultHook, TlmResponse, TlmTarget,
+};
 
-use crate::map::RAM_BASE;
+use crate::map::{self, RAM_BASE};
 
-/// The CPU ⇄ memory-system adapter, and the one owner of RAM and of the
-/// DIFT engine: the CPU reads and writes RAM directly and records its
-/// violations in the engine, and every MMIO transaction borrows both
-/// ([`Loan`]) for targets that reach memory or check flows themselves
-/// (UART, CAN, DMA, taintdbg).
+/// What the bus's two maps decode an address to.
+#[derive(Clone, Copy)]
+enum Port {
+    Ram,
+    Clint,
+    Plic,
+    Uart,
+    Terminal,
+    Sensor,
+    Can,
+    Aes,
+    Dma,
+    TaintDbg,
+    Watchdog,
+}
+
+/// The system-bus windows (name, base, size, port). RAM is not among
+/// them: the CPU reaches it directly.
+const SYS_BUS: [(&str, u32, u32, Port); 10] = [
+    ("clint", map::CLINT_BASE, map::CLINT_SIZE, Port::Clint),
+    ("plic", map::PLIC_BASE, map::PLIC_SIZE, Port::Plic),
+    ("uart", map::UART_BASE, map::UART_SIZE, Port::Uart),
+    ("terminal", map::TERMINAL_BASE, map::TERMINAL_SIZE, Port::Terminal),
+    ("sensor", map::SENSOR_BASE, map::SENSOR_SIZE, Port::Sensor),
+    ("can", map::CAN_BASE, map::CAN_SIZE, Port::Can),
+    ("aes", map::AES_BASE, map::AES_SIZE, Port::Aes),
+    ("dma", map::DMA_BASE, map::DMA_SIZE, Port::Dma),
+    ("taintdbg", map::TAINTDBG_BASE, map::TAINTDBG_SIZE, Port::TaintDbg),
+    ("watchdog", map::WATCHDOG_BASE, map::WATCHDOG_SIZE, Port::Watchdog),
+];
+
+/// The [`SYS_BUS`] windows as (name, range, port).
+fn sys_bus() -> impl Iterator<Item = (&'static str, AddrRange, Port)> {
+    SYS_BUS.into_iter().map(|(name, base, size, port)| (name, AddrRange::new(base, size), port))
+}
+
+/// A router over `windows`. Infallible by construction: the regions in
+/// [`map`] are pairwise disjoint (checked by the
+/// `memory_map_regions_are_disjoint` test in `map.rs`) and each is mapped
+/// at most once per router, so the overlap check cannot fire.
+fn router<'a>(
+    name: &str,
+    windows: impl IntoIterator<Item = (&'a str, AddrRange, Port)>,
+    obs: Option<&SharedObs>,
+) -> Router<Port> {
+    let mut router = Router::new(name);
+    for (name, range, port) in windows {
+        router.map(name, range, port).expect("SoC map regions are disjoint by construction");
+    }
+    if let Some(obs) = obs {
+        router.set_obs(obs.clone());
+    }
+    router
+}
+
+/// The SoC's devices other than RAM and the DMA, owned by the system bus.
+pub(crate) struct Devices {
+    pub(crate) clint: Clint,
+    pub(crate) plic: Plic,
+    /// In a cell only for `Soc::uart`'s host-side borrows; the bus takes
+    /// `get_mut`.
+    pub(crate) uart: MutCell<Uart>,
+    /// In a cell only for `Soc::terminal`, as `uart`.
+    pub(crate) terminal: MutCell<Terminal>,
+    pub(crate) sensor: Sensor,
+    pub(crate) can: CanController,
+    pub(crate) aes: AesEngine,
+    pub(crate) taintdbg: TaintDebug,
+    pub(crate) watchdog: Watchdog,
+}
+
+impl Devices {
+    /// Hands one decoded transaction to the device behind `port`, lending
+    /// it `loan`; the RAM port is the lent memory itself.
+    fn transport(
+        &mut self,
+        port: Port,
+        p: &mut GenericPayload,
+        delay: &mut SimTime,
+        loan: &mut Loan<'_>,
+    ) {
+        let target: &mut dyn TlmTarget = match port {
+            Port::Ram => return loan.mem.transport(p, delay),
+            Port::Clint => &mut self.clint,
+            Port::Plic => &mut self.plic,
+            Port::Uart => self.uart.get_mut(),
+            Port::Terminal => self.terminal.get_mut(),
+            Port::Sensor => &mut self.sensor,
+            Port::Can => &mut self.can,
+            Port::Aes => &mut self.aes,
+            Port::TaintDbg => &mut self.taintdbg,
+            Port::Watchdog => &mut self.watchdog,
+            Port::Dma => unreachable!("the bus routes to the DMA itself"),
+        };
+        target.transport_with(p, delay, loan);
+    }
+}
+
+/// The memory port lent to one DMA transfer: the DMA's port map over RAM
+/// and the devices it reaches.
+struct DmaPorts<'a> {
+    map: &'a Router<Port>,
+    ram: &'a mut Ram,
+    dev: &'a mut Devices,
+}
+
+impl TlmTarget for DmaPorts<'_> {
+    /// Unlent, no engine can check what a burst moves: refused.
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        p.set_response(TlmResponse::GenericError);
+    }
+
+    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
+        let DmaPorts { map, ram, dev } = self;
+        map.route(p, delay, |port, p, delay| {
+            dev.transport(port, p, delay, &mut Loan { mem: &mut **ram, engine: loan.engine })
+        });
+    }
+}
+
+/// The CPU ⇄ memory-system adapter, and the one owner of RAM, of the DIFT
+/// engine and of every device: the CPU reads and writes RAM directly and
+/// records its violations in the engine, and the bus routes each MMIO
+/// transaction by port id to the device it holds, lending RAM and the
+/// engine ([`Loan`]) to targets that reach memory or check flows
+/// themselves (UART, CAN, taintdbg). A DMA transfer is lent its port map
+/// over RAM, sensor, AES and UART instead of RAM.
 pub struct SocBus<M: TaintMode> {
     pub(crate) ram: Ram,
     /// The VP's one DIFT engine. The cell serves only `Soc::engine`'s
     /// host-side borrows; the guest path takes `get_mut`.
     pub(crate) engine: MutCell<DiftEngine>,
+    pub(crate) dev: Devices,
+    /// Outside [`Devices`] because a transfer borrows the devices.
+    pub(crate) dma: Dma,
     /// The system-bus router behind a fault-injection interposer; with no
     /// hook installed the wrapper is a single `Option` check per MMIO
     /// transaction (and the RAM fast path bypasses it entirely).
-    router: FaultRouter,
+    router: FaultRouter<Port>,
+    /// The DMA's port map.
+    dma_ports: Router<Port>,
     /// Regions with write clearance, copied from the policy so the hot
     /// store path can skip the engine when no rule applies.
     protected: Vec<AddrRange>,
@@ -39,9 +171,22 @@ pub struct SocBus<M: TaintMode> {
 }
 
 impl<M: TaintMode> SocBus<M> {
-    /// Creates the bus over `ram` and `engine`. `router` must map every
-    /// non-RAM target.
-    pub fn new(ram: Ram, router: Router, engine: DiftEngine) -> Self {
+    /// Creates the bus over `ram`, `engine` and the devices, with the
+    /// system-bus map and the DMA's port map; `obs` sees every routed
+    /// transaction.
+    pub(crate) fn new(
+        ram: Ram,
+        engine: DiftEngine,
+        dev: Devices,
+        dma: Dma,
+        obs: Option<&SharedObs>,
+    ) -> Self {
+        // The DMA reaches RAM, the sensor, the AES engine and the UART: not
+        // itself (re-entrancy) nor the interrupt infrastructure.
+        let dma_reach =
+            sys_bus().filter(|&(_, _, port)| matches!(port, Port::Sensor | Port::Aes | Port::Uart));
+        let ram_window = ("ram", map::ram_range(ram.len()), Port::Ram);
+        let dma_ports = router("dma-ports", std::iter::once(ram_window).chain(dma_reach), obs);
         let protected = engine
             .policy()
             .regions()
@@ -52,12 +197,30 @@ impl<M: TaintMode> SocBus<M> {
         SocBus {
             ram,
             engine: MutCell::new(engine),
-            router: FaultRouter::new(router),
+            dev,
+            dma,
+            router: FaultRouter::new(router("sys-bus", sys_bus(), obs)),
+            dma_ports,
             protected,
             mmio_delay: SimTime::ZERO,
             irq_dirty: false,
             tags_live: false,
             _mode: core::marker::PhantomData,
+        }
+    }
+
+    /// Raises in the PLIC every interrupt a device has flagged (sensor
+    /// refill, DMA completion) or holds (CAN RX).
+    pub(crate) fn raise_irqs(&mut self) {
+        let irqs = [
+            (map::IRQ_SENSOR, self.dev.sensor.take_irq()),
+            (map::IRQ_CAN, self.dev.can.rx_pending()),
+            (map::IRQ_DMA, self.dma.take_irq()),
+        ];
+        for (id, pending) in irqs {
+            if pending {
+                self.dev.plic.raise(id);
+            }
         }
     }
 
@@ -113,8 +276,15 @@ impl<M: TaintMode> SocBus<M> {
 
     fn mmio(&mut self, payload: &mut GenericPayload) -> Result<(), MemError> {
         let mut delay = SimTime::ZERO;
-        let mut loan = Loan { mem: &mut self.ram, engine: self.engine.get_mut() };
-        self.router.route(payload, &mut delay, &mut loan);
+        let SocBus { ram, engine, dev, dma, router, dma_ports, .. } = self;
+        let engine = engine.get_mut();
+        router.route(payload, &mut delay, |port, p, delay| match port {
+            Port::Dma => {
+                let mut ports = DmaPorts { map: dma_ports, ram, dev };
+                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine });
+            }
+            _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine }),
+        });
         self.mmio_delay += delay;
         self.irq_dirty = true;
         match payload.response() {

@@ -73,9 +73,9 @@ pub fn ram_range(size: usize) -> AddrRange {
 mod tests {
     use super::*;
 
-    /// The invariant behind `map_port`'s infallibility (and the
-    /// `ram_size <= CLINT_BASE` assertion in `Soc::with_obs`): every
-    /// region of the SoC map is pairwise disjoint.
+    /// The invariant behind the bus maps' infallibility (`bus::router`,
+    /// and the `ram_size <= CLINT_BASE` assertion in `Soc::with_obs`):
+    /// every region of the SoC map is pairwise disjoint.
     #[test]
     fn memory_map_regions_are_disjoint() {
         let regions = [

@@ -3,22 +3,22 @@
 use core::fmt;
 
 use vpdift_asm::Program;
-use vpdift_core::{AddrRange, DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
+use vpdift_core::{DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
 use vpdift_kernel::SimTime;
 use vpdift_loader::{Elf32, Segment};
 use vpdift_obs::{
     engine_observer, shared_obs, BreakSet, InsnCell, NullSink, ObsEvent, ObsSink, StopFlag,
 };
 use vpdift_periph::{
-    AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, IrqLine, Plic, Ram, Sensor,
+    AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, Plic, Ram, Sensor,
     TaintDebug, Terminal, Uart, Watchdog,
 };
 use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
 use vpdift_sync::{shared, MutCell, Shared};
-use vpdift_tlm::{Router, SharedFaultHook, SharedTarget};
+use vpdift_tlm::SharedFaultHook;
 
 use crate::builder::SocBuilder;
-use crate::bus::SocBus;
+use crate::bus::{Devices, SocBus};
 use crate::map;
 
 /// Why an ELF image could not be mapped into this SoC ([`Soc::load_elf`]).
@@ -175,14 +175,6 @@ impl SocExit {
     }
 }
 
-/// Maps one SoC port into `router`. Infallible by construction: the map
-/// regions in [`map`] are pairwise disjoint (checked by the
-/// `memory_map_regions_are_disjoint` test in `map.rs`) and each is mapped
-/// exactly once per router, so the overlap check cannot fire.
-fn map_port(router: &mut Router, name: &str, range: AddrRange, target: SharedTarget) {
-    router.map(name, range, target).expect("SoC map regions are disjoint by construction");
-}
-
 /// The virtual prototype: CPU, bus, memory and all peripherals on one
 /// simulated clock. `M` selects the original VP ([`vpdift_rv32::Plain`])
 /// or the DIFT-enabled VP+ ([`vpdift_rv32::Tainted`]).
@@ -197,16 +189,7 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     obs: Shared<S>,
     /// Quanta since the last taint-spread sample (see [`SPREAD_PERIOD`]).
     quanta_since_spread: u32,
-    uart: Shared<Uart>,
-    terminal: Shared<Terminal>,
-    sensor: Shared<Sensor>,
-    can: Shared<CanController>,
     can_host: CanHostEndpoint,
-    dma: Shared<Dma>,
-    clint: Shared<Clint>,
-    plic: Shared<Plic>,
-    taintdbg: Shared<TaintDebug>,
-    watchdog: Shared<Watchdog>,
 }
 
 /// Taint-spread is sampled (an O(ram) scan) every this many quanta.
@@ -259,105 +242,34 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         }
 
         let ram = Ram::new(config.ram_size, M::TRACKING);
-        let plic = Plic::new().into_shared();
-        let clint = Clint::new().into_shared();
-        let uart = Uart::new("uart").into_shared();
-        let terminal = Terminal::new("terminal", policy.source_tag("terminal.rx")).into_shared();
-        let mut sensor = Sensor::new(
-            policy.source_tag("sensor.data"),
-            Some(IrqLine::new(plic.clone(), map::IRQ_SENSOR)),
-            config.seed,
-        );
+        let mut terminal = Terminal::new("terminal", policy.source_tag("terminal.rx"));
+        let mut sensor = Sensor::new(policy.source_tag("sensor.data"), config.seed);
         if config.sensor_thread {
             sensor.start();
         }
-        let sensor = sensor.into_shared();
         let can_channel = CanChannel::new();
         let can_host = can_channel.host_endpoint();
-        let can = CanController::new(
-            "can",
-            policy.source_tag("can.rx"),
-            can_channel,
-            Some(IrqLine::new(plic.clone(), map::IRQ_CAN)),
-        )
-        .into_shared();
-        let aes = AesEngine::new(policy.grant_declassify("aes"), policy.source_tag("aes.out"))
-            .into_shared();
-
-        if S::ENABLED {
-            terminal.borrow_mut().set_obs(shared_obs(&obs));
-            sensor.borrow_mut().set_obs(shared_obs(&obs));
-            can.borrow_mut().set_obs(shared_obs(&obs));
-            aes.borrow_mut().set_obs(shared_obs(&obs));
+        let mut can = CanController::new("can", policy.source_tag("can.rx"), can_channel);
+        let mut aes = AesEngine::new(policy.grant_declassify("aes"), policy.source_tag("aes.out"));
+        let obs_handle = S::ENABLED.then(|| shared_obs(&obs));
+        if let Some(o) = &obs_handle {
+            terminal.set_obs(o.clone());
+            sensor.set_obs(o.clone());
+            can.set_obs(o.clone());
+            aes.set_obs(o.clone());
         }
-
-        // The DMA's private port map: lent RAM and everything else it may
-        // touch, except itself (re-entrancy) and the interrupt infrastructure.
-        let mut dma_ports = Router::new("dma-ports");
-        dma_ports.map_memory("ram", map::ram_range(config.ram_size)).expect("a new map is empty");
-        map_port(
-            &mut dma_ports,
-            "sensor",
-            AddrRange::new(map::SENSOR_BASE, map::SENSOR_SIZE),
-            sensor.clone(),
-        );
-        map_port(&mut dma_ports, "aes", AddrRange::new(map::AES_BASE, map::AES_SIZE), aes.clone());
-        map_port(
-            &mut dma_ports,
-            "uart",
-            AddrRange::new(map::UART_BASE, map::UART_SIZE),
-            uart.clone(),
-        );
-        if S::ENABLED {
-            dma_ports.set_obs(shared_obs(&obs));
-        }
-        let dma = Dma::new(dma_ports, M::TRACKING, Some(IrqLine::new(plic.clone(), map::IRQ_DMA)))
-            .into_shared();
-
-        let taintdbg = TaintDebug::new().into_shared();
-        let watchdog = Watchdog::new().into_shared();
-
-        let mut router = Router::new("sys-bus");
-        map_port(
-            &mut router,
-            "clint",
-            AddrRange::new(map::CLINT_BASE, map::CLINT_SIZE),
-            clint.clone(),
-        );
-        map_port(&mut router, "plic", AddrRange::new(map::PLIC_BASE, map::PLIC_SIZE), plic.clone());
-        map_port(&mut router, "uart", AddrRange::new(map::UART_BASE, map::UART_SIZE), uart.clone());
-        map_port(
-            &mut router,
-            "terminal",
-            AddrRange::new(map::TERMINAL_BASE, map::TERMINAL_SIZE),
-            terminal.clone(),
-        );
-        map_port(
-            &mut router,
-            "sensor",
-            AddrRange::new(map::SENSOR_BASE, map::SENSOR_SIZE),
-            sensor.clone(),
-        );
-        map_port(&mut router, "can", AddrRange::new(map::CAN_BASE, map::CAN_SIZE), can.clone());
-        map_port(&mut router, "aes", AddrRange::new(map::AES_BASE, map::AES_SIZE), aes.clone());
-        map_port(&mut router, "dma", AddrRange::new(map::DMA_BASE, map::DMA_SIZE), dma.clone());
-        map_port(
-            &mut router,
-            "taintdbg",
-            AddrRange::new(map::TAINTDBG_BASE, map::TAINTDBG_SIZE),
-            taintdbg.clone(),
-        );
-        map_port(
-            &mut router,
-            "watchdog",
-            AddrRange::new(map::WATCHDOG_BASE, map::WATCHDOG_SIZE),
-            watchdog.clone(),
-        );
-
-        if S::ENABLED {
-            router.set_obs(shared_obs(&obs));
-        }
-        let bus = SocBus::new(ram, router, engine);
+        let dev = Devices {
+            clint: Clint::new(),
+            plic: Plic::new(),
+            uart: MutCell::new(Uart::new("uart")),
+            terminal: MutCell::new(terminal),
+            sensor,
+            can,
+            aes,
+            taintdbg: TaintDebug::new(),
+            watchdog: Watchdog::new(),
+        };
+        let bus = SocBus::new(ram, engine, dev, Dma::new(M::TRACKING), obs_handle.as_ref());
 
         let mut cpu = Cpu::<M, S>::with_obs(obs.clone());
         if M::TRACKING {
@@ -369,25 +281,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             ExecMode::BlockCache => EngineKind::Block(Box::default()),
         };
 
-        Soc {
-            config,
-            now: SimTime::ZERO,
-            cpu,
-            bus,
-            exec,
-            obs,
-            quanta_since_spread: 0,
-            uart,
-            terminal,
-            sensor,
-            can,
-            can_host,
-            dma,
-            clint,
-            plic,
-            taintdbg,
-            watchdog,
-        }
+        Soc { config, now: SimTime::ZERO, cpu, bus, exec, obs, quanta_since_spread: 0, can_host }
     }
 
     /// Loads a program image, applies the policy's classification rules to
@@ -487,13 +381,14 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         self.cpu.set_reg(vpdift_asm::Reg::Sp, M::Word::from_u32(sp));
     }
 
+    /// Raises the devices' flagged interrupts in the PLIC and samples the
+    /// CPU's interrupt levels.
     fn sync_irq_lines(&mut self) {
-        self.can.borrow().poll_rx_irq();
-        let clint = self.clint.borrow();
-        self.cpu.set_timer_irq(clint.timer_pending());
-        self.cpu.set_soft_irq(clint.soft_pending());
-        drop(clint);
-        self.cpu.set_external_irq(self.plic.borrow().eip());
+        self.bus.raise_irqs();
+        let dev = &self.bus.dev;
+        self.cpu.set_timer_irq(dev.clint.timer_pending());
+        self.cpu.set_soft_irq(dev.clint.soft_pending());
+        self.cpu.set_external_irq(dev.plic.eip());
     }
 
     /// Runs the VP for at most `max_insns` CPU steps. A *step* is one
@@ -629,14 +524,14 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             // A concrete exit from inside the quantum (break, violation,
             // trap loop) wins over a deadline that passed while time was
             // advanced afterwards.
-            if self.watchdog.borrow().expired() {
+            if self.bus.dev.watchdog.expired() {
                 return SocExit::WatchdogTimeout;
             }
             if waiting {
                 if !self.advance_to_next_event() {
                     return SocExit::Idle;
                 }
-                if self.watchdog.borrow().expired() {
+                if self.bus.dev.watchdog.expired() {
                     return SocExit::WatchdogTimeout;
                 }
                 // Deadlock guard: a waiting quantum that advanced neither
@@ -651,17 +546,26 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// Moves the clock to `t` and brings the timed devices up to it: the
-    /// sensor performs the refills due by then, the watchdog latches an
-    /// expiry, the CLINT's `mtime` reads the new time in microseconds.
-    /// The clock never runs backwards, and [`SimTime::MAX`] (a deadline
-    /// past the end of time) leaves it where it is.
+    /// sensor performs the refills due by then (an enabled sink stamps
+    /// each one's events with its due time), the watchdog latches an
+    /// expiry, the CLINT's `mtime` reads the new time in microseconds, and
+    /// the refills' interrupts reach the PLIC. The clock never runs
+    /// backwards, and [`SimTime::MAX`] (a deadline past the end of time)
+    /// leaves it where it is.
     fn advance_to(&mut self, t: SimTime) {
         if t != SimTime::MAX {
             self.now = self.now.max(t);
         }
-        self.sensor.borrow_mut().advance_to(self.now);
-        self.watchdog.borrow_mut().set_now(self.now);
-        self.clint.borrow_mut().set_mtime(self.now.as_us());
+        let dev = &mut self.bus.dev;
+        while let Some(due) = dev.sensor.next_refill().filter(|&due| due <= self.now) {
+            if S::ENABLED {
+                self.obs.borrow_mut().set_now(due);
+            }
+            dev.sensor.advance_to(due);
+        }
+        dev.watchdog.set_now(self.now);
+        dev.clint.set_mtime(self.now.as_us());
+        self.bus.raise_irqs();
     }
 
     /// While the CPU is parked in `wfi`, jump simulated time to the next
@@ -674,17 +578,15 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     /// such event exists (true deadlock), with the clock where it is.
     fn advance_to_next_event(&mut self) -> bool {
         let now = self.now;
-        let clint = self.clint.borrow();
-        let timer_next = (clint.mtimecmp_value() != u64::MAX)
-            .then(|| SimTime::from_us(clint.mtimecmp_value()).max(now));
-        drop(clint);
-        let wd_next = self.watchdog.borrow().deadline().map(|d| d.max(now));
-        let refill_wakes = self.plic.borrow().enabled() & (1 << map::IRQ_SENSOR) != 0
+        let dev = &self.bus.dev;
+        let timer_next = (dev.clint.mtimecmp_value() != u64::MAX)
+            .then(|| SimTime::from_us(dev.clint.mtimecmp_value()).max(now));
+        let wd_next = dev.watchdog.deadline().map(|d| d.max(now));
+        let refill_wakes = dev.plic.enabled() & (1 << map::IRQ_SENSOR) != 0
             && self.cpu.csrs().mie.val() & vpdift_asm::csr::MIE_MEIE != 0;
         let deadline_pending =
             [timer_next, wd_next].into_iter().flatten().any(|t| t < SimTime::MAX);
-        let refill_next =
-            self.sensor.borrow().next_refill().filter(|_| refill_wakes || deadline_pending);
+        let refill_next = dev.sensor.next_refill().filter(|_| refill_wakes || deadline_pending);
         match [refill_next, timer_next, wd_next].into_iter().flatten().min() {
             Some(t) => {
                 self.advance_to(t);
@@ -740,19 +642,27 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &mut self.bus.ram
     }
 
-    /// The UART (read its `output()` to observe transmitted bytes).
-    pub fn uart(&self) -> &Shared<Uart> {
-        &self.uart
+    /// The UART (read its `output()` to observe transmitted bytes). In a
+    /// cell, as [`Soc::engine`] is; a run never holds a borrow.
+    pub fn uart(&self) -> &MutCell<Uart> {
+        &self.bus.dev.uart
     }
 
-    /// The console-input device (feed attacker bytes here).
-    pub fn terminal(&self) -> &Shared<Terminal> {
-        &self.terminal
+    /// The console-input device (feed attacker bytes here). In a cell, as
+    /// [`Soc::uart`] is.
+    pub fn terminal(&self) -> &MutCell<Terminal> {
+        &self.bus.dev.terminal
     }
 
     /// The sensor.
-    pub fn sensor(&self) -> &Shared<Sensor> {
-        &self.sensor
+    pub fn sensor(&self) -> &Sensor {
+        &self.bus.dev.sensor
+    }
+
+    /// The sensor, mutably (host refills, stuck-at faults). A refill's
+    /// interrupt reaches the PLIC when the next run samples interrupts.
+    pub fn sensor_mut(&mut self) -> &mut Sensor {
+        &mut self.bus.dev.sensor
     }
 
     /// The host side of the CAN link (the remote ECU).
@@ -761,24 +671,34 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// The DMA controller.
-    pub fn dma(&self) -> &Shared<Dma> {
-        &self.dma
+    pub fn dma(&self) -> &Dma {
+        &self.bus.dma
+    }
+
+    /// The DMA controller, mutably (abort injection).
+    pub fn dma_mut(&mut self) -> &mut Dma {
+        &mut self.bus.dma
     }
 
     /// The PLIC.
-    pub fn plic(&self) -> &Shared<Plic> {
-        &self.plic
+    pub fn plic(&self) -> &Plic {
+        &self.bus.dev.plic
+    }
+
+    /// The PLIC, mutably (host-raised interrupts).
+    pub fn plic_mut(&mut self) -> &mut Plic {
+        &mut self.bus.dev.plic
     }
 
     /// The taint-introspection peripheral.
-    pub fn taintdbg(&self) -> &Shared<TaintDebug> {
-        &self.taintdbg
+    pub fn taintdbg(&self) -> &TaintDebug {
+        &self.bus.dev.taintdbg
     }
 
     /// The watchdog timer. Arm it host-side (or let firmware do it via
     /// MMIO) to turn hangs into [`SocExit::WatchdogTimeout`].
-    pub fn watchdog(&self) -> &Shared<Watchdog> {
-        &self.watchdog
+    pub fn watchdog_mut(&mut self) -> &mut Watchdog {
+        &mut self.bus.dev.watchdog
     }
 
     /// Installs a TLM fault hook on the system bus — every CPU-initiated

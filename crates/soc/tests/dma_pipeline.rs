@@ -58,7 +58,7 @@ fn soc_with(sensor_tag: Tag, can_clearance: Tag) -> Soc<Tainted> {
     let cfg = SocBuilder::new().policy(policy).sensor_thread(false).build();
     let mut soc = Soc::<Tainted>::new(cfg);
     soc.load_program(&pipeline_program());
-    soc.sensor().borrow_mut().generate_frame();
+    soc.sensor_mut().generate_frame();
     soc
 }
 
@@ -69,7 +69,7 @@ fn public_sensor_data_flows_to_can() {
     let frame = soc.can_host().recv().expect("frame transmitted");
     assert_eq!(frame.dlc, 8);
     assert!(frame.bytes().iter().all(|&b| b >= 128), "sensor data range");
-    assert_eq!(soc.dma().borrow().bytes_moved(), 8);
+    assert_eq!(soc.dma().bytes_moved(), 8);
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn confidential_sensor_data_is_stopped_at_can_despite_dma() {
     }
     assert!(soc.can_host().recv().is_none());
     // The DMA itself completed — the block is at the *output* boundary.
-    assert_eq!(soc.dma().borrow().bytes_moved(), 8);
+    assert_eq!(soc.dma().bytes_moved(), 8);
 }
 
 #[test]

@@ -21,7 +21,7 @@
 
 use proptest::prelude::*;
 use vpdift_asm::{csr, Asm, Reg};
-use vpdift_rv32::{Plain, TaintMode, Tainted, Word};
+use vpdift_rv32::{ExecMode, Plain, TaintMode, Tainted, Word};
 use vpdift_soc::{map, Soc, SocBuilder, SocExit};
 
 /// Marker the main path writes to `a0` when the access did *not* trap.
@@ -200,4 +200,73 @@ fn dma_burst_across_mapping_end_degrades_gracefully() {
     assert_eq!(csrs.mcause.val(), 5, "CTRL write surfaced as an access fault");
     assert_eq!(csrs.mtval.val(), ctrl, "mtval holds the CTRL register address");
     assert_eq!(csrs.mepc.val(), go_pc, "mepc holds the faulting store");
+}
+
+/// What a DMA burst reaches: RAM, the sensor, the AES engine and the UART.
+/// A burst whose source or destination lies in any other device window
+/// misses the DMA's port map (the device would answer the CPU) — the
+/// error STATUS bit is set and the CTRL write traps precisely, on both
+/// engines and both VPs. Bursts between reachable ports complete.
+#[test]
+fn dma_bursts_reach_only_ram_sensor_aes_and_uart() {
+    const RAM: u32 = 0x2000;
+    let unreachable = [
+        map::CLINT_BASE,
+        map::PLIC_BASE,
+        map::DMA_BASE,
+        map::TERMINAL_BASE,
+        map::CAN_BASE,
+        map::TAINTDBG_BASE,
+        map::WATCHDOG_BASE,
+    ];
+    // (src, dst, reached)
+    let mut cases = vec![(RAM, map::UART_BASE, true), (map::SENSOR_BASE, RAM, true)];
+    for window in unreachable {
+        cases.push((window, RAM, false));
+        cases.push((RAM, window, false));
+    }
+    for (src, dst, reached) in cases {
+        for engine in [ExecMode::Interp, ExecMode::BlockCache] {
+            let want = if reached { (1, None) } else { (0b10, Some(map::DMA_BASE + 0xC)) };
+            let what = format!("{src:#010x} -> {dst:#010x} on {engine:?}");
+            assert_eq!(dma_probe::<Plain>(src, dst, engine), want, "VP: {what}");
+            assert_eq!(dma_probe::<Tainted>(src, dst, engine), want, "VP+: {what}");
+        }
+    }
+}
+
+/// Runs a 4-byte burst from `src` to `dst` and returns the DMA's STATUS
+/// and, if the CTRL write trapped, its `mtval` (after checking `mcause`
+/// and `mepc`).
+fn dma_probe<M: TaintMode>(src: u32, dst: u32, engine: ExecMode) -> (u32, Option<u32>) {
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T1, "handler");
+    a.csrw(csr::MTVEC, Reg::T1);
+    a.li(Reg::S0, map::DMA_BASE as i32);
+    a.li(Reg::T0, src as i32);
+    a.sw(Reg::T0, 0x0, Reg::S0); // SRC
+    a.li(Reg::T0, dst as i32);
+    a.sw(Reg::T0, 0x4, Reg::S0); // DST
+    a.li(Reg::T0, 4);
+    a.sw(Reg::T0, 0x8, Reg::S0); // LEN
+    a.label("go");
+    a.sw(Reg::T0, 0xC, Reg::S0); // CTRL
+    a.li(Reg::A1, NO_TRAP as i32);
+    a.label("handler");
+    a.lw(Reg::A0, 0x10, Reg::S0); // STATUS
+    a.ebreak();
+    let prog = a.assemble().expect("dma probe assembles");
+
+    let cfg = SocBuilder::new().sensor_thread(false).engine(engine).build();
+    let mut soc = Soc::<M>::new(cfg);
+    soc.load_program(&prog);
+    assert_eq!(soc.run(10_000), SocExit::Break);
+    let csrs = soc.cpu().csrs();
+    let trap = (soc.cpu().reg(Reg::A1).val() != NO_TRAP).then(|| {
+        assert_eq!(csrs.mcause.val(), 5, "the CTRL write surfaced as an access fault");
+        assert_eq!(csrs.mepc.val(), prog.symbol("go").unwrap(), "mepc holds the CTRL store");
+        csrs.mtval.val()
+    });
+    (soc.cpu().reg(Reg::A0).val(), trap)
 }

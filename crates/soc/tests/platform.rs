@@ -163,7 +163,7 @@ fn sensor_data_tag_flows_into_software() {
     });
     let mut soc = Soc::<Tainted>::new(SocBuilder::new().policy(policy).build());
     soc.load_program(&prog);
-    soc.sensor().borrow_mut().generate_frame();
+    soc.sensor_mut().generate_frame();
     assert_eq!(soc.run(1000), SocExit::Break);
     assert_eq!(Word::tag(soc.cpu().reg(A0)), SECRET);
 }
@@ -324,7 +324,7 @@ fn dma_copy_from_guest_preserves_taint() {
     assert_eq!(soc.run(100_000), SocExit::Break);
     assert_eq!(soc.cpu().reg(A0).val(), 9);
     assert_eq!(Word::tag(soc.cpu().reg(A0)), SECRET, "taint followed the DMA transfer");
-    assert_eq!(soc.dma().borrow().bytes_moved(), 8);
+    assert_eq!(soc.dma().bytes_moved(), 8);
 }
 
 #[test]

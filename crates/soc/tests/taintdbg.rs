@@ -77,7 +77,7 @@ fn guest_taint_assertions_catch_policy_mistakes() {
         engine.violations()[0].kind,
         ViolationKind::Custom { ref what } if what.contains("assertion")
     ));
-    assert_eq!(soc.taintdbg().borrow().failed(), 1);
+    assert_eq!(soc.taintdbg().failed(), 1);
 }
 
 #[test]

@@ -1,14 +1,16 @@
 //! Thread-safe shared-cell primitives underpinning the `Send` virtual
 //! prototype.
 //!
-//! A [`Soc`](../vpdift_soc/struct.Soc.html) is an aliased object graph:
-//! peripherals are reachable from the system bus, the DMA's private port
-//! map and the SoC itself; the observability sink from every layer. (RAM
-//! and the DIFT engine are not: the system bus owns them and lends them
-//! per transaction.) Historically that aliasing was `Rc<RefCell<T>>` —
-//! correct for the single-threaded simulator, but it froze every session
-//! onto one thread and made fleet execution (N parallel campaign
-//! sessions) impossible.
+//! Little of a [`Soc`](../vpdift_soc/struct.Soc.html) is aliased any
+//! more: the system bus owns RAM, the DIFT engine and every device, and
+//! lends them per transaction. What is still shared is the observability
+//! sink (reachable from every layer), the CAN link between the
+//! controller and the host's ECU endpoint, and the fault-campaign hooks
+//! the injector arms after installing them; the engine, UART and
+//! terminal sit in a [`MutCell`] only for host-side `borrow()`s.
+//! Historically that aliasing was `Rc<RefCell<T>>` — correct for the
+//! single-threaded simulator, but it froze every session onto one thread
+//! and made fleet execution (N parallel campaign sessions) impossible.
 //!
 //! [`MutCell`] replaces `RefCell` with the *same dynamic borrow
 //! discipline* — shared borrows count up, an exclusive borrow requires no
@@ -18,7 +20,8 @@
 //! fleet worker owns its sessions outright), so a borrow conflict remains
 //! what it always was: a re-entrancy bug, reported by panic exactly as
 //! `RefCell` would. The uncontended atomic costs one `compare_exchange`
-//! per borrow, which is what keeps this viable on the VP's hot paths.
+//! per borrow; the guest path takes none, since the bus reaches the cells
+//! it owns with [`MutCell::get_mut`].
 //!
 //! [`Shared<T>`] is the `Arc<MutCell<T>>` alias used throughout the
 //! workspace, constructed via [`shared`].

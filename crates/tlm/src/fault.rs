@@ -11,7 +11,7 @@ use vpdift_kernel::SimTime;
 use vpdift_sync::Shared;
 
 use crate::payload::{GenericPayload, TlmResponse};
-use crate::router::{Loan, Router};
+use crate::router::Router;
 
 /// What a [`TlmFaultHook`] decides to do with a transaction before it is
 /// routed.
@@ -44,15 +44,15 @@ pub trait TlmFaultHook: Send + Sync {
 pub type SharedFaultHook = Shared<dyn TlmFaultHook>;
 
 /// A [`Router`] wrapper that injects faults via an optional
-/// [`TlmFaultHook`]. Map the router's targets before wrapping it.
-pub struct FaultRouter {
-    inner: Router,
+/// [`TlmFaultHook`]. Map the router's ports before wrapping it.
+pub struct FaultRouter<P> {
+    inner: Router<P>,
     hook: Option<SharedFaultHook>,
 }
 
-impl FaultRouter {
+impl<P: Copy> FaultRouter<P> {
     /// Wraps `inner` with no fault hook installed (transparent).
-    pub fn new(inner: Router) -> Self {
+    pub fn new(inner: Router<P>) -> Self {
         FaultRouter { inner, hook: None }
     }
 
@@ -67,15 +67,16 @@ impl FaultRouter {
     }
 
     /// Routes one transaction through the hook (if any) and the wrapped
-    /// router. See [`Router::route`] for the routing semantics and `loan`.
+    /// router. See [`Router::route`] for the routing semantics and
+    /// `target`.
     pub fn route(
-        &mut self,
+        &self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        loan: &mut Loan<'_>,
+        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime),
     ) {
         let Some(hook) = &self.hook else {
-            self.inner.route(payload, delay, loan);
+            self.inner.route(payload, delay, target);
             return;
         };
         match hook.borrow_mut().before(payload) {
@@ -89,12 +90,12 @@ impl FaultRouter {
                 return;
             }
         }
-        self.inner.route(payload, delay, loan);
+        self.inner.route(payload, delay, target);
         hook.borrow_mut().after(payload);
     }
 }
 
-impl core::fmt::Debug for FaultRouter {
+impl<P> core::fmt::Debug for FaultRouter<P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("FaultRouter")
             .field("inner", &self.inner)
@@ -106,49 +107,26 @@ impl core::fmt::Debug for FaultRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vpdift_core::{AddrRange, DiftEngine, SecurityPolicy, Taint};
+    use vpdift_core::{AddrRange, Taint};
 
-    fn wrapped_ram() -> (FaultRouter, Shared<[Taint<u8>; 16]>) {
+    /// A 16-byte RAM behind port 0 of a wrapped router.
+    fn wrapped_ram() -> (FaultRouter<u8>, [Taint<u8>; 16]) {
         let mut router = Router::new("bus");
-        let ram = vpdift_sync::shared([Taint::untainted(0u8); 16]);
-        let r = ram.clone();
-        router
-            .map(
-                "ram",
-                AddrRange::new(0x100, 16),
-                vpdift_sync::shared(move |p: &mut GenericPayload, _d: &mut SimTime| {
-                    let base = p.address() as usize;
-                    match p.command() {
-                        crate::TlmCommand::Read => {
-                            for (i, b) in p.data_mut().iter_mut().enumerate() {
-                                *b = r.borrow()[base + i];
-                            }
-                        }
-                        crate::TlmCommand::Write => {
-                            for (i, b) in p.data().iter().enumerate() {
-                                r.borrow_mut()[base + i] = *b;
-                            }
-                        }
-                        crate::TlmCommand::Ignore => {}
-                    }
-                    p.set_response(TlmResponse::Ok);
-                }),
-            )
-            .unwrap();
-        (FaultRouter::new(router), ram)
+        router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
+        (FaultRouter::new(router), [Taint::untainted(0u8); 16])
     }
 
-    /// Routes `p` through `fr`, lending no memory and a permissive engine.
-    fn route(fr: &mut FaultRouter, p: &mut GenericPayload) {
-        let mut no_memory = |p: &mut GenericPayload, _: &mut SimTime| {
-            p.set_response(TlmResponse::AddressError);
-        };
-        let mut engine = DiftEngine::new(SecurityPolicy::permissive());
-        fr.route(
-            p,
-            &mut SimTime::ZERO.clone(),
-            &mut Loan { mem: &mut no_memory, engine: &mut engine },
-        );
+    /// Routes `p` through `fr` to `ram`.
+    fn route(fr: &mut FaultRouter<u8>, p: &mut GenericPayload, ram: &mut [Taint<u8>; 16]) {
+        fr.route(p, &mut SimTime::ZERO.clone(), |_, p, _| {
+            let lanes = p.address() as usize..p.address() as usize + p.len();
+            match p.command() {
+                crate::TlmCommand::Read => p.data_mut().copy_from_slice(&ram[lanes]),
+                crate::TlmCommand::Write => ram[lanes].copy_from_slice(p.data()),
+                crate::TlmCommand::Ignore => {}
+            }
+            p.set_response(TlmResponse::Ok);
+        });
     }
 
     struct OneShot(FaultAction);
@@ -161,34 +139,34 @@ mod tests {
 
     #[test]
     fn transparent_without_hook() {
-        let (mut fr, ram) = wrapped_ram();
+        let (mut fr, mut ram) = wrapped_ram();
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w);
+        route(&mut fr, &mut w, &mut ram);
         assert!(w.is_ok());
-        assert_eq!(ram.borrow()[4].value(), 7);
+        assert_eq!(ram[4].value(), 7);
     }
 
     #[test]
     fn drop_never_reaches_the_target() {
-        let (mut fr, ram) = wrapped_ram();
+        let (mut fr, mut ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w);
+        route(&mut fr, &mut w, &mut ram);
         assert_eq!(w.response(), TlmResponse::GenericError);
-        assert_eq!(ram.borrow()[4].value(), 0, "write was dropped");
+        assert_eq!(ram[4].value(), 0, "write was dropped");
         // The hook is one-shot: the retry goes through.
         let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w);
+        route(&mut fr, &mut w, &mut ram);
         assert!(w.is_ok());
-        assert_eq!(ram.borrow()[4].value(), 7);
+        assert_eq!(ram[4].value(), 7);
     }
 
     #[test]
     fn forced_response_short_circuits() {
-        let (mut fr, _ram) = wrapped_ram();
+        let (mut fr, mut ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Respond(TlmResponse::AddressError))));
         let mut r = GenericPayload::read(0x104, 4);
-        route(&mut fr, &mut r);
+        route(&mut fr, &mut r, &mut ram);
         assert_eq!(r.response(), TlmResponse::AddressError);
     }
 
@@ -206,22 +184,22 @@ mod tests {
                 }
             }
         }
-        let (mut fr, ram) = wrapped_ram();
-        ram.borrow_mut()[0] = Taint::untainted(0x11);
+        let (mut fr, mut ram) = wrapped_ram();
+        ram[0] = Taint::untainted(0x11);
         fr.set_hook(vpdift_sync::shared(FlipRead));
         let mut r = GenericPayload::read(0x100, 1);
-        route(&mut fr, &mut r);
+        route(&mut fr, &mut r, &mut ram);
         assert_eq!(r.data()[0].value(), 0x91, "read lane corrupted post-route");
-        assert_eq!(ram.borrow()[0].value(), 0x11, "memory itself untouched");
+        assert_eq!(ram[0].value(), 0x11, "memory itself untouched");
     }
 
     #[test]
     fn clear_hook_restores_transparency() {
-        let (mut fr, _ram) = wrapped_ram();
+        let (mut fr, mut ram) = wrapped_ram();
         fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
         fr.clear_hook();
         let mut r = GenericPayload::read(0x100, 1);
-        route(&mut fr, &mut r);
+        route(&mut fr, &mut r, &mut ram);
         assert!(r.is_ok());
     }
 }

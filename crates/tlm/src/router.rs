@@ -3,7 +3,6 @@
 use vpdift_core::{AddrRange, DiftEngine};
 use vpdift_kernel::SimTime;
 use vpdift_obs::{ObsEvent, SharedObs};
-use vpdift_sync::Shared;
 
 use crate::payload::{GenericPayload, TlmCommand, TlmResponse};
 
@@ -17,8 +16,8 @@ pub trait TlmTarget: Send + Sync {
     /// address has already been rewritten to a target-local offset.
     fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime);
 
-    /// [`TlmTarget::transport`] with what the router's owner lends for
-    /// this one transaction. Targets that reach memory or the DIFT engine
+    /// [`TlmTarget::transport`] with what the bus's owner lends for this
+    /// one transaction. Targets that reach memory or the DIFT engine
     /// override it; the default ignores the loan.
     fn transport_with(
         &mut self,
@@ -31,35 +30,43 @@ pub trait TlmTarget: Send + Sync {
     }
 }
 
-/// What the owner of a router lends each transaction it routes: its
-/// memory and its DIFT engine. Targets that reach memory themselves (DMA
-/// bursts, tag reads) or check and record flows (output sinks, DMA store
+/// What the owner of a bus lends each transaction it routes: what the
+/// target may reach as an initiator (RAM for a tag read, the DMA's port
+/// map for a burst) and the DIFT engine. Targets that reach memory
+/// themselves or check and record flows (output sinks, DMA store
 /// clearance, guest tag assertions) use them for that one transaction, so
 /// no target keeps a handle to either.
 pub struct Loan<'a> {
-    /// The memory behind [`Router::map_memory`] windows.
+    /// Where the target's own transactions go (see [`Loan::reach`]).
     pub mem: &'a mut dyn TlmTarget,
     /// The engine that checks flows and records violations.
     pub engine: &'a mut DiftEngine,
 }
 
-impl<F> TlmTarget for F
-where
-    F: FnMut(&mut GenericPayload, &mut SimTime) + Send + Sync,
-{
-    fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        self(payload, delay)
+impl Loan<'_> {
+    /// Sends one transaction of the borrower's own to [`Loan::mem`],
+    /// lending it the engine in turn (a DMA burst that ends at the UART is
+    /// checked by the same engine) and no memory.
+    pub fn reach(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
+        let mut loan = Loan { mem: &mut NoMemory, engine: self.engine };
+        self.mem.transport_with(payload, delay, &mut loan);
     }
 }
 
-/// A shared, interiorly mutable target handle as stored in the router.
-pub type SharedTarget = Shared<dyn TlmTarget>;
+/// The memory lent to a transaction that reaches none: every access is an
+/// address error.
+struct NoMemory;
 
-struct Mapping {
+impl TlmTarget for NoMemory {
+    fn transport(&mut self, payload: &mut GenericPayload, _delay: &mut SimTime) {
+        payload.set_response(TlmResponse::AddressError);
+    }
+}
+
+struct Mapping<P> {
     name: String,
     range: AddrRange,
-    /// `None` maps the range to the memory lent to each [`Router::route`].
-    target: Option<SharedTarget>,
+    port: P,
 }
 
 /// Errors raised while building the memory map.
@@ -79,40 +86,43 @@ impl core::fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// Routes transactions to targets by address range, rewriting the payload
-/// address to a target-local offset.
+/// Decodes transactions to ports by address range, rewriting the payload
+/// address to a port-local offset. A port is a `Copy` id chosen by the
+/// router's owner, which holds the devices and matches each decoded port
+/// to one of them.
 ///
 /// ```
-/// use vpdift_tlm::{GenericPayload, Loan, Router, TlmResponse};
-/// use vpdift_core::{AddrRange, DiftEngine, SecurityPolicy, Taint};
+/// use vpdift_tlm::{GenericPayload, Router, TlmResponse};
+/// use vpdift_core::{AddrRange, Taint};
 /// use vpdift_kernel::SimTime;
-/// use vpdift_sync::shared;
+///
+/// #[derive(Clone, Copy)]
+/// enum Port {
+///     Reg,
+/// }
 ///
 /// let mut router = Router::new("bus");
-/// let reg = shared(0u8);
-/// let r = reg.clone();
-/// router.map("reg", AddrRange::new(0x1000, 4), shared(
-///     move |p: &mut GenericPayload, _d: &mut SimTime| {
-///         if p.command() == vpdift_tlm::TlmCommand::Write {
-///             *r.borrow_mut() = p.data()[0].value();
-///         }
-///         p.set_response(TlmResponse::Ok);
-///     }))?;
+/// router.map("reg", AddrRange::new(0x1000, 4), Port::Reg)?;
+/// let mut reg = 0u8;
 /// let mut p = GenericPayload::write(0x1002, &[Taint::untainted(7)]);
-/// let mut no_memory = |_: &mut GenericPayload, _: &mut SimTime| {}; // none mapped
-/// let mut engine = DiftEngine::new(SecurityPolicy::permissive());
-/// router.route(&mut p, &mut SimTime::ZERO, &mut Loan { mem: &mut no_memory, engine: &mut engine });
+/// router.route(&mut p, &mut SimTime::ZERO, |port, p, _delay| match port {
+///     Port::Reg => {
+///         assert_eq!(p.address(), 2, "the local offset");
+///         reg = p.data()[0].value();
+///         p.set_response(TlmResponse::Ok);
+///     }
+/// });
 /// assert!(p.is_ok());
-/// assert_eq!(*reg.borrow(), 7);
+/// assert_eq!(reg, 7);
 /// # Ok::<(), vpdift_tlm::MapError>(())
 /// ```
-pub struct Router {
+pub struct Router<P> {
     name: String,
-    mappings: Vec<Mapping>,
+    mappings: Vec<Mapping<P>>,
     obs: Option<SharedObs>,
 }
 
-impl Router {
+impl<P: Copy> Router<P> {
     /// Creates an empty router.
     pub fn new(name: &str) -> Self {
         Router { name: name.to_owned(), mappings: Vec::new(), obs: None }
@@ -130,50 +140,31 @@ impl Router {
         &self.name
     }
 
-    /// Maps `range` to `target`.
+    /// Maps `range` to `port`.
     ///
     /// # Errors
     /// [`MapError::Overlap`] if the range intersects an existing mapping.
-    pub fn map(
-        &mut self,
-        name: &str,
-        range: AddrRange,
-        target: SharedTarget,
-    ) -> Result<(), MapError> {
-        self.insert(name, range, Some(target))
-    }
-
-    /// Like [`Router::map`], but maps `range` to the memory lent to each
-    /// [`Router::route`] ([`Loan::mem`]), so the memory's owner keeps it.
-    pub fn map_memory(&mut self, name: &str, range: AddrRange) -> Result<(), MapError> {
-        self.insert(name, range, None)
-    }
-
-    fn insert(
-        &mut self,
-        name: &str,
-        range: AddrRange,
-        target: Option<SharedTarget>,
-    ) -> Result<(), MapError> {
+    pub fn map(&mut self, name: &str, range: AddrRange, port: P) -> Result<(), MapError> {
         for m in &self.mappings {
             let disjoint = range.end <= m.range.start || range.start >= m.range.end;
             if !disjoint {
                 return Err(MapError::Overlap(m.name.clone()));
             }
         }
-        self.mappings.push(Mapping { name: name.to_owned(), range, target });
+        self.mappings.push(Mapping { name: name.to_owned(), range, port });
         Ok(())
     }
 
-    /// Routes one transaction, lending `loan` to the target (see
-    /// [`TlmTarget::transport_with`] and [`Router::map_memory`]). On
-    /// unmapped addresses the payload gets [`TlmResponse::AddressError`];
-    /// transfers straddling a mapping boundary get [`TlmResponse::BurstError`].
+    /// Routes one transaction: hands the decoded port and the payload, at
+    /// its port-local address, to `target`. On unmapped addresses the
+    /// payload gets [`TlmResponse::AddressError`]; transfers straddling a
+    /// mapping boundary get [`TlmResponse::BurstError`]; neither reaches
+    /// `target`.
     pub fn route(
-        &mut self,
+        &self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        loan: &mut Loan<'_>,
+        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime),
     ) {
         let addr = payload.address();
         let Some(m) = self.mappings.iter().find(|m| m.range.contains(addr)) else {
@@ -187,13 +178,9 @@ impl Router {
             self.emit(payload, addr, &m.name, 0);
             return;
         }
-        let local = addr - m.range.start;
-        payload.set_address(local);
+        payload.set_address(addr - m.range.start);
         let before = delay.as_ps();
-        match &m.target {
-            Some(target) => target.borrow_mut().transport_with(payload, delay, loan),
-            None => loan.mem.transport(payload, delay),
-        }
+        target(m.port, payload, delay);
         let lat_ps = delay.as_ps().saturating_sub(before);
         payload.set_address(addr);
         self.emit(payload, addr, &m.name, lat_ps);
@@ -218,7 +205,7 @@ impl Router {
     }
 }
 
-impl core::fmt::Debug for Router {
+impl<P> core::fmt::Debug for Router<P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let maps: Vec<String> =
             self.mappings.iter().map(|m| format!("{} {}", m.name, m.range)).collect();
@@ -259,120 +246,132 @@ mod tests {
         }
     }
 
-    fn scratch() -> Shared<Scratch> {
-        vpdift_sync::shared(Scratch {
-            bytes: [Taint::untainted(0); 16],
-            latency: SimTime::from_ns(10),
-        })
+    fn scratch() -> Scratch {
+        Scratch { bytes: [Taint::untainted(0); 16], latency: SimTime::from_ns(10) }
     }
 
-    /// Lent memory for routes that must not reach any.
-    fn no_memory(p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::AddressError);
-    }
-
-    /// Routes `p` lending `mem` and a permissive engine.
-    fn route(
-        router: &mut Router,
-        p: &mut GenericPayload,
-        delay: &mut SimTime,
-        mem: &mut dyn TlmTarget,
-    ) {
-        let mut engine = DiftEngine::new(SecurityPolicy::permissive());
-        router.route(p, delay, &mut Loan { mem, engine: &mut engine });
+    /// Routes `p` to the scratch target behind port `i` of `targets`.
+    fn route(router: &Router<usize>, p: &mut GenericPayload, targets: &mut [Scratch]) {
+        router.route(p, &mut SimTime::ZERO.clone(), |port, p, d| targets[port].transport(p, d));
     }
 
     #[test]
     fn routes_by_range_with_local_addressing() {
         let mut router = Router::new("bus");
-        let ram = scratch();
-        router.map("ram", AddrRange::new(0x100, 16), ram.clone()).unwrap();
+        router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
+        let mut ram = scratch();
 
         let word = Taint::new(0xCAFEu16, Tag::atom(2));
         let mut w = GenericPayload::write_word(0x108, word);
         let mut delay = SimTime::ZERO;
-        route(&mut router, &mut w, &mut delay, &mut no_memory);
+        router.route(&mut w, &mut delay, |_, p, d| ram.transport(p, d));
         assert!(w.is_ok());
         assert_eq!(router.name(), "bus");
         assert_eq!(w.address(), 0x108, "global address restored after routing");
         assert_eq!(delay, SimTime::from_ns(10));
         // The target saw the local offset 8.
-        assert_eq!(ram.borrow().bytes[8].value(), 0xFE);
-        assert_eq!(ram.borrow().bytes[9].value(), 0xCA);
-        assert_eq!(ram.borrow().bytes[8].tag(), Tag::atom(2));
+        assert_eq!(ram.bytes[8].value(), 0xFE);
+        assert_eq!(ram.bytes[9].value(), 0xCA);
+        assert_eq!(ram.bytes[8].tag(), Tag::atom(2));
 
         let mut r = GenericPayload::read(0x108, 2);
-        route(&mut router, &mut r, &mut delay, &mut no_memory);
+        route(&router, &mut r, std::slice::from_mut(&mut ram));
         let back: Taint<u16> = r.data_word();
         assert_eq!(back.value(), 0xCAFE);
         assert_eq!(back.tag(), Tag::atom(2));
     }
 
     #[test]
+    fn each_port_reaches_its_own_target() {
+        let mut router = Router::new("bus");
+        router.map("a", AddrRange::new(0x100, 16), 0).unwrap();
+        router.map("b", AddrRange::new(0x200, 16), 1).unwrap();
+        let mut targets = [scratch(), scratch()];
+        let mut w = GenericPayload::write(0x204, &[Taint::untainted(7)]);
+        route(&router, &mut w, &mut targets);
+        assert!(w.is_ok());
+        assert_eq!(targets[1].bytes[4].value(), 7);
+        assert_eq!(targets[0].bytes[4].value(), 0, "port 0 untouched");
+    }
+
+    #[test]
     fn unmapped_address_errors() {
         let mut router = Router::new("bus");
-        router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
+        router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
         let mut p = GenericPayload::read(0x50, 4);
-        route(&mut router, &mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
+        router.route(&mut p, &mut SimTime::ZERO.clone(), |_, _, _| panic!("nothing mapped"));
         assert_eq!(p.response(), TlmResponse::AddressError);
     }
 
     #[test]
     fn straddling_transfer_is_burst_error() {
         let mut router = Router::new("bus");
-        router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
+        router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
         let mut p = GenericPayload::read(0x10E, 4); // crosses 0x110
-        route(&mut router, &mut p, &mut SimTime::ZERO.clone(), &mut no_memory);
+        router.route(&mut p, &mut SimTime::ZERO.clone(), |_, _, _| panic!("straddles"));
         assert_eq!(p.response(), TlmResponse::BurstError);
     }
 
     #[test]
     fn overlap_rejected() {
         let mut router = Router::new("bus");
-        router.map("a", AddrRange::new(0x100, 16), scratch()).unwrap();
-        let err = router.map("b", AddrRange::new(0x108, 16), scratch()).unwrap_err();
+        router.map("a", AddrRange::new(0x100, 16), 0).unwrap();
+        let err = router.map("b", AddrRange::new(0x108, 16), 1).unwrap_err();
         assert_eq!(err, MapError::Overlap("a".into()));
         // Adjacent is fine, and the rejected mapping was not added.
-        router.map("c", AddrRange::new(0x110, 16), scratch()).unwrap();
+        router.map("c", AddrRange::new(0x110, 16), 2).unwrap();
         let maps = format!("{router:?}");
         assert!(maps.contains("\"a [") && maps.contains("\"c [") && !maps.contains("\"b ["));
-        let err = router.map_memory("m", AddrRange::new(0x11F, 1)).unwrap_err();
+        let err = router.map("m", AddrRange::new(0x11F, 1), 3).unwrap_err();
         assert_eq!(err, MapError::Overlap("c".into()));
     }
 
     #[test]
-    fn memory_window_reaches_the_lent_memory() {
-        let mut router = Router::new("dma-ports");
-        let reg = scratch();
-        router.map("reg", AddrRange::new(0x1000, 16), reg.clone()).unwrap();
-        router.map_memory("ram", AddrRange::new(0x100, 16)).unwrap();
-        let mut mem = Scratch { bytes: [Taint::untainted(0); 16], latency: SimTime::from_ns(3) };
-
-        let mut w = GenericPayload::write(0x104, &[Taint::new(9, Tag::atom(1))]);
-        let mut delay = SimTime::ZERO;
-        route(&mut router, &mut w, &mut delay, &mut mem);
-        assert!(w.is_ok());
-        assert_eq!(mem.bytes[4], Taint::new(9, Tag::atom(1)), "local offset 4");
-        assert_eq!(delay, SimTime::from_ns(3), "the memory's latency");
-        // A shared target is unaffected by the memory lent alongside.
-        let mut p = GenericPayload::write(0x1004, &[Taint::untainted(7)]);
-        route(&mut router, &mut p, &mut delay, &mut mem);
-        assert_eq!(reg.borrow().bytes[4].value(), 7);
-        assert_eq!(mem.bytes[4].value(), 9);
+    fn a_loan_reaches_its_memory_with_the_engine_and_no_memory_behind() {
+        /// Answers with the clearance of `uart.tx` for the byte it gets,
+        /// and checks that the memory lent in turn reaches nothing.
+        struct Sink;
+        impl TlmTarget for Sink {
+            fn transport(&mut self, _: &mut GenericPayload, _: &mut SimTime) {
+                unreachable!("always lent");
+            }
+            fn transport_with(
+                &mut self,
+                p: &mut GenericPayload,
+                d: &mut SimTime,
+                loan: &mut Loan<'_>,
+            ) {
+                let mut inner = GenericPayload::read(0, 1);
+                loan.mem.transport(&mut inner, d);
+                assert_eq!(inner.response(), TlmResponse::AddressError);
+                match loan.engine.check_output("uart.tx", p.data_tag(), None) {
+                    Ok(()) => p.set_response(TlmResponse::Ok),
+                    Err(v) => p.set_violation(v),
+                }
+            }
+        }
+        let policy = SecurityPolicy::builder("t").sink("uart.tx", Tag::EMPTY).build();
+        let mut engine = DiftEngine::new(policy);
+        let mut loan = Loan { mem: &mut Sink, engine: &mut engine };
+        let mut p = GenericPayload::write(0, &[Taint::new(1, Tag::atom(0))]);
+        loan.reach(&mut p, &mut SimTime::ZERO.clone());
+        assert!(p.take_violation().is_some(), "checked by the lent engine");
+        assert_eq!(engine.violations().len(), 1);
     }
 
     #[test]
     fn routed_transactions_reach_the_obs_sink() {
         use vpdift_obs::{shared_obs, Recorder};
         let mut router = Router::new("bus");
-        router.map("ram", AddrRange::new(0x100, 16), scratch()).unwrap();
+        router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
         let sink = vpdift_sync::shared(Recorder::new(8));
         router.set_obs(shared_obs(&sink));
+        let mut ram = [scratch()];
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(1, Tag::atom(3))]);
-        route(&mut router, &mut w, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&router, &mut w, &mut ram);
         let mut bad = GenericPayload::read(0x50, 1);
-        route(&mut router, &mut bad, &mut SimTime::ZERO.clone(), &mut no_memory);
+        route(&router, &mut bad, &mut ram);
 
         let r = sink.borrow();
         assert_eq!(r.metrics().tlm_per_target["ram"], 1);

@@ -58,7 +58,7 @@ fn soc(policy: SecurityPolicy, enforce: EnforceMode, raw: bool) -> Soc<Tainted> 
     let cfg = SocBuilder::new().policy(policy).enforce(enforce).sensor_thread(false).build();
     let mut s = Soc::<Tainted>::new(cfg);
     s.load_program(&firmware(raw));
-    s.sensor().borrow_mut().generate_frame();
+    s.sensor_mut().generate_frame();
     s
 }
 

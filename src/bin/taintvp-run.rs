@@ -24,7 +24,7 @@
 //!   --input <string>      bytes fed to the terminal (supports \n, \xNN)
 //!   --max-insns <n>       instruction budget (default 100M)
 //!   --trace <n>           print the first n executed instructions
-//!   --dump-uart-hex       print UART output as hex instead of text
+//!   --dump-uart-hex       print UART output as hex instead of the raw bytes
 //!   --metrics             print the DIFT metrics summary after the run
 //!                         (includes guest-profiler totals: top symbols,
 //!                         TLM access counts)
@@ -462,7 +462,9 @@ fn report<M: TaintMode, S: ObsSink>(
         let hex: Vec<String> = uart.iter().map(|b| format!("{b:02x}")).collect();
         println!("uart[{}]: {}", uart.len(), hex.join(" "));
     } else {
-        print!("{}", String::from_utf8_lossy(&uart));
+        // The guest's bytes, unchanged (Fig. 4's sensor data is ≥ 0x80).
+        use std::io::Write as _;
+        std::io::stdout().write_all(&uart).expect("write the UART output to stdout");
     }
     let engine = soc.engine().borrow();
     for v in engine.violations() {

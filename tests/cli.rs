@@ -1,18 +1,33 @@
 //! End-to-end tests of the `taintvp-run` CLI binary.
+//!
+//! `cli_outputs_match_their_goldens` pins every output of five example
+//! runs to `tests/golden/cli/`; after an intended change, regenerate with
+//! `UPDATE_GOLDEN=1 cargo test --test cli cli_outputs_match_their_goldens`.
 
-use std::process::Command;
+use std::path::Path;
+use std::process::{Command, Output};
 
-fn run_cli(args: &[&str]) -> (i32, String, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_taintvp-run"))
+fn run_cli_raw(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_taintvp-run"))
         .args(args)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("CLI binary runs");
+        .expect("CLI binary runs")
+}
+
+fn run_cli(args: &[&str]) -> (i32, String, String) {
+    let out = run_cli_raw(args);
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// The bytes of a `--dump-uart-hex` line (`uart[n]: 92 b4 b7`).
+fn uart_hex(stdout: &str) -> Vec<u8> {
+    let (_, hex) = stdout.trim().split_once(": ").unwrap_or_else(|| panic!("{stdout}"));
+    hex.split(' ').map(|b| u8::from_str_radix(b, 16).unwrap()).collect()
 }
 
 #[test]
@@ -152,17 +167,90 @@ fn sensor_refills_wake_the_guest_and_reach_the_uart() {
         events.to_str().unwrap(),
     ]);
     assert_eq!(code, 0, "stderr: {stderr}");
-    let hex = stdout.trim().strip_prefix("uart[3]: ").unwrap_or_else(|| panic!("{stdout}"));
-    let bytes: Vec<u8> = hex.split(' ').map(|b| u8::from_str_radix(b, 16).unwrap()).collect();
+    let bytes = uart_hex(&stdout);
     assert_eq!(bytes.len(), 3, "{stdout}");
     assert!(bytes.iter().all(|&b| b >= 128), "Fig. 4's printable range: {stdout}");
     let jsonl = std::fs::read_to_string(&events).expect("events file written");
-    let frames = jsonl
+    let stamps: Vec<u64> = jsonl
         .lines()
         .filter(|l| l.contains(r#""kind":"classify","source":"sensor.frame""#))
-        .count();
-    assert_eq!(frames, 3, "one classified frame per refill: {jsonl}");
+        .map(|l| taintvp::obs::json::parse(l).unwrap().get("t_ps").unwrap().as_u64().unwrap())
+        .collect();
+    // One classified frame per refill, stamped with the refill's time
+    // (25, 50 and 75 ms), not with the start of its quantum.
+    assert_eq!(stamps, [25_000_000_000, 50_000_000_000, 75_000_000_000], "{jsonl}");
     let _ = std::fs::remove_file(&events);
+}
+
+#[test]
+fn uart_bytes_reach_stdout_unchanged() {
+    // sensor_echo's frame bytes are all >= 0x80: not UTF-8 text.
+    let args = ["docs/examples/sensor_echo.s", "--policy", "docs/examples/sensor_echo.policy"];
+    let (code, hex, stderr) = run_cli(&[&args[..], &["--dump-uart-hex"]].concat());
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(run_cli_raw(&args).stdout, uart_hex(&hex), "raw bytes, as --dump-uart-hex reports");
+}
+
+/// The runs whose outputs `tests/golden/cli/<name>.txt` pins: the example
+/// programs with their policies, on the default engine.
+const GOLDEN_RUNS: [(&str, &[&str]); 5] = [
+    ("leak", &["docs/examples/leak.s", "--policy", "docs/examples/leak.policy"]),
+    ("immo_leak", &["docs/examples/immo_leak.s", "--policy", "docs/examples/immobilizer.policy"]),
+    ("echo_once", &["docs/examples/echo_once.s", "--input", "A"]),
+    (
+        "sensor_echo",
+        &["docs/examples/sensor_echo.s", "--policy", "docs/examples/sensor_echo.policy"],
+    ),
+    ("dma_leak", &["docs/examples/dma_leak.s", "--policy", "docs/examples/leak.policy"]),
+];
+
+#[test]
+fn cli_outputs_match_their_goldens() {
+    for (name, args) in GOLDEN_RUNS {
+        let dir = std::env::temp_dir().join(format!("taintvp_cli_golden_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let [events, metrics, flow] =
+            ["events.jsonl", "metrics.json", "flow.json"].map(|f| dir.join(f));
+        let [ev, me, fl] = [&events, &metrics, &flow].map(|p| p.to_str().unwrap());
+        let observe = ["--metrics", "--explain", "--flight-recorder", "32"];
+        let files = ["--events-out", ev, "--metrics-json", me, "--flow-json", fl];
+        let out = run_cli_raw(&[args, &observe[..], &files[..]].concat());
+        let read = |p: &Path| std::fs::read(p).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut transcript = format!("exit {}\n", out.status.code().unwrap_or(-1)).into_bytes();
+        let sections = [
+            ("stdout", out.stdout),
+            ("stderr", out.stderr),
+            ("events-out", read(&events)),
+            ("metrics-json", read(&metrics)),
+            ("flow-json", read(&flow)),
+        ];
+        for (section, bytes) in sections {
+            transcript.extend(format!("== {section} ({} bytes)\n", bytes.len()).bytes());
+            transcript.extend(bytes);
+            transcript.push(b'\n');
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/cli/{name}.txt"));
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::create_dir_all(golden.parent().unwrap()).expect("golden dir");
+            std::fs::write(&golden, &transcript).expect("golden written");
+            continue;
+        }
+        let expected =
+            std::fs::read(&golden).unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        if transcript != expected {
+            let (got, want) =
+                (String::from_utf8_lossy(&transcript), String::from_utf8_lossy(&expected));
+            let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+            panic!(
+                "{name}: output drifted from {} at line {line:?}; regenerate with UPDATE_GOLDEN=1 \
+                 if the change is intended\n--- got ---\n{got}",
+                golden.display()
+            );
+        }
+    }
 }
 
 #[test]

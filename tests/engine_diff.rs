@@ -485,7 +485,7 @@ fn watchdog_timeout_is_engine_invariant() {
         let line = shared(LossyCanFault::default());
         line.borrow_mut().arm_drop(1);
         soc.can_host().set_line_fault(line);
-        soc.watchdog().borrow_mut().arm(SimTime::from_ms(1));
+        soc.watchdog_mut().arm(SimTime::from_ms(1));
         let delivered = soc.can_host().send(CanFrame::new(0x10, &[1, 2, 3, 4, 5, 6, 7, 8]));
         assert!(!delivered, "the armed line fault must drop the frame");
         let exit = soc.run(5_000_000);
@@ -741,7 +741,7 @@ fn latch_source_dma_burst_from_the_sensor() {
         a.lw(Reg::A0, 0, Reg::T1);
     });
     let policy = branch_policy().source("sensor.data", SECRET).build();
-    assert_branch_trips(&prog, policy, 0, |soc| soc.sensor().borrow_mut().generate_frame());
+    assert_branch_trips(&prog, policy, 0, |soc| soc.sensor_mut().generate_frame());
 }
 
 #[test]

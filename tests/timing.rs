@@ -54,7 +54,7 @@ fn outcome<M: TaintMode>(soc: &Soc<M>, exit: SocExit) -> Outcome {
         exit,
         now: soc.now(),
         instret: soc.instret(),
-        frames: soc.sensor().borrow().frames_generated(),
+        frames: soc.sensor().frames_generated(),
     }
 }
 
@@ -211,7 +211,7 @@ fn mtime_is_current_after_an_idle_exit() {
         let want =
             Outcome { exit: SocExit::Idle, now: SimTime::from_us(10), instret: 1000, frames: 0 };
         assert_eq!(outcome(&soc, exit), want, "{engine:?}");
-        soc.plic().borrow_mut().raise(7);
+        soc.plic_mut().raise(7);
         assert_eq!(soc.run(100_000), SocExit::Break, "{engine:?}");
         soc.cpu().reg(A0).val()
     }
