@@ -55,7 +55,7 @@ fn bench_dma(c: &mut Criterion) {
             b.iter(|| {
                 use vpdift_tlm::TlmTarget;
                 let mut d = vpdift_kernel::SimTime::ZERO;
-                let mut loan = Loan { mem: &mut ram, engine: &mut engine };
+                let mut loan = Loan { mem: &mut ram, engine: &mut engine, obs: None };
                 for (reg, v) in [(0x0, 0u32), (0x4, 0x4000), (0x8, 4096), (0xC, 1)] {
                     let mut p = GenericPayload::write_word(reg, vpdift_core::Taint::untainted(v));
                     dma.transport_with(&mut p, &mut d, &mut loan);

@@ -3,7 +3,10 @@
 //! flavours. The ISS-level layer numbers live in `benches/iss.rs`; this
 //! bench includes the full platform (bus routing, quantum loop,
 //! peripherals) so it reflects what `Soc::run` users actually get. It is
-//! the group `bench_guard` gates in CI.
+//! the group `bench_guard` gates in CI. `vp_plus_block_counting` runs the
+//! VP+ block-cache entry with an enabled sink that only counts events: the
+//! price of emitting every event on the path serve sessions and `--metrics`
+//! runs take (`bench_guard` logs it without a gate).
 //!
 //! `soc_setup` times what a session pays before its first instruction:
 //! `Soc::new` + `load_program` + drop at the default RAM size, on both VP
@@ -11,13 +14,31 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vpdift_asm::Program;
+use vpdift_obs::{NullSink, ObsEvent, ObsSink};
 use vpdift_rv32::{ExecMode, Plain, TaintMode, Tainted};
 use vpdift_soc::{Soc, SocExit};
 
+/// The cheapest enabled sink: isolates the cost of emitting events from
+/// the cost of recording them.
+#[derive(Default)]
+struct CountingSink {
+    events: u64,
+}
+
+impl ObsSink for CountingSink {
+    fn event(&mut self, _event: &ObsEvent) {
+        self.events += 1;
+    }
+}
+
 fn run_soc<M: TaintMode>(engine: ExecMode) -> u64 {
+    run_observed::<M, NullSink>(engine)
+}
+
+fn run_observed<M: TaintMode, S: ObsSink + Default>(engine: ExecMode) -> u64 {
     let w = vpdift_firmware::primes::build(2_000);
     let cfg = Soc::<M>::builder().sensor_thread(false).engine(engine).build();
-    let mut soc = Soc::<M>::new(cfg);
+    let mut soc = Soc::<M, S>::new(cfg);
     soc.load_program(&w.program);
     assert_eq!(soc.run(w.max_insns), SocExit::Break);
     soc.instret()
@@ -34,6 +55,9 @@ fn bench_engines(c: &mut Criterion) {
         g.bench_function(&format!("vp_plain_{engine}"), |b| b.iter(|| run_soc::<Plain>(engine)));
         g.bench_function(&format!("vp_plus_{engine}"), |b| b.iter(|| run_soc::<Tainted>(engine)));
     }
+    g.bench_function("vp_plus_block_counting", |b| {
+        b.iter(|| run_observed::<Tainted, CountingSink>(ExecMode::BlockCache))
+    });
     g.finish();
 }
 

@@ -123,11 +123,14 @@ fn main() -> ExitCode {
 
     // Log this run to the append-only perf trajectory: each median with
     // its spread (the sample min and max) and the host's core count.
+    // `vp_plus_block_counting` (an enabled sink on the block cache) is
+    // logged, not gated.
     let tracked = [
         (GROUP, "vp_plain_interp"),
         (GROUP, "vp_plain_block"),
         (GROUP, "vp_plus_interp"),
         (GROUP, "vp_plus_block"),
+        (GROUP, "vp_plus_block_counting"),
         (SETUP_GROUP, "vp_plain"),
         (SETUP_GROUP, "vp_plus"),
     ];

@@ -11,7 +11,6 @@
 //! Exit status: 0 when all assertions hold, 1 otherwise.
 
 use std::process::ExitCode;
-use vpdift_sync::shared;
 
 use vpdift_firmware::dhrystone;
 use vpdift_obs::{Recorder, SymbolMap};
@@ -64,10 +63,10 @@ fn main() -> ExitCode {
 
     let workload = dhrystone::build(opts.iterations);
     let symbols = SymbolMap::from_program(&workload.program);
-    let rec = shared(Recorder::new(32).with_symbols(symbols).with_profiler());
+    let rec = Recorder::new(32).with_symbols(symbols).with_profiler();
 
     let cfg = SocBuilder::new().sensor_thread(workload.needs_sensor).build();
-    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec.clone());
+    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec);
     soc.load_program(&workload.program);
     let exit = soc.run(workload.max_insns);
     if !matches!(exit, SocExit::Break) {
@@ -81,7 +80,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    let rec = rec.borrow();
+    let rec = soc.obs().borrow();
     let prof = rec.profiler().expect("profiler enabled");
     eprintln!(
         "profile_smoke: {} iterations, {} instructions profiled",

@@ -15,20 +15,15 @@ use vpdift_soc::{Soc, SocBuilder, SocExit};
 fn profiled_dhrystone() -> Recorder {
     let workload = dhrystone::build(5);
     let symbols = SymbolMap::from_program(&workload.program);
-    let rec = vpdift_sync::shared(
-        Recorder::new(64).with_symbols(symbols).with_event_log().with_profiler(),
-    );
+    let rec = Recorder::new(64).with_symbols(symbols).with_event_log().with_profiler();
     let cfg = SocBuilder::new().sensor_thread(workload.needs_sensor).build();
-    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec.clone());
+    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec);
     soc.load_program(&workload.program);
     let exit = soc.run(workload.max_insns);
     assert!(matches!(exit, SocExit::Break), "dhrystone exits cleanly: {exit:?}");
     assert!(workload.verify(soc.uart().borrow().output()), "checksum holds");
-    drop(soc);
-    match std::sync::Arc::try_unwrap(rec) {
-        Ok(cell) => cell.into_inner(),
-        Err(_) => panic!("sole owner"),
-    }
+    let rec = std::mem::replace(&mut *soc.obs().borrow_mut(), Recorder::new(0));
+    rec
 }
 
 #[test]

@@ -10,8 +10,6 @@
 use core::fmt;
 use std::collections::HashMap;
 
-use vpdift_sync::Shared;
-
 use crate::error::{Violation, ViolationKind};
 use crate::policy::SecurityPolicy;
 use crate::tag::Tag;
@@ -31,10 +29,10 @@ pub enum EnforceMode {
 
 /// Observer notified at the engine's check sites, so an observability
 /// layer can see checks and violations without core depending on it
-/// (`vpdift-obs` provides the standard implementation). The engine calls
-/// observers synchronously while it is itself borrowed — implementations
-/// must not call back into the engine. Observers are `Send` so an engine
-/// (and the VP owning it) can migrate between fleet worker threads.
+/// (`vpdift-obs` adapts its sinks to it). The engine keeps no observer:
+/// each check or record call is handed one, or `None`, by its caller,
+/// and calls it synchronously while the engine itself is borrowed —
+/// implementations must not call back into the engine.
 pub trait FlowObserver: Send + Sync {
     /// A clearance check of `kind` was evaluated: `passed` tells whether
     /// `allowedFlow(tag, required)` held.
@@ -56,13 +54,10 @@ pub trait FlowObserver: Send + Sync {
     /// the tag set reaching that site changed. Fired on the clearance-check
     /// path, before the pass/fail decision is reported; live-introspection
     /// layers use it for taint watchpoints. The per-site state backing
-    /// this notification is only maintained while an observer is attached,
-    /// so unobserved runs (the `NullSink` configuration) pay nothing.
+    /// this notification is only maintained by observed checks, so
+    /// unobserved runs (the `NullSink` configuration) pay nothing.
     fn on_tag_change(&mut self, _site: &str, _before: Tag, _after: Tag) {}
 }
-
-/// A flow observer as shared with the engine.
-pub type SharedFlowObserver = Shared<dyn FlowObserver>;
 
 /// Run-time statistics, reported alongside Table II.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -82,9 +77,9 @@ pub struct EngineStats {
 /// let policy = SecurityPolicy::builder("demo").sink("uart.tx", Tag::EMPTY).build();
 /// let mut engine = DiftEngine::new(policy);
 /// // Public data may leave ...
-/// assert!(engine.check_output("uart.tx", Tag::EMPTY, None).is_ok());
+/// assert!(engine.check_output("uart.tx", Tag::EMPTY, None, None).is_ok());
 /// // ... secret data may not.
-/// let err = engine.check_output("uart.tx", secret, Some(0x80)).unwrap_err();
+/// let err = engine.check_output("uart.tx", secret, Some(0x80), None).unwrap_err();
 /// assert_eq!(err.kind, ViolationKind::Output { sink: "uart.tx".into() });
 /// assert_eq!(engine.violations().len(), 1);
 /// ```
@@ -105,12 +100,11 @@ pub struct DiftEngine {
     mode: EnforceMode,
     violations: Vec<Violation>,
     stats: EngineStats,
-    observer: Option<SharedFlowObserver>,
     /// Cached [`SecurityPolicy::atom_universe`] for the fail-closed check.
     universe: Tag,
     /// Last tag checked per named site, backing
-    /// [`FlowObserver::on_tag_change`]. Empty (and never written) while no
-    /// observer is attached.
+    /// [`FlowObserver::on_tag_change`]. Written by observed checks only, so
+    /// it stays empty while no caller hands the engine an observer.
     site_tags: HashMap<String, Tag>,
 }
 
@@ -121,7 +115,6 @@ impl fmt::Debug for DiftEngine {
             .field("mode", &self.mode)
             .field("violations", &self.violations.len())
             .field("stats", &self.stats)
-            .field("observed", &self.observer.is_some())
             .finish()
     }
 }
@@ -135,7 +128,6 @@ impl DiftEngine {
             mode: EnforceMode::Enforce,
             violations: Vec::new(),
             stats: EngineStats::default(),
-            observer: None,
             universe,
             site_tags: HashMap::new(),
         }
@@ -159,17 +151,6 @@ impl DiftEngine {
     /// Switches enforcement mode at run time.
     pub fn set_mode(&mut self, mode: EnforceMode) {
         self.mode = mode;
-    }
-
-    /// Attaches a flow observer; checks and violations from here on are
-    /// reported to it.
-    pub fn set_observer(&mut self, observer: SharedFlowObserver) {
-        self.observer = Some(observer);
-    }
-
-    /// Detaches the flow observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
     }
 
     /// Statistics so far.
@@ -204,34 +185,36 @@ impl DiftEngine {
         }
     }
 
-    /// Reports an evaluated check to the attached observer and, when the
-    /// check site is *named* (see [`ViolationKind::site`]), fires
+    /// Reports an evaluated check to `obs` and, when the check site is
+    /// *named* (see [`ViolationKind::site`]), fires
     /// [`FlowObserver::on_tag_change`] if the checked tag differs from the
     /// tag last checked there. Entirely skipped — including the per-site
-    /// bookkeeping — while no observer is attached, preserving the
+    /// bookkeeping — for an unobserved check, preserving the
     /// zero-cost-when-off guarantee for `NullSink` builds.
     fn notify_check(
         &mut self,
+        obs: Option<&mut (dyn FlowObserver + '_)>,
         kind: &ViolationKind,
         tag: Tag,
         required: Tag,
         pc: Option<u32>,
         passed: bool,
     ) {
-        let Some(obs) = &self.observer else { return };
-        obs.borrow_mut().on_check(kind, tag, required, pc, passed);
+        let Some(obs) = obs else { return };
+        obs.on_check(kind, tag, required, pc, passed);
         if let Some(site) = kind.site() {
             let before = self.site_tags.get(site).copied().unwrap_or(Tag::EMPTY);
             if before != tag {
                 self.site_tags.insert(site.to_owned(), tag);
-                obs.borrow_mut().on_tag_change(site, before, tag);
+                obs.on_tag_change(site, before, tag);
             }
         }
     }
 
     /// The core check: is `allowedFlow(tag, required)`? On failure a
     /// violation of `kind` is recorded. `tag` is subject to the fail-closed
-    /// rule (see the type-level docs).
+    /// rule (see the type-level docs). `obs`, if any, sees the check and
+    /// the violation.
     ///
     /// # Errors
     /// In [`EnforceMode::Enforce`], returns the recorded [`Violation`]; in
@@ -242,17 +225,18 @@ impl DiftEngine {
         tag: Tag,
         required: Tag,
         pc: Option<u32>,
+        mut obs: Option<&mut dyn FlowObserver>,
     ) -> Result<(), Violation> {
         let tag = self.sanitize(tag);
         self.stats.checks += 1;
         let passed = tag.flows_to(required);
-        self.notify_check(&kind, tag, required, pc, passed);
+        self.notify_check(obs.as_deref_mut(), &kind, tag, required, pc, passed);
         if passed {
             return Ok(());
         }
         let mut v = Violation::new(kind, tag, required);
         v.pc = pc;
-        self.record(v)
+        self.record(v, obs)
     }
 
     /// Checks data leaving through `sink` against the sink's clearance.
@@ -260,10 +244,17 @@ impl DiftEngine {
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
-    pub fn check_output(&mut self, sink: &str, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+    pub fn check_output(
+        &mut self,
+        sink: &str,
+        tag: Tag,
+        pc: Option<u32>,
+        obs: Option<&mut dyn FlowObserver>,
+    ) -> Result<(), Violation> {
         match self.policy.sink_clearance(sink) {
             Some(clearance) => {
-                self.check_flow(ViolationKind::Output { sink: sink.to_owned() }, tag, clearance, pc)
+                let kind = ViolationKind::Output { sink: sink.to_owned() };
+                self.check_flow(kind, tag, clearance, pc, obs)
             }
             None => Ok(()),
         }
@@ -275,34 +266,45 @@ impl DiftEngine {
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
-    pub fn check_store(&mut self, addr: u32, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+    pub fn check_store(
+        &mut self,
+        addr: u32,
+        tag: Tag,
+        pc: Option<u32>,
+        mut obs: Option<&mut dyn FlowObserver>,
+    ) -> Result<(), Violation> {
         if let Some((rule, clearance)) = self.policy.write_clearance_at(addr) {
             let region = rule.name.clone();
             let tag = self.sanitize(tag);
             self.stats.checks += 1;
             let passed = tag.flows_to(clearance);
             let kind = ViolationKind::Store { region: region.clone() };
-            self.notify_check(&kind, tag, clearance, pc, passed);
+            self.notify_check(obs.as_deref_mut(), &kind, tag, clearance, pc, passed);
             if passed {
                 return Ok(());
             }
             let mut v = Violation::new(ViolationKind::Store { region }, tag, clearance)
                 .with_context(format!("store to {addr:#010x}"));
             v.pc = pc;
-            return self.record(v);
+            return self.record(v, obs);
         }
         Ok(())
     }
 
-    /// Records an externally constructed violation (used by the CPU for
-    /// execution-clearance failures detected inline).
+    /// Records an externally constructed violation (a failed guest taint
+    /// assertion, or a CPU execution-clearance failure, which the CPU
+    /// reports to its sink itself). `obs`, if any, sees the violation.
     ///
     /// # Errors
     /// In [`EnforceMode::Enforce`], echoes the violation back as `Err`.
-    pub fn record(&mut self, violation: Violation) -> Result<(), Violation> {
+    pub fn record(
+        &mut self,
+        violation: Violation,
+        obs: Option<&mut dyn FlowObserver>,
+    ) -> Result<(), Violation> {
         self.stats.failed += 1;
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_violation(&violation);
+        if let Some(obs) = obs {
+            obs.on_violation(&violation);
         }
         self.violations.push(violation.clone());
         match self.mode {
@@ -324,7 +326,6 @@ impl DiftEngine {
 mod tests {
     use super::*;
     use crate::policy::AddrRange;
-    use vpdift_sync::shared;
 
     const SECRET: Tag = Tag::from_bits(0b01);
     const UNTRUSTED: Tag = Tag::from_bits(0b10);
@@ -340,9 +341,9 @@ mod tests {
     #[test]
     fn output_check_enforces_clearance() {
         let mut e = engine();
-        assert!(e.check_output("uart.tx", Tag::EMPTY, None).is_ok());
-        assert!(e.check_output("uart.tx", UNTRUSTED, None).is_ok());
-        let v = e.check_output("uart.tx", SECRET, Some(4)).unwrap_err();
+        assert!(e.check_output("uart.tx", Tag::EMPTY, None, None).is_ok());
+        assert!(e.check_output("uart.tx", UNTRUSTED, None, None).is_ok());
+        let v = e.check_output("uart.tx", SECRET, Some(4), None).unwrap_err();
         assert_eq!(v.pc, Some(4));
         assert_eq!(v.required, UNTRUSTED);
         assert_eq!(e.stats(), EngineStats { checks: 3, failed: 1 });
@@ -351,7 +352,7 @@ mod tests {
     #[test]
     fn unknown_sink_is_unchecked() {
         let mut e = engine();
-        assert!(e.check_output("debug.port", SECRET, None).is_ok());
+        assert!(e.check_output("debug.port", SECRET, None, None).is_ok());
         assert_eq!(e.stats().checks, 0);
     }
 
@@ -359,13 +360,13 @@ mod tests {
     fn store_check_consults_region_rules() {
         let mut e = engine();
         // Secret (the PIN itself) may be stored into the PIN region.
-        assert!(e.check_store(0x1002, SECRET, None).is_ok());
+        assert!(e.check_store(0x1002, SECRET, None, None).is_ok());
         // Untrusted data may not.
-        let v = e.check_store(0x1002, UNTRUSTED, None).unwrap_err();
+        let v = e.check_store(0x1002, UNTRUSTED, None, None).unwrap_err();
         assert!(matches!(v.kind, ViolationKind::Store { ref region } if region == "pin"));
         assert!(v.context.contains("0x00001002"));
         // Outside the region: unchecked.
-        assert!(e.check_store(0x2000, UNTRUSTED, None).is_ok());
+        assert!(e.check_store(0x2000, UNTRUSTED, None, None).is_ok());
     }
 
     #[test]
@@ -374,21 +375,21 @@ mod tests {
         let corrupt = Tag::atom(7);
         // An out-of-universe atom is denied and recorded saturated to top —
         // corruption never panics and never slips through as declassified.
-        let v = e.check_output("uart.tx", corrupt, None).unwrap_err();
+        let v = e.check_output("uart.tx", corrupt, None, None).unwrap_err();
         assert_eq!(v.tag, Tag::from_bits(u32::MAX), "violation shows the saturated tag");
         // Same for protected stores, even mixed with legitimate atoms.
-        let v = e.check_store(0x1002, SECRET.lub(corrupt), None).unwrap_err();
+        let v = e.check_store(0x1002, SECRET.lub(corrupt), None, None).unwrap_err();
         assert_eq!(v.tag, Tag::from_bits(u32::MAX));
         // In-universe tags are untouched by the rule.
-        assert!(e.check_output("uart.tx", UNTRUSTED, None).is_ok());
-        assert!(e.check_store(0x1002, SECRET, None).is_ok());
+        assert!(e.check_output("uart.tx", UNTRUSTED, None, None).is_ok());
+        assert!(e.check_store(0x1002, SECRET, None, None).is_ok());
     }
 
     #[test]
     fn record_mode_logs_without_failing() {
         let policy = SecurityPolicy::builder("t").sink("uart.tx", Tag::EMPTY).build();
         let mut e = DiftEngine::with_mode(policy, EnforceMode::Record);
-        assert!(e.check_output("uart.tx", SECRET, None).is_ok());
+        assert!(e.check_output("uart.tx", SECRET, None, None).is_ok());
         assert_eq!(e.violations().len(), 1);
         assert!(e.violated());
         let taken = e.take_violations();
@@ -399,7 +400,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut e = engine();
-        let _ = e.check_output("uart.tx", SECRET, None);
+        let _ = e.check_output("uart.tx", SECRET, None, None);
         e.reset();
         assert!(!e.violated());
         assert_eq!(e.stats(), EngineStats::default());
@@ -411,7 +412,7 @@ mod tests {
         assert_eq!(e.mode(), EnforceMode::Enforce);
         e.set_mode(EnforceMode::Record);
         assert_eq!(e.mode(), EnforceMode::Record);
-        assert!(e.check_output("uart.tx", SECRET, None).is_ok());
+        assert!(e.check_output("uart.tx", SECRET, None, None).is_ok());
     }
 
     #[derive(Default)]
@@ -433,21 +434,19 @@ mod tests {
     #[test]
     fn tag_change_fires_on_named_sites_only_when_tag_set_differs() {
         let mut e = engine();
-        let log = shared(TagChangeLog::default());
-        e.set_observer(log.clone());
+        let mut log = TagChangeLog::default();
         // First check at a named site: EMPTY -> EMPTY is not a change.
-        assert!(e.check_output("uart.tx", Tag::EMPTY, None).is_ok());
-        assert!(log.borrow().changes.is_empty());
+        assert!(e.check_output("uart.tx", Tag::EMPTY, None, Some(&mut log)).is_ok());
+        assert!(log.changes.is_empty());
         // Untrusted arrives: change EMPTY -> UNTRUSTED.
-        assert!(e.check_output("uart.tx", UNTRUSTED, None).is_ok());
+        assert!(e.check_output("uart.tx", UNTRUSTED, None, Some(&mut log)).is_ok());
         // Same tag again: no new change.
-        assert!(e.check_output("uart.tx", UNTRUSTED, None).is_ok());
+        assert!(e.check_output("uart.tx", UNTRUSTED, None, Some(&mut log)).is_ok());
         // Secret joins: change UNTRUSTED -> UNTRUSTED∪SECRET (a violation,
         // but the change still fires — it is evaluated pre-verdict).
-        assert!(e.check_output("uart.tx", UNTRUSTED.lub(SECRET), None).is_err());
+        assert!(e.check_output("uart.tx", UNTRUSTED.lub(SECRET), None, Some(&mut log)).is_err());
         // Anonymous CPU-side checks never fire tag changes.
-        let _ = e.check_flow(ViolationKind::Branch, SECRET, Tag::EMPTY, None);
-        let log = log.borrow();
+        let _ = e.check_flow(ViolationKind::Branch, SECRET, Tag::EMPTY, None, Some(&mut log));
         assert_eq!(
             log.changes,
             vec![
@@ -461,20 +460,19 @@ mod tests {
     #[test]
     fn tag_change_tracks_store_regions_and_resets() {
         let mut e = engine();
-        let log = shared(TagChangeLog::default());
-        e.set_observer(log.clone());
-        assert!(e.check_store(0x1000, SECRET, None).is_ok());
-        assert_eq!(log.borrow().changes, vec![("pin".into(), Tag::EMPTY, SECRET)]);
+        let mut log = TagChangeLog::default();
+        assert!(e.check_store(0x1000, SECRET, None, Some(&mut log)).is_ok());
+        assert_eq!(log.changes, vec![("pin".into(), Tag::EMPTY, SECRET)]);
         // reset() forgets per-site state: the same tag change fires again.
         e.reset();
-        assert!(e.check_store(0x1000, SECRET, None).is_ok());
-        assert_eq!(log.borrow().changes.len(), 2);
+        assert!(e.check_store(0x1000, SECRET, None, Some(&mut log)).is_ok());
+        assert_eq!(log.changes.len(), 2);
     }
 
     #[test]
     fn unobserved_engine_keeps_no_site_state() {
         let mut e = engine();
-        let _ = e.check_output("uart.tx", SECRET, None);
+        let _ = e.check_output("uart.tx", SECRET, None, None);
         assert!(e.site_tags.is_empty(), "site tracking must be free under NullSink");
     }
 }

@@ -36,12 +36,12 @@
 //! let response = pin ^ challenge;          // toy "encryption"
 //!
 //! // Without declassification the response may not leave on CAN:
-//! assert!(engine.check_output("can.tx", response.tag(), None).is_err());
+//! assert!(engine.check_output("can.tx", response.tag(), None, None).is_err());
 //!
 //! // The trusted AES peripheral declassifies the ciphertext:
 //! let cap = engine.policy().grant_declassify("aes").unwrap();
 //! let declassified = cap.reclassify(response, t.untrusted);
-//! assert!(engine.check_output("can.tx", declassified.tag(), None).is_ok());
+//! assert!(engine.check_output("can.tx", declassified.tag(), None, None).is_ok());
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +56,7 @@ mod tag;
 mod taint;
 pub mod textpolicy;
 
-pub use engine::{DiftEngine, EnforceMode, EngineStats, FlowObserver, SharedFlowObserver};
+pub use engine::{DiftEngine, EnforceMode, EngineStats, FlowObserver};
 pub use error::{Violation, ViolationKind};
 pub use lattice::{ClassId, CompiledLattice, Lattice, LatticeBuilder, LatticeError};
 pub use policy::{AddrRange, DeclassifyCap, ExecClearance, SecurityPolicy, SecurityPolicyBuilder};

@@ -39,8 +39,7 @@ pub mod scrape;
 mod sink;
 pub mod stream;
 
-use vpdift_core::{FlowObserver, SharedFlowObserver, Tag, Violation, ViolationKind};
-use vpdift_sync::{shared, Shared};
+use vpdift_core::{FlowObserver, Tag, Violation, ViolationKind};
 
 pub use disasm::RawInsn;
 pub use event::{CheckKind, ObsEvent};
@@ -52,27 +51,19 @@ pub use provenance::{FlowDelta, FlowPath, Hop, HopKind, Origin, ProvenanceMap, S
 pub use recorder::Recorder;
 pub use ring::{EventRing, TimedEvent};
 pub use scrape::{MetricsServer, ScrapeError};
-pub use sink::{shared_obs, DynObs, NullSink, ObsHandle, ObsSink, SharedObs, ATOM_SLOTS};
+pub use sink::{DynObs, NullSink, ObsSink, ATOM_SLOTS};
 pub use stream::{
     BreakHit, BreakKind, BreakSet, Breakpoint, InsnCell, StopFlag, StreamItem, StreamSink, Watch,
     WatchKind,
 };
 
-/// Adapts an [`ObsSink`] to the engine's [`FlowObserver`] hook: engine
-/// check sites become [`ObsEvent::Check`]s and recorded violations become
-/// [`ObsEvent::Violation`]s.
-pub struct EngineObserverAdapter<S: ObsSink> {
-    sink: Shared<S>,
-}
+/// Adapts a lent sink to the engine's [`FlowObserver`] hook, for one
+/// check or record call: engine check sites become [`ObsEvent::Check`]s,
+/// recorded violations [`ObsEvent::Violation`]s and tag-set changes at
+/// named sites [`ObsEvent::TagSetChange`]s.
+pub struct EngineObserverAdapter<'a>(pub &'a mut (dyn DynObs + 'static));
 
-impl<S: ObsSink> EngineObserverAdapter<S> {
-    /// Wraps `sink` for attachment via `DiftEngine::set_observer`.
-    pub fn new(sink: Shared<S>) -> Self {
-        EngineObserverAdapter { sink }
-    }
-}
-
-impl<S: ObsSink> FlowObserver for EngineObserverAdapter<S> {
+impl FlowObserver for EngineObserverAdapter<'_> {
     fn on_check(
         &mut self,
         kind: &ViolationKind,
@@ -82,7 +73,7 @@ impl<S: ObsSink> FlowObserver for EngineObserverAdapter<S> {
         passed: bool,
     ) {
         let (kind, site) = CheckKind::of_violation(kind);
-        self.sink.borrow_mut().event(&ObsEvent::Check {
+        self.0.dyn_event(&ObsEvent::Check {
             kind,
             tag,
             required,
@@ -93,21 +84,12 @@ impl<S: ObsSink> FlowObserver for EngineObserverAdapter<S> {
     }
 
     fn on_violation(&mut self, violation: &Violation) {
-        self.sink.borrow_mut().event(&ObsEvent::Violation(violation.clone()));
+        self.0.dyn_event(&ObsEvent::Violation(violation.clone()));
     }
 
     fn on_tag_change(&mut self, site: &str, before: Tag, after: Tag) {
-        self.sink.borrow_mut().event(&ObsEvent::TagSetChange {
-            site: site.to_owned(),
-            before,
-            after,
-        });
+        self.0.dyn_event(&ObsEvent::TagSetChange { site: site.to_owned(), before, after });
     }
-}
-
-/// Convenience: wraps a shared sink as the engine-side observer handle.
-pub fn engine_observer<S: ObsSink>(sink: &Shared<S>) -> SharedFlowObserver {
-    shared(EngineObserverAdapter::new(sink.clone()))
 }
 
 #[cfg(test)]
@@ -119,13 +101,12 @@ mod tests {
     fn engine_checks_flow_into_the_sink() {
         let policy = SecurityPolicy::builder("t").sink("uart.tx", Tag::EMPTY).build();
         let mut engine = DiftEngine::new(policy);
-        let sink = shared(Recorder::new(8));
-        engine.set_observer(engine_observer(&sink));
+        let mut r = Recorder::new(8);
+        let mut obs = EngineObserverAdapter(&mut r);
 
-        assert!(engine.check_output("uart.tx", Tag::EMPTY, None).is_ok());
-        assert!(engine.check_output("uart.tx", Tag::atom(0), Some(0x40)).is_err());
+        assert!(engine.check_output("uart.tx", Tag::EMPTY, None, Some(&mut obs)).is_ok());
+        assert!(engine.check_output("uart.tx", Tag::atom(0), Some(0x40), Some(&mut obs)).is_err());
 
-        let r = sink.borrow();
         let m = r.metrics();
         assert_eq!(m.checks[CheckKind::Output.index()].performed, 2);
         assert_eq!(m.checks[CheckKind::Output.index()].failed, 1);

@@ -9,8 +9,6 @@
 use vpdift_core::Tag;
 use vpdift_kernel::SimTime;
 
-use vpdift_sync::Shared;
-
 use crate::event::ObsEvent;
 
 /// Number of per-atom slots in spread samples (one per [`Tag`] atom).
@@ -19,9 +17,9 @@ pub const ATOM_SLOTS: usize = Tag::CAPACITY as usize;
 /// A consumer of observability events.
 ///
 /// Implementations should be cheap: emission sites sit on simulation hot
-/// paths and call [`ObsSink::event`] synchronously. Sinks are `Send` so a
-/// VP (which owns its sink graph outright) can migrate between fleet
-/// worker threads.
+/// paths and call [`ObsSink::event`] synchronously. A VP owns its one
+/// sink and lends it to each emission site; sinks are `Send` so the VP
+/// can migrate between fleet worker threads.
 pub trait ObsSink: Send + Sync + 'static {
     /// `false` compiles all emission sites out (see [`NullSink`]).
     const ENABLED: bool = true;
@@ -30,8 +28,9 @@ pub trait ObsSink: Send + Sync + 'static {
     fn event(&mut self, event: &ObsEvent);
 
     /// Updates the sink's notion of simulated time. Called by the platform
-    /// at quantum boundaries; events between two calls are stamped with
-    /// the earlier time (quantum-granular timestamps).
+    /// at quantum boundaries and once before each sensor refill (with the
+    /// refill's due time); events between two calls are stamped with the
+    /// earlier time (quantum-granular timestamps).
     fn set_now(&mut self, _now: SimTime) {}
 
     /// Receives a sampled per-atom count of classified RAM bytes (the
@@ -53,7 +52,9 @@ impl ObsSink for NullSink {
 
 /// Object-safe mirror of [`ObsSink`] for components that cannot be generic
 /// over the sink type (peripherals behind `dyn TlmTarget`, the TLM
-/// routers, the engine observer). Blanket-implemented for every sink.
+/// routers, the engine observer): they are lent the VP's sink as
+/// `&mut dyn DynObs` for one transaction or check. Blanket-implemented
+/// for every sink.
 pub trait DynObs: Send + Sync {
     /// See [`ObsSink::event`].
     fn dyn_event(&mut self, event: &ObsEvent);
@@ -62,46 +63,6 @@ pub trait DynObs: Send + Sync {
 impl<S: ObsSink> DynObs for S {
     fn dyn_event(&mut self, event: &ObsEvent) {
         self.event(event);
-    }
-}
-
-/// A shared dynamic sink handle, as handed to peripherals and routers.
-pub type SharedObs = Shared<dyn DynObs>;
-
-/// Coerces a shared concrete sink into the dynamic handle peripherals
-/// take.
-pub fn shared_obs<S: ObsSink>(sink: &Shared<S>) -> SharedObs {
-    sink.clone()
-}
-
-/// An optional [`SharedObs`] with a `Debug` impl, for embedding in
-/// components that derive `Debug`. Detached by default; emission through a
-/// detached handle is a no-op.
-#[derive(Clone, Default)]
-pub struct ObsHandle(Option<SharedObs>);
-
-impl ObsHandle {
-    /// Attaches a sink.
-    pub fn attach(&mut self, obs: SharedObs) {
-        self.0 = Some(obs);
-    }
-
-    /// `true` when a sink is attached.
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Emits `event` into the attached sink, if any.
-    pub fn emit(&self, event: &ObsEvent) {
-        if let Some(obs) = &self.0 {
-            obs.borrow_mut().dyn_event(event);
-        }
-    }
-}
-
-impl std::fmt::Debug for ObsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "ObsHandle(attached)" } else { "ObsHandle(detached)" })
     }
 }
 
@@ -126,10 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_handle_reaches_concrete_sink() {
-        let sink = vpdift_sync::shared(Counting::default());
-        let dynamic = shared_obs(&sink);
-        dynamic.borrow_mut().dyn_event(&ObsEvent::Trap { pc: 0, cause: 3, irq: false });
-        assert_eq!(sink.borrow().0, 1);
+    fn dynamic_view_reaches_concrete_sink() {
+        let mut sink = Counting::default();
+        let dynamic: &mut dyn DynObs = &mut sink;
+        dynamic.dyn_event(&ObsEvent::Trap { pc: 0, cause: 3, irq: false });
+        assert_eq!(sink.0, 1);
     }
 }

@@ -8,7 +8,8 @@
 
 use vpdift_core::{DeclassifyCap, Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_obs::{DynObs, ObsEvent};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::aes_core::Aes128;
 use crate::mmio::{get_word, put_word};
@@ -42,7 +43,6 @@ pub struct AesEngine {
     declassify: Option<DeclassifyCap>,
     output_tag: Tag,
     operations: u64,
-    obs: vpdift_obs::ObsHandle,
 }
 
 impl AesEngine {
@@ -58,14 +58,7 @@ impl AesEngine {
             declassify,
             output_tag,
             operations: 0,
-            obs: vpdift_obs::ObsHandle::default(),
         }
-    }
-
-    /// Attaches an observability sink; declassifications are reported to
-    /// it.
-    pub fn set_obs(&mut self, obs: vpdift_obs::SharedObs) {
-        self.obs.attach(obs);
     }
 
     /// Completed operations count.
@@ -73,7 +66,9 @@ impl AesEngine {
         self.operations
     }
 
-    fn execute(&mut self, cmd: u32) -> bool {
+    /// Runs `cmd` on the staged block; a declassification is reported to
+    /// `obs`, if any.
+    fn execute(&mut self, cmd: u32, obs: Option<&mut (dyn DynObs + 'static)>) -> bool {
         let mut key = [0u8; 16];
         let mut input = [0u8; 16];
         let mut data_tag = Tag::EMPTY;
@@ -96,8 +91,8 @@ impl AesEngine {
                 None => tagged,
             };
         }
-        if self.declassify.is_some() && self.obs.is_attached() {
-            self.obs.emit(&vpdift_obs::ObsEvent::Declassify {
+        if let (Some(obs), true) = (obs, self.declassify.is_some()) {
+            obs.dyn_event(&ObsEvent::Declassify {
                 component: "aes".into(),
                 before: data_tag,
                 after: self.output[0].tag(),
@@ -131,8 +126,9 @@ fn window_read(buf: &[Taint<u8>; 16], offset: usize, p: &mut GenericPayload) {
     p.set_response(TlmResponse::Ok);
 }
 
-impl TlmTarget for AesEngine {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+impl AesEngine {
+    /// Serves one register access, reporting to `obs`, if any.
+    fn access(&mut self, p: &mut GenericPayload, obs: Option<&mut (dyn DynObs + 'static)>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -150,7 +146,7 @@ impl TlmTarget for AesEngine {
                 }
                 regs::CTRL => {
                     let cmd = get_word(p).value();
-                    if self.execute(cmd) {
+                    if self.execute(cmd, obs) {
                         p.set_response(TlmResponse::Ok);
                     } else {
                         p.set_response(TlmResponse::CommandError);
@@ -170,6 +166,22 @@ impl TlmTarget for AesEngine {
             },
             TlmCommand::Ignore => p.set_response(TlmResponse::Ok),
         }
+    }
+}
+
+impl TlmTarget for AesEngine {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        self.access(p, None);
+    }
+
+    /// Reports each declassification to the lent sink.
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        _delay: &mut SimTime,
+        loan: &mut Loan<'_>,
+    ) {
+        self.access(p, loan.obs.as_deref_mut());
     }
 }
 

@@ -193,7 +193,6 @@ pub struct CanController {
     tx_dlc: u8,
     tx_data: [Taint<u8>; 8],
     frames_sent: u64,
-    obs: vpdift_obs::ObsHandle,
 }
 
 impl CanController {
@@ -210,20 +209,14 @@ impl CanController {
             tx_dlc: 0,
             tx_data: [Taint::untainted(0); 8],
             frames_sent: 0,
-            obs: vpdift_obs::ObsHandle::default(),
         }
     }
 
-    /// Attaches an observability sink; RX-side classification is reported
-    /// to it.
-    pub fn set_obs(&mut self, obs: vpdift_obs::SharedObs) {
-        self.obs.attach(obs);
-    }
-
-    /// Reports classification of data read from the RX side.
-    fn obs_classify(&self, tag: Tag) {
-        if self.obs.is_attached() && !tag.is_empty() {
-            self.obs.emit(&vpdift_obs::ObsEvent::Classify {
+    /// Reports classification of data read from the RX side to the lent
+    /// sink.
+    fn obs_classify(&self, loan: &mut Loan<'_>, tag: Tag) {
+        if !tag.is_empty() {
+            loan.emit(|| vpdift_obs::ObsEvent::Classify {
                 source: format!("{}.rx", self.name),
                 tag,
                 addr: None,
@@ -293,7 +286,7 @@ impl TlmTarget for CanController {
                     let tag = self.tx_data[..self.tx_dlc as usize]
                         .iter()
                         .fold(Tag::EMPTY, |acc, b| acc.lub(b.tag()));
-                    match loan.engine.check_output(&self.sink, tag, None) {
+                    match loan.check_output(&self.sink, tag, None) {
                         Ok(()) => {
                             let mut frame =
                                 CanFrame { id: self.tx_id, dlc: self.tx_dlc, data: self.tx_data };
@@ -322,13 +315,13 @@ impl TlmTarget for CanController {
                 }
                 regs::RX_ID => {
                     let id = self.head(|f| f.map_or(0, |f| f.id));
-                    self.obs_classify(self.input_tag);
+                    self.obs_classify(loan, self.input_tag);
                     put_word(p, Taint::new(id, self.input_tag));
                     p.set_response(TlmResponse::Ok);
                 }
                 regs::RX_DLC => {
                     let dlc = self.head(|f| f.map_or(0, |f| f.dlc as u32));
-                    self.obs_classify(self.input_tag);
+                    self.obs_classify(loan, self.input_tag);
                     put_word(p, Taint::new(dlc, self.input_tag));
                     p.set_response(TlmResponse::Ok);
                 }
@@ -354,7 +347,7 @@ impl TlmTarget for CanController {
                             .collect()
                     });
                     let read_tag = bytes.iter().fold(Tag::EMPTY, |t, b| t.lub(b.tag()));
-                    self.obs_classify(read_tag);
+                    self.obs_classify(loan, read_tag);
                     p.data_mut().copy_from_slice(&bytes);
                     p.set_response(TlmResponse::Ok);
                 }

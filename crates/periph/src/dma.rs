@@ -100,27 +100,29 @@ impl Dma {
         std::mem::take(&mut self.irq)
     }
 
-    /// Performs the staged transfer. Chunked in 16-byte bursts.
+    /// Performs the staged transfer. Chunked in 16-byte bursts. A source
+    /// or destination range that wraps past the top of the address space
+    /// is unreachable as a whole and fails before any byte moves.
     fn run_transfer(
         &mut self,
         delay: &mut SimTime,
         loan: &mut Loan<'_>,
     ) -> Result<(), Option<Violation>> {
-        if self.len > MAX_TRANSFER {
+        let fits = |base: u32| u64::from(base) + u64::from(self.len) <= 1 << 32;
+        if self.len > MAX_TRANSFER || !fits(self.src) || !fits(self.dst) {
             return Err(None);
         }
-        let mut remaining = self.len;
-        let mut src = self.src;
-        let mut dst = self.dst;
         let mut moved_this_transfer = 0u32;
-        while remaining > 0 {
+        while moved_this_transfer < self.len {
             if let Some(limit) = self.abort_after {
                 if moved_this_transfer >= limit {
                     self.abort_after = None;
                     return Err(None);
                 }
             }
-            let chunk = remaining.min(16) as usize;
+            // In range: both windows end at or below 2^32.
+            let (src, dst) = (self.src + moved_this_transfer, self.dst + moved_this_transfer);
+            let chunk = (self.len - moved_this_transfer).min(16) as usize;
             let mut rd = GenericPayload::read(src, chunk);
             loan.reach(&mut rd, delay);
             if !rd.is_ok() {
@@ -129,8 +131,7 @@ impl Dma {
             // Store clearance for protected destination regions.
             if self.check_stores {
                 for (i, b) in rd.data().iter().enumerate() {
-                    loan.engine
-                        .check_store(dst + i as u32, b.tag(), None)
+                    loan.check_store(dst + i as u32, b.tag(), None)
                         .map_err(|v| Some(v.with_context("dma transfer")))?;
                 }
             }
@@ -141,9 +142,6 @@ impl Dma {
             }
             self.bytes_moved += chunk as u64;
             moved_this_transfer += chunk as u32;
-            src += chunk as u32;
-            dst += chunk as u32;
-            remaining -= chunk as u32;
         }
         self.abort_after = None;
         Ok(())
@@ -246,7 +244,7 @@ mod tests {
         }
 
         fn transport(&mut self, p: &mut GenericPayload) {
-            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine };
+            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None };
             self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 

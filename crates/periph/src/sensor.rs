@@ -42,7 +42,6 @@ pub struct Sensor {
     stuck_at: Option<u8>,
     /// When the next refill is due; `None` until [`Sensor::start`].
     next_refill: Option<SimTime>,
-    obs: vpdift_obs::ObsHandle,
 }
 
 impl Sensor {
@@ -57,7 +56,6 @@ impl Sensor {
             frames_generated: 0,
             stuck_at: None,
             next_refill: None,
-            obs: vpdift_obs::ObsHandle::default(),
         }
     }
 
@@ -67,12 +65,6 @@ impl Sensor {
     /// a broken transducer does not declassify its channel.
     pub fn set_stuck(&mut self, value: Option<u8>) {
         self.stuck_at = value;
-    }
-
-    /// Attaches an observability sink; each generated frame's
-    /// classification is reported to it.
-    pub fn set_obs(&mut self, obs: vpdift_obs::SharedObs) {
-        self.obs.attach(obs);
     }
 
     /// Starts Fig. 4's generation thread: the first refill is due one
@@ -105,13 +97,6 @@ impl Sensor {
                 None => self.rng.gen_range(0..96) + 128,
             };
             *n = Taint::new(v, tag);
-        }
-        if self.obs.is_attached() && !tag.is_empty() {
-            self.obs.emit(&vpdift_obs::ObsEvent::Classify {
-                source: "sensor.frame".into(),
-                tag,
-                addr: None,
-            });
         }
         self.frames_generated += 1;
         self.irq = true;

@@ -92,7 +92,7 @@ impl TlmTarget for TaintDebug {
                             expected,
                         )
                         .with_context(format!("taintdbg assert at {:#010x}", self.addr));
-                        match loan.engine.record(v) {
+                        match loan.record(v) {
                             Ok(()) => p.set_response(TlmResponse::Ok),
                             Err(v) => p.set_violation(v),
                         }
@@ -129,7 +129,7 @@ mod tests {
         }
 
         fn transport(&mut self, p: &mut GenericPayload) {
-            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine };
+            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None };
             self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 

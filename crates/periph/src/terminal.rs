@@ -9,8 +9,8 @@ use std::collections::VecDeque;
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_obs::{ObsEvent, SharedObs};
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_obs::{DynObs, ObsEvent};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 /// Register map (word-aligned offsets).
 pub mod regs {
@@ -28,7 +28,6 @@ pub struct Terminal {
     name: String,
     input_tag: Tag,
     fifo: VecDeque<u8>,
-    obs: Option<SharedObs>,
 }
 
 impl std::fmt::Debug for Terminal {
@@ -45,13 +44,7 @@ impl Terminal {
     /// Creates a terminal whose incoming bytes are classified `input_tag`
     /// (wire it from `policy.source_tag("<name>.rx")`).
     pub fn new(name: &str, input_tag: Tag) -> Self {
-        Terminal { name: name.to_owned(), input_tag, fifo: VecDeque::new(), obs: None }
-    }
-
-    /// Attaches an observability sink; classification of incoming bytes is
-    /// reported to it.
-    pub fn set_obs(&mut self, obs: SharedObs) {
-        self.obs = Some(obs);
+        Terminal { name: name.to_owned(), input_tag, fifo: VecDeque::new() }
     }
 
     /// Instance name.
@@ -78,14 +71,16 @@ impl Terminal {
 
 use crate::mmio::put_word as write_word;
 
-impl TlmTarget for Terminal {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+impl Terminal {
+    /// Serves one register access; a byte popped from the FIFO is reported
+    /// to `obs`, if any, as classified.
+    fn access(&mut self, p: &mut GenericPayload, obs: Option<&mut (dyn DynObs + 'static)>) {
         match (p.command(), p.address()) {
             (TlmCommand::Read, regs::RXDATA) => {
                 let word = match self.fifo.pop_front() {
                     Some(b) => {
-                        if let (Some(obs), false) = (&self.obs, self.input_tag.is_empty()) {
-                            obs.borrow_mut().dyn_event(&ObsEvent::Classify {
+                        if let (Some(obs), false) = (obs, self.input_tag.is_empty()) {
+                            obs.dyn_event(&ObsEvent::Classify {
                                 source: format!("{}.rx", self.name),
                                 tag: self.input_tag,
                                 addr: None,
@@ -104,6 +99,22 @@ impl TlmTarget for Terminal {
             }
             _ => p.set_response(TlmResponse::CommandError),
         }
+    }
+}
+
+impl TlmTarget for Terminal {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+        self.access(p, None);
+    }
+
+    /// Reports each byte the guest reads to the lent sink.
+    fn transport_with(
+        &mut self,
+        p: &mut GenericPayload,
+        _delay: &mut SimTime,
+        loan: &mut Loan<'_>,
+    ) {
+        self.access(p, loan.obs.as_deref_mut());
     }
 }
 

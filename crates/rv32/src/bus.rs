@@ -6,6 +6,7 @@
 //! checks.
 
 use vpdift_core::{DiftEngine, Tag, Violation};
+use vpdift_obs::ObsEvent;
 
 use crate::mode::{TaintMode, Word};
 
@@ -92,6 +93,15 @@ pub trait Bus<M: TaintMode> {
     fn dift_engine(&mut self) -> Option<&mut DiftEngine> {
         None
     }
+
+    /// `true` when [`Bus::emit`] reaches an enabled observability sink.
+    /// The CPU gates every emission site on it, so on a bus without one
+    /// (the default) they compile out.
+    const OBSERVED: bool = false;
+
+    /// Reports one of the CPU's observability events to the sink of the
+    /// bus's owner. Called only when [`Bus::OBSERVED`].
+    fn emit(&mut self, _event: &ObsEvent) {}
 
     /// `false` only while every tag the CPU can reach (registers, CSRs,
     /// memory, device reads) is provably empty, so no clearance check can

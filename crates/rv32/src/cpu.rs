@@ -9,8 +9,7 @@
 use vpdift_asm::csr as csrn;
 use vpdift_asm::{AluOp, BranchCond, CsrSrc, Insn, MulOp, Reg};
 use vpdift_core::{ExecClearance, Tag, Violation, ViolationKind};
-use vpdift_obs::{CheckKind, NullSink, ObsEvent, ObsSink};
-use vpdift_sync::{shared, Shared};
+use vpdift_obs::{CheckKind, ObsEvent};
 
 use crate::bus::{Bus, MemError};
 use crate::csr::CsrFile;
@@ -76,7 +75,8 @@ pub enum RunExit {
     TrapLoop,
 }
 
-/// The RV32IM core.
+/// The RV32IM core. It reports observability events through its bus
+/// ([`Bus::emit`]), so a core on a bus without a sink emits nothing.
 ///
 /// ```
 /// use vpdift_rv32::{Cpu, FlatMemory, Plain, RunExit};
@@ -95,7 +95,7 @@ pub enum RunExit {
 /// assert_eq!(cpu.reg(Reg::A0), 42);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Cpu<M: TaintMode, S: ObsSink = NullSink> {
+pub struct Cpu<M: TaintMode> {
     pc: u32,
     regs: [M::Word; 32],
     csrs: CsrFile<M>,
@@ -115,29 +115,21 @@ pub struct Cpu<M: TaintMode, S: ObsSink = NullSink> {
     /// cleared by any store, by `sc.w` (success or failure) and by traps.
     /// Lives on the core so both execution engines share one implementation.
     reservation: Option<u32>,
-    obs: Shared<S>,
 }
 
 /// Default consecutive-identical-trap count after which the trap-loop
 /// detector fires.
 pub const DEFAULT_TRAP_LOOP_THRESHOLD: u32 = 16;
 
-impl<M: TaintMode, S: ObsSink + Default> Default for Cpu<M, S> {
+impl<M: TaintMode> Default for Cpu<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: TaintMode, S: ObsSink + Default> Cpu<M, S> {
+impl<M: TaintMode> Cpu<M> {
     /// Creates a core reset to PC 0 with unchecked execution clearance.
     pub fn new() -> Self {
-        Self::with_obs(shared(S::default()))
-    }
-}
-
-impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
-    /// Creates a core emitting observability events into `obs`.
-    pub fn with_obs(obs: Shared<S>) -> Self {
         Cpu {
             pc: 0,
             regs: [M::Word::from_u32(0); 32],
@@ -151,13 +143,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             same_trap_count: 0,
             checks_enabled: true,
             reservation: None,
-            obs,
         }
-    }
-
-    /// The attached observability sink.
-    pub fn obs(&self) -> &Shared<S> {
-        &self.obs
     }
 
     /// Resets the core to start execution at `pc` (registers preserved,
@@ -307,17 +293,12 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
 
     /// Writes a register, reporting tag propagation to the sink when the
     /// destination tag changes or the incoming value is tagged.
-    fn obs_set_reg(&mut self, r: Reg, value: M::Word, pc: u32) {
-        if S::ENABLED && r != Reg::Zero {
+    fn obs_set_reg<B: Bus<M>>(&mut self, bus: &mut B, r: Reg, value: M::Word, pc: u32) {
+        if B::OBSERVED && r != Reg::Zero {
             let before = self.regs[r.num() as usize].tag();
             let after = value.tag();
             if before != after || !after.is_empty() {
-                self.obs.borrow_mut().event(&ObsEvent::TagWrite {
-                    pc,
-                    reg: r.num() as u8,
-                    before,
-                    after,
-                });
+                bus.emit(&ObsEvent::TagWrite { pc, reg: r.num() as u8, before, after });
             }
         }
         self.set_reg(r, value);
@@ -327,12 +308,12 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// ([`Bus::dift_engine`]); in `Enforce` mode, or without an engine, the
     /// violation is returned as `Err` and the instruction is suppressed.
     ///
-    /// The check itself (pass or fail) is reported to the sink from here;
-    /// the *violation* event comes from the engine's own observer when the
-    /// failure is recorded, so the two are never double-counted.
-    fn exec_check(
+    /// The check (pass or fail) and the violation are reported to the sink
+    /// from here; the engine records the violation unobserved, so the two
+    /// are never double-counted.
+    fn exec_check<B: Bus<M>>(
         &mut self,
-        bus: &mut impl Bus<M>,
+        bus: &mut B,
         kind: ViolationKind,
         tag: Tag,
         required: Option<Tag>,
@@ -348,9 +329,9 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         }
         let Some(required) = required else { return Ok(()) };
         let passed = tag.flows_to(required);
-        if S::ENABLED {
+        if B::OBSERVED {
             let (check, site) = CheckKind::of_violation(&kind);
-            self.obs.borrow_mut().event(&ObsEvent::Check {
+            bus.emit(&ObsEvent::Check {
                 kind: check,
                 tag,
                 required,
@@ -363,14 +344,12 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             return Ok(());
         }
         let v = Violation::new(kind, tag, required).at_pc(pc);
+        if B::OBSERVED {
+            bus.emit(&ObsEvent::Violation(v.clone()));
+        }
         match bus.dift_engine() {
-            Some(e) => e.record(v),
-            None => {
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Violation(v.clone()));
-                }
-                Err(v)
-            }
+            Some(e) => e.record(v, None),
+            None => Err(v),
         }
     }
 
@@ -384,9 +363,9 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// configured threshold of consecutive identical traps the returned
     /// step is [`Step::TrapLoop`]. Interrupts never count: their handlers
     /// retire at least one instruction before any re-entry.
-    fn take_trap(
+    fn take_trap<B: Bus<M>>(
         &mut self,
-        bus: &mut impl Bus<M>,
+        bus: &mut B,
         cause: u32,
         is_irq: bool,
         tval: u32,
@@ -403,8 +382,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
             self.exec_clearance.branch,
             pc,
         )?;
-        if S::ENABLED {
-            self.obs.borrow_mut().event(&ObsEvent::Trap { pc, cause, irq: is_irq });
+        if B::OBSERVED {
+            bus.emit(&ObsEvent::Trap { pc, cause, irq: is_irq });
         }
         self.csrs.mepc = M::Word::from_u32(pc);
         self.csrs.mcause = M::Word::from_u32(cause | if is_irq { 0x8000_0000 } else { 0 });
@@ -549,9 +528,9 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
     /// retirement event, so cached dispatch emits events identical to the
     /// interpreter's.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exec_insn(
+    pub(crate) fn exec_insn<B: Bus<M>>(
         &mut self,
-        bus: &mut impl Bus<M>,
+        bus: &mut B,
         insn: Insn,
         pc: u32,
         insn_len: u32,
@@ -570,12 +549,14 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
         }
 
         match insn {
-            Insn::Lui { rd, imm20 } => self.obs_set_reg(rd, M::Word::from_u32(imm20 << 12), pc),
+            Insn::Lui { rd, imm20 } => {
+                self.obs_set_reg(bus, rd, M::Word::from_u32(imm20 << 12), pc)
+            }
             Insn::Auipc { rd, imm20 } => {
-                self.obs_set_reg(rd, M::Word::from_u32(pc.wrapping_add(imm20 << 12)), pc)
+                self.obs_set_reg(bus, rd, M::Word::from_u32(pc.wrapping_add(imm20 << 12)), pc)
             }
             Insn::Jal { rd, offset } => {
-                self.obs_set_reg(rd, M::Word::from_u32(next_pc), pc);
+                self.obs_set_reg(bus, rd, M::Word::from_u32(next_pc), pc);
                 next_pc = pc.wrapping_add(offset as u32);
             }
             Insn::Jalr { rd, rs1, offset } => {
@@ -588,7 +569,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     self.exec_clearance.branch,
                     pc,
                 )?;
-                self.obs_set_reg(rd, M::Word::from_u32(next_pc), pc);
+                self.obs_set_reg(bus, rd, M::Word::from_u32(next_pc), pc);
                 next_pc = base.val().wrapping_add(offset as u32) & !1;
             }
             Insn::Branch { cond, rs1, rs2, offset } => {
@@ -635,20 +616,15 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     Ok(w) => w,
                     Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Load {
-                        pc,
-                        addr,
-                        size,
-                        tag: loaded.tag(),
-                    });
+                if B::OBSERVED {
+                    bus.emit(&ObsEvent::Load { pc, addr, size, tag: loaded.tag() });
                 }
                 let value = loaded.map_val(|v| match width {
                     vpdift_asm::LoadWidth::B => v as u8 as i8 as i32 as u32,
                     vpdift_asm::LoadWidth::H => v as u16 as i16 as i32 as u32,
                     _ => v,
                 });
-                self.obs_set_reg(rd, value, pc);
+                self.obs_set_reg(bus, rd, value, pc);
             }
             Insn::Store { width, rs2, rs1, offset } => {
                 let base = rs!(rs1);
@@ -666,13 +642,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                         .take_trap(bus, csrn::cause::MISALIGNED_STORE, false, addr, pc)
                         .map(Retired::of);
                 }
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Store {
-                        pc,
-                        addr,
-                        size,
-                        tag: rs!(rs2).tag(),
-                    });
+                if B::OBSERVED {
+                    bus.emit(&ObsEvent::Store { pc, addr, size, tag: rs!(rs2).tag() });
                 }
                 if let Err(e) = bus.store(addr, size, rs!(rs2), pc) {
                     return self.mem_trap(bus, e, false, pc).map(Retired::of);
@@ -707,16 +678,11 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     Ok(w) => w,
                     Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Load {
-                        pc,
-                        addr,
-                        size: 4,
-                        tag: loaded.tag(),
-                    });
+                if B::OBSERVED {
+                    bus.emit(&ObsEvent::Load { pc, addr, size: 4, tag: loaded.tag() });
                 }
                 self.reservation = Some(addr);
-                self.obs_set_reg(rd, loaded, pc);
+                self.obs_set_reg(bus, rd, loaded, pc);
             }
             Insn::Sc { rd, rs2, rs1 } => {
                 let base = rs!(rs1);
@@ -741,13 +707,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 // An SC consumes the reservation whether it succeeds or not.
                 let reserved = self.reservation.take() == Some(addr);
                 if reserved {
-                    if S::ENABLED {
-                        self.obs.borrow_mut().event(&ObsEvent::Store {
-                            pc,
-                            addr,
-                            size: 4,
-                            tag: rs!(rs2).tag(),
-                        });
+                    if B::OBSERVED {
+                        bus.emit(&ObsEvent::Store { pc, addr, size: 4, tag: rs!(rs2).tag() });
                     }
                     if let Err(e) = bus.store(addr, 4, rs!(rs2), pc) {
                         return self.mem_trap(bus, e, false, pc).map(Retired::of);
@@ -756,7 +717,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 }
                 // The 0/1 success code is architecturally generated, not
                 // data-derived: it carries no tag.
-                self.obs_set_reg(rd, M::Word::from_u32(!reserved as u32), pc);
+                self.obs_set_reg(bus, rd, M::Word::from_u32(!reserved as u32), pc);
             }
             Insn::Amo { op, rd, rs2, rs1 } => {
                 let base = rs!(rs1);
@@ -782,24 +743,14 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     Ok(w) => w,
                     Err(e) => return self.mem_trap(bus, e, false, pc).map(Retired::of),
                 };
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Load {
-                        pc,
-                        addr,
-                        size: 4,
-                        tag: loaded.tag(),
-                    });
+                if B::OBSERVED {
+                    bus.emit(&ObsEvent::Load { pc, addr, size: 4, tag: loaded.tag() });
                 }
                 // Read-modify-write taint rule: the written word carries
                 // LUB(loaded tag, rs2 tag) — `binop` computes exactly that.
                 let written = loaded.binop(rs!(rs2), |l, r| op.apply(l, r));
-                if S::ENABLED {
-                    self.obs.borrow_mut().event(&ObsEvent::Store {
-                        pc,
-                        addr,
-                        size: 4,
-                        tag: written.tag(),
-                    });
+                if B::OBSERVED {
+                    bus.emit(&ObsEvent::Store { pc, addr, size: 4, tag: written.tag() });
                 }
                 if let Err(e) = bus.store(addr, 4, written, pc) {
                     return self.mem_trap(bus, e, false, pc).map(Retired::of);
@@ -808,20 +759,20 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                 // An AMO is a store: it breaks any reservation, including
                 // one on its own address.
                 self.reservation = None;
-                self.obs_set_reg(rd, loaded, pc);
+                self.obs_set_reg(bus, rd, loaded, pc);
             }
             Insn::AluImm { op, rd, rs1, imm } => {
                 let a = rs!(rs1);
                 let r = alu_imm::<M>(op, a, imm);
-                self.obs_set_reg(rd, r, pc);
+                self.obs_set_reg(bus, rd, r, pc);
             }
             Insn::Alu { op, rd, rs1, rs2 } => {
                 let r = alu::<M>(op, rs!(rs1), rs!(rs2));
-                self.obs_set_reg(rd, r, pc);
+                self.obs_set_reg(bus, rd, r, pc);
             }
             Insn::MulDiv { op, rd, rs1, rs2 } => {
                 let r = muldiv::<M>(op, rs!(rs1), rs!(rs2));
-                self.obs_set_reg(rd, r, pc);
+                self.obs_set_reg(bus, rd, r, pc);
             }
             Insn::Csr { op, rd, csr, src } => {
                 let old = self.csrs.read(csr, self.instret);
@@ -839,7 +790,7 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
                     }
                     _ => {}
                 }
-                self.obs_set_reg(rd, old, pc);
+                self.obs_set_reg(bus, rd, old, pc);
             }
             Insn::Fence | Insn::FenceI => {}
             Insn::Ecall => {
@@ -874,8 +825,8 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
 
         self.pc = next_pc;
         self.instret += 1;
-        if S::ENABLED {
-            self.obs.borrow_mut().event(&ObsEvent::InsnRetired {
+        if B::OBSERVED {
+            bus.emit(&ObsEvent::InsnRetired {
                 pc,
                 word: raw,
                 compressed,
@@ -937,10 +888,10 @@ impl<M: TaintMode, S: ObsSink> Cpu<M, S> {
 /// [`BlockCache::run`](crate::BlockCache::run): `exec` slices until
 /// `max_insns` retirements or a terminal step. Each budget is the
 /// retirements still allowed, so `instret` never passes the limit.
-pub(crate) fn run_slices<M: TaintMode, S: ObsSink>(
-    cpu: &mut Cpu<M, S>,
+pub(crate) fn run_slices<M: TaintMode>(
+    cpu: &mut Cpu<M>,
     max_insns: u64,
-    mut exec: impl FnMut(&mut Cpu<M, S>, u64) -> (u64, Result<Step, Violation>),
+    mut exec: impl FnMut(&mut Cpu<M>, u64) -> (u64, Result<Step, Violation>),
 ) -> RunExit {
     let limit = cpu.instret + max_insns;
     while cpu.instret < limit {

@@ -38,7 +38,6 @@ use std::str::FromStr;
 
 use vpdift_asm::Insn;
 use vpdift_core::{Tag, Violation};
-use vpdift_obs::ObsSink;
 
 use crate::bus::Bus;
 use crate::cpu::{run_slices, Cpu, RunExit, Step};
@@ -240,9 +239,9 @@ impl BlockCache {
 
     /// Runs until `ebreak`, an enforced violation, `wfi` with nothing
     /// pending, or `max_insns` retirements — [`Cpu::run`] on this engine.
-    pub fn run<M: TaintMode, S: ObsSink>(
+    pub fn run<M: TaintMode>(
         &mut self,
-        cpu: &mut Cpu<M, S>,
+        cpu: &mut Cpu<M>,
         bus: &mut impl Bus<M>,
         max_insns: u64,
     ) -> RunExit {
@@ -264,9 +263,9 @@ impl BlockCache {
     /// instruction that can change interrupt state (the same poll-flagged
     /// instructions — nothing else inside a straight-line slice can reach
     /// `mstatus`/`mie`/`mip`).
-    pub fn exec<M: TaintMode, S: ObsSink>(
+    pub fn exec<M: TaintMode>(
         &mut self,
-        cpu: &mut Cpu<M, S>,
+        cpu: &mut Cpu<M>,
         bus: &mut impl Bus<M>,
         budget: u64,
     ) -> (u64, Result<Step, Violation>) {

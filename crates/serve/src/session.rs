@@ -1,6 +1,6 @@
-//! One live VP under server control: a [`Soc`] in either taint mode with
-//! a [`StreamSink`] attached, plus the policy's atom table for rendering
-//! tags and explanations.
+//! One live VP under server control: a [`Soc`] in either taint mode that
+//! owns a [`StreamSink`], plus the policy's atom table for rendering tags
+//! and explanations.
 //!
 //! Sessions are resumable by construction: `run` executes a bounded slice
 //! and the underlying [`StopFlag`] cooperative-stop mechanism means a
@@ -16,7 +16,7 @@ use vpdift_obs::{
 };
 use vpdift_rv32::{ExecMode, Plain, Tainted, Word};
 use vpdift_soc::{ExecConfig, ExecConfigError, Soc, SocExit};
-use vpdift_sync::{shared, Shared};
+use vpdift_sync::MutCell;
 
 use crate::proto::{ErrorCode, ServeError};
 
@@ -101,7 +101,6 @@ pub struct ByteRead {
 /// A live VP session.
 pub struct Session {
     soc: AnySoc,
-    sink: Shared<StreamSink>,
     stop: StopFlag,
     breaks: BreakSet,
     atoms: AtomTable,
@@ -113,7 +112,7 @@ pub struct Session {
 impl Session {
     /// Assembles `opts.program` (or decodes + parses a hex-encoded ELF32
     /// image, prefixed `elf-hex:`), parses the policy, and boots a
-    /// fresh VP with a [`StreamSink`] attached.
+    /// fresh VP that owns a [`StreamSink`].
     ///
     /// # Errors
     /// [`ErrorCode::BadProgram`] / [`ErrorCode::BadPolicy`] with the
@@ -146,7 +145,7 @@ impl Session {
         let recorder = Recorder::new(RING_CAP)
             .with_symbols(vpdift_obs::SymbolMap::from_program(&program))
             .with_flow_deltas();
-        let sink = shared(StreamSink::new(recorder, stop.clone()));
+        let sink = StreamSink::new(recorder, stop.clone());
 
         let cfg = builder
             .sensor_thread(false)
@@ -173,18 +172,17 @@ impl Session {
             }
         }
         let soc = if opts.exec.tainted {
-            let mut soc: Soc<Tainted, StreamSink> = Soc::with_obs(cfg, sink.clone());
+            let mut soc: Soc<Tainted, StreamSink> = Soc::with_obs(cfg, sink);
             boot(&mut soc, &program, &elf)?;
             AnySoc::Tainted(soc)
         } else {
-            let mut soc: Soc<Plain, StreamSink> = Soc::with_obs(cfg, sink.clone());
+            let mut soc: Soc<Plain, StreamSink> = Soc::with_obs(cfg, sink);
             boot(&mut soc, &program, &elf)?;
             AnySoc::Plain(soc)
         };
 
         Ok(Session {
             soc,
-            sink,
             stop,
             breaks,
             atoms,
@@ -192,6 +190,14 @@ impl Session {
             engine: opts.exec.engine,
             quantum,
         })
+    }
+
+    /// The session's sink, owned by its SoC.
+    fn sink(&self) -> &MutCell<StreamSink> {
+        match &self.soc {
+            AnySoc::Plain(soc) => soc.obs(),
+            AnySoc::Tainted(soc) => soc.obs(),
+        }
     }
 
     /// `"tainted"` or `"plain"`.
@@ -239,7 +245,7 @@ impl Session {
         loop {
             let budget = remaining.min(slice);
             let exit = with_soc!(self, soc => soc.run(budget));
-            let items = self.sink.borrow_mut().drain();
+            let items = self.sink().borrow_mut().drain();
             if !items.is_empty() {
                 emit(items);
             }
@@ -292,23 +298,23 @@ impl Session {
 
     /// Adds a watchpoint; returns its id.
     pub fn add_watch(&mut self, kind: WatchKind) -> u32 {
-        self.sink.borrow_mut().add_watch(kind)
+        self.sink().borrow_mut().add_watch(kind)
     }
 
     /// Removes a watchpoint; `false` when the id is unknown.
     pub fn remove_watch(&mut self, id: u32) -> bool {
-        self.sink.borrow_mut().remove_watch(id)
+        self.sink().borrow_mut().remove_watch(id)
     }
 
     /// Current watchpoints (id + kind).
     pub fn watches(&self) -> Vec<Watch> {
-        self.sink.borrow().watches().map(|(w, _hits)| w.clone()).collect()
+        self.sink().borrow().watches().map(|(w, _hits)| w.clone()).collect()
     }
 
     /// Subscribes to event kinds (empty list = every kind) and/or flow
     /// deltas.
     pub fn subscribe(&mut self, events: Option<Vec<String>>, flow: bool) {
-        let mut sink = self.sink.borrow_mut();
+        let mut sink = self.sink().borrow_mut();
         match events {
             Some(kinds) => sink.subscribe_events(kinds),
             None => sink.unsubscribe_events(),
@@ -318,12 +324,12 @@ impl Session {
 
     /// Drains whatever the sink buffered since the last drain.
     pub fn drain(&mut self) -> Vec<StreamItem> {
-        self.sink.borrow_mut().drain()
+        self.sink().borrow_mut().drain()
     }
 
     /// Recorded (non-enforced) violations so far.
     pub fn violations(&self) -> usize {
-        self.sink.borrow().recorder().violations().len()
+        self.sink().borrow().recorder().violations().len()
     }
 
     /// The live source→sink explanation. With `atom` set, renders the
@@ -331,7 +337,7 @@ impl Session {
     /// needed; without it, explains the last violation (as `--explain`
     /// does post-mortem).
     pub fn explain(&mut self, atom: Option<&str>) -> Result<Option<String>, ServeError> {
-        let sink = self.sink.borrow();
+        let sink = self.sink().borrow();
         let rec = sink.recorder();
         match atom {
             None => Ok(rec.explain(&self.atoms)),
@@ -549,14 +555,14 @@ loop:
         live.subscribe(None, true);
         let mut all = Vec::new();
         assert_eq!(live.run(STEPS, &mut |items| all.extend(flows(items))), SocExit::InstrLimit);
-        assert_eq!(live.sink.borrow().dropped(), 0);
+        assert_eq!(live.sink().borrow().dropped(), 0);
         assert!(all.len() > 2 * STREAM_BUF_CAP, "only {} deltas", all.len());
 
         // Never subscribed: the backlog stays at the newest deltas.
         let mut quiet = Session::create(&opts).expect("session boots");
         assert_eq!(quiet.run(STEPS, &mut |_| {}), SocExit::InstrLimit);
         assert_eq!(quiet.instret(), live.instret());
-        let queued = quiet.sink.borrow().recorder().provenance().queued_deltas();
+        let queued = quiet.sink().borrow().recorder().provenance().queued_deltas();
         assert_eq!(queued, STREAM_BUF_CAP, "the unsubscribed backlog is bounded");
 
         // Subscribing streams the newest deltas at the next event and
@@ -566,7 +572,7 @@ loop:
         quiet.run(1, &mut |items| tail.extend(flows(items)));
         live.run(1, &mut |items| all.extend(flows(items)));
         assert_eq!(tail, all[all.len() - STREAM_BUF_CAP..]);
-        assert_eq!(quiet.sink.borrow().dropped(), (all.len() - STREAM_BUF_CAP) as u64);
+        assert_eq!(quiet.sink().borrow().dropped(), (all.len() - STREAM_BUF_CAP) as u64);
     }
 
     #[test]

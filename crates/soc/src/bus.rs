@@ -1,10 +1,10 @@
 //! The system bus as seen by the CPU: a DMI-style fast path into RAM plus
 //! TLM routing by port id to every device, with DIFT store-clearance
-//! checks on protected regions.
+//! checks on protected regions and the VP's observability sink.
 
-use vpdift_core::{AddrRange, DiftEngine, Tag};
+use vpdift_core::{AddrRange, DiftEngine, FlowObserver, Tag};
 use vpdift_kernel::SimTime;
-use vpdift_obs::SharedObs;
+use vpdift_obs::{DynObs, EngineObserverAdapter, ObsEvent, ObsSink};
 use vpdift_periph::{
     AesEngine, CanController, Clint, Dma, Plic, Ram, Sensor, TaintDebug, Terminal, Uart, Watchdog,
 };
@@ -59,16 +59,22 @@ fn sys_bus() -> impl Iterator<Item = (&'static str, AddrRange, Port)> {
 fn router<'a>(
     name: &str,
     windows: impl IntoIterator<Item = (&'a str, AddrRange, Port)>,
-    obs: Option<&SharedObs>,
 ) -> Router<Port> {
     let mut router = Router::new(name);
     for (name, range, port) in windows {
         router.map(name, range, port).expect("SoC map regions are disjoint by construction");
     }
-    if let Some(obs) = obs {
-        router.set_obs(obs.clone());
-    }
     router
+}
+
+/// The sink as lent to one emission site: `None` for a disabled sink
+/// type, so routers and devices skip building events.
+fn lend<S: ObsSink>(obs: &mut MutCell<S>) -> Option<&mut (dyn DynObs + 'static)> {
+    if S::ENABLED {
+        Some(obs.get_mut())
+    } else {
+        None
+    }
 }
 
 /// The SoC's devices other than RAM and the DMA, owned by the system bus.
@@ -130,24 +136,29 @@ impl TlmTarget for DmaPorts<'_> {
 
     fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         let DmaPorts { map, ram, dev } = self;
-        map.route(p, delay, |port, p, delay| {
-            dev.transport(port, p, delay, &mut Loan { mem: &mut **ram, engine: loan.engine })
+        map.route(p, delay, loan.obs.as_deref_mut(), |port, p, delay, obs| {
+            dev.transport(port, p, delay, &mut Loan { mem: &mut **ram, engine: loan.engine, obs })
         });
     }
 }
 
 /// The CPU ⇄ memory-system adapter, and the one owner of RAM, of the DIFT
-/// engine and of every device: the CPU reads and writes RAM directly and
-/// records its violations in the engine, and the bus routes each MMIO
-/// transaction by port id to the device it holds, lending RAM and the
-/// engine ([`Loan`]) to targets that reach memory or check flows
-/// themselves (UART, CAN, taintdbg). A DMA transfer is lent its port map
-/// over RAM, sensor, AES and UART instead of RAM.
-pub struct SocBus<M: TaintMode> {
+/// engine, of the observability sink and of every device: the CPU reads
+/// and writes RAM directly, records its violations in the engine and
+/// reports its events to the sink ([`Bus::emit`]), and the bus routes each
+/// MMIO transaction by port id to the device it holds, lending RAM, the
+/// engine and the sink ([`Loan`]) to targets that reach memory, check
+/// flows or report events themselves (UART, terminal, CAN, AES, taintdbg).
+/// A DMA transfer is lent its port map over RAM, sensor, AES and UART
+/// instead of RAM.
+pub struct SocBus<M: TaintMode, S: ObsSink> {
     pub(crate) ram: Ram,
     /// The VP's one DIFT engine. The cell serves only `Soc::engine`'s
     /// host-side borrows; the guest path takes `get_mut`.
     pub(crate) engine: MutCell<DiftEngine>,
+    /// The VP's one observability sink. The cell serves only `Soc::obs`'s
+    /// host-side borrows; every emission site takes `get_mut`.
+    pub(crate) obs: MutCell<S>,
     pub(crate) dev: Devices,
     /// Outside [`Devices`] because a transfer borrows the devices.
     pub(crate) dma: Dma,
@@ -170,23 +181,16 @@ pub struct SocBus<M: TaintMode> {
     _mode: core::marker::PhantomData<M>,
 }
 
-impl<M: TaintMode> SocBus<M> {
-    /// Creates the bus over `ram`, `engine` and the devices, with the
-    /// system-bus map and the DMA's port map; `obs` sees every routed
-    /// transaction.
-    pub(crate) fn new(
-        ram: Ram,
-        engine: DiftEngine,
-        dev: Devices,
-        dma: Dma,
-        obs: Option<&SharedObs>,
-    ) -> Self {
+impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
+    /// Creates the bus over `ram`, `engine`, the sink `obs` and the
+    /// devices, with the system-bus map and the DMA's port map.
+    pub(crate) fn new(ram: Ram, engine: DiftEngine, obs: S, dev: Devices, dma: Dma) -> Self {
         // The DMA reaches RAM, the sensor, the AES engine and the UART: not
         // itself (re-entrancy) nor the interrupt infrastructure.
         let dma_reach =
             sys_bus().filter(|&(_, _, port)| matches!(port, Port::Sensor | Port::Aes | Port::Uart));
         let ram_window = ("ram", map::ram_range(ram.len()), Port::Ram);
-        let dma_ports = router("dma-ports", std::iter::once(ram_window).chain(dma_reach), obs);
+        let dma_ports = router("dma-ports", std::iter::once(ram_window).chain(dma_reach));
         let protected = engine
             .policy()
             .regions()
@@ -197,9 +201,10 @@ impl<M: TaintMode> SocBus<M> {
         SocBus {
             ram,
             engine: MutCell::new(engine),
+            obs: MutCell::new(obs),
             dev,
             dma,
-            router: FaultRouter::new(router("sys-bus", sys_bus(), obs)),
+            router: FaultRouter::new(router("sys-bus", sys_bus())),
             dma_ports,
             protected,
             mmio_delay: SimTime::ZERO,
@@ -268,22 +273,24 @@ impl<M: TaintMode> SocBus<M> {
             return Ok(());
         }
         let engine = self.engine.get_mut();
+        let mut adapter = lend(&mut self.obs).map(EngineObserverAdapter);
         for a in addr..addr + size {
-            engine.check_store(a, tag, Some(pc)).map_err(MemError::Dift)?;
+            let obs = adapter.as_mut().map(|a| a as &mut dyn FlowObserver);
+            engine.check_store(a, tag, Some(pc), obs).map_err(MemError::Dift)?;
         }
         Ok(())
     }
 
     fn mmio(&mut self, payload: &mut GenericPayload) -> Result<(), MemError> {
         let mut delay = SimTime::ZERO;
-        let SocBus { ram, engine, dev, dma, router, dma_ports, .. } = self;
+        let SocBus { ram, engine, obs, dev, dma, router, dma_ports, .. } = self;
         let engine = engine.get_mut();
-        router.route(payload, &mut delay, |port, p, delay| match port {
+        router.route(payload, &mut delay, lend(obs), |port, p, delay, obs| match port {
             Port::Dma => {
                 let mut ports = DmaPorts { map: dma_ports, ram, dev };
-                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine });
+                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine, obs });
             }
-            _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine }),
+            _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine, obs }),
         });
         self.mmio_delay += delay;
         self.irq_dirty = true;
@@ -298,7 +305,7 @@ impl<M: TaintMode> SocBus<M> {
     }
 }
 
-impl<M: TaintMode> Bus<M> for SocBus<M> {
+impl<M: TaintMode, S: ObsSink> Bus<M> for SocBus<M, S> {
     fn fetch(&mut self, pc: u32) -> Result<M::Word, MemError> {
         // Instructions only execute from RAM in this platform.
         if self.in_ram(pc, 4) {
@@ -346,6 +353,12 @@ impl<M: TaintMode> Bus<M> for SocBus<M> {
 
     fn dift_engine(&mut self) -> Option<&mut DiftEngine> {
         Some(self.engine.get_mut())
+    }
+
+    const OBSERVED: bool = S::ENABLED;
+
+    fn emit(&mut self, event: &ObsEvent) {
+        self.obs.get_mut().event(event);
     }
 
     fn tags_live(&self) -> bool {

@@ -6,15 +6,13 @@ use vpdift_asm::Program;
 use vpdift_core::{DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
 use vpdift_kernel::SimTime;
 use vpdift_loader::{Elf32, Segment};
-use vpdift_obs::{
-    engine_observer, shared_obs, BreakSet, InsnCell, NullSink, ObsEvent, ObsSink, StopFlag,
-};
+use vpdift_obs::{BreakSet, InsnCell, NullSink, ObsEvent, ObsSink, StopFlag};
 use vpdift_periph::{
     AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, Plic, Ram, Sensor,
     TaintDebug, Terminal, Uart, Watchdog,
 };
 use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
-use vpdift_sync::{shared, MutCell, Shared};
+use vpdift_sync::MutCell;
 use vpdift_tlm::SharedFaultHook;
 
 use crate::builder::SocBuilder;
@@ -183,10 +181,10 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     /// Simulated time. Only [`Soc::advance_to`] moves it, and it brings
     /// the timed devices (sensor, CLINT, watchdog) along.
     now: SimTime,
-    cpu: Cpu<M, S>,
-    bus: SocBus<M>,
+    cpu: Cpu<M>,
+    /// Owns RAM, the DIFT engine, the observability sink and the devices.
+    bus: SocBus<M, S>,
     exec: EngineKind,
-    obs: Shared<S>,
     /// Quanta since the last taint-spread sample (see [`SPREAD_PERIOD`]).
     quanta_since_spread: u32,
     can_host: CanHostEndpoint,
@@ -207,7 +205,7 @@ enum EngineKind {
 impl<M: TaintMode, S: ObsSink + Default> Soc<M, S> {
     /// Builds the VP from `config`.
     pub fn new(config: SocConfig) -> Self {
-        Self::with_obs(config, shared(S::default()))
+        Self::with_obs(config, S::default())
     }
 
     /// The canonical configuration entry point:
@@ -219,16 +217,18 @@ impl<M: TaintMode, S: ObsSink + Default> Soc<M, S> {
 }
 
 impl<M: TaintMode, S: ObsSink> Soc<M, S> {
-    /// Builds the VP from `config` with an observability sink shared by
-    /// every layer (CPU, bus routers, peripherals, DIFT engine). With a
-    /// disabled sink type ([`NullSink`]) nothing is wired and the hot
-    /// paths compile as if the observability layer did not exist.
+    /// Builds the VP from `config` around the observability sink `obs`.
+    /// The system bus owns it and lends it to every layer that reports
+    /// (CPU, bus routers, peripherals, DIFT engine checks); host code
+    /// reads it back through [`Soc::obs`]. With a disabled sink type
+    /// ([`NullSink`]) every emission site compiles out and the hot paths
+    /// run as if the observability layer did not exist.
     ///
     /// # Panics
     /// Panics if `config.ram_size` would make RAM overlap the first MMIO
     /// region (the CLINT) — the map's disjointness is a build-time
     /// invariant everything downstream relies on.
-    pub fn with_obs(config: SocConfig, obs: Shared<S>) -> Self {
+    pub fn with_obs(config: SocConfig, obs: S) -> Self {
         assert!(
             config.ram_size <= map::CLINT_BASE as usize,
             "RAM ({} bytes) may not reach the CLINT at {:#x}",
@@ -236,28 +236,18 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             map::CLINT_BASE
         );
         let policy = config.policy.clone();
-        let mut engine = DiftEngine::with_mode(policy.clone(), config.enforce);
-        if S::ENABLED {
-            engine.set_observer(engine_observer(&obs));
-        }
+        let engine = DiftEngine::with_mode(policy.clone(), config.enforce);
 
         let ram = Ram::new(config.ram_size, M::TRACKING);
-        let mut terminal = Terminal::new("terminal", policy.source_tag("terminal.rx"));
+        let terminal = Terminal::new("terminal", policy.source_tag("terminal.rx"));
         let mut sensor = Sensor::new(policy.source_tag("sensor.data"), config.seed);
         if config.sensor_thread {
             sensor.start();
         }
         let can_channel = CanChannel::new();
         let can_host = can_channel.host_endpoint();
-        let mut can = CanController::new("can", policy.source_tag("can.rx"), can_channel);
-        let mut aes = AesEngine::new(policy.grant_declassify("aes"), policy.source_tag("aes.out"));
-        let obs_handle = S::ENABLED.then(|| shared_obs(&obs));
-        if let Some(o) = &obs_handle {
-            terminal.set_obs(o.clone());
-            sensor.set_obs(o.clone());
-            can.set_obs(o.clone());
-            aes.set_obs(o.clone());
-        }
+        let can = CanController::new("can", policy.source_tag("can.rx"), can_channel);
+        let aes = AesEngine::new(policy.grant_declassify("aes"), policy.source_tag("aes.out"));
         let dev = Devices {
             clint: Clint::new(),
             plic: Plic::new(),
@@ -269,9 +259,9 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             taintdbg: TaintDebug::new(),
             watchdog: Watchdog::new(),
         };
-        let bus = SocBus::new(ram, engine, dev, Dma::new(M::TRACKING), obs_handle.as_ref());
+        let bus = SocBus::new(ram, engine, obs, dev, Dma::new(M::TRACKING));
 
-        let mut cpu = Cpu::<M, S>::with_obs(obs.clone());
+        let mut cpu = Cpu::<M>::new();
         if M::TRACKING {
             cpu.set_exec_clearance(policy.exec());
         }
@@ -281,7 +271,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             ExecMode::BlockCache => EngineKind::Block(Box::default()),
         };
 
-        Soc { config, now: SimTime::ZERO, cpu, bus, exec, obs, quanta_since_spread: 0, can_host }
+        Soc { config, now: SimTime::ZERO, cpu, bus, exec, quanta_since_spread: 0, can_host }
     }
 
     /// Loads a program image, applies the policy's classification rules to
@@ -343,7 +333,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             if !tag.is_empty() {
                 self.ram_mut().classify(off, seg.memsz as usize, tag);
                 if S::ENABLED && M::TRACKING {
-                    self.obs.borrow_mut().event(&ObsEvent::Classify {
+                    self.bus.obs.get_mut().event(&ObsEvent::Classify {
                         source: format!("elf.segment{index}"),
                         tag,
                         addr: Some(seg.vaddr),
@@ -367,7 +357,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 if start < end {
                     self.ram_mut().classify(start - map::RAM_BASE, (end - start) as usize, tag);
                     if S::ENABLED && M::TRACKING && !tag.is_empty() {
-                        self.obs.borrow_mut().event(&ObsEvent::Classify {
+                        self.bus.obs.get_mut().event(&ObsEvent::Classify {
                             source: rule.name.clone(),
                             tag,
                             addr: Some(start),
@@ -401,10 +391,10 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         if S::ENABLED {
             // Final timestamp + taint-spread sample so reports and exports
             // reflect the state at exit.
-            let mut obs = self.obs.borrow_mut();
+            let obs = self.bus.obs.get_mut();
             obs.set_now(self.now);
             if M::TRACKING {
-                obs.taint_spread(&self.ram().atom_spread());
+                obs.taint_spread(&self.bus.ram.atom_spread());
             }
             if let EngineKind::Block(bc) = &self.exec {
                 let st = bc.stats();
@@ -426,7 +416,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         loop {
             self.sync_irq_lines();
             if S::ENABLED {
-                self.obs.borrow_mut().set_now(self.now);
+                self.bus.obs.get_mut().set_now(self.now);
             }
             if steps_left == 0 {
                 return SocExit::InstrLimit;
@@ -514,7 +504,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 if self.quanta_since_spread >= SPREAD_PERIOD {
                     self.quanta_since_spread = 0;
                     let spread = self.ram().atom_spread();
-                    self.obs.borrow_mut().taint_spread(&spread);
+                    self.bus.obs.get_mut().taint_spread(&spread);
                 }
             }
 
@@ -546,22 +536,27 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// Moves the clock to `t` and brings the timed devices up to it: the
-    /// sensor performs the refills due by then (an enabled sink stamps
-    /// each one's events with its due time), the watchdog latches an
-    /// expiry, the CLINT's `mtime` reads the new time in microseconds, and
-    /// the refills' interrupts reach the PLIC. The clock never runs
-    /// backwards, and [`SimTime::MAX`] (a deadline past the end of time)
-    /// leaves it where it is.
+    /// sensor performs the refills due by then (each one's classification
+    /// is reported to an enabled sink, stamped with its due time), the
+    /// watchdog latches an expiry, the CLINT's `mtime` reads the new time
+    /// in microseconds, and the refills' interrupts reach the PLIC. The
+    /// clock never runs backwards, and [`SimTime::MAX`] (a deadline past
+    /// the end of time) leaves it where it is.
     fn advance_to(&mut self, t: SimTime) {
         if t != SimTime::MAX {
             self.now = self.now.max(t);
         }
-        let dev = &mut self.bus.dev;
+        let SocBus { dev, obs, .. } = &mut self.bus;
         while let Some(due) = dev.sensor.next_refill().filter(|&due| due <= self.now) {
             if S::ENABLED {
-                self.obs.borrow_mut().set_now(due);
+                obs.get_mut().set_now(due);
             }
             dev.sensor.advance_to(due);
+            let tag = dev.sensor.data_tag();
+            if S::ENABLED && !tag.is_empty() {
+                let source = "sensor.frame".into();
+                obs.get_mut().event(&ObsEvent::Classify { source, tag, addr: None });
+            }
         }
         dev.watchdog.set_now(self.now);
         dev.clint.set_mtime(self.now.as_us());
@@ -607,20 +602,22 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// The CPU core.
-    pub fn cpu(&self) -> &Cpu<M, S> {
+    pub fn cpu(&self) -> &Cpu<M> {
         &self.cpu
     }
 
     /// Mutable CPU access (test setup). The caller may write tagged
     /// registers, so this sets the taint-idle latch.
-    pub fn cpu_mut(&mut self) -> &mut Cpu<M, S> {
+    pub fn cpu_mut(&mut self) -> &mut Cpu<M> {
         self.bus.tags_live = true;
         &mut self.cpu
     }
 
-    /// The shared observability sink.
-    pub fn obs(&self) -> &Shared<S> {
-        &self.obs
+    /// The observability sink, owned by the system bus. Host code reads
+    /// it through the cell's `borrow()`/`borrow_mut()`; a run never holds
+    /// a borrow.
+    pub fn obs(&self) -> &MutCell<S> {
+        &self.bus.obs
     }
 
     /// The DIFT engine, owned by the system bus. Host code reads it

@@ -21,6 +21,7 @@
 
 use proptest::prelude::*;
 use vpdift_asm::{csr, Asm, Reg};
+use vpdift_core::{AddrRange, SecurityPolicy, Tag};
 use vpdift_rv32::{ExecMode, Plain, TaintMode, Tainted, Word};
 use vpdift_soc::{map, Soc, SocBuilder, SocExit};
 
@@ -232,6 +233,57 @@ fn dma_bursts_reach_only_ram_sensor_aes_and_uart() {
             assert_eq!(dma_probe::<Plain>(src, dst, engine), want, "VP: {what}");
             assert_eq!(dma_probe::<Tainted>(src, dst, engine), want, "VP+: {what}");
         }
+    }
+}
+
+/// A burst whose destination wraps past `0xFFFF_FFFF` is unreachable as a
+/// whole: it fails before any byte moves, with the error STATUS bit and a
+/// precise access fault on the CTRL write, on both engines and both VPs.
+/// The wrapped tail is never checked against the protected bytes at `0x0`
+/// (no write could land there), so no violation is recorded.
+#[test]
+fn dma_burst_wrapping_past_the_top_of_the_address_space_faults() {
+    const SRC: u32 = 0x2000;
+    let policy = SecurityPolicy::builder("wrap")
+        .classify_region("src", AddrRange::new(SRC, 16), Tag::atom(0))
+        .protect_region("low", AddrRange::new(0, 8), Tag::EMPTY)
+        .build();
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T1, "handler");
+    a.csrw(csr::MTVEC, Reg::T1);
+    a.li(Reg::S0, map::DMA_BASE as i32);
+    a.li(Reg::T0, SRC as i32);
+    a.sw(Reg::T0, 0x0, Reg::S0); // SRC
+    a.li(Reg::T0, 0xFFFF_FFF8_u32 as i32);
+    a.sw(Reg::T0, 0x4, Reg::S0); // DST: 8 bytes below the top
+    a.li(Reg::T0, 16);
+    a.sw(Reg::T0, 0x8, Reg::S0); // LEN: 8 bytes past it
+    a.li(Reg::T0, 1);
+    a.label("go");
+    a.sw(Reg::T0, 0xC, Reg::S0); // CTRL
+    a.label("handler");
+    a.lw(Reg::A0, 0x10, Reg::S0); // STATUS
+    a.ebreak();
+    let prog = a.assemble().expect("dma probe assembles");
+
+    fn probe<M: TaintMode>(prog: &vpdift_asm::Program, policy: &SecurityPolicy, engine: ExecMode) {
+        let cfg =
+            SocBuilder::new().policy(policy.clone()).sensor_thread(false).engine(engine).build();
+        let mut soc = Soc::<M>::new(cfg);
+        soc.load_program(prog);
+        let what = format!("{} on {engine:?}", if M::TRACKING { "VP+" } else { "VP" });
+        assert_eq!(soc.run(10_000), SocExit::Break, "{what}");
+        assert_eq!(soc.cpu().reg(Reg::A0).val() & 0b10, 0b10, "{what}: DMA error bit");
+        let csrs = soc.cpu().csrs();
+        assert_eq!(csrs.mcause.val(), 5, "{what}: the CTRL write is an access fault");
+        assert_eq!(csrs.mtval.val(), map::DMA_BASE + 0xC, "{what}: mtval holds CTRL");
+        assert_eq!(csrs.mepc.val(), prog.symbol("go").unwrap(), "{what}: mepc holds the store");
+        assert_eq!(soc.engine().borrow().violations(), &[], "{what}: nothing recorded");
+    }
+    for engine in [ExecMode::Interp, ExecMode::BlockCache] {
+        probe::<Plain>(&prog, &policy, engine);
+        probe::<Tainted>(&prog, &policy, engine);
     }
 }
 

@@ -2,12 +2,12 @@
 //! prototype.
 //!
 //! Little of a [`Soc`](../vpdift_soc/struct.Soc.html) is aliased any
-//! more: the system bus owns RAM, the DIFT engine and every device, and
-//! lends them per transaction. What is still shared is the observability
-//! sink (reachable from every layer), the CAN link between the
-//! controller and the host's ECU endpoint, and the fault-campaign hooks
-//! the injector arms after installing them; the engine, UART and
-//! terminal sit in a [`MutCell`] only for host-side `borrow()`s.
+//! more: the system bus owns RAM, the DIFT engine, the observability sink
+//! and every device, and lends them per transaction. What is still shared
+//! is the CAN link between the controller and the host's ECU endpoint,
+//! and the fault-campaign hooks the injector arms after installing them;
+//! the engine, UART, terminal and sink sit in a [`MutCell`] only for
+//! host-side `borrow()`s.
 //! Historically that aliasing was `Rc<RefCell<T>>` — correct for the
 //! single-threaded simulator, but it froze every session onto one thread
 //! and made fleet execution (N parallel campaign sessions) impossible.

@@ -8,6 +8,7 @@
 //! transaction.
 
 use vpdift_kernel::SimTime;
+use vpdift_obs::DynObs;
 use vpdift_sync::Shared;
 
 use crate::payload::{GenericPayload, TlmResponse};
@@ -67,16 +68,17 @@ impl<P: Copy> FaultRouter<P> {
     }
 
     /// Routes one transaction through the hook (if any) and the wrapped
-    /// router. See [`Router::route`] for the routing semantics and
-    /// `target`.
+    /// router. See [`Router::route`] for the routing semantics, `obs` and
+    /// `target`; a dropped or answered transaction reaches neither.
     pub fn route(
         &self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime),
+        obs: Option<&mut (dyn DynObs + 'static)>,
+        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime, Option<&mut (dyn DynObs + 'static)>),
     ) {
         let Some(hook) = &self.hook else {
-            self.inner.route(payload, delay, target);
+            self.inner.route(payload, delay, obs, target);
             return;
         };
         match hook.borrow_mut().before(payload) {
@@ -90,7 +92,7 @@ impl<P: Copy> FaultRouter<P> {
                 return;
             }
         }
-        self.inner.route(payload, delay, target);
+        self.inner.route(payload, delay, obs, target);
         hook.borrow_mut().after(payload);
     }
 }
@@ -118,7 +120,7 @@ mod tests {
 
     /// Routes `p` through `fr` to `ram`.
     fn route(fr: &mut FaultRouter<u8>, p: &mut GenericPayload, ram: &mut [Taint<u8>; 16]) {
-        fr.route(p, &mut SimTime::ZERO.clone(), |_, p, _| {
+        fr.route(p, &mut SimTime::ZERO.clone(), None, |_, p, _, _| {
             let lanes = p.address() as usize..p.address() as usize + p.len();
             match p.command() {
                 crate::TlmCommand::Read => p.data_mut().copy_from_slice(&ram[lanes]),

@@ -1,8 +1,8 @@
 //! Address-based transaction routing — the TLM interconnect.
 
-use vpdift_core::{AddrRange, DiftEngine};
+use vpdift_core::{AddrRange, DiftEngine, FlowObserver, Tag, Violation};
 use vpdift_kernel::SimTime;
-use vpdift_obs::{ObsEvent, SharedObs};
+use vpdift_obs::{DynObs, EngineObserverAdapter, ObsEvent};
 
 use crate::payload::{GenericPayload, TlmCommand, TlmResponse};
 
@@ -32,24 +32,69 @@ pub trait TlmTarget: Send + Sync {
 
 /// What the owner of a bus lends each transaction it routes: what the
 /// target may reach as an initiator (RAM for a tag read, the DMA's port
-/// map for a burst) and the DIFT engine. Targets that reach memory
-/// themselves or check and record flows (output sinks, DMA store
-/// clearance, guest tag assertions) use them for that one transaction, so
-/// no target keeps a handle to either.
+/// map for a burst), the DIFT engine and the observability sink. Targets
+/// that reach memory themselves, check and record flows (output sinks,
+/// DMA store clearance, guest tag assertions) or report events
+/// (classification, declassification) use them for that one transaction,
+/// so no target keeps a handle to any of them.
 pub struct Loan<'a> {
     /// Where the target's own transactions go (see [`Loan::reach`]).
     pub mem: &'a mut dyn TlmTarget,
     /// The engine that checks flows and records violations.
     pub engine: &'a mut DiftEngine,
+    /// The sink, when the bus's owner has an enabled one.
+    pub obs: Option<&'a mut (dyn DynObs + 'static)>,
 }
 
 impl Loan<'_> {
     /// Sends one transaction of the borrower's own to [`Loan::mem`],
-    /// lending it the engine in turn (a DMA burst that ends at the UART is
-    /// checked by the same engine) and no memory.
+    /// lending it the engine and the sink in turn (a DMA burst that ends
+    /// at the UART is checked by the same engine) and no memory.
     pub fn reach(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        let mut loan = Loan { mem: &mut NoMemory, engine: self.engine };
+        let mut loan =
+            Loan { mem: &mut NoMemory, engine: self.engine, obs: self.obs.as_deref_mut() };
         self.mem.transport_with(payload, delay, &mut loan);
+    }
+
+    /// Reports the event `event` builds to the lent sink; without one the
+    /// event is never built.
+    pub fn emit(&mut self, event: impl FnOnce() -> ObsEvent) {
+        if let Some(obs) = self.obs.as_deref_mut() {
+            obs.dyn_event(&event());
+        }
+    }
+
+    /// [`DiftEngine::check_output`], observed by the lent sink.
+    ///
+    /// # Errors
+    /// See [`DiftEngine::check_flow`].
+    pub fn check_output(&mut self, sink: &str, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+        self.observed(|engine, obs| engine.check_output(sink, tag, pc, obs))
+    }
+
+    /// [`DiftEngine::check_store`], observed by the lent sink.
+    ///
+    /// # Errors
+    /// See [`DiftEngine::check_flow`].
+    pub fn check_store(&mut self, addr: u32, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+        self.observed(|engine, obs| engine.check_store(addr, tag, pc, obs))
+    }
+
+    /// [`DiftEngine::record`], observed by the lent sink.
+    ///
+    /// # Errors
+    /// See [`DiftEngine::record`].
+    pub fn record(&mut self, violation: Violation) -> Result<(), Violation> {
+        self.observed(|engine, obs| engine.record(violation, obs))
+    }
+
+    /// Calls the lent engine with the lent sink as its observer.
+    fn observed<R>(
+        &mut self,
+        call: impl FnOnce(&mut DiftEngine, Option<&mut dyn FlowObserver>) -> R,
+    ) -> R {
+        let mut adapter = self.obs.as_deref_mut().map(EngineObserverAdapter);
+        call(self.engine, adapter.as_mut().map(|a| a as &mut dyn FlowObserver))
     }
 }
 
@@ -105,7 +150,7 @@ impl std::error::Error for MapError {}
 /// router.map("reg", AddrRange::new(0x1000, 4), Port::Reg)?;
 /// let mut reg = 0u8;
 /// let mut p = GenericPayload::write(0x1002, &[Taint::untainted(7)]);
-/// router.route(&mut p, &mut SimTime::ZERO, |port, p, _delay| match port {
+/// router.route(&mut p, &mut SimTime::ZERO, None, |port, p, _delay, _obs| match port {
 ///     Port::Reg => {
 ///         assert_eq!(p.address(), 2, "the local offset");
 ///         reg = p.data()[0].value();
@@ -119,20 +164,12 @@ impl std::error::Error for MapError {}
 pub struct Router<P> {
     name: String,
     mappings: Vec<Mapping<P>>,
-    obs: Option<SharedObs>,
 }
 
 impl<P: Copy> Router<P> {
     /// Creates an empty router.
     pub fn new(name: &str) -> Self {
-        Router { name: name.to_owned(), mappings: Vec::new(), obs: None }
-    }
-
-    /// Attaches an observability sink; every routed transaction is
-    /// reported to it (after the target has processed the payload, so
-    /// read data and response status are final).
-    pub fn set_obs(&mut self, obs: SharedObs) {
-        self.obs = Some(obs);
+        Router { name: name.to_owned(), mappings: Vec::new() }
     }
 
     /// Router name (diagnostics).
@@ -155,44 +192,52 @@ impl<P: Copy> Router<P> {
         Ok(())
     }
 
-    /// Routes one transaction: hands the decoded port and the payload, at
-    /// its port-local address, to `target`. On unmapped addresses the
-    /// payload gets [`TlmResponse::AddressError`]; transfers straddling a
-    /// mapping boundary get [`TlmResponse::BurstError`]; neither reaches
-    /// `target`.
+    /// Routes one transaction: hands the decoded port, the payload at its
+    /// port-local address and the lent sink `obs` to `target`. On unmapped
+    /// addresses the payload gets [`TlmResponse::AddressError`]; transfers
+    /// straddling a mapping boundary get [`TlmResponse::BurstError`];
+    /// neither reaches `target`. Every routed transaction is reported to
+    /// `obs` after `target` returns, so read data and response status are
+    /// final (`None`, for a disabled sink, reports nothing).
     pub fn route(
         &self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
-        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime),
+        mut obs: Option<&mut (dyn DynObs + 'static)>,
+        target: impl FnOnce(P, &mut GenericPayload, &mut SimTime, Option<&mut (dyn DynObs + 'static)>),
     ) {
         let addr = payload.address();
         let Some(m) = self.mappings.iter().find(|m| m.range.contains(addr)) else {
             payload.set_response(TlmResponse::AddressError);
-            self.emit(payload, addr, "<unmapped>", 0);
+            self.emit(obs, payload, addr, "<unmapped>", 0);
             return;
         };
         let end = addr as u64 + payload.len() as u64;
         if end > m.range.end as u64 {
             payload.set_response(TlmResponse::BurstError);
-            self.emit(payload, addr, &m.name, 0);
+            self.emit(obs, payload, addr, &m.name, 0);
             return;
         }
         payload.set_address(addr - m.range.start);
         let before = delay.as_ps();
-        target(m.port, payload, delay);
+        target(m.port, payload, delay, obs.as_deref_mut());
         let lat_ps = delay.as_ps().saturating_sub(before);
         payload.set_address(addr);
-        self.emit(payload, addr, &m.name, lat_ps);
+        self.emit(obs, payload, addr, &m.name, lat_ps);
     }
 
-    /// Reports a finished transaction to the sink, if one is attached.
-    /// Called after the target's `transport` has returned so the sink is
-    /// never borrowed while a target is active (re-entrancy safety).
-    /// `lat_ps` is what the target added to the transaction's delay.
-    fn emit(&self, payload: &GenericPayload, addr: u32, target: &str, lat_ps: u64) {
-        let Some(obs) = &self.obs else { return };
-        obs.borrow_mut().dyn_event(&ObsEvent::Tlm {
+    /// Reports a finished transaction to the lent sink, if any. `lat_ps`
+    /// is what the target added to the transaction's delay.
+    fn emit(
+        &self,
+        obs: Option<&mut (dyn DynObs + 'static)>,
+        payload: &GenericPayload,
+        addr: u32,
+        target: &str,
+        lat_ps: u64,
+    ) {
+        let Some(obs) = obs else { return };
+        obs.dyn_event(&ObsEvent::Tlm {
             bus: self.name.clone(),
             target: target.to_owned(),
             addr,
@@ -252,7 +297,9 @@ mod tests {
 
     /// Routes `p` to the scratch target behind port `i` of `targets`.
     fn route(router: &Router<usize>, p: &mut GenericPayload, targets: &mut [Scratch]) {
-        router.route(p, &mut SimTime::ZERO.clone(), |port, p, d| targets[port].transport(p, d));
+        router.route(p, &mut SimTime::ZERO.clone(), None, |port, p, d, _| {
+            targets[port].transport(p, d)
+        });
     }
 
     #[test]
@@ -264,7 +311,7 @@ mod tests {
         let word = Taint::new(0xCAFEu16, Tag::atom(2));
         let mut w = GenericPayload::write_word(0x108, word);
         let mut delay = SimTime::ZERO;
-        router.route(&mut w, &mut delay, |_, p, d| ram.transport(p, d));
+        router.route(&mut w, &mut delay, None, |_, p, d, _| ram.transport(p, d));
         assert!(w.is_ok());
         assert_eq!(router.name(), "bus");
         assert_eq!(w.address(), 0x108, "global address restored after routing");
@@ -299,7 +346,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
         let mut p = GenericPayload::read(0x50, 4);
-        router.route(&mut p, &mut SimTime::ZERO.clone(), |_, _, _| panic!("nothing mapped"));
+        router.route(&mut p, &mut SimTime::ZERO.clone(), None, |_, _, _, _| panic!("unmapped"));
         assert_eq!(p.response(), TlmResponse::AddressError);
     }
 
@@ -308,7 +355,7 @@ mod tests {
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
         let mut p = GenericPayload::read(0x10E, 4); // crosses 0x110
-        router.route(&mut p, &mut SimTime::ZERO.clone(), |_, _, _| panic!("straddles"));
+        router.route(&mut p, &mut SimTime::ZERO.clone(), None, |_, _, _, _| panic!("straddles"));
         assert_eq!(p.response(), TlmResponse::BurstError);
     }
 
@@ -344,7 +391,7 @@ mod tests {
                 let mut inner = GenericPayload::read(0, 1);
                 loan.mem.transport(&mut inner, d);
                 assert_eq!(inner.response(), TlmResponse::AddressError);
-                match loan.engine.check_output("uart.tx", p.data_tag(), None) {
+                match loan.check_output("uart.tx", p.data_tag(), None) {
                     Ok(()) => p.set_response(TlmResponse::Ok),
                     Err(v) => p.set_violation(v),
                 }
@@ -352,28 +399,32 @@ mod tests {
         }
         let policy = SecurityPolicy::builder("t").sink("uart.tx", Tag::EMPTY).build();
         let mut engine = DiftEngine::new(policy);
-        let mut loan = Loan { mem: &mut Sink, engine: &mut engine };
+        let mut rec = vpdift_obs::Recorder::new(8);
+        let mut loan = Loan { mem: &mut Sink, engine: &mut engine, obs: Some(&mut rec) };
         let mut p = GenericPayload::write(0, &[Taint::new(1, Tag::atom(0))]);
         loan.reach(&mut p, &mut SimTime::ZERO.clone());
         assert!(p.take_violation().is_some(), "checked by the lent engine");
         assert_eq!(engine.violations().len(), 1);
+        let labels: Vec<_> = rec.ring().iter().map(|e| e.event.label()).collect();
+        assert_eq!(labels, ["check", "tag_set_change", "violation"], "seen by the lent sink");
     }
 
     #[test]
     fn routed_transactions_reach_the_obs_sink() {
-        use vpdift_obs::{shared_obs, Recorder};
         let mut router = Router::new("bus");
         router.map("ram", AddrRange::new(0x100, 16), 0).unwrap();
-        let sink = vpdift_sync::shared(Recorder::new(8));
-        router.set_obs(shared_obs(&sink));
-        let mut ram = [scratch()];
+        let mut r = vpdift_obs::Recorder::new(8);
+        let mut ram = scratch();
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(1, Tag::atom(3))]);
-        route(&router, &mut w, &mut ram);
+        router.route(&mut w, &mut SimTime::ZERO.clone(), Some(&mut r), |_, p, d, _| {
+            ram.transport(p, d)
+        });
         let mut bad = GenericPayload::read(0x50, 1);
-        route(&router, &mut bad, &mut ram);
+        router.route(&mut bad, &mut SimTime::ZERO.clone(), Some(&mut r), |_, _, _, _| {
+            unreachable!("unmapped")
+        });
 
-        let r = sink.borrow();
         assert_eq!(r.metrics().tlm_per_target["ram"], 1);
         assert_eq!(r.metrics().tlm_per_target["<unmapped>"], 1);
         let events: Vec<_> = r.ring().iter().collect();

@@ -100,7 +100,6 @@
 //! | 8    | malformed guest binary (loader error)        |
 
 use std::process::ExitCode;
-use vpdift_sync::{shared, Shared};
 
 use taintvp::asm::{parse_asm, Program};
 use taintvp::core::{AtomTable, Tag};
@@ -412,7 +411,7 @@ type VpRun<M, S> = (SocExit, Soc<M, S>, Vec<taintvp::faults::FaultRecord>);
 fn run_vp<M: TaintMode, S: ObsSink>(
     opts: &Options,
     guest: &Guest,
-    obs: Shared<S>,
+    obs: S,
     plan: &[PlannedFault],
 ) -> Result<VpRun<M, S>, String> {
     let builder = SocBuilder::from_exec_config(&opts.exec).map_err(|e| e.to_string())?;
@@ -561,8 +560,7 @@ fn obs_epilogue(
 /// replay ended in silent data corruption.
 fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
     let master = opts.fault_seed.expect("validated in parse_args");
-    let obs = shared(NullSink);
-    let (exit, soc, _) = match run_vp::<M, NullSink>(opts, guest, obs, &[]) {
+    let (exit, soc, _) = match run_vp::<M, NullSink>(opts, guest, NullSink, &[]) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -581,14 +579,13 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
     for i in 0..opts.campaign {
         let seed = run_seed(master, u64::from(i));
         let Replay { plan, budget, .. } = Replay::of(&reference, seed, opts.fault_rate);
-        let obs = shared(NullSink);
         // Same options, new budget, no recursion into `--campaign` — the
         // observability flags are already rejected by parse_args here.
         let mut run_opts = opts.clone();
         run_opts.max_insns = budget;
         run_opts.trace = 0;
         run_opts.campaign = 0;
-        let (exit, soc, records) = match run_vp::<M, NullSink>(&run_opts, guest, obs, &plan) {
+        let (exit, soc, records) = match run_vp::<M, NullSink>(&run_opts, guest, NullSink, &plan) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -632,8 +629,7 @@ fn run<M: TaintMode>(opts: &Options, atoms: &AtomTable, guest: &Guest) -> ExitCo
         }
     }
     if !opts.observed() {
-        let obs = shared(NullSink);
-        let (exit, soc, records) = match run_vp::<M, NullSink>(opts, guest, obs, &plan) {
+        let (exit, soc, records) = match run_vp::<M, NullSink>(opts, guest, NullSink, &plan) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -654,8 +650,7 @@ fn run<M: TaintMode>(opts: &Options, atoms: &AtomTable, guest: &Guest) -> ExitCo
     if opts.flow_tracked() {
         rec = rec.with_explain();
     }
-    let obs = shared(rec);
-    let (exit, soc, records) = match run_vp::<M, Recorder>(opts, guest, obs.clone(), &plan) {
+    let (exit, soc, records) = match run_vp::<M, Recorder>(opts, guest, rec, &plan) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -664,7 +659,7 @@ fn run<M: TaintMode>(opts: &Options, atoms: &AtomTable, guest: &Guest) -> ExitCo
     };
     report_faults(&records);
     let code = report(&exit, &soc, opts, atoms);
-    if let Err(e) = obs_epilogue(&obs.borrow(), &exit, opts, atoms) {
+    if let Err(e) = obs_epilogue(&soc.obs().borrow(), &exit, opts, atoms) {
         eprintln!("error: {e}");
         return ExitCode::from(1);
     }

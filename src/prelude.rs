@@ -37,8 +37,8 @@ pub use vpdift_core::{
 
 // Observability sinks, live streaming, and run-control handles.
 pub use vpdift_obs::{
-    shared_obs, BreakKind, BreakSet, Metrics, NullSink, ObsEvent, ObsSink, Recorder, SharedObs,
-    StopFlag, StreamItem, StreamSink, WatchKind,
+    BreakKind, BreakSet, Metrics, NullSink, ObsEvent, ObsSink, Recorder, StopFlag, StreamItem,
+    StreamSink, WatchKind,
 };
 
 // The live introspection server: client-facing protocol types (error

@@ -9,7 +9,7 @@ use taintvp::asm::{Asm, Reg};
 use taintvp::core::Tag;
 use taintvp::loader::{Elf32, Segment};
 use taintvp::obs::{Recorder, SymbolMap};
-use taintvp::prelude::{shared, Soc, SocExit};
+use taintvp::prelude::{Soc, SocExit};
 use taintvp::rv32::{Plain, Tainted};
 use taintvp::soc::ElfLoadError;
 
@@ -51,12 +51,12 @@ fn profiled_run(
     symbols: SymbolMap,
     load: impl FnOnce(&mut Soc<Tainted, Recorder>),
 ) -> (SocExit, String, Vec<(String, u64)>) {
-    let rec = shared(Recorder::new(64).with_symbols(symbols).with_profiler());
+    let rec = Recorder::new(64).with_symbols(symbols).with_profiler();
     let cfg = Soc::<Tainted>::builder().sensor_thread(false).build();
-    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec.clone());
+    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec);
     load(&mut soc);
     let exit = soc.run(100_000);
-    let rec = rec.borrow();
+    let rec = soc.obs().borrow();
     let prof = rec.profiler().expect("profiler attached");
     (exit, prof.folded_output(), prof.flat())
 }

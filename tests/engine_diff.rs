@@ -19,7 +19,9 @@
 //! skips clearance checks until the taint-idle latch is set, so a source
 //! that forgot to set it lets a branch pass that the interpreter stops.
 //! One Record-mode guest trips every kind of check site and compares the
-//! engine's violation list with one written from the program.
+//! engine's violation list with one written from the program, and its
+//! event stream with `tests/golden/events/every_source.jsonl` (regenerate
+//! with `UPDATE_GOLDEN=1` after an intended change).
 
 use taintvp::asm::{Asm, Reg};
 use taintvp::attacks::{all_attacks, run_attack_captured};
@@ -28,8 +30,8 @@ use taintvp::firmware::table2_workloads;
 use taintvp::immo::{run_scenario_with, run_session_with, PolicyKind, Scenario, Variant};
 use taintvp::kernel::SimTime;
 use taintvp::prelude::{
-    map, EnforceMode, ExecMode, Plain, SecurityPolicy, Soc, SocExit, Tag, Taint, TaintMode,
-    Tainted, ViolationKind,
+    map, EnforceMode, ExecMode, Plain, Recorder, SecurityPolicy, Soc, SocExit, Tag, Taint,
+    TaintMode, Tainted, ViolationKind,
 };
 use taintvp::rv32::Word;
 
@@ -787,13 +789,19 @@ fn latch_source_host_ram_store() {
 /// Every check site records into the SoC's one engine, in program order:
 /// a Record-mode VP+ guest trips branch clearance (CPU), a protected RAM
 /// store (system bus), UART and CAN output clearance, DMA store clearance
-/// and a taintdbg assertion, once each.
+/// and a taintdbg assertion, once each, then takes an `ecall` round trip
+/// and reads a classified terminal byte. The sink sees every emission
+/// site in order: the event stream matches the golden on both engines
+/// (the block cache adds its closing `engine_cache` record).
 #[test]
 fn every_violation_source_records_into_the_one_engine_in_order() {
-    use taintvp::periph::{can, dma, taintdbg};
+    use taintvp::asm::csr;
+    use taintvp::periph::{can, dma, taintdbg, terminal};
 
     let mut a = Asm::new(0);
     a.entry();
+    a.la(Reg::T4, "handler");
+    a.csrw(csr::MTVEC, Reg::T4);
     a.la(Reg::T0, "secret");
     a.lbu(Reg::A0, 0, Reg::T0);
     a.label("branch");
@@ -817,7 +825,15 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
     a.li(Reg::T2, map::TAINTDBG_BASE as i32);
     a.sw(Reg::T0, taintdbg::regs::ADDR as i32, Reg::T2);
     a.sw(Reg::Zero, taintdbg::regs::ASSERT_TAG as i32, Reg::T2);
+    a.ecall();
+    a.li(Reg::T2, map::TERMINAL_BASE as i32);
+    a.lw(Reg::A1, terminal::regs::RXDATA as i32, Reg::T2);
     a.ebreak();
+    a.label("handler");
+    a.csrr(Reg::T4, csr::MEPC);
+    a.addi(Reg::T4, Reg::T4, 4);
+    a.csrw(csr::MEPC, Reg::T4);
+    a.mret();
     a.label("secret");
     a.byte(0x5A);
     a.label("vault");
@@ -831,6 +847,7 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
         .protect_region("vault", AddrRange::new(vault, 1), Tag::EMPTY)
         .sink("uart.tx", Tag::EMPTY)
         .sink("can.tx", Tag::EMPTY)
+        .source("terminal.rx", Tag::atom(1))
         .build();
     let vault_store = format!("store to {vault:#010x}");
     let expected = vec![
@@ -845,6 +862,8 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
             format!("taintdbg assert at {secret:#010x}"),
         ),
     ];
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/events/every_source.jsonl");
     for mode in [ExecMode::Interp, ExecMode::BlockCache] {
         let cfg = Soc::<Tainted>::builder()
             .policy(policy.clone())
@@ -852,12 +871,57 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
             .sensor_thread(false)
             .engine(mode)
             .build();
-        let mut soc = Soc::<Tainted>::new(cfg);
+        let rec = Recorder::new(16).with_event_log();
+        let mut soc = Soc::<Tainted, Recorder>::with_obs(cfg, rec);
+        soc.terminal().borrow_mut().feed(b"k");
         soc.load_program(&prog);
         assert_eq!(soc.run(10_000), SocExit::Break, "{mode}: record mode runs to the end");
         let engine = soc.engine().borrow();
         let seen: Vec<_> =
             engine.violations().iter().map(|v| (v.kind.clone(), v.pc, v.context.clone())).collect();
         assert_eq!(seen, expected, "{mode}");
+        assert_eq!(soc.cpu().reg(Reg::A1).val(), u32::from(b'k'), "{mode}: terminal byte read");
+
+        // The event stream of every emission site, pinned byte for byte.
+        let mut jsonl = Vec::new();
+        taintvp::obs::export::write_jsonl(&mut jsonl, soc.obs().borrow().events())
+            .expect("in-memory write");
+        let jsonl = String::from_utf8(jsonl).expect("JSON Lines are UTF-8");
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        if mode == ExecMode::BlockCache {
+            let last = lines.pop().expect("a closing record");
+            assert!(last.contains("\"kind\":\"engine_cache\""), "{mode}: closes with {last}");
+        }
+        let kinds: std::collections::BTreeSet<&str> =
+            lines.iter().map(|l| l.split('"').nth(5).expect("a kind field")).collect();
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            [
+                "check",
+                "classify",
+                "insn",
+                "load",
+                "store",
+                "tag_set_change",
+                "tag_write",
+                "tlm",
+                "trap",
+                "violation"
+            ],
+            "{mode}: every emission site reports"
+        );
+        let stream = lines.iter().map(|l| format!("{l}\n")).collect::<String>();
+        if mode == ExecMode::Interp && std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::create_dir_all(golden.parent().unwrap()).expect("golden dir");
+            std::fs::write(&golden, &stream).expect("golden written");
+        }
+        let want = std::fs::read_to_string(&golden)
+            .unwrap_or_else(|e| panic!("{}: {e}", golden.display()));
+        assert!(
+            stream == want,
+            "{mode}: event stream drifted from {}; regenerate with UPDATE_GOLDEN=1 if the \
+             change is intended\n--- got ---\n{stream}",
+            golden.display()
+        );
     }
 }

@@ -11,7 +11,7 @@ use taintvp::core::EnforceMode;
 use taintvp::obs::export::{write_chrome_trace, write_jsonl};
 use taintvp::obs::json::parse;
 use taintvp::obs::{CheckKind, Recorder, StopFlag, StreamItem, StreamSink, WatchKind};
-use taintvp::prelude::{shared, Shared, Soc, SocBuilder, SocExit};
+use taintvp::prelude::{Soc, SocBuilder, SocExit};
 use taintvp::rv32::Tainted;
 
 const LEAK_ASM: &str = "
@@ -29,23 +29,23 @@ classify 0x2000 +16 secret
 sink uart.tx public
 ";
 
-fn leak_to_violation() -> (Shared<Recorder>, taintvp::core::AtomTable, SocExit) {
+fn leak_to_violation() -> (Soc<Tainted, Recorder>, taintvp::core::AtomTable, SocExit) {
     let (policy, atoms) = parse_policy(LEAK_POLICY).expect("policy parses");
     let program = parse_asm(LEAK_ASM, 0).expect("program assembles");
-    let rec = shared(Recorder::new(16).with_event_log());
+    let rec = Recorder::new(16).with_event_log();
     let cfg = SocBuilder::new().policy(policy).sensor_thread(false).build();
-    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec.clone());
+    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec);
     soc.load_program(&program);
     let exit = soc.run(1_000);
-    (rec, atoms, exit)
+    (soc, atoms, exit)
 }
 
 #[test]
 fn flight_report_names_source_region_and_failed_check() {
-    let (rec, atoms, exit) = leak_to_violation();
+    let (soc, atoms, exit) = leak_to_violation();
     assert!(matches!(exit, SocExit::Violation(_)), "got {exit:?}");
 
-    let rec = rec.borrow();
+    let rec = soc.obs().borrow();
     let report = rec.flight_report(&atoms).expect("violation produces a report");
     assert!(report.contains("== DIFT violation flight report =="), "{report}");
     // The failed check kind…
@@ -59,8 +59,8 @@ fn flight_report_names_source_region_and_failed_check() {
 
 #[test]
 fn recorder_metrics_cover_the_run() {
-    let (rec, _atoms, _exit) = leak_to_violation();
-    let rec = rec.borrow();
+    let (soc, _atoms, _exit) = leak_to_violation();
+    let rec = soc.obs().borrow();
     let m = rec.metrics();
     assert!(m.instructions > 0);
     assert_eq!(m.violations, 1);
@@ -74,8 +74,8 @@ fn recorder_metrics_cover_the_run() {
 
 #[test]
 fn exporters_emit_parseable_output() {
-    let (rec, _atoms, _exit) = leak_to_violation();
-    let rec = rec.borrow();
+    let (soc, _atoms, _exit) = leak_to_violation();
+    let rec = soc.obs().borrow();
     assert!(!rec.events().is_empty(), "event log captured the run");
 
     let mut jsonl = Vec::new();
@@ -181,7 +181,6 @@ fn sink_watchpoint_stops_the_leak_mid_run_and_resumes() {
     let stop = StopFlag::new();
     let mut sink = StreamSink::new(Recorder::new(16), stop.clone());
     let watch_id = sink.add_watch(WatchKind::Sink { site: "uart.tx".into(), atom: None });
-    let sink = shared(sink);
 
     // Record mode: without the watchpoint the whole 4-byte leak runs to
     // completion; the watch must be what stops it.
@@ -191,7 +190,7 @@ fn sink_watchpoint_stops_the_leak_mid_run_and_resumes() {
         .sensor_thread(false)
         .stop_flag(stop)
         .build();
-    let mut soc: Soc<Tainted, StreamSink> = Soc::with_obs(cfg, sink.clone());
+    let mut soc: Soc<Tainted, StreamSink> = Soc::with_obs(cfg, sink);
     soc.load_program(&program);
 
     let exit = soc.run(1_000);
@@ -201,7 +200,7 @@ fn sink_watchpoint_stops_the_leak_mid_run_and_resumes() {
         1,
         "stopped after the first leaked byte, before the transfer completed"
     );
-    let items = sink.borrow_mut().drain();
+    let items = soc.obs().borrow_mut().drain();
     assert!(
         items.iter().any(|i| matches!(i, StreamItem::Watch { id, .. } if *id == watch_id)),
         "stream carries the watch hit: {items:?}"
@@ -214,7 +213,7 @@ fn sink_watchpoint_stops_the_leak_mid_run_and_resumes() {
     assert_eq!(soc.uart().borrow().output().len(), 2);
 
     // Removing the watch lets the program run to its ebreak.
-    assert!(sink.borrow_mut().remove_watch(watch_id));
+    assert!(soc.obs().borrow_mut().remove_watch(watch_id));
     let exit = soc.run(1_000);
     assert_eq!(exit, SocExit::Break);
     assert_eq!(soc.uart().borrow().output().len(), 4, "full leak once unwatched");
