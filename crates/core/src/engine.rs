@@ -240,7 +240,8 @@ impl DiftEngine {
     }
 
     /// Checks data leaving through `sink` against the sink's clearance.
-    /// Sinks without a configured clearance are unchecked.
+    /// Sinks without a configured clearance are unchecked. A passing
+    /// unobserved check builds no violation kind, so it allocates nothing.
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
@@ -251,18 +252,21 @@ impl DiftEngine {
         pc: Option<u32>,
         obs: Option<&mut dyn FlowObserver>,
     ) -> Result<(), Violation> {
-        match self.policy.sink_clearance(sink) {
-            Some(clearance) => {
-                let kind = ViolationKind::Output { sink: sink.to_owned() };
-                self.check_flow(kind, tag, clearance, pc, obs)
-            }
-            None => Ok(()),
+        let Some(clearance) = self.policy.sink_clearance(sink) else {
+            return Ok(());
+        };
+        if obs.is_none() && self.sanitize(tag).flows_to(clearance) {
+            self.stats.checks += 1;
+            return Ok(());
         }
+        let kind = ViolationKind::Output { sink: sink.to_owned() };
+        self.check_flow(kind, tag, clearance, pc, obs)
     }
 
     /// Checks a store of data tagged `tag` to address `addr` against any
     /// protected-region rule covering it. `tag` is subject to the
-    /// fail-closed rule (see the type-level docs).
+    /// fail-closed rule (see the type-level docs). A passing unobserved
+    /// check builds no violation kind, so it allocates nothing.
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
@@ -273,22 +277,24 @@ impl DiftEngine {
         pc: Option<u32>,
         mut obs: Option<&mut dyn FlowObserver>,
     ) -> Result<(), Violation> {
-        if let Some((rule, clearance)) = self.policy.write_clearance_at(addr) {
-            let region = rule.name.clone();
-            let tag = self.sanitize(tag);
-            self.stats.checks += 1;
-            let passed = tag.flows_to(clearance);
-            let kind = ViolationKind::Store { region: region.clone() };
-            self.notify_check(obs.as_deref_mut(), &kind, tag, clearance, pc, passed);
-            if passed {
-                return Ok(());
-            }
-            let mut v = Violation::new(ViolationKind::Store { region }, tag, clearance)
-                .with_context(format!("store to {addr:#010x}"));
-            v.pc = pc;
-            return self.record(v, obs);
+        let Some((rule, clearance)) = self.policy.write_clearance_at(addr) else {
+            return Ok(());
+        };
+        let tag = self.sanitize(tag);
+        self.stats.checks += 1;
+        let passed = tag.flows_to(clearance);
+        if passed && obs.is_none() {
+            return Ok(());
         }
-        Ok(())
+        let kind = ViolationKind::Store { region: rule.name.clone() };
+        self.notify_check(obs.as_deref_mut(), &kind, tag, clearance, pc, passed);
+        if passed {
+            return Ok(());
+        }
+        let mut v =
+            Violation::new(kind, tag, clearance).with_context(format!("store to {addr:#010x}"));
+        v.pc = pc;
+        self.record(v, obs)
     }
 
     /// Records an externally constructed violation (a failed guest taint

@@ -25,10 +25,8 @@ use vpdift_periph::can::regs as can_regs;
 use vpdift_periph::CanFrame;
 use vpdift_rv32::{TaintMode, Tainted};
 use vpdift_soc::{map, ExecConfig, Soc, SocBuilder, SocExit};
-use vpdift_sync::shared;
 
 use crate::config::{generate_plan, FaultKind, PlannedFault};
-use crate::hooks::LossyCanFault;
 use crate::injector::{run_with_faults, FaultRecord};
 
 /// RAM window targeted by random RAM faults: covers every workload image
@@ -450,14 +448,12 @@ fn directed_watchdog(faulted: bool) -> ScenarioRun {
     soc.load_program(&program);
     let mut faults = Vec::new();
     if faulted {
-        let line = shared(LossyCanFault::default());
-        line.borrow_mut().arm_drop(1);
-        soc.can_host().set_line_fault(line);
+        soc.can_host().arm_drop(1);
         soc.watchdog_mut().arm(SimTime::from_ms(1));
         faults.push(FaultRecord { step: 0, site: "can", kind: "can_drop", addr: None, detail: 1 });
     }
     let delivered = soc.can_host().send(CanFrame::new(CHALLENGE_ID, &[1, 2, 3, 4, 5, 6, 7, 8]));
-    debug_assert_eq!(delivered, !faulted, "the line fault decides delivery");
+    debug_assert_eq!(delivered, !faulted, "the armed drop decides delivery");
     let (exit, _) =
         run_with_faults(&mut soc, ScenarioKind::DirectedWatchdog.reference_budget(), &[]);
     ScenarioRun::observe(&soc, exit, 0, faults)

@@ -3,19 +3,19 @@
 //! [`run_with_faults`] slices the simulation at every scheduled step: the
 //! SoC runs until the fault's step is reached (`SocExit::InstrLimit` on a
 //! slice means *exactly* that many steps were consumed — a step is one
-//! retired instruction or one taken trap), the fault is applied through
-//! the SoC's public fault surfaces, and the run continues. Any concrete
-//! exit (break, violation, watchdog, trap loop, idle) before a scheduled
-//! fault ends the run and the remaining faults never happen — exactly as
-//! on real hardware, where a crashed board absorbs no further radiation.
+//! retired instruction or one taken trap), the fault is applied to the
+//! part it disturbs (RAM, the system bus, the CAN wire, a device), and the
+//! run continues. Any concrete exit (break, violation, watchdog, trap
+//! loop, idle) before a scheduled fault ends the run and the remaining
+//! faults never happen — exactly as on real hardware, where a crashed
+//! board absorbs no further radiation.
 
 use vpdift_obs::{ObsEvent, ObsSink};
 use vpdift_rv32::TaintMode;
 use vpdift_soc::{map, Soc, SocExit};
-use vpdift_sync::{shared, Shared};
+use vpdift_tlm::BusFault;
 
 use crate::config::{FaultKind, PlannedFault};
-use crate::hooks::{ArmedBusFault, BusFaultKind, LossyCanFault};
 
 /// What was actually injected, for reports and determinism checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,23 +32,15 @@ pub struct FaultRecord {
     pub detail: u32,
 }
 
-/// Lazily-installed hook handles shared between the injector and the SoC.
-/// One state lives per run; hooks are installed on first use so a plan
-/// without bus or CAN faults keeps the platform entirely hook-free.
-#[derive(Debug, Default)]
-pub struct InjectorState {
-    bus: Option<Shared<ArmedBusFault>>,
-    can: Option<Shared<LossyCanFault>>,
-}
-
-/// Applies one fault to the SoC at `step` and returns the record. Emits
-/// an [`ObsEvent::FaultInjected`] when an observability sink is attached
+/// Applies one fault to the SoC at `step`, on the part it disturbs, and
+/// returns the record. Bus and CAN faults are armed there and fire on the
+/// next MMIO transaction or frame they apply to. Emits an
+/// [`ObsEvent::FaultInjected`] when an observability sink is attached
 /// (compiled out entirely under the default `NullSink`).
 pub fn apply_fault<M: TaintMode, S: ObsSink>(
     soc: &mut Soc<M, S>,
     step: u64,
     kind: FaultKind,
-    state: &mut InjectorState,
 ) -> FaultRecord {
     match kind {
         FaultKind::RamDataFlip { offset, bit } => {
@@ -59,32 +51,11 @@ pub fn apply_fault<M: TaintMode, S: ObsSink>(
         FaultKind::RamTagFlip { offset, atom } => {
             let _ = soc.ram_mut().flip_tag_bit(offset, atom);
         }
-        FaultKind::TlmCorrupt | FaultKind::TlmDrop | FaultKind::TlmError => {
-            if state.bus.is_none() {
-                let hook = shared(ArmedBusFault::default());
-                soc.set_mmio_fault(hook.clone());
-                state.bus = Some(hook);
-            }
-            let hook = state.bus.as_ref().expect("installed above");
-            hook.borrow_mut().arm(match kind {
-                FaultKind::TlmCorrupt => BusFaultKind::Corrupt,
-                FaultKind::TlmDrop => BusFaultKind::Drop,
-                _ => BusFaultKind::Error,
-            });
-        }
-        FaultKind::CanCorrupt | FaultKind::CanDrop { .. } => {
-            if state.can.is_none() {
-                let line = shared(LossyCanFault::default());
-                soc.can_host().set_line_fault(line.clone());
-                state.can = Some(line);
-            }
-            let line = state.can.as_ref().expect("installed above");
-            match kind {
-                FaultKind::CanCorrupt => line.borrow_mut().arm_corrupt(),
-                FaultKind::CanDrop { count } => line.borrow_mut().arm_drop(count),
-                _ => unreachable!("matched arm above"),
-            }
-        }
+        FaultKind::TlmCorrupt => soc.arm_mmio_fault(BusFault::Corrupt),
+        FaultKind::TlmDrop => soc.arm_mmio_fault(BusFault::Drop),
+        FaultKind::TlmError => soc.arm_mmio_fault(BusFault::Error),
+        FaultKind::CanCorrupt => soc.can_host().arm_corrupt(),
+        FaultKind::CanDrop { count } => soc.can_host().arm_drop(count),
         FaultKind::SensorStuck { value } => {
             soc.sensor_mut().set_stuck(Some(value));
         }
@@ -128,7 +99,6 @@ pub fn run_with_faults<M: TaintMode, S: ObsSink>(
     budget: u64,
     plan: &[PlannedFault],
 ) -> (SocExit, Vec<FaultRecord>) {
-    let mut state = InjectorState::default();
     let mut records = Vec::new();
     let mut consumed = 0u64;
     for fault in plan {
@@ -139,7 +109,7 @@ pub fn run_with_faults<M: TaintMode, S: ObsSink>(
                 exit => return (exit, records),
             }
         }
-        records.push(apply_fault(soc, fault.at_step, fault.kind, &mut state));
+        records.push(apply_fault(soc, fault.at_step, fault.kind));
     }
     let exit = if budget > consumed { soc.run(budget - consumed) } else { SocExit::InstrLimit };
     (exit, records)

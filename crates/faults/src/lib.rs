@@ -11,11 +11,12 @@
 //!   and, independently, in the taint-tag plane
 //!   ([`FaultKind::RamTagFlip`]) — the latter corrupts the DIFT engine's
 //!   *metadata*, not the architecture.
-//! * **Bus** — TLM-level faults through the SoC's interposing
-//!   `FaultRouter`: payload corruption, dropped transactions, forced error
-//!   responses (`TlmCorrupt` / `TlmDrop` / `TlmError`).
-//! * **Peripherals** — CAN frame corruption/loss on the wire, sensor
-//!   stuck-at values, DMA mid-burst aborts.
+//! * **Bus** — TLM-level faults armed on the system bus
+//!   (`Soc::arm_mmio_fault`): payload corruption, dropped transactions,
+//!   forced error responses (`TlmCorrupt` / `TlmDrop` / `TlmError`).
+//! * **Peripherals** — CAN frame corruption/loss armed on the wire
+//!   (`CanHostEndpoint::arm_corrupt` / `arm_drop`), sensor stuck-at
+//!   values, DMA mid-burst aborts.
 //! * **Interrupts** — spurious PLIC sources and interrupt storms.
 //!
 //! ## Resilience machinery exercised
@@ -40,7 +41,6 @@
 
 pub mod campaign;
 pub mod config;
-pub mod hooks;
 pub mod injector;
 pub mod report;
 
@@ -50,6 +50,5 @@ pub use campaign::{
     RunOutcomes, ScenarioKind, ScenarioOutcome, ScenarioRun,
 };
 pub use config::{generate_plan, FaultKind, PlannedFault};
-pub use hooks::{ArmedBusFault, BusFaultKind, LossyCanFault};
-pub use injector::{apply_fault, run_with_faults, FaultRecord, InjectorState};
+pub use injector::{apply_fault, run_with_faults, FaultRecord};
 pub use report::{campaign_header, render_json, render_report, run_json, scenario_json, Row};

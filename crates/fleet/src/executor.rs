@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vpdift_obs::{InsnCell, StopFlag};
+use vpdift_obs::StopFlag;
 
 use crate::job::{Job, JobCtx, JobError, JobResult, JobStatus};
 use crate::journal::Journal;
@@ -249,9 +249,6 @@ fn worker_loop(w: usize, shared: &FleetShared, config: &FleetConfig, tx: &mpsc::
     // One null check per fleet: with telemetry off `stats` is `None` and
     // every telemetry site below is a skipped branch at job granularity.
     let stats: Option<&WorkerStats> = config.telemetry.as_deref().map(|hub| hub.worker(w));
-    // Jobs receive a live insn cell either way; without telemetry it is
-    // a per-worker dummy nobody reads.
-    let insn_cell = stats.map(WorkerStats::insn_cell).unwrap_or_default();
     loop {
         if shared.remaining.load(Ordering::Acquire) == 0 {
             shared.done.store(true, Ordering::Release);
@@ -275,7 +272,7 @@ fn worker_loop(w: usize, shared: &FleetShared, config: &FleetConfig, tx: &mpsc::
             s.on_job_start();
         }
         let busy = Instant::now();
-        let (result, insns) = run_job(w, &job, shared, config, &insn_cell);
+        let (result, insns) = run_job(w, &job, shared, config);
         if let Some(s) = stats {
             s.on_job_done(result.status, result.attempts, busy.elapsed(), insns);
         }
@@ -292,21 +289,15 @@ fn worker_loop(w: usize, shared: &FleetShared, config: &FleetConfig, tx: &mpsc::
 /// Runs one job to a terminal status: attempts, retries, panic capture,
 /// deadline classification. The second return value is the job's
 /// completion-reported instruction count ([`JobOutput::insns`](crate::job::JobOutput);
-/// 0 for failed jobs and for jobs that report live through the cell).
-fn run_job(
-    w: usize,
-    job: &Job,
-    shared: &FleetShared,
-    config: &FleetConfig,
-    insn_cell: &InsnCell,
-) -> (JobResult, u64) {
+/// 0 for failed jobs).
+fn run_job(w: usize, job: &Job, shared: &FleetShared, config: &FleetConfig) -> (JobResult, u64) {
     let started = Instant::now();
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         let stop = StopFlag::new();
         let state = Arc::new(AtomicU8::new(ATTEMPT_RUNNING));
-        let ctx = JobCtx { job_id: job.id, attempt, stop: stop.clone(), insns: insn_cell.clone() };
+        let ctx = JobCtx { job_id: job.id, attempt, stop: stop.clone() };
 
         *shared.active[w].lock().unwrap() = Some(ActiveAttempt {
             started: Instant::now(),

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use vpdift_obs::{InsnCell, StopFlag};
+use vpdift_obs::StopFlag;
 
 /// Per-attempt context handed to the job closure.
 ///
@@ -25,13 +25,6 @@ pub struct JobCtx {
     pub attempt: u32,
     /// Raised by the deadline reaper when this attempt overruns.
     pub stop: StopFlag,
-    /// The worker's live retired-instruction counter. Jobs that run a
-    /// `Soc` may share it with the session (`SocBuilder::insn_cell`) so
-    /// fleet telemetry sees progress mid-run — even for a wedged guest
-    /// the reaper is about to kill. Jobs that wire this cell should
-    /// leave [`JobOutput::insns`] at 0 (and vice versa) so instructions
-    /// are not counted twice.
-    pub insns: InsnCell,
 }
 
 /// Why a job attempt failed.
@@ -52,9 +45,8 @@ pub struct JobOutput {
     /// Outcome counts this job contributes to the campaign summary
     /// (indexed however the campaign defines; summed across jobs).
     pub counts: Vec<u64>,
-    /// Retired guest instructions, reported at completion for telemetry.
-    /// Leave at 0 when the job streams the count live through
-    /// [`JobCtx::insns`] instead — the two paths feed the same counter.
+    /// Retired guest instructions, reported at completion for telemetry
+    /// (a job that does not complete reports none).
     pub insns: u64,
 }
 

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use vpdift_obs::expo::{render_metrics, Expo};
 use vpdift_obs::hist::{AtomicHist, Hist, HistSpec};
-use vpdift_obs::{InsnCell, Metrics, MetricsServer};
+use vpdift_obs::{Metrics, MetricsServer};
 
 use crate::job::JobStatus;
 
@@ -70,7 +70,7 @@ pub struct WorkerStats {
     idle_ns: AtomicU64,
     queue_depth: AtomicU64,
     active: AtomicU64,
-    insns: InsnCell,
+    insns: AtomicU64,
     wall_us: AtomicHist,
 }
 
@@ -88,17 +88,9 @@ impl WorkerStats {
             idle_ns: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             active: AtomicU64::new(0),
-            insns: InsnCell::new(),
+            insns: AtomicU64::new(0),
             wall_us: AtomicHist::new(wall_spec()),
         }
-    }
-
-    /// The live retired-instruction cell jobs may wire into a session
-    /// (`SocBuilder::insn_cell`). Jobs that cannot share the cell report
-    /// instructions at completion via `JobOutput::insns` instead — one
-    /// path or the other, never both.
-    pub fn insn_cell(&self) -> InsnCell {
-        self.insns.clone()
     }
 
     /// Records a steal (this worker took a job from another deque).
@@ -136,9 +128,7 @@ impl WorkerStats {
         self.retried.fetch_add(u64::from(attempts.saturating_sub(1)), Ordering::Relaxed);
         self.busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         self.wall_us.record(busy.as_micros() as u64);
-        if insns > 0 {
-            self.insns.add(insns);
-        }
+        self.insns.fetch_add(insns, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> WorkerSnap {
@@ -154,7 +144,7 @@ impl WorkerStats {
             idle_ns: self.idle_ns.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed) != 0,
-            insns: self.insns.get(),
+            insns: self.insns.load(Ordering::Relaxed),
             wall_us: self.wall_us.snapshot(),
         }
     }
@@ -303,7 +293,7 @@ pub struct TelemSnapshot {
     pub retried: u64,
     /// Cross-deque steals.
     pub stolen: u64,
-    /// Retired guest instructions (live cells + completion reports).
+    /// Retired guest instructions, as jobs reported them at completion.
     pub insns: u64,
     /// Whether the run had finished when this snapshot was taken.
     pub finished: bool,

@@ -53,8 +53,7 @@ pub use ring::{EventRing, TimedEvent};
 pub use scrape::{MetricsServer, ScrapeError};
 pub use sink::{DynObs, NullSink, ObsSink, ATOM_SLOTS};
 pub use stream::{
-    BreakHit, BreakKind, BreakSet, Breakpoint, InsnCell, StopFlag, StreamItem, StreamSink, Watch,
-    WatchKind,
+    BreakHit, BreakKind, BreakSet, Breakpoint, StopFlag, StreamItem, StreamSink, Watch, WatchKind,
 };
 
 /// Adapts a lent sink to the engine's [`FlowObserver`] hook, for one

@@ -67,34 +67,6 @@ impl StopFlag {
     }
 }
 
-/// A shared, cloneable live counter of retired instructions, published
-/// with relaxed stores at quantum boundaries by the SoC run loop (see
-/// `SocBuilder::insn_cell`) and read by external samplers — a fleet
-/// telemetry thread can report aggregate MIPS for sessions still
-/// mid-run (including wedged ones a deadline reaper is about to kill).
-/// Like [`StopFlag`], the cost when nobody attached a cell is one
-/// branch per quantum, not per instruction.
-#[derive(Clone, Debug, Default)]
-pub struct InsnCell(Arc<std::sync::atomic::AtomicU64>);
-
-impl InsnCell {
-    /// A fresh zeroed cell.
-    pub fn new() -> Self {
-        InsnCell::default()
-    }
-
-    /// Adds `n` retired instructions (relaxed; safe from the run loop).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current count (relaxed; may trail in-flight adds).
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// What a [`Breakpoint`] fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakKind {

@@ -47,44 +47,36 @@ impl CanFrame {
     }
 }
 
-/// A line-level fault model for a CAN link: consulted for every frame
-/// entering the wire in either direction. Implementations may mutate the
-/// frame (bit corruption) and return `false` to drop it entirely.
-pub trait CanLineFault: Send + Sync {
-    /// `frame` is about to be put on the wire; `to_device` is `true` for
-    /// host→VP traffic. Return `false` to lose the frame.
-    fn on_frame(&mut self, frame: &mut CanFrame, to_device: bool) -> bool;
-}
-
-/// A line-fault model as shared with a [`CanChannel`].
-pub type SharedCanLine = Shared<dyn CanLineFault>;
-
-/// The two directions of a point-to-point CAN link.
-#[derive(Default)]
+/// The two directions of a point-to-point CAN link, and the faults armed
+/// on its wire ([`CanHostEndpoint::arm_drop`],
+/// [`CanHostEndpoint::arm_corrupt`]).
+#[derive(Debug, Default)]
 struct ChannelState {
     to_host: VecDeque<CanFrame>,
     to_device: VecDeque<CanFrame>,
-    line_fault: Option<SharedCanLine>,
+    /// Frames the wire still loses.
+    drops: u32,
+    /// Whether the wire flips bit 0 of byte 0 of the next frame with data
+    /// it delivers.
+    corrupt: bool,
 }
 
-impl core::fmt::Debug for ChannelState {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ChannelState")
-            .field("to_host", &self.to_host)
-            .field("to_device", &self.to_device)
-            .field("line_fault", &self.line_fault.is_some())
-            .finish()
-    }
-}
-
-/// Applies the channel's line-fault model to `frame`; `true` = deliver.
-/// The hook handle is cloned out first so the model may inspect the
-/// channel without a double borrow.
-fn apply_line_fault(state: &Shared<ChannelState>, frame: &mut CanFrame, to_device: bool) -> bool {
-    let hook = state.borrow().line_fault.clone();
-    match hook {
-        Some(h) => h.borrow_mut().on_frame(frame, to_device),
-        None => true,
+impl ChannelState {
+    /// Puts `frame` on the wire towards the VP (`to_device`) or the host.
+    /// While armed drops remain the wire loses the frame (`false`);
+    /// otherwise an armed corruption disturbs it if it carries data.
+    fn transmit(&mut self, mut frame: CanFrame, to_device: bool) -> bool {
+        if self.drops > 0 {
+            self.drops -= 1;
+            return false;
+        }
+        if self.corrupt && frame.dlc > 0 {
+            self.corrupt = false;
+            frame.data[0] = frame.data[0].map(|v| v ^ 0x01);
+        }
+        let queue = if to_device { &mut self.to_device } else { &mut self.to_host };
+        queue.push_back(frame);
+        true
     }
 }
 
@@ -114,15 +106,10 @@ pub struct CanHostEndpoint {
 
 impl CanHostEndpoint {
     /// Sends a frame towards the VP. Returns `true` when the frame made it
-    /// onto the wire — an installed line-fault model may corrupt or drop
-    /// it (`false`). On a fault-free link this never fails.
+    /// onto the wire — an armed drop loses it (`false`). On a fault-free
+    /// link this never fails.
     pub fn send(&self, frame: CanFrame) -> bool {
-        let mut frame = frame;
-        if !apply_line_fault(&self.state, &mut frame, true) {
-            return false;
-        }
-        self.state.borrow_mut().to_device.push_back(frame);
-        true
+        self.state.borrow_mut().transmit(frame, true)
     }
 
     /// Sends a frame with bounded retry: re-attempts a dropped frame up to
@@ -137,15 +124,17 @@ impl CanHostEndpoint {
         (1..=max_attempts).find(|_| self.send(frame.clone()))
     }
 
-    /// Installs a line-level fault model (frame corruption/loss) on the
-    /// link; both directions pass through it.
-    pub fn set_line_fault(&self, fault: SharedCanLine) {
-        self.state.borrow_mut().line_fault = Some(fault);
+    /// Arms the wire to lose the next `n` frames, in either direction, on
+    /// top of drops still pending.
+    pub fn arm_drop(&self, n: u32) {
+        let mut state = self.state.borrow_mut();
+        state.drops = state.drops.saturating_add(n);
     }
 
-    /// Removes the line-fault model; the wire is perfect again.
-    pub fn clear_line_fault(&self) {
-        self.state.borrow_mut().line_fault = None;
+    /// Arms the wire to flip bit 0 of byte 0 of the next frame with data
+    /// it delivers, in either direction (one-shot).
+    pub fn arm_corrupt(&self) {
+        self.state.borrow_mut().corrupt = true;
     }
 
     /// Receives the next frame transmitted by the VP, if any.
@@ -286,15 +275,13 @@ impl TlmTarget for CanController {
                     let tag = self.tx_data[..self.tx_dlc as usize]
                         .iter()
                         .fold(Tag::EMPTY, |acc, b| acc.lub(b.tag()));
-                    match loan.check_output(&self.sink, tag, None) {
+                    match loan.check_output(&self.sink, tag) {
                         Ok(()) => {
-                            let mut frame =
+                            let frame =
                                 CanFrame { id: self.tx_id, dlc: self.tx_dlc, data: self.tx_data };
                             // The wire may corrupt or lose the frame; the
                             // controller has done its part either way.
-                            if apply_line_fault(&self.channel.state, &mut frame, false) {
-                                self.channel.state.borrow_mut().to_host.push_back(frame);
-                            }
+                            self.channel.state.borrow_mut().transmit(frame, false);
                             self.frames_sent += 1;
                             p.set_response(TlmResponse::Ok);
                         }
@@ -363,7 +350,6 @@ mod tests {
     use super::*;
     use crate::mmio::tests::lend_engine;
     use vpdift_core::{DiftEngine, SecurityPolicy, ViolationKind};
-    use vpdift_sync::shared;
 
     const SECRET: Tag = Tag::from_bits(0b01);
     const UNTRUSTED: Tag = Tag::from_bits(0b10);
@@ -462,52 +448,50 @@ mod tests {
         assert_eq!(c.c.name(), "can0");
     }
 
-    /// Drops the first `drop_n` frames in each direction, then corrupts
-    /// bit 0 of byte 0 on everything that passes.
-    struct LossyLine {
-        drop_n: u32,
-        corrupt: bool,
-        seen: u32,
-    }
-
-    impl CanLineFault for LossyLine {
-        fn on_frame(&mut self, frame: &mut CanFrame, _to_device: bool) -> bool {
-            self.seen += 1;
-            if self.seen <= self.drop_n {
-                return false;
-            }
-            if self.corrupt {
-                frame.data[0] = frame.data[0].map(|v| v ^ 1);
-            }
-            true
-        }
-    }
-
     #[test]
-    fn line_fault_drops_and_send_reports_it() {
+    fn armed_drops_lose_frames_and_send_reports_it() {
         let host = CanChannel::new().host_endpoint();
-        host.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
+        host.arm_drop(2);
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "first frame lost");
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "second frame lost");
         assert!(host.send(CanFrame::new(1, &[0xAA])));
-        host.clear_line_fault();
-        assert!(host.send(CanFrame::new(2, &[0xBB])), "perfect wire again");
+        assert!(host.send(CanFrame::new(2, &[0xBB])), "drops spent: a perfect wire again");
     }
 
     #[test]
     fn send_with_retry_survives_bounded_loss() {
         let host = CanChannel::new().host_endpoint();
-        host.set_line_fault(shared(LossyLine { drop_n: 2, corrupt: false, seen: 0 }));
+        host.arm_drop(2);
         assert_eq!(host.send_with_retry(CanFrame::new(7, &[1]), 5), Some(3), "third attempt lands");
         // Total loss within the attempt budget is reported, not retried forever.
-        host.set_line_fault(shared(LossyLine { drop_n: 100, corrupt: false, seen: 0 }));
+        host.arm_drop(100);
         assert_eq!(host.send_with_retry(CanFrame::new(7, &[1]), 4), None);
     }
 
     #[test]
-    fn line_fault_corrupts_device_tx_but_send_still_counts() {
+    fn armed_wire_drops_then_corrupts_once_in_either_direction() {
         let (mut c, host) = controller();
-        host.set_line_fault(shared(LossyLine { drop_n: 0, corrupt: true, seen: 0 }));
+        host.arm_drop(2);
+        host.arm_corrupt();
+        assert!(!host.send(CanFrame::new(1, &[0x40])));
+        assert!(!host.send(CanFrame::new(1, &[0x40])));
+        assert!(host.send(CanFrame::new(1, &[])), "third frame survives");
+        assert!(host.send(CanFrame::new(1, &[0x40])));
+        wr(&mut c, regs::RX_POP, Taint::untainted(1)); // the empty frame
+        let mut p = GenericPayload::read(regs::RX_DATA, 1);
+        c.transport(&mut p);
+        assert_eq!(p.data_values(), vec![0x41], "the first frame with data is corrupted");
+        wr(&mut c, regs::TX_DLC, Taint::untainted(1));
+        let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0x40)]);
+        c.transport(&mut p);
+        assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
+        assert_eq!(host.recv().expect("delivered").bytes(), vec![0x40], "corruption was one-shot");
+    }
+
+    #[test]
+    fn armed_corruption_disturbs_device_tx_but_send_still_counts() {
+        let (mut c, host) = controller();
+        host.arm_corrupt();
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0xAA)]);
         c.transport(&mut p);
@@ -520,7 +504,7 @@ mod tests {
     #[test]
     fn line_loss_is_invisible_to_the_device() {
         let (mut c, host) = controller();
-        host.set_line_fault(shared(LossyLine { drop_n: 1, corrupt: false, seen: 0 }));
+        host.arm_drop(1);
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0x42)]);
         c.transport(&mut p);

@@ -131,7 +131,7 @@ impl Dma {
             // Store clearance for protected destination regions.
             if self.check_stores {
                 for (i, b) in rd.data().iter().enumerate() {
-                    loan.check_store(dst + i as u32, b.tag(), None)
+                    loan.check_store(dst + i as u32, b.tag())
                         .map_err(|v| Some(v.with_context("dma transfer")))?;
                 }
             }
@@ -244,7 +244,8 @@ mod tests {
         }
 
         fn transport(&mut self, p: &mut GenericPayload) {
-            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None };
+            let mut loan =
+                Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None, pc: None };
             self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 

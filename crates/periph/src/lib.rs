@@ -33,7 +33,7 @@ pub mod watchdog;
 
 pub use aes::AesEngine;
 pub use aes_core::Aes128;
-pub use can::{CanChannel, CanController, CanFrame, CanHostEndpoint, CanLineFault, SharedCanLine};
+pub use can::{CanChannel, CanController, CanFrame, CanHostEndpoint};
 pub use clint::Clint;
 pub use dma::Dma;
 pub use plic::Plic;

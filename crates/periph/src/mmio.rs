@@ -35,7 +35,7 @@ pub(crate) mod tests {
         p: &mut GenericPayload,
         engine: &mut DiftEngine,
     ) {
-        Loan { mem: target, engine, obs: None }.reach(p, &mut SimTime::ZERO.clone());
+        Loan { mem: target, engine, obs: None, pc: None }.reach(p, &mut SimTime::ZERO.clone());
     }
 
     #[test]

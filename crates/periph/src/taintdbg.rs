@@ -129,7 +129,8 @@ mod tests {
         }
 
         fn transport(&mut self, p: &mut GenericPayload) {
-            let mut loan = Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None };
+            let mut loan =
+                Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None, pc: None };
             self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 

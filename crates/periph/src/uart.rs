@@ -67,7 +67,7 @@ impl TlmTarget for Uart {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::TXDATA) => {
                 let byte = p.data()[0];
-                match loan.check_output(&self.sink, byte.tag(), None) {
+                match loan.check_output(&self.sink, byte.tag()) {
                     Ok(()) => {
                         self.tx_log.push(byte.value());
                         p.set_response(TlmResponse::Ok);

@@ -20,7 +20,7 @@
 //! ```
 
 use vpdift_core::{EnforceMode, SecurityPolicy};
-use vpdift_obs::{BreakSet, InsnCell, StopFlag};
+use vpdift_obs::{BreakSet, StopFlag};
 use vpdift_rv32::ExecMode;
 
 use crate::exec_config::{ExecConfig, ExecConfigError};
@@ -115,15 +115,6 @@ impl SocBuilder {
         self
     }
 
-    /// Shares `cell` with the run loop as a live retired-step counter:
-    /// the loop adds each quantum's steps with one relaxed atomic add,
-    /// so an external sampler (fleet telemetry, a metrics endpoint) can
-    /// watch a session's progress mid-run.
-    pub fn insn_cell(mut self, cell: InsnCell) -> Self {
-        self.config.insns = cell;
-        self
-    }
-
     /// Finalises into the [`SocConfig`] consumed by
     /// [`Soc::new`](crate::Soc::new).
     pub fn build(self) -> SocConfig {
@@ -150,7 +141,6 @@ mod tests {
     #[test]
     fn every_knob_is_reachable() {
         let stop = StopFlag::new();
-        let insns = InsnCell::new();
         let breaks = BreakSet::new();
         let cfg = SocBuilder::new()
             .ram_size(64 * 1024)
@@ -161,7 +151,6 @@ mod tests {
             .sensor_thread(false)
             .engine(ExecMode::BlockCache)
             .stop_flag(stop.clone())
-            .insn_cell(insns.clone())
             .breakpoints(breaks.clone())
             .build();
         assert_eq!(cfg.ram_size, 64 * 1024);
@@ -172,8 +161,6 @@ mod tests {
         assert_eq!(cfg.exec, ExecMode::BlockCache);
         stop.request();
         assert!(cfg.stop.is_requested(), "builder shares the caller's flag");
-        cfg.insns.add(5);
-        assert_eq!(insns.get(), 5, "builder shares the caller's insn cell");
         breaks.add(vpdift_obs::BreakKind::Pc(0x40));
         assert!(cfg.breaks.armed(), "builder shares the caller's breakpoint set");
     }

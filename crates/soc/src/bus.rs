@@ -10,15 +10,13 @@ use vpdift_periph::{
 };
 use vpdift_rv32::{Bus, MemError, TaintMode, Word};
 use vpdift_sync::MutCell;
-use vpdift_tlm::{
-    FaultRouter, GenericPayload, Loan, Router, SharedFaultHook, TlmResponse, TlmTarget,
-};
+use vpdift_tlm::{FaultRouter, GenericPayload, Loan, Router, TlmResponse, TlmTarget};
 
 use crate::map::{self, RAM_BASE};
 
 /// What the bus's two maps decode an address to.
 #[derive(Clone, Copy)]
-enum Port {
+pub(crate) enum Port {
     Ram,
     Clint,
     Plic,
@@ -136,8 +134,14 @@ impl TlmTarget for DmaPorts<'_> {
 
     fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         let DmaPorts { map, ram, dev } = self;
+        let pc = loan.pc;
         map.route(p, delay, loan.obs.as_deref_mut(), |port, p, delay, obs| {
-            dev.transport(port, p, delay, &mut Loan { mem: &mut **ram, engine: loan.engine, obs })
+            dev.transport(
+                port,
+                p,
+                delay,
+                &mut Loan { mem: &mut **ram, engine: loan.engine, obs, pc },
+            )
         });
     }
 }
@@ -162,10 +166,10 @@ pub struct SocBus<M: TaintMode, S: ObsSink> {
     pub(crate) dev: Devices,
     /// Outside [`Devices`] because a transfer borrows the devices.
     pub(crate) dma: Dma,
-    /// The system-bus router behind a fault-injection interposer; with no
-    /// hook installed the wrapper is a single `Option` check per MMIO
-    /// transaction (and the RAM fast path bypasses it entirely).
-    router: FaultRouter<Port>,
+    /// The system-bus router, holding the one-shot fault
+    /// `Soc::arm_mmio_fault` arms; unarmed it costs a single `Option`
+    /// check per MMIO transaction (and the RAM fast path bypasses it).
+    pub(crate) router: FaultRouter<Port>,
     /// The DMA's port map.
     dma_ports: Router<Port>,
     /// Regions with write clearance, copied from the policy so the hot
@@ -239,18 +243,6 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
         std::mem::take(&mut self.mmio_delay)
     }
 
-    /// Installs a TLM fault hook on the system bus: every MMIO transaction
-    /// passes through it and may be corrupted, dropped or answered with a
-    /// forced error response.
-    pub fn set_mmio_fault(&mut self, hook: SharedFaultHook) {
-        self.router.set_hook(hook);
-    }
-
-    /// Removes the TLM fault hook.
-    pub fn clear_mmio_fault(&mut self) {
-        self.router.clear_hook();
-    }
-
     #[inline]
     fn in_ram(&self, addr: u32, size: u32) -> bool {
         // RAM_BASE is 0 in the current map (the >= comparison would be
@@ -281,16 +273,18 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
         Ok(())
     }
 
-    fn mmio(&mut self, payload: &mut GenericPayload) -> Result<(), MemError> {
+    /// Routes one MMIO transaction; `pc` is that of the store that
+    /// issued it (`None` for a load).
+    fn mmio(&mut self, payload: &mut GenericPayload, pc: Option<u32>) -> Result<(), MemError> {
         let mut delay = SimTime::ZERO;
         let SocBus { ram, engine, obs, dev, dma, router, dma_ports, .. } = self;
         let engine = engine.get_mut();
         router.route(payload, &mut delay, lend(obs), |port, p, delay, obs| match port {
             Port::Dma => {
                 let mut ports = DmaPorts { map: dma_ports, ram, dev };
-                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine, obs });
+                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine, obs, pc });
             }
-            _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine, obs }),
+            _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine, obs, pc }),
         });
         self.mmio_delay += delay;
         self.irq_dirty = true;
@@ -322,7 +316,7 @@ impl<M: TaintMode, S: ObsSink> Bus<M> for SocBus<M, S> {
             return Ok(M::Word::with_tag(v, t));
         }
         let mut p = GenericPayload::read(addr, size as usize);
-        self.mmio(&mut p)?;
+        self.mmio(&mut p, None)?;
         let w = vpdift_core::Taint::<u32>::from_bytes(&{
             let mut lanes = [vpdift_core::Taint::untainted(0u8); 4];
             lanes[..size as usize].copy_from_slice(p.data());
@@ -344,7 +338,7 @@ impl<M: TaintMode, S: ObsSink> Bus<M> for SocBus<M, S> {
         let mut lanes = [vpdift_core::Taint::untainted(0u8); 4];
         word.to_bytes(&mut lanes);
         let mut p = GenericPayload::write(addr, &lanes[..size as usize]);
-        self.mmio(&mut p)
+        self.mmio(&mut p, Some(pc))
     }
 
     fn mutation_epoch(&self) -> u64 {

@@ -6,14 +6,14 @@ use vpdift_asm::Program;
 use vpdift_core::{DiftEngine, EnforceMode, SecurityPolicy, Tag, Violation};
 use vpdift_kernel::SimTime;
 use vpdift_loader::{Elf32, Segment};
-use vpdift_obs::{BreakSet, InsnCell, NullSink, ObsEvent, ObsSink, StopFlag};
+use vpdift_obs::{BreakSet, NullSink, ObsEvent, ObsSink, StopFlag};
 use vpdift_periph::{
     AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, Plic, Ram, Sensor,
     TaintDebug, Terminal, Uart, Watchdog,
 };
 use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
 use vpdift_sync::MutCell;
-use vpdift_tlm::SharedFaultHook;
+use vpdift_tlm::BusFault;
 
 use crate::builder::SocBuilder;
 use crate::bus::{Devices, SocBus};
@@ -94,12 +94,6 @@ pub struct SocConfig {
     /// `NullSink` builds a slice is at most one cached block (block cache)
     /// or the rest of the quantum up to the next MMIO access (interpreter).
     pub stop: StopFlag,
-    /// Live retired-step counter published at quantum boundaries (one
-    /// relaxed add per quantum, never per instruction), so external
-    /// samplers — fleet telemetry, a serve-layer scrape endpoint — can
-    /// report progress of a session still mid-run. Share a cell via
-    /// [`SocBuilder::insn_cell`]; the default cell has no other reader.
-    pub insns: InsnCell,
     /// Shared PC / instruction-count breakpoints, checked *before* each
     /// instruction executes. Gated twice: on `S::ENABLED` (so `NullSink`
     /// batch runs compile the check out — unlike the stop poll, nothing
@@ -120,7 +114,6 @@ impl Default for SocConfig {
             sensor_thread: true,
             exec: ExecMode::default(),
             stop: StopFlag::new(),
-            insns: InsnCell::new(),
             breaks: BreakSet::new(),
         }
     }
@@ -490,9 +483,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                 }
             }
             steps_left -= stepped.min(steps_left);
-            if stepped > 0 {
-                self.config.insns.add(stepped);
-            }
             // Advance simulated time: executed steps + MMIO latency.
             let executed = stepped;
             let elapsed = INSN_TIME * executed + self.bus.take_mmio_delay();
@@ -698,15 +688,11 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &mut self.bus.dev.watchdog
     }
 
-    /// Installs a TLM fault hook on the system bus — every CPU-initiated
-    /// MMIO transaction passes through it (fault-injection campaigns).
-    pub fn set_mmio_fault(&mut self, hook: SharedFaultHook) {
-        self.bus.set_mmio_fault(hook);
-    }
-
-    /// Removes the system-bus fault hook.
-    pub fn clear_mmio_fault(&mut self) {
-        self.bus.clear_mmio_fault();
+    /// Arms `fault` on the system bus for the next CPU-initiated MMIO
+    /// transaction it applies to (fault-injection campaigns), overwriting
+    /// a pending arm. See [`BusFault`] for what each kind does.
+    pub fn arm_mmio_fault(&mut self, fault: BusFault) {
+        self.bus.router.arm(fault);
     }
 
     /// Block-cache counters when the SoC runs on the

@@ -3,11 +3,11 @@
 //!
 //! Little of a [`Soc`](../vpdift_soc/struct.Soc.html) is aliased any
 //! more: the system bus owns RAM, the DIFT engine, the observability sink
-//! and every device, and lends them per transaction. What is still shared
-//! is the CAN link between the controller and the host's ECU endpoint,
-//! and the fault-campaign hooks the injector arms after installing them;
-//! the engine, UART, terminal and sink sit in a [`MutCell`] only for
-//! host-side `borrow()`s.
+//! and every device, and lends them per transaction; faults are armed on
+//! the part they disturb, as plain state. The one thing still shared is
+//! the CAN link between the controller and the host's ECU endpoint (with
+//! the faults armed on its wire); the engine, UART, terminal and sink sit
+//! in a [`MutCell`] only for host-side `borrow()`s.
 //! Historically that aliasing was `Rc<RefCell<T>>` — correct for the
 //! single-threaded simulator, but it froze every session onto one thread
 //! and made fleet execution (N parallel campaign sessions) impossible.
@@ -23,8 +23,8 @@
 //! per borrow; the guest path takes none, since the bus reaches the cells
 //! it owns with [`MutCell::get_mut`].
 //!
-//! [`Shared<T>`] is the `Arc<MutCell<T>>` alias used throughout the
-//! workspace, constructed via [`shared`].
+//! [`Shared<T>`] is the `Arc<MutCell<T>>` alias that link uses,
+//! constructed via [`shared`].
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

@@ -1,108 +1,98 @@
-//! TLM-level fault injection: an interposing router for fault campaigns.
+//! TLM-level fault injection: the system bus's one-shot fault.
 //!
-//! [`FaultRouter`] wraps a [`Router`] and consults an optional
-//! [`TlmFaultHook`] around every routed transaction, so a fault-injection
-//! campaign (`vpdift-faults`) can corrupt payload lanes, drop transactions
-//! or force error responses without the interconnect or any target knowing.
-//! With no hook installed the wrapper costs a single `Option` check per
-//! transaction.
+//! [`FaultRouter`] wraps a [`Router`] and holds at most one armed
+//! [`BusFault`], which disturbs the next transaction it applies to and then
+//! disarms, so a fault-injection campaign (`vpdift-faults`) can corrupt a
+//! payload lane, drop a transaction or force an error response without the
+//! interconnect or any target knowing. Unarmed, the wrapper costs a single
+//! `Option` check per transaction.
 
 use vpdift_kernel::SimTime;
 use vpdift_obs::DynObs;
-use vpdift_sync::Shared;
 
-use crate::payload::{GenericPayload, TlmResponse};
+use crate::payload::{GenericPayload, TlmCommand, TlmResponse};
 use crate::router::Router;
 
-/// What a [`TlmFaultHook`] decides to do with a transaction before it is
-/// routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultAction {
-    /// Route the transaction normally (possibly after the hook mutated the
-    /// payload — e.g. corrupted write data).
-    #[default]
-    Pass,
-    /// Drop the transaction: it never reaches a target and completes with
+/// What an armed [`FaultRouter`] does to the next transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BusFault {
+    /// Flip bit 0 of the first data lane: write data before routing, read
+    /// data after a read completes `Ok`. Stays armed through transactions
+    /// it cannot corrupt.
+    Corrupt,
+    /// Drop the transaction: it reaches no target and completes with
     /// [`TlmResponse::GenericError`].
     Drop,
-    /// Complete immediately with the given response, without routing.
-    Respond(TlmResponse),
+    /// Answer [`TlmResponse::AddressError`] without routing.
+    Error,
 }
 
-/// A fault model consulted around every transaction through a
-/// [`FaultRouter`].
-pub trait TlmFaultHook: Send + Sync {
-    /// Called before routing. May mutate the payload (corrupting write
-    /// data or the address) and decides whether the transaction proceeds.
-    fn before(&mut self, payload: &mut GenericPayload) -> FaultAction;
-
-    /// Called after a routed transaction returns, with the target's
-    /// response and read data in place — the spot to corrupt read lanes.
-    fn after(&mut self, _payload: &mut GenericPayload) {}
-}
-
-/// A fault hook as shared between the campaign driver and the bus.
-pub type SharedFaultHook = Shared<dyn TlmFaultHook>;
-
-/// A [`Router`] wrapper that injects faults via an optional
-/// [`TlmFaultHook`]. Map the router's ports before wrapping it.
+/// A [`Router`] wrapper that disturbs one transaction per armed
+/// [`BusFault`]. Map the router's ports before wrapping it.
+#[derive(Debug)]
 pub struct FaultRouter<P> {
     inner: Router<P>,
-    hook: Option<SharedFaultHook>,
+    armed: Option<BusFault>,
 }
 
 impl<P: Copy> FaultRouter<P> {
-    /// Wraps `inner` with no fault hook installed (transparent).
+    /// Wraps `inner`, unarmed (transparent).
     pub fn new(inner: Router<P>) -> Self {
-        FaultRouter { inner, hook: None }
+        FaultRouter { inner, armed: None }
     }
 
-    /// Installs the fault hook consulted around every transaction.
-    pub fn set_hook(&mut self, hook: SharedFaultHook) {
-        self.hook = Some(hook);
+    /// Arms `fault` for the next transaction it applies to, overwriting a
+    /// pending arm.
+    pub fn arm(&mut self, fault: BusFault) {
+        self.armed = Some(fault);
     }
 
-    /// Removes the fault hook; the wrapper becomes transparent again.
-    pub fn clear_hook(&mut self) {
-        self.hook = None;
-    }
-
-    /// Routes one transaction through the hook (if any) and the wrapped
-    /// router. See [`Router::route`] for the routing semantics, `obs` and
-    /// `target`; a dropped or answered transaction reaches neither.
+    /// Routes one transaction through the armed fault (if any) and the
+    /// wrapped router. See [`Router::route`] for the routing semantics,
+    /// `obs` and `target`; a dropped or answered transaction reaches
+    /// neither.
     pub fn route(
-        &self,
+        &mut self,
         payload: &mut GenericPayload,
         delay: &mut SimTime,
         obs: Option<&mut (dyn DynObs + 'static)>,
         target: impl FnOnce(P, &mut GenericPayload, &mut SimTime, Option<&mut (dyn DynObs + 'static)>),
     ) {
-        let Some(hook) = &self.hook else {
+        let Some(fault) = self.armed else {
             self.inner.route(payload, delay, obs, target);
             return;
         };
-        match hook.borrow_mut().before(payload) {
-            FaultAction::Pass => {}
-            FaultAction::Drop => {
-                payload.set_response(TlmResponse::GenericError);
-                return;
-            }
-            FaultAction::Respond(r) => {
-                payload.set_response(r);
-                return;
+        match fault {
+            BusFault::Drop => self.answer(payload, TlmResponse::GenericError),
+            BusFault::Error => self.answer(payload, TlmResponse::AddressError),
+            BusFault::Corrupt => {
+                if payload.command() == TlmCommand::Write {
+                    self.corrupt(payload);
+                }
+                self.inner.route(payload, delay, obs, target);
+                // A read is corrupted once the target filled its lanes.
+                if self.armed.is_some() && payload.command() == TlmCommand::Read && payload.is_ok()
+                {
+                    self.corrupt(payload);
+                }
             }
         }
-        self.inner.route(payload, delay, obs, target);
-        hook.borrow_mut().after(payload);
     }
-}
 
-impl<P> core::fmt::Debug for FaultRouter<P> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FaultRouter")
-            .field("inner", &self.inner)
-            .field("hook", &self.hook.is_some())
-            .finish()
+    /// Completes the transaction with `response` without routing it, and
+    /// disarms.
+    fn answer(&mut self, payload: &mut GenericPayload, response: TlmResponse) {
+        payload.set_response(response);
+        self.armed = None;
+    }
+
+    /// Flips bit 0 of the first data lane and disarms; a payload without
+    /// data leaves the fault armed.
+    fn corrupt(&mut self, payload: &mut GenericPayload) {
+        if let Some(lane) = payload.data_mut().first_mut() {
+            *lane = lane.map(|v| v ^ 0x01);
+            self.armed = None;
+        }
     }
 }
 
@@ -123,85 +113,83 @@ mod tests {
         fr.route(p, &mut SimTime::ZERO.clone(), None, |_, p, _, _| {
             let lanes = p.address() as usize..p.address() as usize + p.len();
             match p.command() {
-                crate::TlmCommand::Read => p.data_mut().copy_from_slice(&ram[lanes]),
-                crate::TlmCommand::Write => ram[lanes].copy_from_slice(p.data()),
-                crate::TlmCommand::Ignore => {}
+                TlmCommand::Read => p.data_mut().copy_from_slice(&ram[lanes]),
+                TlmCommand::Write => ram[lanes].copy_from_slice(p.data()),
+                TlmCommand::Ignore => {}
             }
             p.set_response(TlmResponse::Ok);
         });
     }
 
-    struct OneShot(FaultAction);
+    fn write(fr: &mut FaultRouter<u8>, ram: &mut [Taint<u8>; 16], v: u8) -> TlmResponse {
+        let mut w = GenericPayload::write(0x104, &[Taint::untainted(v)]);
+        route(fr, &mut w, ram);
+        w.response()
+    }
 
-    impl TlmFaultHook for OneShot {
-        fn before(&mut self, _p: &mut GenericPayload) -> FaultAction {
-            std::mem::take(&mut self.0)
-        }
+    fn read(fr: &mut FaultRouter<u8>, ram: &mut [Taint<u8>; 16]) -> (TlmResponse, u8) {
+        let mut r = GenericPayload::read(0x104, 1);
+        route(fr, &mut r, ram);
+        (r.response(), r.data()[0].value())
     }
 
     #[test]
-    fn transparent_without_hook() {
+    fn transparent_unarmed() {
         let (mut fr, mut ram) = wrapped_ram();
-        let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w, &mut ram);
-        assert!(w.is_ok());
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::Ok);
         assert_eq!(ram[4].value(), 7);
     }
 
     #[test]
-    fn drop_never_reaches_the_target() {
+    fn dropped_transaction_never_reaches_its_target() {
         let (mut fr, mut ram) = wrapped_ram();
-        fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
-        let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w, &mut ram);
-        assert_eq!(w.response(), TlmResponse::GenericError);
+        fr.arm(BusFault::Drop);
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::GenericError);
         assert_eq!(ram[4].value(), 0, "write was dropped");
-        // The hook is one-shot: the retry goes through.
-        let mut w = GenericPayload::write(0x104, &[Taint::untainted(7)]);
-        route(&mut fr, &mut w, &mut ram);
-        assert!(w.is_ok());
+        // The fault is one-shot: the retry goes through.
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::Ok);
         assert_eq!(ram[4].value(), 7);
     }
 
     #[test]
-    fn forced_response_short_circuits() {
+    fn error_is_answered_without_routing() {
         let (mut fr, mut ram) = wrapped_ram();
-        fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Respond(TlmResponse::AddressError))));
-        let mut r = GenericPayload::read(0x104, 4);
-        route(&mut fr, &mut r, &mut ram);
-        assert_eq!(r.response(), TlmResponse::AddressError);
+        fr.arm(BusFault::Error);
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::AddressError);
+        assert_eq!(ram[4].value(), 0, "the target never saw the write");
+        assert_eq!(read(&mut fr, &mut ram), (TlmResponse::Ok, 0), "fired once, transparent again");
     }
 
     #[test]
-    fn after_hook_corrupts_read_data() {
-        struct FlipRead;
-        impl TlmFaultHook for FlipRead {
-            fn before(&mut self, _p: &mut GenericPayload) -> FaultAction {
-                FaultAction::Pass
-            }
-            fn after(&mut self, p: &mut GenericPayload) {
-                if p.command() == crate::TlmCommand::Read {
-                    let b = p.data()[0];
-                    p.data_mut()[0] = b.map(|v| v ^ 0x80);
-                }
-            }
-        }
+    fn write_corruption_flips_the_lane_before_routing() {
         let (mut fr, mut ram) = wrapped_ram();
-        ram[0] = Taint::untainted(0x11);
-        fr.set_hook(vpdift_sync::shared(FlipRead));
-        let mut r = GenericPayload::read(0x100, 1);
-        route(&mut fr, &mut r, &mut ram);
-        assert_eq!(r.data()[0].value(), 0x91, "read lane corrupted post-route");
-        assert_eq!(ram[0].value(), 0x11, "memory itself untouched");
+        fr.arm(BusFault::Corrupt);
+        assert_eq!(write(&mut fr, &mut ram, 0x10), TlmResponse::Ok);
+        assert_eq!(ram[4].value(), 0x11, "bit 0 flipped in the stored lane");
+        assert_eq!(write(&mut fr, &mut ram, 0x10), TlmResponse::Ok);
+        assert_eq!(ram[4].value(), 0x10, "one-shot");
     }
 
     #[test]
-    fn clear_hook_restores_transparency() {
+    fn read_corruption_waits_for_the_read_data() {
         let (mut fr, mut ram) = wrapped_ram();
-        fr.set_hook(vpdift_sync::shared(OneShot(FaultAction::Drop)));
-        fr.clear_hook();
-        let mut r = GenericPayload::read(0x100, 1);
-        route(&mut fr, &mut r, &mut ram);
-        assert!(r.is_ok());
+        ram[4] = Taint::untainted(0x20);
+        fr.arm(BusFault::Corrupt);
+        let mut miss = GenericPayload::read(0x200, 1);
+        route(&mut fr, &mut miss, &mut ram);
+        assert_eq!(miss.response(), TlmResponse::AddressError);
+        assert_eq!(miss.data()[0].value(), 0, "a failed read is not corrupted");
+        assert_eq!(read(&mut fr, &mut ram), (TlmResponse::Ok, 0x21), "still armed, fires now");
+        assert_eq!(ram[4].value(), 0x20, "memory itself untouched");
+        assert_eq!(read(&mut fr, &mut ram), (TlmResponse::Ok, 0x20), "transparent again");
+    }
+
+    #[test]
+    fn arming_overwrites_a_pending_arm() {
+        let (mut fr, mut ram) = wrapped_ram();
+        fr.arm(BusFault::Drop);
+        fr.arm(BusFault::Error);
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::AddressError);
+        assert_eq!(write(&mut fr, &mut ram, 7), TlmResponse::Ok, "only the last arm fired");
     }
 }

@@ -17,6 +17,6 @@ mod fault;
 mod payload;
 mod router;
 
-pub use fault::{FaultAction, FaultRouter, SharedFaultHook, TlmFaultHook};
+pub use fault::{BusFault, FaultRouter};
 pub use payload::{GenericPayload, TlmCommand, TlmResponse};
 pub use router::{Loan, MapError, Router, TlmTarget};

@@ -44,15 +44,24 @@ pub struct Loan<'a> {
     pub engine: &'a mut DiftEngine,
     /// The sink, when the bus's owner has an enabled one.
     pub obs: Option<&'a mut (dyn DynObs + 'static)>,
+    /// The pc of the store that started the transaction, which the
+    /// loan's checks and records name; `None` for a load, which no device
+    /// checks.
+    pub pc: Option<u32>,
 }
 
 impl Loan<'_> {
     /// Sends one transaction of the borrower's own to [`Loan::mem`],
-    /// lending it the engine and the sink in turn (a DMA burst that ends
-    /// at the UART is checked by the same engine) and no memory.
+    /// lending it the engine, the sink and the pc in turn (a DMA burst
+    /// that ends at the UART is checked by the same engine, in the name
+    /// of the store that started it) and no memory.
     pub fn reach(&mut self, payload: &mut GenericPayload, delay: &mut SimTime) {
-        let mut loan =
-            Loan { mem: &mut NoMemory, engine: self.engine, obs: self.obs.as_deref_mut() };
+        let mut loan = Loan {
+            mem: &mut NoMemory,
+            engine: self.engine,
+            obs: self.obs.as_deref_mut(),
+            pc: self.pc,
+        };
         self.mem.transport_with(payload, delay, &mut loan);
     }
 
@@ -64,27 +73,33 @@ impl Loan<'_> {
         }
     }
 
-    /// [`DiftEngine::check_output`], observed by the lent sink.
+    /// [`DiftEngine::check_output`] at the lent pc, observed by the lent
+    /// sink.
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
-    pub fn check_output(&mut self, sink: &str, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+    pub fn check_output(&mut self, sink: &str, tag: Tag) -> Result<(), Violation> {
+        let pc = self.pc;
         self.observed(|engine, obs| engine.check_output(sink, tag, pc, obs))
     }
 
-    /// [`DiftEngine::check_store`], observed by the lent sink.
+    /// [`DiftEngine::check_store`] at the lent pc, observed by the lent
+    /// sink.
     ///
     /// # Errors
     /// See [`DiftEngine::check_flow`].
-    pub fn check_store(&mut self, addr: u32, tag: Tag, pc: Option<u32>) -> Result<(), Violation> {
+    pub fn check_store(&mut self, addr: u32, tag: Tag) -> Result<(), Violation> {
+        let pc = self.pc;
         self.observed(|engine, obs| engine.check_store(addr, tag, pc, obs))
     }
 
-    /// [`DiftEngine::record`], observed by the lent sink.
+    /// [`DiftEngine::record`], observed by the lent sink; a violation
+    /// that names no pc is stamped with the lent one.
     ///
     /// # Errors
     /// See [`DiftEngine::record`].
-    pub fn record(&mut self, violation: Violation) -> Result<(), Violation> {
+    pub fn record(&mut self, mut violation: Violation) -> Result<(), Violation> {
+        violation.pc = violation.pc.or(self.pc);
         self.observed(|engine, obs| engine.record(violation, obs))
     }
 
@@ -391,7 +406,7 @@ mod tests {
                 let mut inner = GenericPayload::read(0, 1);
                 loan.mem.transport(&mut inner, d);
                 assert_eq!(inner.response(), TlmResponse::AddressError);
-                match loan.check_output("uart.tx", p.data_tag(), None) {
+                match loan.check_output("uart.tx", p.data_tag()) {
                     Ok(()) => p.set_response(TlmResponse::Ok),
                     Err(v) => p.set_violation(v),
                 }
@@ -400,11 +415,13 @@ mod tests {
         let policy = SecurityPolicy::builder("t").sink("uart.tx", Tag::EMPTY).build();
         let mut engine = DiftEngine::new(policy);
         let mut rec = vpdift_obs::Recorder::new(8);
-        let mut loan = Loan { mem: &mut Sink, engine: &mut engine, obs: Some(&mut rec) };
+        let mut loan =
+            Loan { mem: &mut Sink, engine: &mut engine, obs: Some(&mut rec), pc: Some(0x80) };
         let mut p = GenericPayload::write(0, &[Taint::new(1, Tag::atom(0))]);
         loan.reach(&mut p, &mut SimTime::ZERO.clone());
         assert!(p.take_violation().is_some(), "checked by the lent engine");
         assert_eq!(engine.violations().len(), 1);
+        assert_eq!(engine.violations()[0].pc, Some(0x80), "named by the lent pc");
         let labels: Vec<_> = rec.ring().iter().map(|e| e.event.label()).collect();
         assert_eq!(labels, ["check", "tag_set_change", "violation"], "seen by the lent sink");
     }

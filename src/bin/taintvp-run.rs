@@ -816,15 +816,14 @@ fn program_reference(program: &Program) -> (ScenarioRun, u64) {
     (ScenarioRun::observe(&soc, exit, 0, Vec::new()), loaded)
 }
 
-/// One faulted replay of an external guest under a fleet job's stop flag
-/// and live instruction counter.
+/// One faulted replay of an external guest under a fleet job's stop flag.
 fn program_faulted(
     program: &Program,
     plan: &[PlannedFault],
     budget: u64,
     ctx: &taintvp::fleet::JobCtx,
 ) -> ScenarioRun {
-    let cfg = base_builder().stop_flag(ctx.stop.clone()).insn_cell(ctx.insns.clone()).build();
+    let cfg = base_builder().stop_flag(ctx.stop.clone()).build();
     let mut soc = Soc::<Tainted>::new(cfg);
     soc.load_program(program);
     let (exit, records) = run_with_faults(&mut soc, budget, plan);
@@ -905,10 +904,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
                     // `ctx.stop` ends this attempt.
                     let program = parse_asm("loop:\n    j loop\n", 0)
                         .map_err(|e| JobError::Fatal(format!("bad hang program: {e}")))?;
-                    let cfg = base_builder()
-                        .stop_flag(ctx.stop.clone())
-                        .insn_cell(ctx.insns.clone())
-                        .build();
+                    let cfg = base_builder().stop_flag(ctx.stop.clone()).build();
                     let mut soc = Soc::<Tainted>::new(cfg);
                     soc.load_program(&program);
                     soc.run(u64::MAX);

@@ -459,6 +459,21 @@ fn fleet_report_is_independent_of_worker_count() {
 }
 
 #[test]
+fn fleet_program_sweep_counts_each_instruction_once() {
+    let program = temp_journal("ebreak").with_extension("s");
+    std::fs::write(&program, "ebreak\n").expect("program written");
+    let metrics = temp_journal("insns_metrics").with_extension("json");
+    let args = ["--program", program.to_str().unwrap(), "--jobs", "8", "--workers", "1"];
+    fleet_report("insns", &[&args[..], &["--metrics-json", metrics.to_str().unwrap()]].concat());
+    let json = std::fs::read_to_string(&metrics).expect("metrics JSON written");
+    // Each of the eight jobs exits `break` after its one step.
+    assert!(json.contains("\"instructions\": 8,"), "{json}");
+    assert!(json.contains("\"insns\":8,"), "{json}");
+    let _ = std::fs::remove_file(&program);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+#[test]
 fn fleet_injected_failures_cost_one_row_each() {
     let (serial, _) = fleet_report("inj_serial", &["--jobs", "6", "--workers", "1"]);
     let (injected, _) = fleet_report(

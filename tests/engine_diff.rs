@@ -460,15 +460,13 @@ fn tainted_atomics_digest_is_engine_invariant() {
     assert_eq!(results[0].5, Tag::from_bits(0b10), "the AMO write keeps the cell tainted");
 }
 
-/// The platform watchdog (armed, waiting on a CAN frame a lossy line
-/// drops) bites identically under both engines.
+/// The platform watchdog (armed, waiting on a CAN frame the wire drops)
+/// bites identically under both engines.
 #[test]
 fn watchdog_timeout_is_engine_invariant() {
-    use taintvp::faults::LossyCanFault;
     use taintvp::kernel::SimTime;
     use taintvp::periph::can::regs as can_regs;
     use taintvp::periph::CanFrame;
-    use taintvp::prelude::shared;
     use taintvp::soc::map;
 
     let results = [ExecMode::Interp, ExecMode::BlockCache].map(|mode| {
@@ -484,12 +482,10 @@ fn watchdog_timeout_is_engine_invariant() {
         let cfg = Soc::<Tainted>::builder().sensor_thread(false).engine(mode).build();
         let mut soc = Soc::<Tainted>::new(cfg);
         soc.load_program(&prog);
-        let line = shared(LossyCanFault::default());
-        line.borrow_mut().arm_drop(1);
-        soc.can_host().set_line_fault(line);
+        soc.can_host().arm_drop(1);
         soc.watchdog_mut().arm(SimTime::from_ms(1));
         let delivered = soc.can_host().send(CanFrame::new(0x10, &[1, 2, 3, 4, 5, 6, 7, 8]));
-        assert!(!delivered, "the armed line fault must drop the frame");
+        assert!(!delivered, "the armed drop must lose the frame");
         let exit = soc.run(5_000_000);
         (exit, soc.instret(), soc.state_digest())
     });
@@ -578,67 +574,49 @@ fn step_exact_short_runs_are_engine_invariant() {
     );
 }
 
-/// A stop flag raised mid-run on a `NullSink` SoC (here by a TLM hook on
-/// the guest's UART write, standing in for a fleet deadline reaper) ends
-/// the run at the next slice boundary on both engines, and the resumed run
-/// reaches the same final state as an uninterrupted one.
+/// A stop flag raised from another thread, as a fleet deadline reaper
+/// raises it, ends a `NullSink` run of an endless loop at the next slice
+/// boundary on both engines. The run resumes from the exact stop point:
+/// a following budget lands step-exact on the state an uninterrupted run
+/// of the same length reaches.
 #[test]
 fn stop_flag_on_a_null_sink_soc_stops_and_resumes_on_both_engines() {
     use taintvp::obs::StopFlag;
-    use taintvp::prelude::shared;
-    use taintvp::soc::map;
-    use taintvp::tlm::{FaultAction, GenericPayload, TlmFaultHook};
-
-    struct StopOnMmio(StopFlag);
-    impl TlmFaultHook for StopOnMmio {
-        fn before(&mut self, _: &mut GenericPayload) -> FaultAction {
-            self.0.request();
-            FaultAction::Pass
-        }
-    }
 
     let mut a = Asm::new(0);
     a.entry();
     a.li(Reg::A0, 0);
-    a.li(Reg::T0, 300);
-    a.label("sum");
-    a.add(Reg::A0, Reg::A0, Reg::T0);
-    a.addi(Reg::T0, Reg::T0, -1);
-    a.bnez(Reg::T0, "sum");
-    a.li(Reg::S0, map::UART_BASE as i32);
-    a.sb(Reg::A0, 0, Reg::S0); // the hook raises the stop flag here
-    a.label("after_store");
-    for _ in 0..4 {
-        a.addi(Reg::A0, Reg::A0, 1);
-    }
-    a.ebreak();
-    let prog = a.assemble().expect("stop guest assembles");
+    a.label("spin");
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.xor(Reg::A1, Reg::A1, Reg::A0);
+    a.j("spin");
+    a.label("end");
+    let prog = a.assemble().expect("spin guest assembles");
+    let spin = prog.symbol("spin").expect("label")..prog.symbol("end").expect("label");
 
-    let reference = {
-        let mut soc = Soc::<Plain>::new(Soc::<Plain>::builder().sensor_thread(false).build());
-        soc.load_program(&prog);
-        assert_eq!(soc.run(100_000), SocExit::Break);
-        (soc.instret(), soc.state_digest())
-    };
     for mode in [ExecMode::Interp, ExecMode::BlockCache] {
+        let builder = || Soc::<Plain>::builder().sensor_thread(false).engine(mode);
         let stop = StopFlag::new();
-        let cfg = Soc::<Plain>::builder()
-            .sensor_thread(false)
-            .engine(mode)
-            .stop_flag(stop.clone())
-            .build();
-        let mut soc = Soc::<Plain>::new(cfg);
+        let mut soc = Soc::<Plain>::new(builder().stop_flag(stop.clone()).build());
         soc.load_program(&prog);
-        soc.set_mmio_fault(shared(StopOnMmio(stop)));
-        assert_eq!(soc.run(100_000), SocExit::Stopped, "{mode}: the raised flag stops the run");
-        assert_eq!(
-            Some(soc.cpu().pc()),
-            prog.symbol("after_store"),
-            "{mode}: stopped right after the MMIO store, not at the quantum end"
-        );
-        soc.clear_mmio_fault();
-        assert_eq!(soc.run(100_000), SocExit::Break, "{mode}: the run resumes");
-        assert_eq!((soc.instret(), soc.state_digest()), reference, "{mode}: final state differs");
+        assert_eq!(soc.run(10), SocExit::InstrLimit, "{mode}: into the loop");
+        // The pause only makes a stop mid-run likely: a flag raised before
+        // the run starts stops it at its first poll, and passes as well.
+        let reaper = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            stop.request();
+        });
+        assert_eq!(soc.run(u64::MAX), SocExit::Stopped, "{mode}: the raised flag stops the run");
+        reaper.join().expect("the reaper thread");
+        assert!(spin.contains(&soc.cpu().pc()), "{mode}: stopped inside the loop");
+
+        let stopped_at = soc.instret();
+        assert_eq!(soc.run(1_000), SocExit::InstrLimit, "{mode}: the run resumes");
+        assert_eq!(soc.instret(), stopped_at + 1_000, "{mode}: step-exact after the stop");
+        let mut fresh = Soc::<Plain>::new(builder().build());
+        fresh.load_program(&prog);
+        assert_eq!(fresh.run(stopped_at + 1_000), SocExit::InstrLimit);
+        assert_eq!(soc.state_digest(), fresh.state_digest(), "{mode}: final state differs");
     }
 }
 
@@ -790,7 +768,9 @@ fn latch_source_host_ram_store() {
 /// a Record-mode VP+ guest trips branch clearance (CPU), a protected RAM
 /// store (system bus), UART and CAN output clearance, DMA store clearance
 /// and a taintdbg assertion, once each, then takes an `ecall` round trip
-/// and reads a classified terminal byte. The sink sees every emission
+/// and reads a classified terminal byte. Each violation names the store
+/// responsible: a device's check the store that reached the device, the
+/// DMA's the `CTRL` store that started the burst. The sink sees every emission
 /// site in order: the event stream matches the golden on both engines
 /// (the block cache adds its closing `engine_cache` record).
 #[test]
@@ -811,19 +791,23 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
     a.label("store");
     a.sb(Reg::A0, 0, Reg::T1);
     a.li(Reg::T2, map::UART_BASE as i32);
+    a.label("uart_store");
     a.sb(Reg::A0, 0, Reg::T2);
     a.li(Reg::T3, 1);
     a.li(Reg::T2, map::CAN_BASE as i32);
     a.sw(Reg::T3, can::regs::TX_DLC as i32, Reg::T2);
     a.sb(Reg::A0, can::regs::TX_DATA as i32, Reg::T2);
+    a.label("can_go");
     a.sw(Reg::T3, can::regs::TX_GO as i32, Reg::T2);
     a.li(Reg::T2, map::DMA_BASE as i32);
     a.sw(Reg::T0, dma::regs::SRC as i32, Reg::T2);
     a.sw(Reg::T1, dma::regs::DST as i32, Reg::T2);
     a.sw(Reg::T3, dma::regs::LEN as i32, Reg::T2);
+    a.label("dma_ctrl");
     a.sw(Reg::T3, dma::regs::CTRL as i32, Reg::T2);
     a.li(Reg::T2, map::TAINTDBG_BASE as i32);
     a.sw(Reg::T0, taintdbg::regs::ADDR as i32, Reg::T2);
+    a.label("assert_tag");
     a.sw(Reg::Zero, taintdbg::regs::ASSERT_TAG as i32, Reg::T2);
     a.ecall();
     a.li(Reg::T2, map::TERMINAL_BASE as i32);
@@ -853,12 +837,12 @@ fn every_violation_source_records_into_the_one_engine_in_order() {
     let expected = vec![
         (ViolationKind::Branch, Some(at("branch")), String::new()),
         (ViolationKind::Store { region: "vault".into() }, Some(at("store")), vault_store.clone()),
-        (ViolationKind::Output { sink: "uart.tx".into() }, None, String::new()),
-        (ViolationKind::Output { sink: "can.tx".into() }, None, String::new()),
-        (ViolationKind::Store { region: "vault".into() }, None, vault_store),
+        (ViolationKind::Output { sink: "uart.tx".into() }, Some(at("uart_store")), String::new()),
+        (ViolationKind::Output { sink: "can.tx".into() }, Some(at("can_go")), String::new()),
+        (ViolationKind::Store { region: "vault".into() }, Some(at("dma_ctrl")), vault_store),
         (
             ViolationKind::Custom { what: "guest taint assertion".into() },
-            None,
+            Some(at("assert_tag")),
             format!("taintdbg assert at {secret:#010x}"),
         ),
     ];
