@@ -58,7 +58,7 @@ fn bench_dma(c: &mut Criterion) {
                 let mut loan = Loan { mem: &mut ram, engine: &mut engine, obs: None, pc: None };
                 for (reg, v) in [(0x0, 0u32), (0x4, 0x4000), (0x8, 4096), (0xC, 1)] {
                     let mut p = GenericPayload::write_word(reg, vpdift_core::Taint::untainted(v));
-                    dma.transport_with(&mut p, &mut d, &mut loan);
+                    dma.transport(&mut p, &mut d, &mut loan);
                     assert!(p.is_ok());
                 }
             })

@@ -23,7 +23,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vpdift_bench::trajectory;
 use vpdift_faults::campaign::ReferenceInfo;
 use vpdift_faults::{CampaignConfig, Outcome};
 use vpdift_fleet::{run_campaign_fleet, FleetConfig, TelemetryOptions};
@@ -172,31 +171,6 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
         eprintln!("faultcamp: bench trajectory written to {path}");
-
-        // And one compact line into the append-only perf trajectory log.
-        let mut logged: Vec<trajectory::Entry> = campaign
-            .references
-            .iter()
-            .map(|r| trajectory::Entry::new("reference", r.scenario, "steps", r.steps as f64))
-            .collect();
-        logged.push(trajectory::Entry::new("campaign", "wall_time", "ns", wall_ns as f64));
-        logged.push(trajectory::Entry::new("campaign", "workers", "count", opts.workers as f64));
-        if let Some(t) = &telemetry {
-            let snap = t.hub().snapshot();
-            logged.push(trajectory::Entry::new(
-                "campaign",
-                "jobs_per_s",
-                "jobs/s",
-                snap.jobs_per_s(),
-            ));
-            logged.push(trajectory::Entry::new("campaign", "insns", "count", snap.insns as f64));
-        }
-        let line = trajectory::render_line("faultcamp", trajectory::now_unix(), &logged);
-        let traj_path = trajectory::path();
-        match trajectory::append(&traj_path, &line) {
-            Ok(()) => eprintln!("faultcamp: trajectory appended to {traj_path}"),
-            Err(e) => eprintln!("faultcamp: warning: cannot append to {traj_path}: {e}"),
-        }
     }
 
     match &opts.out {

@@ -195,9 +195,8 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 
 /// Machine-readable performance trajectory: an append-only JSONL log
 /// (`BENCH_trajectory.jsonl` at the workspace root) with one compact
-/// `taintvp-bench/v1` line per `bench_guard` / `faultcamp --json` run, so
-/// the perf history is reconstructible across PRs instead of a single
-/// overwritten snapshot.
+/// `taintvp-bench/v1` line per `bench_guard` run, so the perf history is
+/// reconstructible across PRs instead of a single overwritten snapshot.
 pub mod trajectory {
     use std::io::Write as _;
 

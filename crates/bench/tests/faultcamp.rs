@@ -47,3 +47,23 @@ fn a_run_that_did_not_complete_fails_the_campaign() {
     assert_eq!(resumed.status.code(), Some(1), "an incomplete campaign fails: {stderr}");
     std::fs::remove_file(&journal).ok();
 }
+
+#[test]
+fn json_writes_only_the_file_it_names() {
+    let dir = std::env::temp_dir().join(format!("faultcamp-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = dir.join("camp.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_faultcamp"))
+        .args(["--seed", "7", "--runs", "1", "--json", json.to_str().unwrap()])
+        .current_dir(&dir)
+        .env_remove("BENCH_TRAJECTORY")
+        .output()
+        .expect("faultcamp runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(json.exists(), "the bench JSON is written");
+    assert!(
+        !dir.join("BENCH_trajectory.jsonl").exists(),
+        "no trajectory line is appended in the working directory"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

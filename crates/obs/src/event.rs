@@ -171,8 +171,8 @@ pub enum ObsEvent {
     Violation(Violation),
     /// The tag set reaching a *named* check site (output sink, protected
     /// region, declassify component) changed: the engine saw a different
-    /// tag at the site than on its previous check there. Much sparser than
-    /// the per-check stream — live watchpoints key on it.
+    /// tag at the site than on its previous check there, and reports it
+    /// right after that check. Much sparser than the per-check stream.
     TagSetChange {
         /// The named site (e.g. `"uart.tx"`).
         site: String,

@@ -428,18 +428,14 @@ impl StreamSink {
         for w in &mut self.watches {
             match &w.watch.kind {
                 WatchKind::Sink { site, atom } => {
-                    let (seen, tag) = match event {
-                        ObsEvent::Check { site: Some(s), tag, .. } if s == site => (true, *tag),
-                        ObsEvent::TagSetChange { site: s, after, .. } if s == site => {
-                            (true, *after)
-                        }
-                        _ => (false, Tag::EMPTY),
+                    let tag = match event {
+                        ObsEvent::Check { site: Some(s), tag, .. } if s == site => *tag,
+                        _ => continue,
                     };
-                    let matched = seen
-                        && match atom {
-                            Some(a) => tag.contains(Tag::atom(*a)),
-                            None => !tag.is_empty(),
-                        };
+                    let matched = match atom {
+                        Some(a) => tag.contains(Tag::atom(*a)),
+                        None => !tag.is_empty(),
+                    };
                     if matched {
                         w.hits += 1;
                         hits.push((
@@ -569,6 +565,24 @@ mod tests {
             items.iter().any(|i| matches!(i, StreamItem::Watch { id: got, .. } if *got == id)),
             "{items:?}"
         );
+    }
+
+    #[test]
+    fn one_tainted_check_is_one_sink_watch_hit() {
+        let mut s = sink();
+        s.add_watch(WatchKind::Sink { site: "uart.tx".into(), atom: None });
+        // The engine follows a check that changes its site's tag set with
+        // the change, at the same site.
+        s.event(&check_at("uart.tx", Tag::atom(0)));
+        s.event(&ObsEvent::TagSetChange {
+            site: "uart.tx".into(),
+            before: Tag::EMPTY,
+            after: Tag::atom(0),
+        });
+        let items = s.drain();
+        let hits = items.iter().filter(|i| matches!(i, StreamItem::Watch { .. })).count();
+        assert_eq!(hits, 1, "{items:?}");
+        assert_eq!(s.watches().map(|(_, n)| n).collect::<Vec<_>>(), [1]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use vpdift_core::{DeclassifyCap, Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_obs::{DynObs, ObsEvent};
+use vpdift_obs::ObsEvent;
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::aes_core::Aes128;
@@ -67,8 +67,8 @@ impl AesEngine {
     }
 
     /// Runs `cmd` on the staged block; a declassification is reported to
-    /// `obs`, if any.
-    fn execute(&mut self, cmd: u32, obs: Option<&mut (dyn DynObs + 'static)>) -> bool {
+    /// the lent sink.
+    fn execute(&mut self, cmd: u32, loan: &mut Loan<'_>) -> bool {
         let mut key = [0u8; 16];
         let mut input = [0u8; 16];
         let mut data_tag = Tag::EMPTY;
@@ -91,8 +91,8 @@ impl AesEngine {
                 None => tagged,
             };
         }
-        if let (Some(obs), true) = (obs, self.declassify.is_some()) {
-            obs.dyn_event(&ObsEvent::Declassify {
+        if self.declassify.is_some() {
+            loan.emit(|| ObsEvent::Declassify {
                 component: "aes".into(),
                 before: data_tag,
                 after: self.output[0].tag(),
@@ -126,9 +126,9 @@ fn window_read(buf: &[Taint<u8>; 16], offset: usize, p: &mut GenericPayload) {
     p.set_response(TlmResponse::Ok);
 }
 
-impl AesEngine {
-    /// Serves one register access, reporting to `obs`, if any.
-    fn access(&mut self, p: &mut GenericPayload, obs: Option<&mut (dyn DynObs + 'static)>) {
+impl TlmTarget for AesEngine {
+    /// Reports each declassification to the lent sink.
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, loan: &mut Loan<'_>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -146,7 +146,7 @@ impl AesEngine {
                 }
                 regs::CTRL => {
                     let cmd = get_word(p).value();
-                    if self.execute(cmd, obs) {
+                    if self.execute(cmd, loan) {
                         p.set_response(TlmResponse::Ok);
                     } else {
                         p.set_response(TlmResponse::CommandError);
@@ -169,25 +169,10 @@ impl AesEngine {
     }
 }
 
-impl TlmTarget for AesEngine {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        self.access(p, None);
-    }
-
-    /// Reports each declassification to the lent sink.
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        _delay: &mut SimTime,
-        loan: &mut Loan<'_>,
-    ) {
-        self.access(p, loan.obs.as_deref_mut());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
     use vpdift_core::SecurityPolicy;
 
     const SECRET: Tag = Tag::from_bits(0b01);
@@ -196,13 +181,13 @@ mod tests {
     fn write_block(e: &mut AesEngine, base: u32, bytes: &[u8; 16], tag: Tag) {
         let lanes: Vec<Taint<u8>> = bytes.iter().map(|&b| Taint::new(b, tag)).collect();
         let mut p = GenericPayload::write(base, &lanes);
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(e, &mut p);
         assert!(p.is_ok());
     }
 
     fn read_block(e: &mut AesEngine, base: u32) -> ([u8; 16], Tag) {
         let mut p = GenericPayload::read(base, 16);
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(e, &mut p);
         assert!(p.is_ok());
         let mut out = [0u8; 16];
         let mut tag = Tag::EMPTY;
@@ -215,7 +200,7 @@ mod tests {
 
     fn start(e: &mut AesEngine, cmd: u32) {
         let mut p = GenericPayload::write_word(regs::CTRL, Taint::untainted(cmd));
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(e, &mut p);
         assert!(p.is_ok());
     }
 
@@ -271,16 +256,16 @@ mod tests {
     fn status_tracks_done() {
         let mut e = AesEngine::new(None, Tag::EMPTY);
         let mut p = GenericPayload::read(regs::STATUS, 4);
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut e, &mut p);
         assert_eq!(p.data_word::<u32>().value(), 0);
         start(&mut e, CTRL_ENCRYPT);
         let mut p = GenericPayload::read(regs::STATUS, 4);
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut e, &mut p);
         assert_eq!(p.data_word::<u32>().value(), 1);
         // Writing a new key clears done.
         write_block(&mut e, regs::KEY, &[0u8; 16], Tag::EMPTY);
         let mut p = GenericPayload::read(regs::STATUS, 4);
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut e, &mut p);
         assert_eq!(p.data_word::<u32>().value(), 0);
     }
 
@@ -288,7 +273,7 @@ mod tests {
     fn invalid_ctrl_command_rejected() {
         let mut e = AesEngine::new(None, Tag::EMPTY);
         let mut p = GenericPayload::write_word(regs::CTRL, Taint::untainted(9u32));
-        e.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut e, &mut p);
         assert_eq!(p.response(), TlmResponse::CommandError);
     }
 }

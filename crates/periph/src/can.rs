@@ -14,7 +14,7 @@ use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
-use crate::mmio::{get_word, put_word};
+use crate::mmio::{get_word, put_word, report_rx};
 
 /// A CAN frame: identifier plus up to 8 tagged data bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,7 +171,8 @@ pub mod regs {
 }
 
 /// The SoC-side CAN controller. It checks transmitted frames with the
-/// engine lent to the transaction ([`TlmTarget::transport_with`]).
+/// engine lent to the transaction ([`Loan::check_output`]) and reports
+/// what it classifies to the lent sink ([`Loan::emit`]).
 #[derive(Debug)]
 pub struct CanController {
     name: String,
@@ -201,18 +202,6 @@ impl CanController {
         }
     }
 
-    /// Reports classification of data read from the RX side to the lent
-    /// sink.
-    fn obs_classify(&self, loan: &mut Loan<'_>, tag: Tag) {
-        if !tag.is_empty() {
-            loan.emit(|| vpdift_obs::ObsEvent::Classify {
-                source: format!("{}.rx", self.name),
-                tag,
-                addr: None,
-            });
-        }
-    }
-
     /// Instance name.
     pub fn name(&self) -> &str {
         &self.name
@@ -236,17 +225,7 @@ impl CanController {
 }
 
 impl TlmTarget for CanController {
-    /// Unlent, no engine can clear a frame: the transaction is refused.
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::GenericError);
-    }
-
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        _delay: &mut SimTime,
-        loan: &mut Loan<'_>,
-    ) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, loan: &mut Loan<'_>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -302,13 +281,13 @@ impl TlmTarget for CanController {
                 }
                 regs::RX_ID => {
                     let id = self.head(|f| f.map_or(0, |f| f.id));
-                    self.obs_classify(loan, self.input_tag);
+                    report_rx(loan, &self.name, self.input_tag);
                     put_word(p, Taint::new(id, self.input_tag));
                     p.set_response(TlmResponse::Ok);
                 }
                 regs::RX_DLC => {
                     let dlc = self.head(|f| f.map_or(0, |f| f.dlc as u32));
-                    self.obs_classify(loan, self.input_tag);
+                    report_rx(loan, &self.name, self.input_tag);
                     put_word(p, Taint::new(dlc, self.input_tag));
                     p.set_response(TlmResponse::Ok);
                 }
@@ -334,7 +313,7 @@ impl TlmTarget for CanController {
                             .collect()
                     });
                     let read_tag = bytes.iter().fold(Tag::EMPTY, |t, b| t.lub(b.tag()));
-                    self.obs_classify(loan, read_tag);
+                    report_rx(loan, &self.name, read_tag);
                     p.data_mut().copy_from_slice(&bytes);
                     p.set_response(TlmResponse::Ok);
                 }

@@ -3,7 +3,7 @@
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
 
@@ -64,7 +64,7 @@ impl Clint {
 }
 
 impl TlmTarget for Clint {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Read, regs::MSIP) => {
                 put_word(p, Taint::untainted(self.msip as u32));
@@ -118,6 +118,7 @@ impl TlmTarget for Clint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     #[test]
     fn timer_comparison() {
@@ -134,32 +135,30 @@ mod tests {
     #[test]
     fn mmio_mtimecmp_64bit() {
         let mut c = Clint::new();
-        let mut d = SimTime::ZERO;
         let mut lo = GenericPayload::write_word(regs::MTIMECMP_LO, Taint::untainted(0x55u32));
-        c.transport(&mut lo, &mut d);
+        lend_permissive(&mut c, &mut lo);
         let mut hi = GenericPayload::write_word(regs::MTIMECMP_HI, Taint::untainted(0x1u32));
-        c.transport(&mut hi, &mut d);
+        lend_permissive(&mut c, &mut hi);
         assert_eq!(c.mtimecmp, 0x1_0000_0055);
 
         c.set_mtime(0xABCD_1234_5678);
         let mut r = GenericPayload::read(regs::MTIME_LO, 4);
-        c.transport(&mut r, &mut d);
+        lend_permissive(&mut c, &mut r);
         assert_eq!(r.data_word::<u32>().value(), 0x1234_5678);
         let mut rh = GenericPayload::read(regs::MTIME_HI, 4);
-        c.transport(&mut rh, &mut d);
+        lend_permissive(&mut c, &mut rh);
         assert_eq!(rh.data_word::<u32>().value(), 0xABCD);
     }
 
     #[test]
     fn msip_round_trip() {
         let mut c = Clint::new();
-        let mut d = SimTime::ZERO;
         assert!(!c.soft_pending());
         let mut w = GenericPayload::write_word(regs::MSIP, Taint::untainted(1u32));
-        c.transport(&mut w, &mut d);
+        lend_permissive(&mut c, &mut w);
         assert!(c.soft_pending());
         let mut r = GenericPayload::read(regs::MSIP, 4);
-        c.transport(&mut r, &mut d);
+        lend_permissive(&mut c, &mut r);
         assert_eq!(r.data_word::<u32>().value(), 1);
     }
 
@@ -167,7 +166,7 @@ mod tests {
     fn unknown_offset_rejected() {
         let mut c = Clint::new();
         let mut p = GenericPayload::read(0x1234, 4);
-        c.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut c, &mut p);
         assert_eq!(p.response(), TlmResponse::CommandError);
     }
 }

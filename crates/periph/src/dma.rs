@@ -149,13 +149,7 @@ impl Dma {
 }
 
 impl TlmTarget for Dma {
-    /// Unlent, a burst has no memory or engine to use: the transaction is
-    /// refused.
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::GenericError);
-    }
-
-    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
+    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -246,7 +240,7 @@ mod tests {
         fn transport(&mut self, p: &mut GenericPayload) {
             let mut loan =
                 Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None, pc: None };
-            self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
+            self.d.transport(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 
         fn wr(&mut self, reg: u32, v: u32) -> GenericPayload {
@@ -329,11 +323,6 @@ mod tests {
         let p = r.wr(regs::CTRL, 1);
         assert_eq!(p.response(), TlmResponse::GenericError);
         assert_eq!(r.rd(regs::STATUS), 0b10);
-        // Unlent, the controller refuses every transaction.
-        r.wr(regs::SRC, 0);
-        let mut p = GenericPayload::write_word(regs::CTRL, Taint::untainted(1));
-        r.d.transport(&mut p, &mut SimTime::ZERO.clone());
-        assert_eq!(p.response(), TlmResponse::GenericError);
     }
 
     #[test]

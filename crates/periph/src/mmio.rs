@@ -1,7 +1,8 @@
 //! Small helpers shared by all memory-mapped peripherals.
 
-use vpdift_core::Taint;
-use vpdift_tlm::GenericPayload;
+use vpdift_core::{Tag, Taint};
+use vpdift_obs::ObsEvent;
+use vpdift_tlm::{GenericPayload, Loan};
 
 /// Copies a tainted register word into a payload of 1, 2 or 4 bytes
 /// (sub-word MMIO reads see the low bytes).
@@ -21,12 +22,21 @@ pub fn get_word(p: &GenericPayload) -> Taint<u32> {
     Taint::from_bytes(&lanes)
 }
 
+/// Reports to the lent sink that data read from the receive side of the
+/// device `name` entered the system classified `tag` (an empty tag
+/// classifies nothing and is not reported).
+pub(crate) fn report_rx(loan: &mut Loan<'_>, name: &str, tag: Tag) {
+    if !tag.is_empty() {
+        loan.emit(|| ObsEvent::Classify { source: format!("{name}.rx"), tag, addr: None });
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use vpdift_core::{DiftEngine, Tag};
+    use vpdift_core::{DiftEngine, SecurityPolicy};
     use vpdift_kernel::SimTime;
-    use vpdift_tlm::{Loan, TlmTarget};
+    use vpdift_tlm::TlmTarget;
 
     /// Runs `p` through `target` the way a bus would, lending `engine` and
     /// no memory.
@@ -36,6 +46,12 @@ pub(crate) mod tests {
         engine: &mut DiftEngine,
     ) {
         Loan { mem: target, engine, obs: None, pc: None }.reach(p, &mut SimTime::ZERO.clone());
+    }
+
+    /// Runs `p` through `target`, which ignores its loan, lending it a
+    /// permissive engine and no memory.
+    pub(crate) fn lend_permissive(target: &mut dyn TlmTarget, p: &mut GenericPayload) {
+        lend_engine(target, p, &mut DiftEngine::new(SecurityPolicy::permissive()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
 
@@ -79,7 +79,7 @@ impl Plic {
 }
 
 impl TlmTarget for Plic {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Read, regs::PENDING) => {
                 put_word(p, Taint::untainted(self.pending));
@@ -110,6 +110,7 @@ impl TlmTarget for Plic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     #[test]
     fn raise_enable_claim_cycle() {
@@ -136,23 +137,22 @@ mod tests {
     #[test]
     fn mmio_interface() {
         let mut plic = Plic::new();
-        let mut d = SimTime::ZERO;
 
         let mut w = GenericPayload::write_word(regs::ENABLE, Taint::untainted(0b100u32));
-        plic.transport(&mut w, &mut d);
+        lend_permissive(&mut plic, &mut w);
         assert!(w.is_ok());
 
         plic.raise(2);
         let mut r = GenericPayload::read(regs::PENDING, 4);
-        plic.transport(&mut r, &mut d);
+        lend_permissive(&mut plic, &mut r);
         assert_eq!(r.data_word::<u32>().value(), 0b100);
 
         let mut c = GenericPayload::read(regs::CLAIM, 4);
-        plic.transport(&mut c, &mut d);
+        lend_permissive(&mut plic, &mut c);
         assert_eq!(c.data_word::<u32>().value(), 2);
 
         let mut done = GenericPayload::write_word(regs::CLAIM, Taint::untainted(2u32));
-        plic.transport(&mut done, &mut d);
+        lend_permissive(&mut plic, &mut done);
         assert!(done.is_ok());
     }
 

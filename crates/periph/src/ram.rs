@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 /// Byte-addressable RAM. Tag storage is only materialised when the VP runs
 /// in tainted mode (`tracking = true`), so the plain VP pays neither memory
@@ -382,7 +382,7 @@ impl Ram {
 }
 
 impl TlmTarget for Ram {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
         let base = p.address() as usize;
         if base + p.len() > self.data.len() {
             p.set_response(TlmResponse::AddressError);
@@ -421,6 +421,7 @@ impl TlmTarget for Ram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     #[test]
     fn fast_path_round_trip_with_tags() {
@@ -499,10 +500,10 @@ mod tests {
         let mut ram = Ram::new(32, true);
         let mut w =
             GenericPayload::write(4, &[Taint::new(9, Tag::atom(2)), Taint::new(8, Tag::EMPTY)]);
-        ram.transport(&mut w, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut ram, &mut w);
         assert!(w.is_ok());
         let mut r = GenericPayload::read(4, 2);
-        ram.transport(&mut r, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut ram, &mut r);
         assert_eq!(r.data()[0].value(), 9);
         assert_eq!(r.data()[0].tag(), Tag::atom(2));
         assert_eq!(r.data()[1].tag(), Tag::EMPTY);
@@ -520,7 +521,7 @@ mod tests {
     fn tlm_target_bounds_checked() {
         let mut ram = Ram::new(8, false);
         let mut p = GenericPayload::read(6, 4);
-        ram.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut ram, &mut p);
         assert_eq!(p.response(), TlmResponse::AddressError);
         assert!(ram.fits(4, 4));
         assert!(!ram.fits(5, 4));

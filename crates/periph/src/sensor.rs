@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
 
@@ -125,7 +125,7 @@ impl Sensor {
 }
 
 impl TlmTarget for Sensor {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
         let addr = p.address();
         if (addr as usize) < FRAME_SIZE {
             // Frame window (reads only; the frame is sensor-driven).
@@ -166,6 +166,7 @@ impl TlmTarget for Sensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     const LC: Tag = Tag::EMPTY;
     const HC: Tag = Tag::from_bits(1);
@@ -184,7 +185,7 @@ mod tests {
         let mut s = Sensor::new(HC, 1);
         s.generate_frame();
         let mut p = GenericPayload::read(0, 8);
-        s.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut s, &mut p);
         assert!(p.is_ok());
         assert!(p.data().iter().all(|b| b.tag() == HC));
     }
@@ -193,13 +194,13 @@ mod tests {
     fn data_tag_register_reconfigures_classification() {
         let mut s = Sensor::new(HC, 1);
         let mut w = GenericPayload::write_word(DATA_TAG_REG, Taint::untainted(LC.bits()));
-        s.transport(&mut w, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut s, &mut w);
         assert!(w.is_ok());
         assert_eq!(s.data_tag(), LC);
         s.generate_frame();
         assert!(s.frame().iter().all(|b| b.tag() == LC));
         let mut r = GenericPayload::read(DATA_TAG_REG, 4);
-        s.transport(&mut r, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut s, &mut r);
         assert_eq!(r.data_word::<u32>().value(), LC.bits());
     }
 
@@ -222,11 +223,11 @@ mod tests {
     fn writes_to_frame_rejected() {
         let mut s = Sensor::new(HC, 1);
         let mut p = GenericPayload::write(0, &[Taint::untainted(1)]);
-        s.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut s, &mut p);
         assert_eq!(p.response(), TlmResponse::CommandError);
         // Straddling the frame boundary is a burst error.
         let mut p = GenericPayload::read(60, 8);
-        s.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut s, &mut p);
         assert_eq!(p.response(), TlmResponse::BurstError);
     }
 

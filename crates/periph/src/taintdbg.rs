@@ -30,8 +30,8 @@ pub mod regs {
 }
 
 /// The introspection peripheral. It reads tags from the memory lent to
-/// each transaction and records failed assertions in the lent engine
-/// ([`TlmTarget::transport_with`]).
+/// each transaction ([`Loan::reach`]) and records failed assertions in the
+/// lent engine ([`Loan::record`]).
 #[derive(Debug, Default)]
 pub struct TaintDebug {
     addr: u32,
@@ -50,20 +50,16 @@ impl TaintDebug {
     }
 }
 
-/// The tag of the byte at `addr` in `mem`, by a one-byte TLM read.
-fn tag_at(mem: &mut dyn TlmTarget, addr: u32, delay: &mut SimTime) -> Option<Tag> {
+/// The tag of the byte at `addr` in the lent memory, by a one-byte TLM
+/// read.
+fn tag_at(loan: &mut Loan<'_>, addr: u32, delay: &mut SimTime) -> Option<Tag> {
     let mut p = GenericPayload::read(addr, 1);
-    mem.transport(&mut p, delay);
+    loan.reach(&mut p, delay);
     p.is_ok().then(|| p.data()[0].tag())
 }
 
 impl TlmTarget for TaintDebug {
-    /// Unlent, there is no memory to inspect: the transaction is refused.
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::GenericError);
-    }
-
-    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
+    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::ADDR) => {
                 self.addr = get_word(p).value();
@@ -73,7 +69,7 @@ impl TlmTarget for TaintDebug {
                 put_word(p, Taint::untainted(self.addr));
                 p.set_response(TlmResponse::Ok);
             }
-            (TlmCommand::Read, regs::TAG) => match tag_at(loan.mem, self.addr, delay) {
+            (TlmCommand::Read, regs::TAG) => match tag_at(loan, self.addr, delay) {
                 Some(tag) => {
                     put_word(p, Taint::untainted(tag.bits()));
                     p.set_response(TlmResponse::Ok);
@@ -82,7 +78,7 @@ impl TlmTarget for TaintDebug {
             },
             (TlmCommand::Write, regs::ASSERT_TAG) => {
                 let expected = Tag::from_bits(get_word(p).value());
-                match tag_at(loan.mem, self.addr, delay) {
+                match tag_at(loan, self.addr, delay) {
                     Some(actual) if actual == expected => p.set_response(TlmResponse::Ok),
                     Some(actual) => {
                         self.failed += 1;
@@ -131,7 +127,7 @@ mod tests {
         fn transport(&mut self, p: &mut GenericPayload) {
             let mut loan =
                 Loan { mem: &mut self.ram, engine: &mut self.engine, obs: None, pc: None };
-            self.d.transport_with(p, &mut SimTime::ZERO.clone(), &mut loan);
+            self.d.transport(p, &mut SimTime::ZERO.clone(), &mut loan);
         }
 
         fn wr(&mut self, reg: u32, v: u32) -> GenericPayload {
@@ -190,10 +186,5 @@ mod tests {
         let mut p = GenericPayload::read(regs::TAG, 4);
         r.transport(&mut p);
         assert_eq!(p.response(), TlmResponse::AddressError);
-        // Unlent, the peripheral refuses every transaction.
-        r.wr(regs::ADDR, 0x10);
-        let mut p = GenericPayload::read(regs::TAG, 4);
-        r.d.transport(&mut p, &mut SimTime::ZERO.clone());
-        assert_eq!(p.response(), TlmResponse::GenericError);
     }
 }

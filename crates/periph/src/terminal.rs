@@ -9,7 +9,6 @@ use std::collections::VecDeque;
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
-use vpdift_obs::{DynObs, ObsEvent};
 use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 /// Register map (word-aligned offsets).
@@ -69,23 +68,16 @@ impl Terminal {
     }
 }
 
-use crate::mmio::put_word as write_word;
+use crate::mmio::{put_word as write_word, report_rx};
 
-impl Terminal {
-    /// Serves one register access; a byte popped from the FIFO is reported
-    /// to `obs`, if any, as classified.
-    fn access(&mut self, p: &mut GenericPayload, obs: Option<&mut (dyn DynObs + 'static)>) {
+impl TlmTarget for Terminal {
+    /// Reports each byte the guest reads to the lent sink as classified.
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Read, regs::RXDATA) => {
                 let word = match self.fifo.pop_front() {
                     Some(b) => {
-                        if let (Some(obs), false) = (obs, self.input_tag.is_empty()) {
-                            obs.dyn_event(&ObsEvent::Classify {
-                                source: format!("{}.rx", self.name),
-                                tag: self.input_tag,
-                                addr: None,
-                            });
-                        }
+                        report_rx(loan, &self.name, self.input_tag);
                         Taint::new(b as u32, self.input_tag)
                     }
                     None => Taint::untainted(RX_EMPTY),
@@ -102,31 +94,16 @@ impl Terminal {
     }
 }
 
-impl TlmTarget for Terminal {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        self.access(p, None);
-    }
-
-    /// Reports each byte the guest reads to the lent sink.
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        _delay: &mut SimTime,
-        loan: &mut Loan<'_>,
-    ) {
-        self.access(p, loan.obs.as_deref_mut());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     const LI: Tag = Tag::from_bits(0b10);
 
     fn read_reg(t: &mut Terminal, reg: u32) -> Taint<u32> {
         let mut p = GenericPayload::read(reg, 4);
-        t.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(t, &mut p);
         assert!(p.is_ok());
         p.data_word()
     }
@@ -159,7 +136,7 @@ mod tests {
     fn writes_rejected() {
         let mut t = Terminal::new("terminal", LI);
         let mut p = GenericPayload::write(regs::RXDATA, &[Taint::untainted(0)]);
-        t.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut t, &mut p);
         assert_eq!(p.response(), TlmResponse::CommandError);
     }
 }

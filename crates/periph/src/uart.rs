@@ -16,7 +16,7 @@ pub mod regs {
 }
 
 /// The UART model. It checks each byte with the engine lent to the
-/// transaction ([`TlmTarget::transport_with`]).
+/// transaction ([`Loan::check_output`]).
 #[derive(Debug)]
 pub struct Uart {
     name: String,
@@ -53,17 +53,7 @@ impl Uart {
 }
 
 impl TlmTarget for Uart {
-    /// Unlent, no engine can clear a byte: the transaction is refused.
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::GenericError);
-    }
-
-    fn transport_with(
-        &mut self,
-        p: &mut GenericPayload,
-        _delay: &mut SimTime,
-        loan: &mut Loan<'_>,
-    ) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, loan: &mut Loan<'_>) {
         match (p.command(), p.address()) {
             (TlmCommand::Write, regs::TXDATA) => {
                 let byte = p.data()[0];
@@ -130,15 +120,6 @@ mod tests {
         assert_eq!(v.kind, ViolationKind::Output { sink: "uart0.tx".into() });
         assert!(u.output().is_empty(), "blocked byte never transmitted");
         assert!(engine.violated());
-    }
-
-    #[test]
-    fn unlent_transactions_are_refused() {
-        let (mut u, _) = uart();
-        let mut p = GenericPayload::write(regs::TXDATA, &[Taint::untainted(b'a')]);
-        u.transport(&mut p, &mut SimTime::ZERO.clone());
-        assert_eq!(p.response(), TlmResponse::GenericError);
-        assert!(u.output().is_empty(), "no engine, no byte");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use vpdift_core::Taint;
 use vpdift_kernel::SimTime;
-use vpdift_tlm::{GenericPayload, TlmCommand, TlmResponse, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan, TlmCommand, TlmResponse, TlmTarget};
 
 use crate::mmio::{get_word, put_word};
 
@@ -116,7 +116,7 @@ impl Watchdog {
 }
 
 impl TlmTarget for Watchdog {
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
         let addr = p.address();
         match p.command() {
             TlmCommand::Write => match addr {
@@ -161,16 +161,17 @@ impl TlmTarget for Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmio::tests::lend_permissive;
 
     fn wr(w: &mut Watchdog, reg: u32, v: u32) {
         let mut p = GenericPayload::write_word(reg, Taint::untainted(v));
-        w.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(w, &mut p);
         assert!(p.is_ok());
     }
 
     fn rd(w: &mut Watchdog, reg: u32) -> u32 {
         let mut p = GenericPayload::read(reg, 4);
-        w.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(w, &mut p);
         assert!(p.is_ok());
         p.data_word::<u32>().value()
     }
@@ -230,7 +231,7 @@ mod tests {
     fn unknown_register_is_a_command_error() {
         let mut w = Watchdog::new();
         let mut p = GenericPayload::write_word(0x40, Taint::untainted(1));
-        w.transport(&mut p, &mut SimTime::ZERO.clone());
+        lend_permissive(&mut w, &mut p);
         assert_eq!(p.response(), TlmResponse::CommandError);
     }
 }

@@ -6,10 +6,10 @@
 //! leave data the scans skip, and the oracles would disagree.
 
 use proptest::prelude::*;
-use vpdift_core::{Tag, Taint};
+use vpdift_core::{DiftEngine, SecurityPolicy, Tag, Taint};
 use vpdift_kernel::SimTime;
 use vpdift_periph::Ram;
-use vpdift_tlm::{GenericPayload, TlmTarget};
+use vpdift_tlm::{GenericPayload, Loan};
 
 /// Bytes per page of `Ram`'s written-page map.
 const PAGE: u32 = 4096;
@@ -152,7 +152,9 @@ fn build(size: usize, tracking: bool, writes: &[(u32, usize, Path)]) -> (Ram, Ve
             Path::Tlm { value, tag } => {
                 let mut p =
                     GenericPayload::write(start as u32, &vec![Taint::new(value, tag); run.len()]);
-                ram.transport(&mut p, &mut SimTime::ZERO.clone());
+                let mut engine = DiftEngine::new(SecurityPolicy::permissive());
+                let mut loan = Loan { mem: &mut ram, engine: &mut engine, obs: None, pc: None };
+                loan.reach(&mut p, &mut SimTime::ZERO.clone());
                 assert!(p.is_ok());
                 mirror(Some(value), Some(tag));
             }

@@ -93,7 +93,7 @@ pub(crate) struct Devices {
 
 impl Devices {
     /// Hands one decoded transaction to the device behind `port`, lending
-    /// it `loan`; the RAM port is the lent memory itself.
+    /// it `loan`; the RAM port reaches the lent memory.
     fn transport(
         &mut self,
         port: Port,
@@ -102,7 +102,7 @@ impl Devices {
         loan: &mut Loan<'_>,
     ) {
         let target: &mut dyn TlmTarget = match port {
-            Port::Ram => return loan.mem.transport(p, delay),
+            Port::Ram => return loan.reach(p, delay),
             Port::Clint => &mut self.clint,
             Port::Plic => &mut self.plic,
             Port::Uart => self.uart.get_mut(),
@@ -114,7 +114,7 @@ impl Devices {
             Port::Watchdog => &mut self.watchdog,
             Port::Dma => unreachable!("the bus routes to the DMA itself"),
         };
-        target.transport_with(p, delay, loan);
+        target.transport(p, delay, loan);
     }
 }
 
@@ -127,12 +127,7 @@ struct DmaPorts<'a> {
 }
 
 impl TlmTarget for DmaPorts<'_> {
-    /// Unlent, no engine can check what a burst moves: refused.
-    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime) {
-        p.set_response(TlmResponse::GenericError);
-    }
-
-    fn transport_with(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
+    fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>) {
         let DmaPorts { map, ram, dev } = self;
         let pc = loan.pc;
         map.route(p, delay, loan.obs.as_deref_mut(), |port, p, delay, obs| {
@@ -282,7 +277,7 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
         router.route(payload, &mut delay, lend(obs), |port, p, delay, obs| match port {
             Port::Dma => {
                 let mut ports = DmaPorts { map: dma_ports, ram, dev };
-                dma.transport_with(p, delay, &mut Loan { mem: &mut ports, engine, obs, pc });
+                dma.transport(p, delay, &mut Loan { mem: &mut ports, engine, obs, pc });
             }
             _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine, obs, pc }),
         });

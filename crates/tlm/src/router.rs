@@ -10,24 +10,14 @@ use crate::payload::{GenericPayload, TlmCommand, TlmResponse};
 ///
 /// `transport` is the blocking-transport equivalent: it must process the
 /// payload, fill reads / absorb writes, set a response status, and may add
-/// to `delay` to model access latency (loosely-timed style).
+/// to `delay` to model access latency (loosely-timed style). The bus's
+/// owner lends each transaction a [`Loan`]; targets that reach memory,
+/// check flows or report events use it, the others ignore it.
 pub trait TlmTarget: Send + Sync {
-    /// Processes one transaction addressed to this target. The payload
-    /// address has already been rewritten to a target-local offset.
-    fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime);
-
-    /// [`TlmTarget::transport`] with what the bus's owner lends for this
-    /// one transaction. Targets that reach memory or the DIFT engine
-    /// override it; the default ignores the loan.
-    fn transport_with(
-        &mut self,
-        payload: &mut GenericPayload,
-        delay: &mut SimTime,
-        loan: &mut Loan<'_>,
-    ) {
-        let _ = loan;
-        self.transport(payload, delay);
-    }
+    /// Processes one transaction addressed to this target with what the
+    /// bus's owner lends for it. The payload address has already been
+    /// rewritten to a target-local offset.
+    fn transport(&mut self, payload: &mut GenericPayload, delay: &mut SimTime, loan: &mut Loan<'_>);
 }
 
 /// What the owner of a bus lends each transaction it routes: what the
@@ -62,7 +52,7 @@ impl Loan<'_> {
             obs: self.obs.as_deref_mut(),
             pc: self.pc,
         };
-        self.mem.transport_with(payload, delay, &mut loan);
+        self.mem.transport(payload, delay, &mut loan);
     }
 
     /// Reports the event `event` builds to the lent sink; without one the
@@ -118,8 +108,8 @@ impl Loan<'_> {
 struct NoMemory;
 
 impl TlmTarget for NoMemory {
-    fn transport(&mut self, payload: &mut GenericPayload, _delay: &mut SimTime) {
-        payload.set_response(TlmResponse::AddressError);
+    fn transport(&mut self, p: &mut GenericPayload, _delay: &mut SimTime, _loan: &mut Loan<'_>) {
+        p.set_response(TlmResponse::AddressError);
     }
 }
 
@@ -279,14 +269,14 @@ mod tests {
     use crate::payload::TlmCommand;
     use vpdift_core::{SecurityPolicy, Tag, Taint};
 
-    /// A 16-byte scratch RAM test double.
+    /// A 16-byte scratch RAM test double behind a router port.
     struct Scratch {
         bytes: [Taint<u8>; 16],
         latency: SimTime,
     }
 
-    impl TlmTarget for Scratch {
-        fn transport(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
+    impl Scratch {
+        fn access(&mut self, p: &mut GenericPayload, delay: &mut SimTime) {
             *delay += self.latency;
             let base = p.address() as usize;
             match p.command() {
@@ -312,9 +302,8 @@ mod tests {
 
     /// Routes `p` to the scratch target behind port `i` of `targets`.
     fn route(router: &Router<usize>, p: &mut GenericPayload, targets: &mut [Scratch]) {
-        router.route(p, &mut SimTime::ZERO.clone(), None, |port, p, d, _| {
-            targets[port].transport(p, d)
-        });
+        router
+            .route(p, &mut SimTime::ZERO.clone(), None, |port, p, d, _| targets[port].access(p, d));
     }
 
     #[test]
@@ -326,7 +315,7 @@ mod tests {
         let word = Taint::new(0xCAFEu16, Tag::atom(2));
         let mut w = GenericPayload::write_word(0x108, word);
         let mut delay = SimTime::ZERO;
-        router.route(&mut w, &mut delay, None, |_, p, d, _| ram.transport(p, d));
+        router.route(&mut w, &mut delay, None, |_, p, d, _| ram.access(p, d));
         assert!(w.is_ok());
         assert_eq!(router.name(), "bus");
         assert_eq!(w.address(), 0x108, "global address restored after routing");
@@ -394,17 +383,9 @@ mod tests {
         /// and checks that the memory lent in turn reaches nothing.
         struct Sink;
         impl TlmTarget for Sink {
-            fn transport(&mut self, _: &mut GenericPayload, _: &mut SimTime) {
-                unreachable!("always lent");
-            }
-            fn transport_with(
-                &mut self,
-                p: &mut GenericPayload,
-                d: &mut SimTime,
-                loan: &mut Loan<'_>,
-            ) {
+            fn transport(&mut self, p: &mut GenericPayload, d: &mut SimTime, loan: &mut Loan<'_>) {
                 let mut inner = GenericPayload::read(0, 1);
-                loan.mem.transport(&mut inner, d);
+                loan.reach(&mut inner, d);
                 assert_eq!(inner.response(), TlmResponse::AddressError);
                 match loan.check_output("uart.tx", p.data_tag()) {
                     Ok(()) => p.set_response(TlmResponse::Ok),
@@ -434,9 +415,8 @@ mod tests {
         let mut ram = scratch();
 
         let mut w = GenericPayload::write(0x104, &[Taint::new(1, Tag::atom(3))]);
-        router.route(&mut w, &mut SimTime::ZERO.clone(), Some(&mut r), |_, p, d, _| {
-            ram.transport(p, d)
-        });
+        router
+            .route(&mut w, &mut SimTime::ZERO.clone(), Some(&mut r), |_, p, d, _| ram.access(p, d));
         let mut bad = GenericPayload::read(0x50, 1);
         router.route(&mut bad, &mut SimTime::ZERO.clone(), Some(&mut r), |_, _, _, _| {
             unreachable!("unmapped")

@@ -218,3 +218,67 @@ fn sink_watchpoint_stops_the_leak_mid_run_and_resumes() {
     assert_eq!(exit, SocExit::Break);
     assert_eq!(soc.uart().borrow().output().len(), 4, "full leak once unwatched");
 }
+
+/// Every event a device reports through the bus's loan, in guest order:
+/// the terminal's and the CAN controller's ingress classifications and
+/// the AES engine's declassification. Each expected tag is read from the
+/// policy, not from a run.
+#[test]
+fn devices_report_their_events_through_the_bus() {
+    use taintvp::asm::{Asm, Reg};
+    use taintvp::obs::ObsEvent;
+    use taintvp::periph::{aes, can, terminal, CanFrame};
+    use taintvp::prelude::{map, SecurityPolicy, Tag};
+
+    let policy = SecurityPolicy::builder("devices")
+        .source("terminal.rx", Tag::atom(0))
+        .source("can.rx", Tag::atom(1))
+        .source("aes.out", Tag::atom(2))
+        .allow_declassify("aes")
+        .build();
+    let mut a = Asm::new(0);
+    a.li(Reg::T0, map::TERMINAL_BASE as i32);
+    a.lw(Reg::A0, terminal::regs::RXDATA as i32, Reg::T0);
+    a.li(Reg::T0, map::CAN_BASE as i32);
+    a.lw(Reg::A1, can::regs::RX_ID as i32, Reg::T0);
+    a.lw(Reg::A2, can::regs::RX_DLC as i32, Reg::T0);
+    a.lw(Reg::A3, can::regs::RX_DATA as i32, Reg::T0);
+    a.li(Reg::T0, map::AES_BASE as i32);
+    a.sb(Reg::A0, aes::regs::KEY as i32, Reg::T0);
+    a.li(Reg::T1, aes::CTRL_ENCRYPT as i32);
+    a.sw(Reg::T1, aes::regs::CTRL as i32, Reg::T0);
+    a.ebreak();
+    let program = a.assemble().expect("device guest assembles");
+
+    let cfg = SocBuilder::new().policy(policy.clone()).sensor_thread(false).build();
+    let rec = Recorder::new(16).with_event_log();
+    let mut soc: Soc<Tainted, Recorder> = Soc::with_obs(cfg, rec);
+    soc.load_program(&program);
+    soc.terminal().borrow_mut().feed(b"k");
+    assert!(soc.can_host().send(CanFrame::new(0x123, &[1, 2])));
+    assert_eq!(soc.run(1_000), SocExit::Break);
+
+    let (term, can_rx) = (policy.source_tag("terminal.rx"), policy.source_tag("can.rx"));
+    let classify =
+        |source: &str, tag| ObsEvent::Classify { source: source.into(), tag, addr: None };
+    let expected = vec![
+        classify("terminal.rx", term),
+        classify("can.rx", can_rx),
+        classify("can.rx", can_rx),
+        classify("can.rx", can_rx),
+        ObsEvent::Declassify {
+            component: "aes".into(),
+            before: term,
+            after: policy.source_tag("aes.out"),
+        },
+    ];
+    let rec = soc.obs().borrow();
+    let reported: Vec<_> = rec
+        .events()
+        .iter()
+        .map(|e| &e.event)
+        .filter(|e| matches!(e, ObsEvent::Classify { .. } | ObsEvent::Declassify { .. }))
+        .cloned()
+        .collect();
+    assert_eq!(reported, expected);
+}
