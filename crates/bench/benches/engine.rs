@@ -6,11 +6,14 @@
 //! the group `bench_guard` gates in CI. `vp_plus_block_counting` runs the
 //! VP+ block-cache entry with an enabled sink that only counts events: the
 //! price of emitting every event on the path serve sessions and `--metrics`
-//! runs take (`bench_guard` logs it without a gate).
+//! runs take (`bench_guard` gates it against `vp_plus_block`). The five
+//! entries are timed interleaved, sample by sample, so the gated ratios
+//! compare runs made at the same host speed.
 //!
 //! `soc_setup` times what a session pays before its first instruction:
 //! `Soc::new` + `load_program` + drop at the default RAM size, on both VP
-//! flavours. `bench_guard` gates the VP+/VP ratio there.
+//! flavours, interleaved as well. `bench_guard` gates the VP+/VP ratio
+//! there.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vpdift_asm::Program;
@@ -51,17 +54,20 @@ fn bench_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("soc_engine");
     g.throughput(Throughput::Elements(insns));
     g.sample_size(15);
+    let mut entries: Vec<(String, Box<dyn FnMut() -> u64>)> = Vec::new();
     for engine in [ExecMode::Interp, ExecMode::BlockCache] {
-        g.bench_function(&format!("vp_plain_{engine}"), |b| b.iter(|| run_soc::<Plain>(engine)));
-        g.bench_function(&format!("vp_plus_{engine}"), |b| b.iter(|| run_soc::<Tainted>(engine)));
+        entries.push((format!("vp_plain_{engine}"), Box::new(move || run_soc::<Plain>(engine))));
+        entries.push((format!("vp_plus_{engine}"), Box::new(move || run_soc::<Tainted>(engine))));
     }
-    g.bench_function("vp_plus_block_counting", |b| {
-        b.iter(|| run_observed::<Tainted, CountingSink>(ExecMode::BlockCache))
-    });
+    entries.push((
+        "vp_plus_block_counting".into(),
+        Box::new(|| run_observed::<Tainted, CountingSink>(ExecMode::BlockCache)),
+    ));
+    g.bench_interleaved(entries);
     g.finish();
 }
 
-/// A loaded SoC; the bench loop hands it to `black_box` and drops it.
+/// A loaded SoC; the bench loop drops it.
 fn setup_soc<M: TaintMode>(program: &Program) -> Soc<M> {
     let cfg = Soc::<M>::builder().sensor_thread(false).build();
     let mut soc = Soc::<M>::new(cfg);
@@ -73,8 +79,10 @@ fn bench_setup(c: &mut Criterion) {
     let program = vpdift_firmware::primes::build(2_000).program;
     let mut g = c.benchmark_group("soc_setup");
     g.sample_size(15);
-    g.bench_function("vp_plain", |b| b.iter(|| setup_soc::<Plain>(&program)));
-    g.bench_function("vp_plus", |b| b.iter(|| setup_soc::<Tainted>(&program)));
+    g.bench_interleaved(vec![
+        ("vp_plain".to_string(), Box::new(|| setup_soc::<Plain>(&program).instret())),
+        ("vp_plus".to_string(), Box::new(|| setup_soc::<Tainted>(&program).instret())),
+    ]);
     g.finish();
 }
 

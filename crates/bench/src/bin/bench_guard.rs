@@ -1,6 +1,6 @@
 //! CI bench guard: reads a `taintvp-bench/v1` results file (as emitted by
 //! `cargo bench -p vpdift-bench --bench engine -- --json BENCH_engine.json`)
-//! and fails when either gate does not hold:
+//! and fails when any gate does not hold:
 //!
 //! * the block-cache engine is at least [`MIN_SPEEDUP`]× faster than the
 //!   reference interpreter on the plain VP, measured end to end through
@@ -8,7 +8,13 @@
 //!   `table2`, fleet and serve actually take;
 //! * VP+ set-up (`Soc::new` + `load_program` + drop, the `soc_setup`
 //!   group) costs at most [`MAX_SETUP_RATIO`]× the plain VP's. A ratio
-//!   holds on any host; it catches an eagerly filled tag lane.
+//!   holds on any host; it catches an eagerly filled tag lane;
+//! * the VP+ block cache with an enabled sink that only counts events
+//!   costs at most [`MAX_COUNTING_RATIO`]× the same run on `NullSink`
+//!   (`soc_engine`), so an observed run keeps dispatching whole blocks.
+//!
+//! The bench times the `soc_engine` entries interleaved, so both of its
+//! ratios compare samples taken at the same host speed.
 //!
 //! Usage: `bench_guard [BENCH_engine.json]` (default path:
 //! `BENCH_engine.json`).
@@ -43,6 +49,9 @@ const MIN_SPEEDUP: f64 = 1.3;
 /// Largest allowed VP+ / VP set-up time ratio.
 const MAX_SETUP_RATIO: f64 = 2.0;
 
+/// Largest allowed counting-sink / `NullSink` ratio on the VP+ block cache.
+const MAX_COUNTING_RATIO: f64 = 2.0;
+
 /// Parses the entry lines of a `taintvp-bench/v1` file, warning (once per
 /// line) about truncated leftovers instead of erroring.
 fn collect_entries(text: &str) -> Vec<Value> {
@@ -63,7 +72,7 @@ fn stat_of(entries: &[Value], group: &str, name: &str, stat: &str) -> Option<f64
     entry.get(stat)?.as_f64()
 }
 
-/// Checks both gates. `Ok` carries one report line per gate, `Err` the
+/// Checks every gate. `Ok` carries one report line per gate, `Err` the
 /// first gate that fails or lacks its entries.
 fn check_gates(entries: &[Value]) -> Result<Vec<String>, String> {
     let medians = |group: &str, a: &str, b: &str| match (
@@ -88,12 +97,24 @@ fn check_gates(entries: &[Value]) -> Result<Vec<String>, String> {
             "VP+ set-up costs {ratio:.2}x the plain VP's (at most {MAX_SETUP_RATIO}x allowed)"
         ));
     }
+    let (quiet, counting) = medians(GROUP, "vp_plus_block", "vp_plus_block_counting")?;
+    let observed = counting / quiet;
+    if observed > MAX_COUNTING_RATIO {
+        return Err(format!(
+            "a counting sink costs {observed:.2}x the VP+ block cache's NullSink run \
+             (at most {MAX_COUNTING_RATIO}x allowed)"
+        ));
+    }
     Ok(vec![
         format!(
             "plain speedup: vp_plain_interp = {interp:.0} ns, vp_plain_block = {block:.0} ns \
              ({speedup:.2}x)"
         ),
         format!("set-up ratio: vp_plus = {plus:.0} ns, vp_plain = {plain:.0} ns ({ratio:.2}x)"),
+        format!(
+            "counting ratio: vp_plus_block_counting = {counting:.0} ns, \
+             vp_plus_block = {quiet:.0} ns ({observed:.2}x)"
+        ),
     ])
 }
 
@@ -123,8 +144,6 @@ fn main() -> ExitCode {
 
     // Log this run to the append-only perf trajectory: each median with
     // its spread (the sample min and max) and the host's core count.
-    // `vp_plus_block_counting` (an enabled sink on the block cache) is
-    // logged, not gated.
     let tracked = [
         (GROUP, "vp_plain_interp"),
         (GROUP, "vp_plain_block"),
@@ -192,17 +211,24 @@ mod tests {
         assert_eq!(stat_of(&entries, GROUP, "vp_plain_block", "min"), Some(1.5), "the spread");
     }
 
+    /// Entries for the three gates: the plain block-cache median `block`
+    /// (interpreter 20), the VP+ set-up median `plus` (plain 100) and the
+    /// counting-sink median `counting` (VP+ block cache 12).
+    fn gate_entries(block: f64, plus: f64, counting: f64) -> Vec<Value> {
+        collect_entries(&format!(
+            "{{\"group\": \"soc_engine\", \"name\": \"vp_plain_interp\", \"median\": 20.0}}\n\
+             {{\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"median\": {block}}}\n\
+             {{\"group\": \"soc_setup\", \"name\": \"vp_plain\", \"median\": 100.0}}\n\
+             {{\"group\": \"soc_setup\", \"name\": \"vp_plus\", \"median\": {plus}}}\n\
+             {{\"group\": \"soc_engine\", \"name\": \"vp_plus_block\", \"median\": 12.0}}\n\
+             {{\"group\": \"soc_engine\", \"name\": \"vp_plus_block_counting\", \"median\": {counting}}}\n"
+        ))
+    }
+
     #[test]
     fn both_gates_must_hold() {
-        let entries = |block: f64, plus: f64| {
-            collect_entries(&format!(
-                "{{\"group\": \"soc_engine\", \"name\": \"vp_plain_interp\", \"median\": 20.0}}\n\
-                 {{\"group\": \"soc_engine\", \"name\": \"vp_plain_block\", \"median\": {block}}}\n\
-                 {{\"group\": \"soc_setup\", \"name\": \"vp_plain\", \"median\": 100.0}}\n\
-                 {{\"group\": \"soc_setup\", \"name\": \"vp_plus\", \"median\": {plus}}}\n"
-            ))
-        };
-        assert_eq!(check_gates(&entries(10.0, 110.0)).map(|l| l.len()), Ok(2));
+        let entries = |block: f64, plus: f64| gate_entries(block, plus, 18.0);
+        assert_eq!(check_gates(&entries(10.0, 110.0)).map(|l| l.len()), Ok(3));
         let err = check_gates(&entries(10.0, 3300.0)).unwrap_err();
         assert!(err.contains("33.00x the plain VP's"), "{err}");
         let err = check_gates(&entries(19.0, 110.0)).unwrap_err();
@@ -211,6 +237,19 @@ mod tests {
         assert_eq!(
             check_gates(setup_missing),
             Err("missing soc_setup vp_plain / vp_plus entries".into())
+        );
+    }
+
+    #[test]
+    fn counting_gate_must_hold() {
+        let lines = check_gates(&gate_entries(10.0, 110.0, 24.0)).expect("2.00x passes");
+        assert!(lines[2].contains("(2.00x)"), "{lines:?}");
+        let err = check_gates(&gate_entries(10.0, 110.0, 30.0)).unwrap_err();
+        assert!(err.contains("2.50x the VP+ block cache's NullSink run"), "{err}");
+        let counting_missing = &gate_entries(10.0, 110.0, 18.0)[..4];
+        assert_eq!(
+            check_gates(counting_missing),
+            Err("missing soc_engine vp_plus_block / vp_plus_block_counting entries".into())
         );
     }
 

@@ -101,10 +101,15 @@ impl Tag {
         self.0.count_ones()
     }
 
-    /// Iterates over the indices of set atoms, ascending.
+    /// Iterates over the indices of set atoms, ascending. Each step clears
+    /// the lowest set bit, so the cost is one step per atom, not per slot.
     pub fn atoms(self) -> impl Iterator<Item = u32> {
-        let bits = self.0;
-        (0..Tag::CAPACITY).filter(move |i| bits & (1 << i) != 0)
+        let mut bits = self.0;
+        core::iter::from_fn(move || {
+            let atom = (bits != 0).then(|| bits.trailing_zeros())?;
+            bits &= bits - 1;
+            Some(atom)
+        })
     }
 }
 
@@ -195,6 +200,23 @@ mod tests {
         let t = Tag::from_bits(0b1010_0001);
         assert_eq!(t.atoms().collect::<Vec<_>>(), vec![0, 5, 7]);
         assert_eq!(t.atom_count(), 3);
+    }
+
+    #[test]
+    fn atoms_match_the_bit_filter() {
+        let reference =
+            |bits: u32| (0..Tag::CAPACITY).filter(|i| bits & (1 << i) != 0).collect::<Vec<_>>();
+        // xorshift32: a fixed pseudo-random sequence of tags.
+        let mut x = 0x9E37_79B9u32;
+        let random = std::iter::repeat_with(|| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        });
+        for bits in [0, u32::MAX, 1, 1 << 31].into_iter().chain(random.take(1000)) {
+            assert_eq!(Tag::from_bits(bits).atoms().collect::<Vec<_>>(), reference(bits));
+        }
     }
 
     #[test]

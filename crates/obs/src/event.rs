@@ -265,23 +265,45 @@ pub enum ObsEvent {
 }
 
 impl ObsEvent {
+    /// Every kind label, indexed by [`ObsEvent::kind_index`].
+    pub(crate) const LABELS: [&'static str; 13] = [
+        "insn",
+        "tag_write",
+        "load",
+        "store",
+        "check",
+        "violation",
+        "tag_set_change",
+        "classify",
+        "declassify",
+        "tlm",
+        "trap",
+        "fault",
+        "engine_cache",
+    ];
+
+    /// The event's kind as a dense index into [`ObsEvent::LABELS`].
+    pub(crate) const fn kind_index(&self) -> usize {
+        match self {
+            ObsEvent::InsnRetired { .. } => 0,
+            ObsEvent::TagWrite { .. } => 1,
+            ObsEvent::Load { .. } => 2,
+            ObsEvent::Store { .. } => 3,
+            ObsEvent::Check { .. } => 4,
+            ObsEvent::Violation(_) => 5,
+            ObsEvent::TagSetChange { .. } => 6,
+            ObsEvent::Classify { .. } => 7,
+            ObsEvent::Declassify { .. } => 8,
+            ObsEvent::Tlm { .. } => 9,
+            ObsEvent::Trap { .. } => 10,
+            ObsEvent::FaultInjected { .. } => 11,
+            ObsEvent::EngineCache { .. } => 12,
+        }
+    }
+
     /// Short kind label (export key, progress displays).
     pub const fn label(&self) -> &'static str {
-        match self {
-            ObsEvent::InsnRetired { .. } => "insn",
-            ObsEvent::TagWrite { .. } => "tag_write",
-            ObsEvent::Load { .. } => "load",
-            ObsEvent::Store { .. } => "store",
-            ObsEvent::Check { .. } => "check",
-            ObsEvent::Violation(_) => "violation",
-            ObsEvent::TagSetChange { .. } => "tag_set_change",
-            ObsEvent::Classify { .. } => "classify",
-            ObsEvent::Declassify { .. } => "declassify",
-            ObsEvent::Tlm { .. } => "tlm",
-            ObsEvent::Trap { .. } => "trap",
-            ObsEvent::FaultInjected { .. } => "fault",
-            ObsEvent::EngineCache { .. } => "engine_cache",
-        }
+        Self::LABELS[self.kind_index()]
     }
 }
 

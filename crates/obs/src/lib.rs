@@ -53,7 +53,8 @@ pub use ring::{EventRing, TimedEvent};
 pub use scrape::{MetricsServer, ScrapeError};
 pub use sink::{DynObs, NullSink, ObsSink, ATOM_SLOTS};
 pub use stream::{
-    BreakHit, BreakKind, BreakSet, Breakpoint, StopFlag, StreamItem, StreamSink, Watch, WatchKind,
+    ArmedBreaks, BreakHit, BreakKind, BreakSet, Breakpoint, StopFlag, StreamItem, StreamSink,
+    Watch, WatchKind,
 };
 
 /// Adapts a lent sink to the engine's [`FlowObserver`] hook, for one

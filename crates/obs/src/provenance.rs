@@ -99,12 +99,15 @@ pub struct SinkRec {
     pub time: SimTime,
 }
 
-/// Bounded per-atom hop ring. A plain `Vec` with front eviction: the
-/// capacity is small and eviction only happens on tagged events, so the
-/// `O(HOP_CAP)` shift is noise next to the event clone that preceded it.
+/// Bounded per-atom hop ring: the newest [`HOP_CAP`] hops, contiguous so
+/// paths can borrow them as a slice. Eviction only advances `head`; once
+/// `HOP_CAP` hops are dead the front is dropped in one shift, so a push
+/// costs amortized O(1) however long a tagged loop runs.
 #[derive(Debug, Clone, Default)]
 struct HopRing {
+    /// `hops[head..]` are live; `hops[..head]` are evicted.
     hops: Vec<Hop>,
+    head: usize,
     evicted: u64,
 }
 
@@ -118,12 +121,21 @@ impl HopRing {
                 return false;
             }
         }
-        if self.hops.len() == HOP_CAP {
-            self.hops.remove(0);
+        if self.hops.len() - self.head == HOP_CAP {
+            self.head += 1;
             self.evicted += 1;
+            if self.head == HOP_CAP {
+                self.hops.drain(..HOP_CAP);
+                self.head = 0;
+            }
         }
         self.hops.push(hop);
         true
+    }
+
+    /// The live hops, oldest first.
+    fn live(&self) -> &[Hop] {
+        &self.hops[self.head..]
     }
 }
 
@@ -215,18 +227,16 @@ impl ProvenanceMap {
         }
     }
 
-    /// Removes and returns the queued deltas, oldest first, with the
-    /// number evicted before them since the last take (empty and 0 when
-    /// delta tracking is off or nothing changed). The queue holds at most
+    /// Removes the queued deltas, oldest first, with the number evicted
+    /// before them since the last drain (empty and 0 when delta tracking
+    /// is off or nothing changed). The queue holds at most
     /// [`STREAM_BUF_CAP`] deltas.
-    pub fn take_deltas(&mut self) -> (Vec<FlowDelta>, u64) {
-        match &mut self.deltas {
-            Some(q) => (q.items.drain(..).collect(), std::mem::take(&mut q.evicted)),
-            None => (Vec::new(), 0),
-        }
+    pub fn drain_deltas(&mut self) -> (impl Iterator<Item = FlowDelta> + '_, u64) {
+        let evicted = self.deltas.as_mut().map_or(0, |q| std::mem::take(&mut q.evicted));
+        (self.deltas.iter_mut().flat_map(|q| q.items.drain(..)), evicted)
     }
 
-    /// Deltas queued since the last [`ProvenanceMap::take_deltas`].
+    /// Deltas queued since the last [`ProvenanceMap::drain_deltas`].
     pub fn queued_deltas(&self) -> usize {
         self.deltas.as_ref().map_or(0, |q| q.items.len())
     }
@@ -286,12 +296,12 @@ impl ProvenanceMap {
 
     /// The recorded hops of `atom`, oldest first.
     pub fn hops_of(&self, atom: u32) -> &[Hop] {
-        self.hops.get(atom as usize).map(|r| r.hops.as_slice()).unwrap_or(&[])
+        self.hops.get(atom as usize).map(HopRing::live).unwrap_or(&[])
     }
 
     /// `true` when any atom has at least one recorded hop or origin.
     pub fn has_flows(&self) -> bool {
-        self.origins.iter().any(|o| o.is_some()) || self.hops.iter().any(|r| !r.hops.is_empty())
+        self.origins.iter().any(|o| o.is_some()) || self.hops.iter().any(|r| !r.live().is_empty())
     }
 
     /// The full recorded path of `atom`, or `None` for an atom nothing
@@ -304,7 +314,7 @@ impl ProvenanceMap {
         let origin = self.origins[idx].as_ref();
         let ring = &self.hops[idx];
         let sink = self.sinks[idx].as_ref();
-        if origin.is_none() && ring.hops.is_empty() && sink.is_none() {
+        if origin.is_none() && ring.live().is_empty() && sink.is_none() {
             return None;
         }
         Some(FlowPath { atom, origin, hops: self.hops_of(atom), evicted: ring.evicted, sink })
@@ -329,6 +339,11 @@ impl ProvenanceMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn take(p: &mut ProvenanceMap) -> (Vec<FlowDelta>, u64) {
+        let (deltas, evicted) = p.drain_deltas();
+        (deltas.collect(), evicted)
+    }
 
     fn hop(kind: HopKind, pc: u32, addr: Option<u32>) -> Hop {
         Hop { kind, pc: Some(pc), addr, time: SimTime::ZERO, repeats: 1 }
@@ -398,6 +413,23 @@ mod tests {
     }
 
     #[test]
+    fn ring_keeps_the_newest_hops_across_many_evictions() {
+        let mut p = ProvenanceMap::default();
+        let t = Tag::atom(2);
+        for n in 1..=5 * HOP_CAP as u32 + 3 {
+            p.record_hop(t, hop(HopKind::Load, 4 * n, None));
+            // The last hop folds: a repeat is not a new node.
+            p.record_hop(t, hop(HopKind::Load, 4 * n, None));
+            let path = p.path(2).unwrap();
+            let live = n.min(HOP_CAP as u32);
+            let want: Vec<_> = (n + 1 - live..=n).map(|k| Some(4 * k)).collect();
+            assert_eq!(path.hops.iter().map(|h| h.pc).collect::<Vec<_>>(), want);
+            assert!(path.hops.iter().all(|h| h.repeats == 2));
+            assert_eq!(path.evicted, u64::from(n - live));
+        }
+    }
+
+    #[test]
     fn shortest_path_prefers_origin_then_fewest_hops() {
         let mut p = ProvenanceMap::default();
         // Atom 0: origin + 3 hops. Atom 1: origin + 1 hop. Atom 2: hops
@@ -428,7 +460,7 @@ mod tests {
         let mut p = ProvenanceMap::default();
         // Nothing queued while deltas are off.
         p.classify(Tag::atom(0), "pin", Some(0x2000), SimTime::ZERO);
-        assert_eq!(p.take_deltas(), (Vec::new(), 0));
+        assert_eq!(take(&mut p), (Vec::new(), 0));
 
         p.enable_deltas();
         // Re-classification of a known atom is not a change.
@@ -441,14 +473,14 @@ mod tests {
         }
         p.record_sink(Tag::atom(0), "uart.tx", Some(0x44), SimTime::from_ns(3));
 
-        let (deltas, evicted) = p.take_deltas();
+        let (deltas, evicted) = take(&mut p);
         assert_eq!((deltas.len(), evicted), (3, 0), "{deltas:?}");
         assert!(
             matches!(&deltas[0], FlowDelta::Origin { atom: 1, source, .. } if source == "can.rx")
         );
         assert!(matches!(&deltas[1], FlowDelta::Hop { atom: 0, .. }));
         assert!(matches!(&deltas[2], FlowDelta::Sink { atom: 0, site, .. } if site == "uart.tx"));
-        assert_eq!(p.take_deltas(), (Vec::new(), 0), "take drains the queue");
+        assert_eq!(take(&mut p), (Vec::new(), 0), "take drains the queue");
     }
 
     #[test]
@@ -460,10 +492,10 @@ mod tests {
             p.record_hop(Tag::atom(0), hop(HopKind::Load, pc, None));
             assert!(p.queued_deltas() <= STREAM_BUF_CAP);
         }
-        let (deltas, evicted) = p.take_deltas();
+        let (deltas, evicted) = take(&mut p);
         assert_eq!((deltas.len(), evicted), (STREAM_BUF_CAP, 10));
         assert!(matches!(&deltas[0], FlowDelta::Hop { hop, .. } if hop.pc == Some(10)));
-        assert_eq!(p.take_deltas(), (Vec::new(), 0), "the eviction count is taken once");
+        assert_eq!(take(&mut p), (Vec::new(), 0), "the eviction count is taken once");
     }
 
     #[test]

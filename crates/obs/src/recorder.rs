@@ -3,6 +3,7 @@
 //! profiler, and an optional `--explain` flow tracker.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vpdift_core::{AtomTable, Tag, Violation};
 use vpdift_kernel::SimTime;
@@ -32,10 +33,38 @@ pub struct Recorder {
     symbols: Option<SymbolMap>,
     prof: Option<Profiler>,
     explain: bool,
-    /// pc → raw instruction bits of retired instructions, kept only in
-    /// explain mode so hop PCs can be disassembled after the fact.
-    /// Bounded by the number of distinct PCs in the program image.
-    insn_words: HashMap<u32, (u32, bool)>,
+    /// pc → raw instruction bits, kept only in explain mode so hop PCs can
+    /// be disassembled after the fact: written when an instruction that
+    /// recorded a hop, or stored, retires. Bounded by the number of
+    /// distinct PCs in the program image.
+    insn_words: HashMap<u32, (u32, bool), BuildHasherDefault<PcHasher>>,
+    /// The pc of the executing instruction once it recorded a hop or a
+    /// store, until it retires. A store is kept even untagged: a tagged
+    /// store that then fails (a violation, a fault) never retires, and
+    /// its hop is shown with the word an earlier run of the pc retired.
+    word_pc: Option<u32>,
+}
+
+/// Hashes a `u32` key with one multiply (the FxHash step) instead of
+/// SipHash's rounds; the rotate moves the product's well-mixed high bits
+/// into the low bits the table indexes by.
+#[derive(Default)]
+struct PcHasher(u64);
+
+impl Hasher for PcHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl Recorder {
@@ -51,7 +80,8 @@ impl Recorder {
             symbols: None,
             prof: None,
             explain: false,
-            insn_words: HashMap::new(),
+            insn_words: HashMap::default(),
+            word_pc: None,
         }
     }
 
@@ -91,7 +121,7 @@ impl Recorder {
     }
 
     /// Additionally queues incremental flow-graph changes as
-    /// [`FlowDelta`]s, drained with [`Recorder::take_flow_deltas`] — the
+    /// [`FlowDelta`]s, drained with [`Recorder::drain_flow_deltas`] — the
     /// live-streaming complement of [`Recorder::with_explain`] (which it
     /// implies: deltas only exist where flow tracking records hops).
     #[must_use]
@@ -101,12 +131,12 @@ impl Recorder {
         self
     }
 
-    /// Removes and returns queued flow-graph deltas with the number the
-    /// bounded queue evicted before them (always empty unless
+    /// Removes the queued flow-graph deltas, oldest first, with the number
+    /// the bounded queue evicted before them (always empty unless
     /// [`Recorder::with_flow_deltas`] was used; see
-    /// [`ProvenanceMap::take_deltas`]).
-    pub fn take_flow_deltas(&mut self) -> (Vec<FlowDelta>, u64) {
-        self.provenance.take_deltas()
+    /// [`ProvenanceMap::drain_deltas`]).
+    pub fn drain_flow_deltas(&mut self) -> (impl Iterator<Item = FlowDelta> + '_, u64) {
+        self.provenance.drain_deltas()
     }
 
     /// Aggregated counters.
@@ -213,10 +243,14 @@ impl Recorder {
     /// Folds one event into the provenance DAG (explain mode only).
     fn track_flow(&mut self, event: &ObsEvent) {
         match event {
-            ObsEvent::InsnRetired { pc, word, compressed, .. } => {
+            // Every retirement ends the instruction `word_pc` names.
+            ObsEvent::InsnRetired { pc, word, compressed, .. }
+                if self.word_pc.take() == Some(*pc) =>
+            {
                 self.insn_words.insert(*pc, (*word, *compressed));
             }
             ObsEvent::TagWrite { pc, reg, after, .. } if !after.is_empty() => {
+                self.word_pc = Some(*pc);
                 self.provenance.record_hop(
                     *after,
                     Hop {
@@ -229,6 +263,7 @@ impl Recorder {
                 );
             }
             ObsEvent::Load { pc, addr, tag, .. } if !tag.is_empty() => {
+                self.word_pc = Some(*pc);
                 self.provenance.record_hop(
                     *tag,
                     Hop {
@@ -240,17 +275,20 @@ impl Recorder {
                     },
                 );
             }
-            ObsEvent::Store { pc, addr, tag, .. } if !tag.is_empty() => {
-                self.provenance.record_hop(
-                    *tag,
-                    Hop {
-                        kind: HopKind::Store,
-                        pc: Some(*pc),
-                        addr: Some(*addr),
-                        time: self.now,
-                        repeats: 1,
-                    },
-                );
+            ObsEvent::Store { pc, addr, tag, .. } => {
+                self.word_pc = Some(*pc);
+                if !tag.is_empty() {
+                    self.provenance.record_hop(
+                        *tag,
+                        Hop {
+                            kind: HopKind::Store,
+                            pc: Some(*pc),
+                            addr: Some(*addr),
+                            time: self.now,
+                            repeats: 1,
+                        },
+                    );
+                }
             }
             ObsEvent::Tlm { bus, target, addr, tag, .. } if !tag.is_empty() => {
                 self.provenance.record_hop(
@@ -429,11 +467,10 @@ impl ObsSink for Recorder {
             ObsEvent::Violation(v) => self.violations.push(v.clone()),
             _ => {}
         }
-        let timed = TimedEvent { time: self.now, event: event.clone() };
         if let Some(log) = &mut self.log {
-            log.push(timed.clone());
+            log.push(TimedEvent { time: self.now, event: event.clone() });
         }
-        self.ring.push(timed);
+        self.ring.push(self.now, event);
     }
 
     fn set_now(&mut self, now: SimTime) {

@@ -52,17 +52,23 @@ impl EventRing {
         self.pushed
     }
 
-    /// Appends an event, evicting the oldest when full.
-    pub fn push(&mut self, event: TimedEvent) {
+    /// Appends a copy of `event`, observed at `time`, evicting the oldest
+    /// entry when full. A zero-capacity ring counts the event without
+    /// copying it.
+    pub fn push(&mut self, time: SimTime, event: &ObsEvent) {
         self.pushed += 1;
         if self.capacity == 0 {
             return;
         }
+        let timed = TimedEvent { time, event: event.clone() };
         if self.slots.len() < self.capacity {
-            self.slots.push(event);
+            self.slots.push(timed);
         } else {
-            self.slots[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
+            self.slots[self.head] = timed;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
     }
 
@@ -77,11 +83,8 @@ impl EventRing {
 mod tests {
     use super::*;
 
-    fn ev(pc: u32) -> TimedEvent {
-        TimedEvent {
-            time: SimTime::from_ns(pc as u64),
-            event: ObsEvent::Trap { pc, cause: 0, irq: false },
-        }
+    fn push(ring: &mut EventRing, pc: u32) {
+        ring.push(SimTime::from_ns(pc as u64), &ObsEvent::Trap { pc, cause: 0, irq: false });
     }
 
     fn pcs(ring: &EventRing) -> Vec<u32> {
@@ -97,7 +100,7 @@ mod tests {
     fn keeps_everything_below_capacity() {
         let mut r = EventRing::new(4);
         for pc in 0..3 {
-            r.push(ev(pc));
+            push(&mut r, pc);
         }
         assert_eq!(r.len(), 3);
         assert_eq!(pcs(&r), vec![0, 1, 2]);
@@ -108,20 +111,20 @@ mod tests {
     fn wraparound_keeps_newest_in_order() {
         let mut r = EventRing::new(4);
         for pc in 0..11 {
-            r.push(ev(pc));
+            push(&mut r, pc);
         }
         assert_eq!(r.len(), 4);
         assert_eq!(pcs(&r), vec![7, 8, 9, 10], "oldest evicted, order preserved");
         assert_eq!(r.total_pushed(), 11);
         // Keep pushing exactly to a wrap boundary.
-        r.push(ev(11));
+        push(&mut r, 11);
         assert_eq!(pcs(&r), vec![8, 9, 10, 11]);
     }
 
     #[test]
     fn zero_capacity_retains_nothing() {
         let mut r = EventRing::new(0);
-        r.push(ev(1));
+        push(&mut r, 1);
         assert!(r.is_empty());
         assert_eq!(r.total_pushed(), 1);
     }

@@ -30,12 +30,15 @@ pub const STREAM_BUF_CAP: usize = 4096;
 /// A shared, cloneable "please stop" latch between a watchpoint evaluator
 /// (or any other controller — fleet deadline reapers raise it from another
 /// thread) and the SoC run loop. The loop polls [`take`](StopFlag::take)
-/// once per dispatch slice regardless of the attached sink (with an
-/// enabled sink a slice is one step): the unraised-flag check is a single
-/// relaxed atomic load, cheap enough for the `NullSink` hot path, and
-/// polling unconditionally is what lets a fleet executor deadline-kill a
-/// wedged session that runs without observability. Raised flags end the
-/// run with `SocExit::Stopped`.
+/// once per dispatch slice regardless of the attached sink: the
+/// unraised-flag check is a single relaxed atomic load, cheap enough for
+/// the `NullSink` hot path, and polling unconditionally is what lets a
+/// fleet executor deadline-kill a wedged session that runs without
+/// observability. With an enabled sink the execution engines also read
+/// [`is_requested`](StopFlag::is_requested) between the instructions of
+/// a slice and end it there, so a watch hit stops the run right after
+/// the instruction that raised it. Raised flags end the run with
+/// `SocExit::Stopped`.
 #[derive(Clone, Debug, Default)]
 pub struct StopFlag(Arc<AtomicBool>);
 
@@ -122,6 +125,26 @@ struct BreakState {
     hit: Option<BreakHit>,
 }
 
+/// What [`BreakSet::check`] leaves armed: the pcs a run loop must end a
+/// multi-instruction slice in front of, and the instruction count it must
+/// not dispatch past, so every breakpoint still fires where a check before
+/// each instruction would fire it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ArmedBreaks {
+    /// The armed PC breakpoints.
+    pub pcs: Vec<u32>,
+    /// The lowest armed instret breakpoint.
+    pub instret: Option<u64>,
+}
+
+impl ArmedBreaks {
+    /// Forgets every breakpoint (the set was disarmed).
+    pub fn clear(&mut self) {
+        self.pcs.clear();
+        self.instret = None;
+    }
+}
+
 #[derive(Debug, Default)]
 struct BreakInner {
     /// Fast-path gate: `true` while any breakpoint is registered. The
@@ -131,15 +154,18 @@ struct BreakInner {
     state: Mutex<BreakState>,
 }
 
-/// A shared, cloneable set of PC / instruction-count breakpoints,
-/// evaluated by the SoC run loop *before* each instruction executes.
+/// A shared, cloneable set of PC / instruction-count breakpoints that
+/// stop the SoC run loop *before* the matching instruction executes.
 ///
 /// Like [`StopFlag`], clones share state, so a serve registry can arm
-/// and disarm breakpoints from another thread while the session runs.
-/// Unlike the stop poll — which is unconditional so deadline reapers
-/// reach `NullSink` fleets — the breakpoint check is observability-gated
-/// in the run loop and additionally gated on [`armed`](BreakSet::armed),
-/// keeping batch runs at zero cost.
+/// and disarm breakpoints from another thread while the session runs;
+/// the run loop reads the set once per dispatch slice
+/// ([`check`](BreakSet::check)), so a breakpoint armed mid-run takes
+/// effect from the next slice. Unlike the stop poll — which is
+/// unconditional so deadline reapers reach `NullSink` fleets — the
+/// breakpoint check is observability-gated in the run loop and
+/// additionally gated on [`armed`](BreakSet::armed), keeping batch runs
+/// at zero cost.
 #[derive(Clone, Debug, Default)]
 pub struct BreakSet(Arc<BreakInner>);
 
@@ -194,7 +220,13 @@ impl BreakSet {
     /// skips PC breakpoints once, so persistent PC breaks don't pin the
     /// session in place. Instret breakpoints fire when
     /// `instret >= n` and are removed as they fire.
-    pub fn check(&self, pc: u32, instret: u64) -> bool {
+    ///
+    /// Under the same lock, `armed` is refreshed with what stays armed.
+    /// When nothing fires, every armed instret breakpoint lies above
+    /// `instret`, so a run loop may dispatch up to `armed.instret -
+    /// instret` steps before it has to check again, ending the slice
+    /// early only in front of `armed.pcs`.
+    pub fn check(&self, pc: u32, instret: u64, armed: &mut ArmedBreaks) -> bool {
         let mut st = self.0.state.lock().unwrap();
         let skip_pc = st.resume.take() == Some((pc, instret));
         let fired = st.bps.iter().find_map(|b| match b.kind {
@@ -202,7 +234,18 @@ impl BreakSet {
             BreakKind::Instret(n) if instret >= n => Some(*b),
             _ => None,
         });
-        let Some(bp) = fired else { return false };
+        let Some(bp) = fired else {
+            armed.clear();
+            for b in &st.bps {
+                match b.kind {
+                    BreakKind::Pc(bp) => armed.pcs.push(bp),
+                    BreakKind::Instret(n) => {
+                        armed.instret = Some(armed.instret.map_or(n, |m| m.min(n)));
+                    }
+                }
+            }
+            return false;
+        };
         if matches!(bp.kind, BreakKind::Instret(_)) {
             st.bps.retain(|b| b.id != bp.id);
             if st.bps.is_empty() {
@@ -298,20 +341,39 @@ pub enum StreamItem {
     },
 }
 
+/// The bounded buffer of items waiting for a drain.
+struct Backlog {
+    items: VecDeque<StreamItem>,
+    cap: usize,
+    /// Items dropped because the bound was hit.
+    dropped: u64,
+}
+
+impl Backlog {
+    fn push(&mut self, item: StreamItem) {
+        if self.items.len() == self.cap {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+    }
+}
+
+/// Every event kind, as a subscription mask.
+const ALL_KINDS: u32 = (1 << ObsEvent::LABELS.len()) - 1;
+
 /// An [`ObsSink`] for live sessions: forwards everything into an inner
 /// [`Recorder`] (so metrics/explain/flight reports keep working), buffers
 /// the items a subscriber asked for, and evaluates watchpoints.
 pub struct StreamSink {
     recorder: Recorder,
     now: SimTime,
-    /// Subscribed event kinds ([`ObsEvent::label`] values); `None` means
-    /// no event subscription, `Some(empty)` means *all* kinds.
-    event_filter: Option<Vec<String>>,
+    /// Subscribed event kinds, one bit per [`ObsEvent::kind_index`]; 0
+    /// when no kind is subscribed.
+    event_mask: u32,
     /// Whether flow-graph deltas are streamed.
     flow_subscribed: bool,
-    buf: VecDeque<StreamItem>,
-    buf_cap: usize,
-    dropped: u64,
+    backlog: Backlog,
     watches: Vec<WatchState>,
     next_watch_id: u32,
     stop: StopFlag,
@@ -324,21 +386,13 @@ impl StreamSink {
         StreamSink {
             recorder,
             now: SimTime::ZERO,
-            event_filter: None,
+            event_mask: 0,
             flow_subscribed: false,
-            buf: VecDeque::new(),
-            buf_cap: STREAM_BUF_CAP,
-            dropped: 0,
+            backlog: Backlog { items: VecDeque::new(), cap: STREAM_BUF_CAP, dropped: 0 },
             watches: Vec::new(),
             next_watch_id: 1,
-            stop: StopFlag::new(),
+            stop,
         }
-        .with_stop(stop)
-    }
-
-    fn with_stop(mut self, stop: StopFlag) -> Self {
-        self.stop = stop;
-        self
     }
 
     /// The inner recorder (metrics, provenance, explain, …).
@@ -357,14 +411,23 @@ impl StreamSink {
     }
 
     /// Subscribes to event kinds by [`ObsEvent::label`]; an empty list
-    /// subscribes to *all* kinds. Replaces any previous subscription.
+    /// subscribes to *all* kinds, and a name that is no kind's label
+    /// matches nothing. Replaces any previous subscription.
     pub fn subscribe_events(&mut self, kinds: Vec<String>) {
-        self.event_filter = Some(kinds);
+        self.event_mask = if kinds.is_empty() {
+            ALL_KINDS
+        } else {
+            ObsEvent::LABELS
+                .iter()
+                .enumerate()
+                .filter(|(_, label)| kinds.iter().any(|k| k == *label))
+                .fold(0, |mask, (i, _)| mask | 1 << i)
+        };
     }
 
     /// Cancels the event subscription (flow/watch items still stream).
     pub fn unsubscribe_events(&mut self) {
-        self.event_filter = None;
+        self.event_mask = 0;
     }
 
     /// Turns flow-graph delta streaming on or off. The inner recorder
@@ -396,20 +459,26 @@ impl StreamSink {
 
     /// Removes and returns everything buffered since the last drain.
     pub fn drain(&mut self) -> Vec<StreamItem> {
-        self.buf.drain(..).collect()
+        self.backlog.items.drain(..).collect()
     }
 
     /// Items dropped because the buffer bound was hit.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.backlog.dropped
     }
 
-    fn push(&mut self, item: StreamItem) {
-        if self.buf.len() == self.buf_cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(item);
+    /// `true` for the event kinds some watch can match: checks (sink
+    /// watches), stores, TLM writes and classifications (range watches),
+    /// and violations.
+    fn watchable(event: &ObsEvent) -> bool {
+        matches!(
+            event,
+            ObsEvent::Check { .. }
+                | ObsEvent::Store { .. }
+                | ObsEvent::Tlm { write: true, .. }
+                | ObsEvent::Classify { .. }
+                | ObsEvent::Violation(_)
+        )
     }
 
     /// The tag an event presents to range watches at `addr`, when it is
@@ -477,7 +546,7 @@ impl StreamSink {
         for (id, reason) in hits {
             self.stop.request();
             let time = self.now;
-            self.push(StreamItem::Watch { id, reason, time });
+            self.backlog.push(StreamItem::Watch { id, reason, time });
         }
     }
 }
@@ -485,22 +554,20 @@ impl StreamSink {
 impl ObsSink for StreamSink {
     fn event(&mut self, event: &ObsEvent) {
         self.recorder.event(event);
-        self.eval_watches(event);
-        let subscribed = match &self.event_filter {
-            None => false,
-            Some(kinds) => kinds.is_empty() || kinds.iter().any(|k| k == event.label()),
-        };
-        if subscribed {
+        if !self.watches.is_empty() && Self::watchable(event) {
+            self.eval_watches(event);
+        }
+        if self.event_mask & 1 << event.kind_index() != 0 {
             let item = StreamItem::Event(TimedEvent { time: self.now, event: event.clone() });
-            self.push(item);
+            self.backlog.push(item);
         }
         if self.flow_subscribed {
             // Deltas the bounded backlog evicted while nobody subscribed
-            // count as dropped, as if they had passed through `buf`.
-            let (deltas, evicted) = self.recorder.take_flow_deltas();
-            self.dropped += evicted;
+            // count as dropped, as if they had passed through the backlog.
+            let (deltas, evicted) = self.recorder.drain_flow_deltas();
+            self.backlog.dropped += evicted;
             for delta in deltas {
-                self.push(StreamItem::Flow(delta));
+                self.backlog.push(StreamItem::Flow(delta));
             }
         }
     }
@@ -660,7 +727,7 @@ mod tests {
     fn empty_kind_list_subscribes_all_and_buffer_bounds_drop() {
         let mut s = sink();
         s.subscribe_events(Vec::new());
-        s.buf_cap = 4;
+        s.backlog.cap = 4;
         for i in 0..10 {
             s.event(&ObsEvent::Trap { pc: i, cause: 3, irq: false });
         }
@@ -671,16 +738,17 @@ mod tests {
     #[test]
     fn pc_break_fires_once_then_skips_on_resume() {
         let b = BreakSet::new();
+        let mut armed = ArmedBreaks::default();
         assert!(!b.armed());
         let id = b.add(BreakKind::Pc(0x40));
         assert!(b.armed());
-        assert!(!b.check(0x3c, 10), "other pc does not fire");
-        assert!(b.check(0x40, 11));
+        assert!(!b.check(0x3c, 10, &mut armed), "other pc does not fire");
+        assert!(b.check(0x40, 11, &mut armed));
         let hit = b.take_hit().expect("hit recorded");
         assert_eq!((hit.id, hit.pc, hit.instret), (id, 0x40, 11));
         assert!(b.take_hit().is_none(), "hit is taken once");
-        assert!(!b.check(0x40, 11), "resume at the same spot skips the pc break once");
-        assert!(b.check(0x40, 15), "but coming back around fires again");
+        assert!(!b.check(0x40, 11, &mut armed), "resume at the same spot skips the pc break once");
+        assert!(b.check(0x40, 15, &mut armed), "but coming back around fires again");
         assert!(b.armed(), "pc breaks persist");
         assert!(b.remove(id));
         assert!(!b.remove(id));
@@ -690,27 +758,46 @@ mod tests {
     #[test]
     fn instret_break_is_one_shot_and_clones_share_state() {
         let a = BreakSet::new();
+        let mut armed = ArmedBreaks::default();
         let b = a.clone();
         let id = b.add(BreakKind::Instret(100));
         assert!(a.armed(), "clones share the set");
-        assert!(!a.check(0x10, 99));
-        assert!(a.check(0x10, 100));
+        assert!(!a.check(0x10, 99, &mut armed));
+        assert!(a.check(0x10, 100, &mut armed));
         assert_eq!(a.take_hit().map(|h| h.id), Some(id));
         assert!(!a.armed(), "instret break removed itself");
         assert!(a.list().is_empty());
-        assert!(!a.check(0x14, 101), "does not re-fire");
+        assert!(!a.check(0x14, 101, &mut armed), "does not re-fire");
     }
 
     #[test]
     fn stale_resume_token_does_not_mask_a_different_pc_hit() {
         let b = BreakSet::new();
+        let mut armed = ArmedBreaks::default();
         b.add(BreakKind::Pc(0x40));
         b.add(BreakKind::Pc(0x44));
-        assert!(b.check(0x40, 5));
+        assert!(b.check(0x40, 5, &mut armed));
         // Resume skips 0x40 at (0x40, 5); the very next instruction is
         // 0x44 and must still fire.
-        assert!(!b.check(0x40, 5));
-        assert!(b.check(0x44, 6));
+        assert!(!b.check(0x40, 5, &mut armed));
+        assert!(b.check(0x44, 6, &mut armed));
+    }
+
+    #[test]
+    fn a_passing_check_reports_what_stays_armed() {
+        let b = BreakSet::new();
+        let mut armed = ArmedBreaks { pcs: vec![0x99], instret: Some(1) };
+        b.add(BreakKind::Pc(0x40));
+        b.add(BreakKind::Instret(300));
+        b.add(BreakKind::Pc(0x80));
+        b.add(BreakKind::Instret(200));
+        assert!(!b.check(0x10, 100, &mut armed));
+        assert_eq!(armed, ArmedBreaks { pcs: vec![0x40, 0x80], instret: Some(200) });
+        assert!(b.check(0x14, 200, &mut armed), "the lowest instret break fires");
+        assert!(!b.check(0x14, 200, &mut armed));
+        assert_eq!(armed, ArmedBreaks { pcs: vec![0x40, 0x80], instret: Some(300) });
+        armed.clear();
+        assert_eq!(armed, ArmedBreaks::default());
     }
 
     #[test]

@@ -103,6 +103,16 @@ pub trait Bus<M: TaintMode> {
     /// bus's owner. Called only when [`Bus::OBSERVED`].
     fn emit(&mut self, _event: &ObsEvent) {}
 
+    /// `true` when the slice must end before the instruction at `pc`
+    /// executes, because the owner has to look at the run first (a raised
+    /// stop flag, a breakpoint armed at `pc`). Execution engines ask it
+    /// between the instructions of a slice, and only when
+    /// [`Bus::OBSERVED`]; the first instruction of a slice is the owner's
+    /// to check. The default never ends a slice.
+    fn end_slice_before(&self, _pc: u32) -> bool {
+        false
+    }
+
     /// `false` only while every tag the CPU can reach (registers, CSRs,
     /// memory, device reads) is provably empty, so no clearance check can
     /// fail. A one-way latch: once `true` it stays `true`. Execution

@@ -862,16 +862,21 @@ impl<M: TaintMode> Cpu<M> {
     /// entries — one [`Cpu::step`] at a time.
     ///
     /// Returns the steps taken and the last step's outcome. The slice ends
-    /// early on any outcome other than [`Step::Executed`] and right after an
-    /// access that left [`Bus::irq_dirty`] set. Neither an `Err` (the
-    /// faulting instruction is suppressed) nor a parked `wfi` is a step.
-    pub fn exec(&mut self, bus: &mut impl Bus<M>, budget: u64) -> (u64, Result<Step, Violation>) {
+    /// early on any outcome other than [`Step::Executed`], right after an
+    /// access that left [`Bus::irq_dirty`] set, and, on an observed bus,
+    /// before a pc that [`Bus::end_slice_before`] names. Neither an `Err`
+    /// (the faulting instruction is suppressed) nor a parked `wfi` is a
+    /// step.
+    pub fn exec<B: Bus<M>>(&mut self, bus: &mut B, budget: u64) -> (u64, Result<Step, Violation>) {
         let mut steps = 0;
         while steps < budget {
             match self.step(bus) {
                 Ok(Step::Executed) if !bus.irq_dirty() => steps += 1,
                 Ok(step) => return (steps + step.count(), Ok(step)),
                 Err(v) => return (steps, Err(v)),
+            }
+            if B::OBSERVED && bus.end_slice_before(self.pc) {
+                break;
             }
         }
         (steps, Ok(Step::Executed))

@@ -26,8 +26,9 @@
 //! Both engines share one slice-dispatch entry point, `exec(cpu, bus,
 //! budget)` ([`Cpu::exec`], [`BlockCache::exec`]): it runs up to `budget`
 //! steps and returns early wherever the caller must look at the platform
-//! again — on any step that is not [`Step::Executed`], and right after an
-//! access that left [`Bus::irq_dirty`] set. A caller interleaving
+//! again — on any step that is not [`Step::Executed`], right after an
+//! access that left [`Bus::irq_dirty`] set, and, on an observed bus,
+//! before a pc that [`Bus::end_slice_before`] names. A caller interleaving
 //! interrupt-line sampling, watchdogs or time accounting between slices
 //! (as `vpdift-soc` does) therefore sees exactly the interpreter's timing;
 //! the saving is the skipped fetch/decode work and the per-block, not
@@ -256,17 +257,18 @@ impl BlockCache {
     /// The mutation-epoch read, cache probe and statistics updates are
     /// paid per slice, not per instruction. The slice ends at block end,
     /// at control-flow divergence, when the budget is used up, on any step
-    /// that is not [`Step::Executed`], on a mutation-epoch change, and
-    /// right after a load, store, CSR op or atomic that left
-    /// [`Bus::irq_dirty`] set. Observable behaviour equals repeated
-    /// [`Cpu::step`] calls: interrupts are re-polled after every
+    /// that is not [`Step::Executed`], on a mutation-epoch change, right
+    /// after a load, store, CSR op or atomic that left [`Bus::irq_dirty`]
+    /// set, and, on an observed bus, before a pc that
+    /// [`Bus::end_slice_before`] names. Observable behaviour equals
+    /// repeated [`Cpu::step`] calls: interrupts are re-polled after every
     /// instruction that can change interrupt state (the same poll-flagged
     /// instructions — nothing else inside a straight-line slice can reach
     /// `mstatus`/`mie`/`mip`).
-    pub fn exec<M: TaintMode>(
+    pub fn exec<M: TaintMode, B: Bus<M>>(
         &mut self,
         cpu: &mut Cpu<M>,
-        bus: &mut impl Bus<M>,
+        bus: &mut B,
         budget: u64,
     ) -> (u64, Result<Step, Violation>) {
         if budget == 0 {
@@ -392,7 +394,10 @@ impl BlockCache {
                 break Ok(r.step);
             }
             pc = d.next_pc;
-            if steps == budget || (d.poll && bus.irq_dirty()) {
+            if steps == budget
+                || (d.poll && bus.irq_dirty())
+                || (B::OBSERVED && bus.end_slice_before(pc))
+            {
                 self.cursor = Some(Cursor { block: bi, idx: ii, expected_pc: pc });
                 break Ok(Step::Executed);
             }

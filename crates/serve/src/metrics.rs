@@ -1,5 +1,5 @@
-//! Scrapeable serve-side metrics: request counters plus per-session
-//! progress gauges.
+//! Scrapeable serve-side metrics: request counters and latency
+//! histograms plus per-session progress gauges.
 //!
 //! The v2 server is multi-threaded — one thread per TCP connection over
 //! a shared session registry — and every `ServeMetrics` field is already
@@ -14,8 +14,9 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
-use vpdift_obs::Expo;
+use vpdift_obs::{Expo, Hist, HistSpec};
 
 /// Per-session progress facts, refreshed after each state-moving command.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,6 +37,8 @@ pub struct SessionStats {
 pub struct ServeMetrics {
     /// Requests dispatched, by command name.
     requests: Mutex<BTreeMap<String, u64>>,
+    /// Request latency in microseconds (log2 buckets), by command name.
+    latency: Mutex<BTreeMap<String, Hist>>,
     /// Requests that produced a protocol error line.
     errors: AtomicU64,
     /// Live session count.
@@ -55,6 +58,21 @@ impl ServeMetrics {
     pub fn on_request(&self, cmd: &str) {
         let mut requests = self.requests.lock().unwrap();
         *requests.entry(cmd.to_owned()).or_insert(0) += 1;
+    }
+
+    /// Records how long one request of command `cmd` took, from dispatch
+    /// to its reply (streamed lines included).
+    pub fn on_latency(&self, cmd: &str, took: Duration) {
+        let us = u64::try_from(took.as_micros()).unwrap_or(u64::MAX);
+        let mut latency = self.latency.lock().unwrap();
+        match latency.get_mut(cmd) {
+            Some(hist) => hist.record(us),
+            None => {
+                let mut hist = Hist::new(HistSpec::log2(32));
+                hist.record(us);
+                latency.insert(cmd.to_owned(), hist);
+            }
+        }
     }
 
     /// Counts one request resolved as a protocol error.
@@ -93,6 +111,15 @@ impl ServeMetrics {
                 "Requests dispatched, by command.",
                 &[("cmd", cmd)],
                 *n,
+            );
+        }
+        for (cmd, hist) in self.latency.lock().unwrap().iter() {
+            expo.histogram(
+                "serve_request_seconds",
+                "Request latency, by command.",
+                &[("cmd", cmd)],
+                hist,
+                1e-6,
             );
         }
         expo.counter(

@@ -30,7 +30,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vpdift_obs::json::{self, Value};
 use vpdift_obs::{BreakKind, StreamItem, WatchKind};
@@ -126,9 +126,10 @@ impl Connection {
             .get("cmd")
             .and_then(Value::as_str)
             .ok_or_else(|| ServeError::new(ErrorCode::BadRequest, "missing `cmd` string"))?;
-        if let Some(m) = self.registry.metrics() {
-            // Client-chosen command strings are folded to `unknown` so
-            // the label set stays bounded.
+        // Counted at dispatch and timed to the reply, only with a metrics
+        // hub attached. Client-chosen command strings are folded to
+        // `unknown` so the label set stays bounded.
+        let timed = self.registry.metrics().map(|m| {
             const KNOWN: &[&str] = &[
                 "hello",
                 "create",
@@ -148,12 +149,14 @@ impl Connection {
                 "info",
                 "shutdown",
             ];
-            m.on_request(if KNOWN.contains(&cmd) { cmd } else { "unknown" });
-        }
+            let label = if KNOWN.contains(&cmd) { cmd } else { "unknown" };
+            m.on_request(label);
+            (Arc::clone(m), label, Instant::now())
+        });
         // v2-only verbs fall through to `unknown_cmd` on a connection
         // pinned to v1 — byte-identical to what a v1 server answered.
         let v2 = self.version == Version::V2;
-        match cmd {
+        let reply = match cmd {
             "hello" => self.cmd_hello(req),
             "create" => self.cmd_create(req),
             "destroy" => self.cmd_destroy(req),
@@ -178,7 +181,11 @@ impl Connection {
                 Ok(Reply { fields: String::new(), control: Control::Shutdown })
             }
             other => Err(ServeError::new(ErrorCode::UnknownCmd, format!("unknown cmd `{other}`"))),
+        };
+        if let Some((m, label, started)) = timed {
+            m.on_latency(label, started.elapsed());
         }
+        reply
     }
 
     fn session_name(req: &Value) -> Result<&str, ServeError> {

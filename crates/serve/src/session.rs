@@ -26,8 +26,10 @@ pub const DEFAULT_MAX_STEPS: u64 = 1_000_000;
 /// Hard ceiling for `until` (matches the CLI's default instruction cap).
 pub const UNTIL_CAP: u64 = 100_000_000;
 
-/// Flight-recorder ring capacity for server sessions.
-const RING_CAP: usize = 64;
+/// Flight-recorder ring capacity for server sessions: none. No serve
+/// verb reads the ring (the flight report is the CLI's), and keeping one
+/// would copy every event.
+const RING_CAP: usize = 0;
 
 /// Prefix marking a `create` program field as a hex-encoded ELF32 image
 /// (JSON strings cannot carry raw binary, so clients hex-encode the file:
@@ -48,18 +50,19 @@ pub struct CreateOpts {
     pub exec: ExecConfig,
 }
 
-/// Decodes an even-length hex string (no separators) into bytes.
+/// Decodes an even-length hex string (no separators, no signs) into
+/// bytes, two ASCII digits `[0-9a-fA-F]` per byte.
 fn decode_hex(hex: &str) -> Result<Vec<u8>, &'static str> {
+    let nibble = |c: u8| char::from(c).to_digit(16);
     let hex = hex.trim();
     if !hex.len().is_multiple_of(2) {
         return Err("elf-hex payload has odd length");
     }
-    let mut out = Vec::with_capacity(hex.len() / 2);
-    for pair in hex.as_bytes().chunks_exact(2) {
-        let s = core::str::from_utf8(pair).map_err(|_| "elf-hex payload is not ASCII hex")?;
-        out.push(u8::from_str_radix(s, 16).map_err(|_| "elf-hex payload is not ASCII hex")?);
-    }
-    Ok(out)
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect::<Option<Vec<u8>>>()
+        .ok_or("elf-hex payload is not ASCII hex")
 }
 
 /// The mode-erased SoC: servers hold many sessions of mixed modes.
@@ -425,6 +428,29 @@ sink uart.tx public
                 ram_size: Some(64 * 1024),
                 ..ExecConfig::default()
             },
+        }
+    }
+
+    #[test]
+    fn decode_hex_round_trips_and_rejects_non_digits() {
+        // xorshift32: a fixed pseudo-random byte string.
+        let mut x = 0x2545_F491u32;
+        let bytes: Vec<u8> = std::iter::repeat_with(|| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x as u8
+        })
+        .take(4096)
+        .collect();
+        let lower: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(decode_hex(&lower), Ok(bytes.clone()));
+        assert_eq!(decode_hex(&lower.to_uppercase()), Ok(bytes));
+        assert_eq!(decode_hex(" 7f45\n"), Ok(vec![0x7f, 0x45]), "surrounding space is trimmed");
+        assert_eq!(decode_hex(""), Ok(Vec::new()));
+        assert_eq!(decode_hex("abc"), Err("elf-hex payload has odd length"));
+        for bad in ["+f", "0g", "-1", "é", "0\u{0}", "0 12"] {
+            assert_eq!(decode_hex(bad), Err("elf-hex payload is not ASCII hex"), "{bad:?}");
         }
     }
 

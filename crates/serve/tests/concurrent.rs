@@ -6,7 +6,6 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
 
 use vpdift_obs::json::{escape, parse, Value};
 use vpdift_serve::Server;
@@ -16,6 +15,10 @@ const IMMO_POLICY: &str = include_str!("../../../docs/examples/immobilizer.polic
 
 /// A guest that spins forever — only `stop` (or a breakpoint) ends a run.
 const SPIN: &str = "loop:\n    j loop\n";
+
+/// [`SPIN`] after one UART byte: with `tlm` subscribed, a run streams one
+/// event line, between two run slices, while it holds the session lock.
+const WRITE_THEN_SPIN: &str = "    li t0, 0x10000000\n    sb zero, 0(t0)\nloop:\n    j loop\n";
 
 /// Binds port 0 and serves on a background thread; returns the address
 /// and the join handle (joins once `shutdown` lands and clients drop).
@@ -132,26 +135,23 @@ fn stop_from_connection_b_interrupts_a_run_on_connection_a() {
     let mut a = Client::connect(&addr);
     let mut b = Client::connect(&addr);
 
-    let spin = escape(SPIN);
+    let spin = escape(WRITE_THEN_SPIN);
     let (_, r) = a.request(&format!(
         "{{\"id\":1,\"cmd\":\"create\",\"session\":\"spin\",\"program\":\"{spin}\",\"ram_size\":65536}}"
     ));
     assert!(r.contains("\"ok\":true"), "{r}");
+    let (_, r) = a.request(r#"{"id":2,"cmd":"subscribe","session":"spin","events":["tlm"]}"#);
+    assert!(r.contains("\"ok\":true"), "{r}");
 
-    // A starts a run that only an interrupt can end in test time.
-    a.send(r#"{"id":2,"cmd":"run","session":"spin","max_steps":4000000000}"#);
+    // A starts a run that only an interrupt can end in test time. Its UART
+    // byte streams as an event line while the run holds the session lock.
+    a.send(r#"{"id":3,"cmd":"run","session":"spin","max_steps":4000000000}"#);
+    let ev = a.recv();
+    assert!(ev.contains("\"ev\":\"obs\"") && ev.contains("\"kind\":\"tlm\""), "{ev}");
 
     // B observes the session is busy (the run holds its lock)…
-    let mut saw_busy = false;
-    for _ in 0..200 {
-        let (_, r) = b.request(r#"{"id":2,"cmd":"step","session":"spin"}"#);
-        if r.contains("\"code\":\"busy\"") {
-            saw_busy = true;
-            break;
-        }
-        thread::sleep(Duration::from_millis(5));
-    }
-    assert!(saw_busy, "connection B sees the mid-run session as busy");
+    let (_, r) = b.request(r#"{"id":2,"cmd":"step","session":"spin"}"#);
+    assert!(r.contains("\"code\":\"busy\""), "connection B sees the mid-run session as busy: {r}");
 
     // …and interrupts it — `stop` goes through the registry's lock-free
     // stop handle, not the session lock.

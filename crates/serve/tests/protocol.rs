@@ -9,8 +9,10 @@
 //! wall clock), so the whole transcript is byte-stable; regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p vpdift-serve --test protocol`.
 
+use std::sync::Arc;
+
 use vpdift_obs::json::{escape, parse, Value};
-use vpdift_serve::{Control, Server};
+use vpdift_serve::{Control, ServeMetrics, Server};
 
 const IMMO_PROGRAM: &str = include_str!("../../../docs/examples/immo_leak.s");
 const IMMO_POLICY: &str = include_str!("../../../docs/examples/immobilizer.policy");
@@ -369,4 +371,26 @@ fn bad_elf_hex_payloads_get_typed_errors() {
     }
     // No half-created sessions linger.
     assert!(one_shot(&mut server, r#"{"cmd":"list"}"#)[0].contains("\"sessions\":[]"));
+}
+
+#[test]
+fn each_verb_reports_its_latency_on_the_metrics_hub() {
+    let metrics = Arc::new(ServeMetrics::new());
+    let mut server = Server::new().with_metrics(Arc::clone(&metrics));
+    let lines = [
+        r#"{"id":1,"cmd":"create","session":"s","program":"loop:\n j loop\n","ram_size":65536}"#,
+        r#"{"id":2,"cmd":"run","session":"s","max_steps":100}"#,
+        r#"{"id":3,"cmd":"step","session":"s"}"#,
+    ]
+    .map(String::from);
+    let (out, _) = drive(&mut server, &lines);
+    assert!(out.iter().all(|l| l.contains("\"ok\":true")), "{out:?}");
+    let text = metrics.render();
+    assert!(text.contains("# TYPE serve_request_seconds histogram"), "{text}");
+    for cmd in ["create", "run", "step"] {
+        let count = format!("serve_request_seconds_count{{cmd=\"{cmd}\"}} 1\n");
+        assert!(text.contains(&count), "{cmd}: {text}");
+        let inf = format!("serve_request_seconds_bucket{{cmd=\"{cmd}\",le=\"+Inf\"}} 1\n");
+        assert!(text.contains(&inf), "{cmd}: {text}");
+    }
 }

@@ -4,7 +4,7 @@
 
 use vpdift_core::{AddrRange, DiftEngine, FlowObserver, Tag};
 use vpdift_kernel::SimTime;
-use vpdift_obs::{DynObs, EngineObserverAdapter, ObsEvent, ObsSink};
+use vpdift_obs::{ArmedBreaks, DynObs, EngineObserverAdapter, ObsEvent, ObsSink, StopFlag};
 use vpdift_periph::{
     AesEngine, CanController, Clint, Dma, Plic, Ram, Sensor, TaintDebug, Terminal, Uart, Watchdog,
 };
@@ -177,13 +177,27 @@ pub struct SocBus<M: TaintMode, S: ObsSink> {
     /// register write (`Soc::cpu_mut`). RAM latches its own writes
     /// ([`Ram::tags_live`]); [`Bus::tags_live`] is the union. Never cleared.
     pub(crate) tags_live: bool,
+    /// The run's stop flag, shared with `SocConfig::stop`: a raised flag
+    /// ends an observed slice before the next instruction.
+    stop: StopFlag,
+    /// The breakpoints the SoC loop found armed at the slice start; an
+    /// observed slice ends in front of their pcs.
+    pub(crate) breaks: ArmedBreaks,
     _mode: core::marker::PhantomData<M>,
 }
 
 impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
     /// Creates the bus over `ram`, `engine`, the sink `obs` and the
-    /// devices, with the system-bus map and the DMA's port map.
-    pub(crate) fn new(ram: Ram, engine: DiftEngine, obs: S, dev: Devices, dma: Dma) -> Self {
+    /// devices, with the system-bus map and the DMA's port map. `stop` is
+    /// the run's stop flag.
+    pub(crate) fn new(
+        ram: Ram,
+        engine: DiftEngine,
+        obs: S,
+        dev: Devices,
+        dma: Dma,
+        stop: StopFlag,
+    ) -> Self {
         // The DMA reaches RAM, the sensor, the AES engine and the UART: not
         // itself (re-entrancy) nor the interrupt infrastructure.
         let dma_reach =
@@ -209,6 +223,8 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
             mmio_delay: SimTime::ZERO,
             irq_dirty: false,
             tags_live: false,
+            stop,
+            breaks: ArmedBreaks::default(),
             _mode: core::marker::PhantomData,
         }
     }
@@ -348,6 +364,14 @@ impl<M: TaintMode, S: ObsSink> Bus<M> for SocBus<M, S> {
 
     fn emit(&mut self, event: &ObsEvent) {
         self.obs.get_mut().event(event);
+    }
+
+    /// A raised stop flag (a watch hit, a stop from another thread) ends
+    /// the slice right after the instruction that raised it, and an armed
+    /// PC breakpoint ends it in front of its instruction; the SoC loop
+    /// then stops at the next slice start.
+    fn end_slice_before(&self, pc: u32) -> bool {
+        self.stop.is_requested() || self.breaks.pcs.contains(&pc)
     }
 
     fn tags_live(&self) -> bool {

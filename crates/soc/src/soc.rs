@@ -89,13 +89,20 @@ pub struct SocConfig {
     /// Cooperative stop flag polled by [`Soc::run`] once per dispatch
     /// slice: raising it (from a watchpoint, a controlling session or a
     /// fleet deadline reaper) ends the run with [`SocExit::Stopped`] at the
-    /// next slice boundary. With an enabled observability sink every slice
-    /// is one step, so watchpoint stops stay exact per instruction; on
-    /// `NullSink` builds a slice is at most one cached block (block cache)
-    /// or the rest of the quantum up to the next MMIO access (interpreter).
+    /// next slice boundary. A slice is at most one cached block (block
+    /// cache) or the rest of the quantum up to the next MMIO access
+    /// (interpreter). With an enabled observability sink the engines also
+    /// end a slice right after the instruction that raised the flag
+    /// ([`Bus::end_slice_before`]), so watchpoint stops stay exact per
+    /// instruction.
     pub stop: StopFlag,
-    /// Shared PC / instruction-count breakpoints, checked *before* each
-    /// instruction executes. Gated twice: on `S::ENABLED` (so `NullSink`
+    /// Shared PC / instruction-count breakpoints, which stop a run
+    /// *before* the matching instruction executes. The run loop checks
+    /// the set at each slice start, and the slice then ends in front of
+    /// an armed pc and never dispatches past the lowest armed instret, so
+    /// stops land where a check before every instruction would put them.
+    /// A breakpoint armed from another thread during a run takes effect
+    /// from the next slice. Gated twice: on `S::ENABLED` (so `NullSink`
     /// batch runs compile the check out — unlike the stop poll, nothing
     /// external ever needs to break an unobserved session) and on the
     /// set's one-relaxed-load [`BreakSet::armed`] fast path. Share a set
@@ -252,7 +259,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             taintdbg: TaintDebug::new(),
             watchdog: Watchdog::new(),
         };
-        let bus = SocBus::new(ram, engine, obs, dev, Dma::new(M::TRACKING));
+        let bus = SocBus::new(ram, engine, obs, dev, Dma::new(M::TRACKING), config.stop.clone());
 
         let mut cpu = Cpu::<M>::new();
         if M::TRACKING {
@@ -429,27 +436,36 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                     exit = Some(SocExit::Stopped);
                     break;
                 }
-                // Breakpoints fire *before* the matching instruction
-                // executes, so a resumed run continues from the exact
-                // stop point. Gated on `S::ENABLED` (compiled out for
-                // `NullSink` batch runs) and on one relaxed `armed` load,
-                // so sessions without breakpoints never pay for the set's
-                // mutex.
-                if S::ENABLED
-                    && self.config.breaks.armed()
-                    && self.config.breaks.check(self.cpu.pc(), self.cpu.instret())
-                {
-                    exit = Some(SocExit::Stopped);
-                    break;
-                }
                 // Engine dispatch happens per slice, inside the quantum. A
                 // slice ends wherever the platform must be looked at again
                 // (MMIO, non-`Executed` steps, the budget), so interrupt-
                 // line resampling, watchdog and time accounting below stay
-                // identical between engines. Enabled sinks dispatch one
-                // step per slice: watchpoints, breakpoints and streamed
-                // events stay exact per instruction.
-                let budget = if S::ENABLED { 1 } else { quantum - stepped };
+                // identical between engines.
+                let mut budget = quantum - stepped;
+                // Breakpoints fire *before* the matching instruction
+                // executes, so a resumed run continues from the exact
+                // stop point. The check covers the slice's first
+                // instruction; the engines end the slice in front of any
+                // other armed pc (`Bus::end_slice_before`), and the budget
+                // stops at the lowest armed instret. Gated on `S::ENABLED`
+                // (compiled out for `NullSink` batch runs) and on one
+                // relaxed `armed` load, so sessions without breakpoints
+                // never pay for the set's mutex.
+                if S::ENABLED {
+                    let armed = &mut self.bus.breaks;
+                    if self.config.breaks.armed() {
+                        let instret = self.cpu.instret();
+                        if self.config.breaks.check(self.cpu.pc(), instret, armed) {
+                            exit = Some(SocExit::Stopped);
+                            break;
+                        }
+                        if let Some(n) = armed.instret {
+                            budget = budget.min(n - instret);
+                        }
+                    } else {
+                        armed.clear();
+                    }
+                }
                 let (n, step) = match &mut self.exec {
                     EngineKind::Interp => self.cpu.exec(&mut self.bus, budget),
                     EngineKind::Block(bc) => bc.exec(&mut self.cpu, &mut self.bus, budget),

@@ -8,8 +8,11 @@
 //! and performs **real wall-clock measurement**: per benchmark it
 //! calibrates an iteration count, warms up, then takes `sample_size`
 //! timed samples and reports median/mean ns-per-iteration (and
-//! elements/s when a throughput is set). There are no plots, no saved
-//! baselines, and no statistical regression analysis.
+//! elements/s when a throughput is set). One addition of its own,
+//! [`BenchmarkGroup::bench_interleaved`], times a group's entries
+//! sample by sample in turn, so entries whose ratio is compared share
+//! the host's speed drifts. There are no plots, no saved baselines, and
+//! no statistical regression analysis.
 
 // Vendored offline shim: keep the surface identical to the real crate
 // rather than chasing lints.
@@ -188,6 +191,39 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Measures every entry as [`BenchmarkGroup::bench_function`] would,
+    /// but interleaved: each entry is calibrated and warmed up, then
+    /// sample `k` of every entry is taken before sample `k + 1` of any. A
+    /// change of host speed during the group then moves every entry alike
+    /// instead of whichever one ran at the time, which keeps the ratio of
+    /// two entries' medians steady. Entries are reported and recorded in
+    /// order, exactly as `bench_function` would report them.
+    pub fn bench_interleaved<'r, O>(
+        &mut self,
+        entries: Vec<(String, Box<dyn FnMut() -> O + 'r>)>,
+    ) -> &mut Self {
+        let filter = self.criterion.filter.as_deref();
+        let mut runs: Vec<_> = entries
+            .into_iter()
+            .filter(|(name, _)| filter.is_none_or(|f| format!("{}/{name}", self.group).contains(f)))
+            .map(|(name, mut routine)| {
+                let iters = calibrate(&mut routine);
+                warm_up(&mut routine);
+                (name, routine, iters, Vec::with_capacity(self.sample_size))
+            })
+            .collect();
+        for _ in 0..self.sample_size {
+            for (_, routine, iters, samples) in &mut runs {
+                samples.push(time_sample(routine, *iters));
+            }
+        }
+        for (name, _, _, samples) in runs {
+            let mut bencher = Bencher { samples, sample_size: self.sample_size };
+            bencher.report(&self.group, &name, self.throughput);
+        }
+        self
+    }
+
     /// Ends the group (separator only; nothing is persisted).
     pub fn finish(&mut self) {}
 }
@@ -204,44 +240,52 @@ const SAMPLE_TARGET: Duration = Duration::from_millis(40);
 /// Warmup budget before sampling starts.
 const WARMUP_TARGET: Duration = Duration::from_millis(150);
 
+/// How many iterations of `routine` fill one sample window.
+fn calibrate<O>(routine: &mut impl FnMut() -> O) -> u64 {
+    let mut iters: u64 = 1;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(routine());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= SAMPLE_TARGET / 4 || iters >= 1 << 30 {
+            let per_iter = elapsed.as_secs_f64() / iters as f64;
+            let target = SAMPLE_TARGET.as_secs_f64();
+            return ((target / per_iter.max(1e-9)) as u64).clamp(1, 1 << 32);
+        }
+        iters = iters.saturating_mul(4);
+    }
+}
+
+/// Runs `routine` for the warmup budget.
+fn warm_up<O>(routine: &mut impl FnMut() -> O) {
+    let warm_start = Instant::now();
+    while warm_start.elapsed() < WARMUP_TARGET {
+        black_box(routine());
+    }
+}
+
+/// One timed sample: nanoseconds per iteration over `iters` iterations.
+fn time_sample<O>(routine: &mut impl FnMut() -> O, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(routine());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
+
 impl Bencher {
     /// Times `routine`, keeping its return value live via [`black_box`].
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        // Calibrate: how many iterations fit in one sample window.
-        let mut iters: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(routine());
-            }
-            let elapsed = start.elapsed();
-            if elapsed >= SAMPLE_TARGET / 4 || iters >= 1 << 30 {
-                let per_iter = elapsed.as_secs_f64() / iters as f64;
-                let target = SAMPLE_TARGET.as_secs_f64();
-                iters = ((target / per_iter.max(1e-9)) as u64).clamp(1, 1 << 32);
-                break;
-            }
-            iters = iters.saturating_mul(4);
-        }
-
-        // Warmup.
-        let warm_start = Instant::now();
-        while warm_start.elapsed() < WARMUP_TARGET {
-            black_box(routine());
-        }
-
-        // Timed samples.
+        let iters = calibrate(&mut routine);
+        warm_up(&mut routine);
         self.samples.clear();
         for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(routine());
-            }
-            let elapsed = start.elapsed();
-            self.samples.push(elapsed.as_secs_f64() * 1e9 / iters as f64);
+            self.samples.push(time_sample(&mut routine, iters));
         }
     }
 
@@ -351,6 +395,38 @@ mod tests {
         assert!(text.contains("\"group\": \"selftest_group\""), "{text}");
         assert!(text.contains("\"median\": 1.500"), "{text}");
         assert!(text.contains("\"throughput_elems\": 7"), "{text}");
+    }
+
+    #[test]
+    fn interleaved_entries_are_sampled_in_turn_and_reported_in_order() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut c = Criterion { filter: Some("interleave_selftest/".into()) };
+        let mut g = c.benchmark_group("interleave_selftest");
+        g.sample_size(3);
+        // Each routine sleeps long enough that calibration settles on one
+        // iteration per sample; the sampling order is then visible.
+        let entry = |name: &'static str| -> (String, Box<dyn FnMut() -> u32 + '_>) {
+            let order = &order;
+            let routine = move || {
+                std::thread::sleep(SAMPLE_TARGET);
+                order.borrow_mut().push(name);
+                1
+            };
+            (name.to_string(), Box::new(routine))
+        };
+        g.bench_interleaved(vec![entry("a"), entry("b")]);
+        let order = order.into_inner();
+        // Calibration and warmup run each entry on its own; the timed
+        // samples alternate.
+        let tail = &order[order.len() - 6..];
+        assert_eq!(tail, ["a", "b", "a", "b", "a", "b"], "{order:?}");
+        let records = RECORDS.lock().unwrap();
+        let names: Vec<_> = records
+            .iter()
+            .filter(|r| r.group == "interleave_selftest")
+            .map(|r| (r.name.as_str(), r.samples))
+            .collect();
+        assert_eq!(names, [("a", 3), ("b", 3)]);
     }
 
     #[test]

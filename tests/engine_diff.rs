@@ -15,6 +15,12 @@
 //! The slice-dispatch yield rules have their own cases: an interrupt
 //! raised by an MMIO store mid-block, step-exact short run budgets, and a
 //! stop flag raised on a `NullSink` SoC.
+//! With an observed sink a slice runs whole blocks, so every stop must
+//! still land on its exact instruction: the `exact_stop_*` cases stop a
+//! serve-style `StreamSink` SoC mid-block at a PC breakpoint, an instret
+//! breakpoint, a range watch, a sink watch and a violation watch, at the
+//! pc and instret the guest's labels give, and resume to the state of an
+//! uninterrupted `NullSink` run.
 //! Each source of a live tag has a `latch_source_*` case: the block cache
 //! skips clearance checks until the taint-idle latch is set, so a source
 //! that forgot to set it lets a branch pass that the interpreter stops.
@@ -30,8 +36,8 @@ use taintvp::firmware::table2_workloads;
 use taintvp::immo::{run_scenario_with, run_session_with, PolicyKind, Scenario, Variant};
 use taintvp::kernel::SimTime;
 use taintvp::prelude::{
-    map, EnforceMode, ExecMode, Plain, Recorder, SecurityPolicy, Soc, SocExit, Tag, Taint,
-    TaintMode, Tainted, ViolationKind,
+    map, BreakKind, BreakSet, EnforceMode, ExecMode, Plain, Recorder, SecurityPolicy, Soc, SocExit,
+    StopFlag, StreamSink, Tag, Taint, TaintMode, Tainted, ViolationKind, WatchKind,
 };
 use taintvp::rv32::Word;
 
@@ -618,6 +624,201 @@ fn stop_flag_on_a_null_sink_soc_stops_and_resumes_on_both_engines() {
         assert_eq!(fresh.run(stopped_at + 1_000), SocExit::InstrLimit);
         assert_eq!(soc.state_digest(), fresh.state_digest(), "{mode}: final state differs");
     }
+}
+
+/// The guest of the `exact_stop_*` cases: three passes of a loop body
+/// that loads a classified byte and stores it to RAM and to the UART. The
+/// first pass runs in the block that starts at the entry, later passes in
+/// the one that starts at `loop`, so every other label is mid-block.
+fn stop_guest() -> taintvp::asm::Program {
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::S0, "buf");
+    a.la(Reg::S3, "secret");
+    a.li(Reg::S1, map::UART_BASE as i32);
+    a.li(Reg::S2, 3);
+    a.label("loop");
+    a.lbu(Reg::A0, 0, Reg::S3);
+    a.addi(Reg::A1, Reg::A1, 1);
+    a.label("mid");
+    a.addi(Reg::A2, Reg::A2, 2);
+    a.label("store");
+    a.sb(Reg::A0, 0, Reg::S0);
+    a.addi(Reg::A3, Reg::A3, 3);
+    a.label("target");
+    a.add(Reg::A4, Reg::A4, Reg::A3);
+    a.label("tainted");
+    a.addi(Reg::A5, Reg::A5, 5);
+    a.addi(Reg::A6, Reg::A6, 6);
+    a.label("uart_store");
+    a.sb(Reg::A0, 0, Reg::S1);
+    a.addi(Reg::S2, Reg::S2, -1);
+    a.bnez(Reg::S2, "loop");
+    a.label("done");
+    a.ebreak();
+    a.label("secret");
+    a.byte(0x5A);
+    a.align(4);
+    a.label("buf");
+    a.word(0);
+    a.assemble().expect("stop guest assembles")
+}
+
+/// Where the `exact_stop_*` cases must stop, from the guest's labels
+/// alone: the run stops in front of `label` (`after` false) or right
+/// after the instruction there (`after` true), on loop pass `pass`
+/// (from 0). Every instruction is one 4-byte word, and the code from the
+/// entry to `done` is straight-line but for the loop's back branch.
+fn stop_point(prog: &taintvp::asm::Program, label: &str, after: bool, pass: u64) -> (u32, u64) {
+    let at = |l: &str| prog.symbol(l).expect("label");
+    let pc = at(label) + if after { 4 } else { 0 };
+    let body = u64::from(at("done") - at("loop")) / 4;
+    (pc, u64::from(pc - prog.entry()) / 4 + pass * body)
+}
+
+/// Runs `prog` in record mode on a `StreamSink` SoC whose stop flag and
+/// breakpoint set are shared with its config, as a serve session's are.
+/// `arm` sets one breakpoint or watch; the run must then stop at each of
+/// `stops` in turn. Disarmed, it resumes to the guest's `ebreak`, and
+/// must end in the state a `NullSink` batch run of the same step count
+/// reaches.
+fn assert_exact_stops(
+    prog: &taintvp::asm::Program,
+    policy: &SecurityPolicy,
+    arm: impl Fn(&mut StreamSink, &BreakSet),
+    stops: &[(u32, u64)],
+) {
+    for mode in [ExecMode::Interp, ExecMode::BlockCache] {
+        let builder = || {
+            Soc::<Tainted>::builder()
+                .policy(policy.clone())
+                .enforce(EnforceMode::Record)
+                .sensor_thread(false)
+                .engine(mode)
+        };
+        let (stop, breaks) = (StopFlag::new(), BreakSet::new());
+        let cfg = builder().stop_flag(stop.clone()).breakpoints(breaks.clone()).build();
+        let sink = StreamSink::new(Recorder::new(0).with_explain(), stop);
+        let mut soc = Soc::<Tainted, StreamSink>::with_obs(cfg, sink);
+        soc.load_program(prog);
+        arm(&mut soc.obs().borrow_mut(), &breaks);
+        for (i, &want) in stops.iter().enumerate() {
+            assert_eq!(soc.run(10_000), SocExit::Stopped, "{mode}: stop {i}");
+            assert_eq!((soc.cpu().pc(), soc.instret()), want, "{mode}: stop {i} (pc, instret)");
+        }
+        for bp in breaks.list() {
+            breaks.remove(bp.id);
+        }
+        let watches: Vec<u32> = soc.obs().borrow().watches().map(|(w, _)| w.id).collect();
+        for id in watches {
+            soc.obs().borrow_mut().remove_watch(id);
+        }
+        assert_eq!(soc.run(10_000), SocExit::Break, "{mode}: the resumed run ends");
+
+        let mut batch = Soc::<Tainted>::new(builder().build());
+        batch.load_program(prog);
+        assert_eq!(batch.run(soc.instret()), SocExit::Break, "{mode}: batch run");
+        assert_eq!(soc.state_digest(), batch.state_digest(), "{mode}: final state differs");
+    }
+}
+
+/// The policy of the `exact_stop_*` cases: `secret` classified, the UART
+/// a public sink.
+fn stop_policy(prog: &taintvp::asm::Program) -> taintvp::core::SecurityPolicyBuilder {
+    let secret = prog.symbol("secret").expect("label");
+    SecurityPolicy::builder("stops")
+        .classify_region("secret", AddrRange::new(secret, 1), SECRET)
+        .sink("uart.tx", Tag::EMPTY)
+}
+
+/// A PC breakpoint on an instruction inside a block stops in front of
+/// it, and, left armed, stops there again on the next pass: the resume
+/// steps over it once.
+#[test]
+fn exact_stop_at_a_mid_block_pc_breakpoint() {
+    let prog = stop_guest();
+    let target = prog.symbol("target").expect("label");
+    assert_exact_stops(
+        &prog,
+        &stop_policy(&prog).build(),
+        |_, breaks| {
+            breaks.add(BreakKind::Pc(target));
+        },
+        &[stop_point(&prog, "target", false, 0), stop_point(&prog, "target", false, 1)],
+    );
+}
+
+/// An instret breakpoint whose count falls inside a block stops with
+/// exactly that many instructions retired.
+#[test]
+fn exact_stop_at_a_mid_block_instret_breakpoint() {
+    let prog = stop_guest();
+    let (pc, instret) = stop_point(&prog, "mid", false, 0);
+    assert_exact_stops(
+        &prog,
+        &stop_policy(&prog).build(),
+        |_, breaks| {
+            breaks.add(BreakKind::Instret(instret));
+        },
+        &[(pc, instret)],
+    );
+}
+
+/// A range watch hit by a RAM store inside a block stops right after the
+/// store.
+#[test]
+fn exact_stop_after_a_mid_block_store_hits_a_range_watch() {
+    let prog = stop_guest();
+    let buf = prog.symbol("buf").expect("label");
+    assert_exact_stops(
+        &prog,
+        &stop_policy(&prog).build(),
+        |sink, _| {
+            sink.add_watch(WatchKind::Range { start: buf, len: 4 });
+        },
+        &[stop_point(&prog, "store", true, 0)],
+    );
+}
+
+/// A `uart.tx` sink watch hit by an MMIO store stops right after the
+/// store, on every pass.
+#[test]
+fn exact_stop_after_an_mmio_store_hits_a_sink_watch() {
+    let prog = stop_guest();
+    assert_exact_stops(
+        &prog,
+        &stop_policy(&prog).build(),
+        |sink, _| {
+            sink.add_watch(WatchKind::Sink { site: "uart.tx".into(), atom: None });
+        },
+        &[stop_point(&prog, "uart_store", true, 0), stop_point(&prog, "uart_store", true, 1)],
+    );
+}
+
+/// In record mode a fetch-clearance violation does not end the slice: the
+/// classified instruction inside the block executes and is neither a
+/// load, a store nor a CSR op. A violation watch still stops the run
+/// right after it, as after the UART store's output violation.
+#[test]
+fn exact_stop_after_a_mid_block_fetch_violation_hits_a_violation_watch() {
+    let prog = stop_guest();
+    let tainted = prog.symbol("tainted").expect("label");
+    let policy = stop_policy(&prog)
+        .classify_region("code", AddrRange::new(tainted, 4), Tag::atom(1))
+        .fetch_clearance(Tag::EMPTY)
+        .build();
+    assert_exact_stops(
+        &prog,
+        &policy,
+        |sink, _| {
+            sink.add_watch(WatchKind::Violation { site: None });
+        },
+        &[
+            stop_point(&prog, "tainted", true, 0),
+            stop_point(&prog, "uart_store", true, 0),
+            stop_point(&prog, "tainted", true, 1),
+        ],
+    );
 }
 
 /// A guest that branches on `a0` at `check` after `spins` untainted loop
