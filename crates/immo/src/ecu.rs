@@ -49,14 +49,14 @@ impl EngineEcu {
     /// instead of a silently lost round. Returns `false` when every
     /// attempt was dropped by a line fault; on a fault-free wire this
     /// never fails.
-    pub fn send_challenge(&self, can: &CanHostEndpoint, challenge: &[u8; 8]) -> bool {
+    pub fn send_challenge(&self, can: &mut CanHostEndpoint, challenge: &[u8; 8]) -> bool {
         can.send_with_retry(CanFrame::new(CHALLENGE_ID, challenge), 4).is_some()
     }
 
     /// Collects the two response halves from CAN and verifies them.
     /// Returns `true` on a correct response, incrementing the
     /// authentication counter.
-    pub fn verify_response(&mut self, can: &CanHostEndpoint, challenge: &[u8; 8]) -> bool {
+    pub fn verify_response(&mut self, can: &mut CanHostEndpoint, challenge: &[u8; 8]) -> bool {
         let Some(lo) = can.recv() else { return false };
         let Some(hi) = can.recv() else { return false };
         if lo.id != RESPONSE_ID || hi.id != RESPONSE_ID || lo.dlc != 8 || hi.dlc != 8 {
@@ -77,7 +77,6 @@ impl EngineEcu {
 mod tests {
     use super::*;
     use crate::firmware::PIN;
-    use vpdift_periph::CanChannel;
 
     #[test]
     fn expected_response_is_aes_of_doubled_challenge() {
@@ -106,11 +105,10 @@ mod tests {
 
     #[test]
     fn verify_fails_on_missing_response() {
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
+        let mut host = CanHostEndpoint::default();
         let mut ecu = EngineEcu::new(PIN, 3);
         let ch = ecu.next_challenge();
-        assert!(!ecu.verify_response(&host, &ch), "no frames queued");
+        assert!(!ecu.verify_response(&mut host, &ch), "no frames queued");
         assert_eq!(ecu.authentications(), 0);
     }
 }

@@ -1,14 +1,14 @@
-//! CAN controller and bus channel — the immobilizer's link to the engine
-//! ECU.
+//! CAN controller and the wire it owns — the immobilizer's link to the
+//! engine ECU.
 //!
-//! The model is frame-based: a [`CanChannel`] couples the SoC-side
-//! [`CanController`] with a host-side [`CanHostEndpoint`] (the scripted
-//! engine ECU of the case study). Transmission is clearance-checked at the
+//! The model is frame-based: the SoC-side [`CanController`] owns a
+//! point-to-point wire whose host side, a [`CanHostEndpoint`], it lends to
+//! the scripted engine ECU of the case study between runs
+//! ([`CanController::host`]). Transmission is clearance-checked at the
 //! `"<name>.tx"` sink — secret data cannot leave on the CAN bus — and every
 //! received byte is classified with the controller's input tag.
 
 use std::collections::VecDeque;
-use vpdift_sync::Shared;
 
 use vpdift_core::{Tag, Taint};
 use vpdift_kernel::SimTime;
@@ -47,11 +47,12 @@ impl CanFrame {
     }
 }
 
-/// The two directions of a point-to-point CAN link, and the faults armed
-/// on its wire ([`CanHostEndpoint::arm_drop`],
-/// [`CanHostEndpoint::arm_corrupt`]).
+/// The point-to-point CAN wire as the host (the scripted remote ECU) sees
+/// it: both directions' queues and the faults armed on the wire
+/// ([`CanHostEndpoint::arm_drop`], [`CanHostEndpoint::arm_corrupt`]). A
+/// [`CanController`] owns it and lends it out ([`CanController::host`]).
 #[derive(Debug, Default)]
-struct ChannelState {
+pub struct CanHostEndpoint {
     to_host: VecDeque<CanFrame>,
     to_device: VecDeque<CanFrame>,
     /// Frames the wire still loses.
@@ -61,7 +62,7 @@ struct ChannelState {
     corrupt: bool,
 }
 
-impl ChannelState {
+impl CanHostEndpoint {
     /// Puts `frame` on the wire towards the VP (`to_device`) or the host.
     /// While armed drops remain the wire loses the frame (`false`);
     /// otherwise an armed corruption disturbs it if it carries data.
@@ -78,38 +79,12 @@ impl ChannelState {
         queue.push_back(frame);
         true
     }
-}
 
-/// A shared CAN link between the VP's controller and a host endpoint.
-#[derive(Debug, Clone, Default)]
-pub struct CanChannel {
-    state: Shared<ChannelState>,
-}
-
-impl CanChannel {
-    /// Creates an empty link.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The host side of the link.
-    pub fn host_endpoint(&self) -> CanHostEndpoint {
-        CanHostEndpoint { state: Shared::clone(&self.state) }
-    }
-}
-
-/// Host-side access to the CAN link (the scripted remote ECU).
-#[derive(Debug, Clone)]
-pub struct CanHostEndpoint {
-    state: Shared<ChannelState>,
-}
-
-impl CanHostEndpoint {
     /// Sends a frame towards the VP. Returns `true` when the frame made it
     /// onto the wire — an armed drop loses it (`false`). On a fault-free
     /// link this never fails.
-    pub fn send(&self, frame: CanFrame) -> bool {
-        self.state.borrow_mut().transmit(frame, true)
+    pub fn send(&mut self, frame: CanFrame) -> bool {
+        self.transmit(frame, true)
     }
 
     /// Sends a frame with bounded retry: re-attempts a dropped frame up to
@@ -120,31 +95,30 @@ impl CanHostEndpoint {
     /// The channel is untimed on the host side, so "backoff" here is
     /// attempt-bounded rather than timed — the graceful-degradation
     /// contract is that injected frame loss costs retries, never a hang.
-    pub fn send_with_retry(&self, frame: CanFrame, max_attempts: u32) -> Option<u32> {
+    pub fn send_with_retry(&mut self, frame: CanFrame, max_attempts: u32) -> Option<u32> {
         (1..=max_attempts).find(|_| self.send(frame.clone()))
     }
 
     /// Arms the wire to lose the next `n` frames, in either direction, on
     /// top of drops still pending.
-    pub fn arm_drop(&self, n: u32) {
-        let mut state = self.state.borrow_mut();
-        state.drops = state.drops.saturating_add(n);
+    pub fn arm_drop(&mut self, n: u32) {
+        self.drops = self.drops.saturating_add(n);
     }
 
     /// Arms the wire to flip bit 0 of byte 0 of the next frame with data
     /// it delivers, in either direction (one-shot).
-    pub fn arm_corrupt(&self) {
-        self.state.borrow_mut().corrupt = true;
+    pub fn arm_corrupt(&mut self) {
+        self.corrupt = true;
     }
 
     /// Receives the next frame transmitted by the VP, if any.
-    pub fn recv(&self) -> Option<CanFrame> {
-        self.state.borrow_mut().to_host.pop_front()
+    pub fn recv(&mut self) -> Option<CanFrame> {
+        self.to_host.pop_front()
     }
 
     /// Frames waiting for the host.
     pub fn pending(&self) -> usize {
-        self.state.borrow().to_host.len()
+        self.to_host.len()
     }
 }
 
@@ -170,15 +144,16 @@ pub mod regs {
     pub const RX_POP: u32 = 0x34;
 }
 
-/// The SoC-side CAN controller. It checks transmitted frames with the
-/// engine lent to the transaction ([`Loan::check_output`]) and reports
-/// what it classifies to the lent sink ([`Loan::emit`]).
+/// The SoC-side CAN controller and the wire it owns. It checks
+/// transmitted frames with the engine lent to the transaction
+/// ([`Loan::check_output`]) and reports what it classifies to the lent
+/// sink ([`Loan::emit`]).
 #[derive(Debug)]
 pub struct CanController {
     name: String,
     sink: String,
     input_tag: Tag,
-    channel: CanChannel,
+    wire: CanHostEndpoint,
     tx_id: u32,
     tx_dlc: u8,
     tx_data: [Taint<u8>; 8],
@@ -186,15 +161,15 @@ pub struct CanController {
 }
 
 impl CanController {
-    /// Creates a controller named `name`: TX clearance is checked against
-    /// the sink `"<name>.tx"`, and bytes received from the link are
-    /// classified `input_tag`.
-    pub fn new(name: &str, input_tag: Tag, channel: CanChannel) -> Self {
+    /// Creates a controller named `name` on an empty wire: TX clearance is
+    /// checked against the sink `"<name>.tx"`, and bytes received from the
+    /// wire are classified `input_tag`.
+    pub fn new(name: &str, input_tag: Tag) -> Self {
         CanController {
             name: name.to_owned(),
             sink: format!("{name}.tx"),
             input_tag,
-            channel,
+            wire: CanHostEndpoint::default(),
             tx_id: 0,
             tx_dlc: 0,
             tx_data: [Taint::untainted(0); 8],
@@ -212,15 +187,15 @@ impl CanController {
         self.frames_sent
     }
 
+    /// The host side of the wire (the remote ECU's end).
+    pub fn host(&mut self) -> &mut CanHostEndpoint {
+        &mut self.wire
+    }
+
     /// The RX interrupt level: `true` while host-sent frames wait (the
     /// SoC polls it when it samples interrupt levels).
     pub fn rx_pending(&self) -> bool {
-        !self.channel.state.borrow().to_device.is_empty()
-    }
-
-    fn head<R>(&self, f: impl FnOnce(Option<&CanFrame>) -> R) -> R {
-        let st = self.channel.state.borrow();
-        f(st.to_device.front())
+        !self.wire.to_device.is_empty()
     }
 }
 
@@ -260,7 +235,7 @@ impl TlmTarget for CanController {
                                 CanFrame { id: self.tx_id, dlc: self.tx_dlc, data: self.tx_data };
                             // The wire may corrupt or lose the frame; the
                             // controller has done its part either way.
-                            self.channel.state.borrow_mut().transmit(frame, false);
+                            self.wire.transmit(frame, false);
                             self.frames_sent += 1;
                             p.set_response(TlmResponse::Ok);
                         }
@@ -268,25 +243,25 @@ impl TlmTarget for CanController {
                     }
                 }
                 regs::RX_POP => {
-                    self.channel.state.borrow_mut().to_device.pop_front();
+                    self.wire.to_device.pop_front();
                     p.set_response(TlmResponse::Ok);
                 }
                 _ => p.set_response(TlmResponse::CommandError),
             },
             TlmCommand::Read => match addr {
                 regs::RX_AVAIL => {
-                    let n = self.channel.state.borrow().to_device.len() as u32;
+                    let n = self.wire.to_device.len() as u32;
                     put_word(p, Taint::untainted(n));
                     p.set_response(TlmResponse::Ok);
                 }
                 regs::RX_ID => {
-                    let id = self.head(|f| f.map_or(0, |f| f.id));
+                    let id = self.wire.to_device.front().map_or(0, |f| f.id);
                     report_rx(loan, &self.name, self.input_tag);
                     put_word(p, Taint::new(id, self.input_tag));
                     p.set_response(TlmResponse::Ok);
                 }
                 regs::RX_DLC => {
-                    let dlc = self.head(|f| f.map_or(0, |f| f.dlc as u32));
+                    let dlc = self.wire.to_device.front().map_or(0, |f| f.dlc as u32);
                     report_rx(loan, &self.name, self.input_tag);
                     put_word(p, Taint::new(dlc, self.input_tag));
                     p.set_response(TlmResponse::Ok);
@@ -297,24 +272,19 @@ impl TlmTarget for CanController {
                         p.set_response(TlmResponse::BurstError);
                         return;
                     }
-                    let input_tag = self.input_tag;
-                    let bytes: Vec<Taint<u8>> = self.head(|f| {
-                        (0..p.len())
-                            .map(|i| match f {
-                                // Incoming frames are re-classified at the
-                                // input boundary: data from the bus is only
-                                // as trustworthy as the policy says.
-                                Some(f) => Taint::new(
-                                    f.data[idx + i].value(),
-                                    f.data[idx + i].tag().lub(input_tag),
-                                ),
-                                None => Taint::untainted(0),
-                            })
-                            .collect()
-                    });
-                    let read_tag = bytes.iter().fold(Tag::EMPTY, |t, b| t.lub(b.tag()));
+                    let head = self.wire.to_device.front();
+                    let mut read_tag = Tag::EMPTY;
+                    for (i, lane) in p.data_mut().iter_mut().enumerate() {
+                        *lane = match head {
+                            // Incoming frames are re-classified at the input
+                            // boundary: data from the bus is only as
+                            // trustworthy as the policy says.
+                            Some(f) => f.data[idx + i].with_tag_lub(self.input_tag),
+                            None => Taint::untainted(0),
+                        };
+                        read_tag = read_tag.lub(lane.tag());
+                    }
                     report_rx(loan, &self.name, read_tag);
-                    p.data_mut().copy_from_slice(&bytes);
                     p.set_response(TlmResponse::Ok);
                 }
                 _ => p.set_response(TlmResponse::CommandError),
@@ -345,12 +315,9 @@ mod tests {
         }
     }
 
-    fn controller() -> (Ctl, CanHostEndpoint) {
+    fn controller() -> Ctl {
         let policy = SecurityPolicy::builder("t").sink("can0.tx", UNTRUSTED).build();
-        let channel = CanChannel::new();
-        let host = channel.host_endpoint();
-        let c = CanController::new("can0", UNTRUSTED, channel);
-        (Ctl { c, engine: DiftEngine::new(policy) }, host)
+        Ctl { c: CanController::new("can0", UNTRUSTED), engine: DiftEngine::new(policy) }
     }
 
     fn wr(c: &mut Ctl, reg: u32, v: Taint<u32>) -> GenericPayload {
@@ -368,36 +335,36 @@ mod tests {
 
     #[test]
     fn transmit_reaches_host() {
-        let (mut c, host) = controller();
+        let mut c = controller();
         wr(&mut c, regs::TX_ID, Taint::untainted(0x123));
         wr(&mut c, regs::TX_DLC, Taint::untainted(2));
         let mut p =
             GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0xAA), Taint::untainted(0xBB)]);
         c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
-        let f = host.recv().expect("frame delivered");
+        let f = c.c.host().recv().expect("frame delivered");
         assert_eq!(f.id, 0x123);
         assert_eq!(f.bytes(), vec![0xAA, 0xBB]);
         assert_eq!(c.c.frames_sent(), 1);
-        assert_eq!(host.pending(), 0);
+        assert_eq!(c.c.host().pending(), 0);
     }
 
     #[test]
     fn secret_payload_blocked_at_tx() {
-        let (mut c, host) = controller();
+        let mut c = controller();
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::new(0x42, SECRET)]);
         c.transport(&mut p);
         let mut go = wr(&mut c, regs::TX_GO, Taint::untainted(1));
         let v = go.take_violation().expect("violation");
         assert_eq!(v.kind, ViolationKind::Output { sink: "can0.tx".into() });
-        assert!(host.recv().is_none(), "secret frame never left");
+        assert!(c.c.host().recv().is_none(), "secret frame never left");
     }
 
     #[test]
     fn receive_classifies_input() {
-        let (mut c, host) = controller();
-        host.send(CanFrame::new(0x7FF, &[1, 2, 3, 4]));
+        let mut c = controller();
+        c.c.host().send(CanFrame::new(0x7FF, &[1, 2, 3, 4]));
         assert_eq!(rd(&mut c, regs::RX_AVAIL).value(), 1);
         assert_eq!(rd(&mut c, regs::RX_ID).value(), 0x7FF);
         assert_eq!(rd(&mut c, regs::RX_DLC).value(), 4);
@@ -411,9 +378,9 @@ mod tests {
 
     #[test]
     fn rx_irq_polling() {
-        let (mut c, host) = controller();
+        let mut c = controller();
         assert!(!c.c.rx_pending());
-        host.send(CanFrame::new(1, &[0]));
+        c.c.host().send(CanFrame::new(1, &[0]));
         assert!(c.c.rx_pending(), "a waiting frame asserts the level");
         wr(&mut c, regs::RX_POP, Taint::untainted(1));
         assert!(!c.c.rx_pending(), "popping the last frame drops it");
@@ -421,7 +388,7 @@ mod tests {
 
     #[test]
     fn empty_rx_reads_zero() {
-        let (mut c, _host) = controller();
+        let mut c = controller();
         assert_eq!(rd(&mut c, regs::RX_ID).value(), 0);
         assert_eq!(rd(&mut c, regs::RX_DLC).value(), 0);
         assert_eq!(c.c.name(), "can0");
@@ -429,7 +396,7 @@ mod tests {
 
     #[test]
     fn armed_drops_lose_frames_and_send_reports_it() {
-        let host = CanChannel::new().host_endpoint();
+        let mut host = CanHostEndpoint::default();
         host.arm_drop(2);
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "first frame lost");
         assert!(!host.send(CanFrame::new(1, &[0xAA])), "second frame lost");
@@ -439,7 +406,7 @@ mod tests {
 
     #[test]
     fn send_with_retry_survives_bounded_loss() {
-        let host = CanChannel::new().host_endpoint();
+        let mut host = CanHostEndpoint::default();
         host.arm_drop(2);
         assert_eq!(host.send_with_retry(CanFrame::new(7, &[1]), 5), Some(3), "third attempt lands");
         // Total loss within the attempt budget is reported, not retried forever.
@@ -449,7 +416,8 @@ mod tests {
 
     #[test]
     fn armed_wire_drops_then_corrupts_once_in_either_direction() {
-        let (mut c, host) = controller();
+        let mut c = controller();
+        let host = c.c.host();
         host.arm_drop(2);
         host.arm_corrupt();
         assert!(!host.send(CanFrame::new(1, &[0x40])));
@@ -464,31 +432,32 @@ mod tests {
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0x40)]);
         c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
-        assert_eq!(host.recv().expect("delivered").bytes(), vec![0x40], "corruption was one-shot");
+        let f = c.c.host().recv().expect("delivered");
+        assert_eq!(f.bytes(), vec![0x40], "corruption was one-shot");
     }
 
     #[test]
     fn armed_corruption_disturbs_device_tx_but_send_still_counts() {
-        let (mut c, host) = controller();
-        host.arm_corrupt();
+        let mut c = controller();
+        c.c.host().arm_corrupt();
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0xAA)]);
         c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok());
         assert_eq!(c.c.frames_sent(), 1);
-        let f = host.recv().expect("corrupted, not lost");
+        let f = c.c.host().recv().expect("corrupted, not lost");
         assert_eq!(f.bytes(), vec![0xAB], "bit 0 flipped on the wire");
     }
 
     #[test]
     fn line_loss_is_invisible_to_the_device() {
-        let (mut c, host) = controller();
-        host.arm_drop(1);
+        let mut c = controller();
+        c.c.host().arm_drop(1);
         wr(&mut c, regs::TX_DLC, Taint::untainted(1));
         let mut p = GenericPayload::write(regs::TX_DATA, &[Taint::untainted(0x42)]);
         c.transport(&mut p);
         assert!(wr(&mut c, regs::TX_GO, Taint::untainted(1)).is_ok(), "TX_GO still succeeds");
         assert_eq!(c.c.frames_sent(), 1, "the controller believes it transmitted");
-        assert!(host.recv().is_none(), "but the wire ate the frame");
+        assert!(c.c.host().recv().is_none(), "but the wire ate the frame");
     }
 }

@@ -8,7 +8,7 @@
 //! * [`Uart`] — clearance-checked output interface,
 //! * [`Terminal`] — attacker-facing console input, classified at entry,
 //! * [`Sensor`] — the periodic data source of the paper's Fig. 4,
-//! * [`CanController`]/[`CanChannel`] — the immobilizer's bus link,
+//! * [`CanController`] — the immobilizer's bus link, owning its wire,
 //! * [`AesEngine`] — AES-128 crypto with policy-granted declassification
 //!   (built on the from-scratch FIPS-197 [`aes_core`]),
 //! * [`Dma`] — tag-preserving direct memory access,
@@ -33,7 +33,7 @@ pub mod watchdog;
 
 pub use aes::AesEngine;
 pub use aes_core::Aes128;
-pub use can::{CanChannel, CanController, CanFrame, CanHostEndpoint};
+pub use can::{CanController, CanFrame, CanHostEndpoint};
 pub use clint::Clint;
 pub use dma::Dma;
 pub use plic::Plic;

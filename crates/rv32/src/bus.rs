@@ -41,6 +41,18 @@ impl core::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// The core's three interrupt inputs, as a bus hands them over
+/// ([`Bus::take_irq_levels`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct IrqLevels {
+    /// Machine timer interrupt (`mip.MTIP`).
+    pub timer: bool,
+    /// Machine software interrupt (`mip.MSIP`).
+    pub software: bool,
+    /// Machine external interrupt (`mip.MEIP`).
+    pub external: bool,
+}
+
 /// The ISS's view of the memory system.
 pub trait Bus<M: TaintMode> {
     /// Fetches the 32-bit instruction word at `pc` (already
@@ -77,13 +89,16 @@ pub trait Bus<M: TaintMode> {
         0
     }
 
-    /// `true` once an access may have changed interrupt levels (an MMIO
-    /// side effect the CPU cannot see until its owner re-samples the
-    /// interrupt lines). Execution engines end a slice right after such an
-    /// access; the flag is the owner's to clear. Plain memories have no
-    /// interrupt sources and keep the default `false`.
-    fn irq_dirty(&self) -> bool {
-        false
+    /// The core's interrupt levels, handed over once after each device
+    /// access that may have changed them (an MMIO side effect: a PLIC
+    /// claim, a comparator write, a DMA completion); `None` when no such
+    /// access happened since the last call. Execution engines ask right
+    /// after every instruction that can reach a device and apply the
+    /// levels to `mip` inside the slice, so the next instruction's
+    /// interrupt poll sees them. Plain memories have no interrupt sources
+    /// and keep the default `None`.
+    fn take_irq_levels(&mut self) -> Option<IrqLevels> {
+        None
     }
 
     /// The DIFT engine that records the CPU's execution-clearance

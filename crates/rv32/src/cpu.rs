@@ -11,7 +11,7 @@ use vpdift_asm::{AluOp, BranchCond, CsrSrc, Insn, MulOp, Reg};
 use vpdift_core::{ExecClearance, Tag, Violation, ViolationKind};
 use vpdift_obs::{CheckKind, ObsEvent};
 
-use crate::bus::{Bus, MemError};
+use crate::bus::{Bus, IrqLevels, MemError};
 use crate::csr::CsrFile;
 use crate::mode::{TaintMode, Word};
 
@@ -281,14 +281,26 @@ impl<M: TaintMode> Cpu<M> {
         self.csrs.set_mip_bit(7, level);
     }
 
-    /// Drives the machine software interrupt pending bit.
-    pub fn set_soft_irq(&mut self, level: bool) {
-        self.csrs.set_mip_bit(3, level);
-    }
-
     /// Drives the machine external interrupt pending bit (from the PLIC).
     pub fn set_external_irq(&mut self, level: bool) {
         self.csrs.set_mip_bit(11, level);
+    }
+
+    /// Drives all three interrupt pending bits at once.
+    pub fn set_irq_levels(&mut self, levels: IrqLevels) {
+        self.csrs.set_mip_bit(7, levels.timer);
+        self.csrs.set_mip_bit(3, levels.software);
+        self.csrs.set_mip_bit(11, levels.external);
+    }
+
+    /// Applies the levels the bus hands over after a device access
+    /// ([`Bus::take_irq_levels`]); the next [`pre_step`](Self::pre_step)
+    /// takes an interrupt they raise.
+    #[inline]
+    pub(crate) fn sample_irq_levels(&mut self, bus: &mut impl Bus<M>) {
+        if let Some(levels) = bus.take_irq_levels() {
+            self.set_irq_levels(levels);
+        }
     }
 
     /// Writes a register, reporting tag propagation to the sink when the
@@ -861,17 +873,23 @@ impl<M: TaintMode> Cpu<M> {
     /// `budget` *steps* — retired instructions, taken traps and interrupt
     /// entries — one [`Cpu::step`] at a time.
     ///
-    /// Returns the steps taken and the last step's outcome. The slice ends
-    /// early on any outcome other than [`Step::Executed`], right after an
-    /// access that left [`Bus::irq_dirty`] set, and, on an observed bus,
-    /// before a pc that [`Bus::end_slice_before`] names. Neither an `Err`
-    /// (the faulting instruction is suppressed) nor a parked `wfi` is a
-    /// step.
+    /// Returns the steps taken and the last step's outcome. The slice runs
+    /// to its budget; it ends early only on an outcome other than
+    /// [`Step::Executed`] and, on an observed bus, before a pc that
+    /// [`Bus::end_slice_before`] names. A device access does not end it:
+    /// each step applies the interrupt levels the access handed over
+    /// ([`Bus::take_irq_levels`]), and the next step's interrupt poll
+    /// sees them. Neither an `Err` (the faulting instruction is
+    /// suppressed) nor a parked `wfi` is a step.
     pub fn exec<B: Bus<M>>(&mut self, bus: &mut B, budget: u64) -> (u64, Result<Step, Violation>) {
         let mut steps = 0;
         while steps < budget {
-            match self.step(bus) {
-                Ok(Step::Executed) if !bus.irq_dirty() => steps += 1,
+            let step = self.step(bus);
+            if step.is_ok() {
+                self.sample_irq_levels(bus);
+            }
+            match step {
+                Ok(Step::Executed) => steps += 1,
                 Ok(step) => return (steps + step.count(), Ok(step)),
                 Err(v) => return (steps, Err(v)),
             }

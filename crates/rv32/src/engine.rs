@@ -25,14 +25,18 @@
 //!
 //! Both engines share one slice-dispatch entry point, `exec(cpu, bus,
 //! budget)` ([`Cpu::exec`], [`BlockCache::exec`]): it runs up to `budget`
-//! steps and returns early wherever the caller must look at the platform
-//! again — on any step that is not [`Step::Executed`], right after an
-//! access that left [`Bus::irq_dirty`] set, and, on an observed bus,
-//! before a pc that [`Bus::end_slice_before`] names. A caller interleaving
-//! interrupt-line sampling, watchdogs or time accounting between slices
-//! (as `vpdift-soc` does) therefore sees exactly the interpreter's timing;
-//! the saving is the skipped fetch/decode work and the per-block, not
-//! per-instruction, dispatch bookkeeping.
+//! steps and returns early only where the caller must look at the platform
+//! again — on any step that is not [`Step::Executed`] and, on an observed
+//! bus, before a pc that [`Bus::end_slice_before`] names (the block cache
+//! adds a few cache-internal yields, listed on [`BlockCache::exec`]). A
+//! device access does not end a slice: the bus hands the interrupt levels
+//! it may have changed to the core ([`Bus::take_irq_levels`]), which
+//! applies them before its next interrupt poll, exactly where the
+//! interpreter takes such an interrupt. A caller doing time accounting
+//! and watchdogs between slices (as `vpdift-soc` does once per quantum)
+//! therefore sees the interpreter's timing on either engine; the saving is
+//! the skipped fetch/decode work and the per-block, not per-instruction,
+//! dispatch bookkeeping, with cached blocks chained inside one slice.
 
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -136,10 +140,11 @@ struct CachedInsn {
     /// the block and external mutations invalidate it, so it is always
     /// current when dispatched.
     fetch_tag: Tag,
-    /// Whether interrupt state must be re-polled after this instruction.
-    /// Inside a straight-line slice, `mstatus`/`mie`/`mip` are reachable
-    /// only through CSR writes and bus side effects (`mret` and `wfi` end
-    /// the block; traps diverge), so only loads, stores and CSR ops set it.
+    /// Whether the core must take the bus's interrupt levels and re-poll
+    /// interrupts after this instruction. Inside a block, `mstatus`/`mie`/
+    /// `mip` are reachable only through CSR writes and bus side effects
+    /// (`mret` and `wfi` end the block; traps diverge), so only loads,
+    /// stores, CSR ops and atomics set it.
     poll: bool,
 }
 
@@ -251,20 +256,28 @@ impl BlockCache {
 
     /// The block cache's slice-dispatch entry point, shared in shape with
     /// [`Cpu::exec`]: executes up to `budget` steps (retired instructions,
-    /// taken traps, interrupt entries) from one cached block and returns
-    /// the steps taken plus the last step's outcome.
+    /// taken traps, interrupt entries) from cached blocks and returns the
+    /// steps taken plus the last step's outcome.
     ///
-    /// The mutation-epoch read, cache probe and statistics updates are
-    /// paid per slice, not per instruction. The slice ends at block end,
-    /// at control-flow divergence, when the budget is used up, on any step
-    /// that is not [`Step::Executed`], on a mutation-epoch change, right
-    /// after a load, store, CSR op or atomic that left [`Bus::irq_dirty`]
-    /// set, and, on an observed bus, before a pc that
-    /// [`Bus::end_slice_before`] names. Observable behaviour equals
-    /// repeated [`Cpu::step`] calls: interrupts are re-polled after every
-    /// instruction that can change interrupt state (the same poll-flagged
-    /// instructions — nothing else inside a straight-line slice can reach
-    /// `mstatus`/`mie`/`mip`).
+    /// The slice runs to its budget. Where a block ends or control leaves
+    /// it (a taken branch, a trap, `mret`), the slice chains into the next
+    /// block with the checks a slice start makes: the interrupt poll, on
+    /// an observed bus [`Bus::end_slice_before`], the mutation epoch, and
+    /// a `lookup` (jump cache, then index) that only finds live blocks; an
+    /// interrupt entry chains into the handler the same way. It ends early
+    /// on any step that is not [`Step::Executed`], on an `Err`, on an
+    /// interrupt taken at the slice start, on a mutation-epoch change, on
+    /// a store that kills the running block, at a successor not in the
+    /// cache (blocks are built only at a slice start), and, on an observed
+    /// bus, before a pc that `end_slice_before` names. A device access
+    /// does not end it: after every load, store, CSR op and atomic the
+    /// core applies the interrupt levels the bus hands over
+    /// ([`Bus::take_irq_levels`]) and re-polls interrupts, as it does at
+    /// every chain entry; nothing else inside a block can reach
+    /// `mstatus`/`mie`/`mip`. Observable behaviour therefore equals
+    /// repeated [`Cpu::step`] calls, and the mutation-epoch read, cache
+    /// probe and statistics updates are paid per block or per slice, not
+    /// per instruction.
     pub fn exec<M: TaintMode, B: Bus<M>>(
         &mut self,
         cpu: &mut Cpu<M>,
@@ -296,7 +309,7 @@ impl BlockCache {
         }
 
         let mut pc = cpu.pc();
-        let (bi, mut ii) = match self.cursor.take() {
+        let (mut bi, mut ii) = match self.cursor.take() {
             Some(c) if c.expected_pc == pc => (c.block, c.idx),
             _ => match self.lookup(pc) {
                 Some(bi) => (bi, 0),
@@ -313,6 +326,7 @@ impl BlockCache {
                             }
                             return match cpu.fetch_decode_exec(bus) {
                                 Ok(r) => {
+                                    cpu.sample_irq_levels(bus);
                                     if let Some((addr, size)) = r.store {
                                         self.on_store(addr, size);
                                     }
@@ -330,78 +344,111 @@ impl BlockCache {
         // so the hot loop reads a local, provably unaliased slice; it is put
         // back below, emptied if the whole cache was flushed mid-slice
         // (blocks are never built inside the loop). Every exit leaves the
-        // cursor cleared except the resumable one (budget used up or
-        // interrupt levels dirty mid-block), so invalidation never has a
+        // cursor cleared except the resumable one (budget used up or the
+        // bus ending the slice mid-block), so invalidation never has a
         // cursor to fix up.
         let mut code = std::mem::take(&mut self.code);
-        let insns = &code[self.arena[bi].first..][..self.arena[bi].len];
         let mut steps: u64 = 0;
         let mut executed: u64 = 0;
         let (mut checked, mut idle) = (0u64, 0u64);
-        // `pre_step` already ran above; it is re-run mid-slice only after
-        // instructions whose `poll` flag is set (see [`CachedInsn::poll`]).
-        let mut need_poll = false;
-        let res = loop {
-            if need_poll {
-                match cpu.pre_step(bus) {
-                    Ok(None) => {}
-                    Ok(Some(step)) => {
-                        steps += step.count();
-                        break Ok(step);
+        let res = 'slice: loop {
+            // Block `bi` from instruction `ii`, whose interrupt poll ran.
+            let insns = &code[self.arena[bi].first..][..self.arena[bi].len];
+            loop {
+                if M::TRACKING && !live {
+                    live = bus.tags_live();
+                    if live {
+                        cpu.set_checks_enabled(true);
                     }
-                    Err(v) => break Err(v),
+                }
+                let d = &insns[ii];
+                if M::TRACKING {
+                    if live {
+                        checked += 1;
+                    } else {
+                        idle += 1;
+                    }
+                    if let Err(v) = cpu.fetch_clearance_check(bus, d.fetch_tag, pc) {
+                        break 'slice Err(v);
+                    }
+                }
+                executed += 1;
+                let r =
+                    match cpu.exec_insn(bus, d.insn, pc, d.len, d.raw, d.compressed, d.fetch_tag) {
+                        Ok(r) => r,
+                        Err(v) => break 'slice Err(v),
+                    };
+                steps += 1;
+                if d.poll {
+                    cpu.sample_irq_levels(bus);
+                }
+                if let Some((addr, size)) = r.store {
+                    self.on_store(addr, size);
+                    let e = bus.mutation_epoch();
+                    if e != self.epoch {
+                        self.epoch = e;
+                        self.flush();
+                        break 'slice Ok(r.step);
+                    }
+                    if !self.arena[bi].alive {
+                        break 'slice Ok(r.step);
+                    }
+                }
+                if r.step != Step::Executed {
+                    break 'slice Ok(r.step);
+                }
+                ii += 1;
+                pc = cpu.pc();
+                // Block end, or a taken branch or trap: chain.
+                if ii == insns.len() || pc != d.next_pc {
+                    break;
+                }
+                if steps == budget || (B::OBSERVED && bus.end_slice_before(pc)) {
+                    self.cursor = Some(Cursor { block: bi, idx: ii, expected_pc: pc });
+                    break 'slice Ok(Step::Executed);
+                }
+                // Only poll-flagged instructions can change interrupt state
+                // (see [`CachedInsn::poll`]).
+                if d.poll {
+                    match cpu.pre_step(bus) {
+                        Ok(None) => {}
+                        // An interrupt entry: chain into the handler.
+                        Ok(Some(Step::Executed)) => {
+                            steps += 1;
+                            pc = cpu.pc();
+                            break;
+                        }
+                        Ok(Some(step)) => break 'slice Ok(step),
+                        Err(v) => break 'slice Err(v),
+                    }
                 }
             }
-            if M::TRACKING && !live {
-                live = bus.tags_live();
-                if live {
-                    cpu.set_checks_enabled(true);
+            // Chain into the block at `pc` with the checks a slice start
+            // makes (a yield needs no cursor: the next slice looks it up).
+            loop {
+                if steps == budget || (B::OBSERVED && bus.end_slice_before(pc)) {
+                    break 'slice Ok(Step::Executed);
+                }
+                match cpu.pre_step(bus) {
+                    Ok(None) => break,
+                    Ok(Some(Step::Executed)) => {
+                        steps += 1;
+                        pc = cpu.pc();
+                    }
+                    Ok(Some(step)) => break 'slice Ok(step),
+                    Err(v) => break 'slice Err(v),
                 }
             }
-            let d = &insns[ii];
-            if M::TRACKING {
-                if live {
-                    checked += 1;
-                } else {
-                    idle += 1;
-                }
-                if let Err(v) = cpu.fetch_clearance_check(bus, d.fetch_tag, pc) {
-                    break Err(v);
-                }
-            }
-            executed += 1;
-            let r = match cpu.exec_insn(bus, d.insn, pc, d.len, d.raw, d.compressed, d.fetch_tag) {
-                Ok(r) => r,
-                Err(v) => break Err(v),
-            };
-            steps += 1;
-            if let Some((addr, size)) = r.store {
-                self.on_store(addr, size);
-                let e = bus.mutation_epoch();
-                if e != self.epoch {
-                    self.epoch = e;
-                    self.flush();
-                    break Ok(r.step);
-                }
-                if !self.arena[bi].alive {
-                    break Ok(r.step);
-                }
-            }
-            ii += 1;
-            // Non-`Executed` step, block end, or taken branch/trap: the
-            // next probe starts fresh.
-            if r.step != Step::Executed || ii >= insns.len() || cpu.pc() != d.next_pc {
-                break Ok(r.step);
-            }
-            pc = d.next_pc;
-            if steps == budget
-                || (d.poll && bus.irq_dirty())
-                || (B::OBSERVED && bus.end_slice_before(pc))
-            {
-                self.cursor = Some(Cursor { block: bi, idx: ii, expected_pc: pc });
+            let e = bus.mutation_epoch();
+            if e != self.epoch {
+                self.epoch = e;
+                self.flush();
                 break Ok(Step::Executed);
             }
-            need_poll = d.poll;
+            match self.lookup(pc) {
+                Some(next) => (bi, ii) = (next, 0),
+                None => break Ok(Step::Executed),
+            }
         };
         if self.arena.is_empty() {
             code.clear();
@@ -592,7 +639,7 @@ fn jump_slot(pc: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bus::{FlatMemory, MemError};
+    use crate::bus::{FlatMemory, IrqLevels, MemError};
     use crate::mode::{Plain, Tainted};
     use vpdift_asm::{Asm, Reg};
     use vpdift_core::{ExecClearance, Taint};
@@ -745,6 +792,97 @@ mod tests {
         assert_eq!(eng.run(&mut cpu, &mut mem, 10_000), RunExit::Break);
         assert_eq!(cpu.reg(Reg::A2), 77, "handler must have run");
         assert_eq!(cpu.reg(Reg::A0), 1);
+    }
+
+    /// A flat memory whose store to [`MARKER`] drives the external
+    /// interrupt level to the stored value's truth, reported once through
+    /// [`Bus::take_irq_levels`] — a device raising and lowering MEIP.
+    struct IrqBus {
+        mem: FlatMemory<Plain>,
+        levels: Option<IrqLevels>,
+    }
+
+    const MARKER: u32 = 0x800;
+
+    impl Bus<Plain> for IrqBus {
+        fn fetch(&mut self, pc: u32) -> Result<u32, MemError> {
+            self.mem.fetch(pc)
+        }
+        fn load(&mut self, addr: u32, size: u32) -> Result<u32, MemError> {
+            self.mem.load(addr, size)
+        }
+        fn store(&mut self, addr: u32, size: u32, v: u32, pc: u32) -> Result<(), MemError> {
+            if addr == MARKER {
+                self.levels = Some(IrqLevels { external: v != 0, ..IrqLevels::default() });
+            }
+            self.mem.store(addr, size, v, pc)
+        }
+        fn mutation_epoch(&self) -> u64 {
+            self.mem.mutation_epoch()
+        }
+        fn take_irq_levels(&mut self) -> Option<IrqLevels> {
+            self.levels.take()
+        }
+    }
+
+    #[test]
+    fn a_device_raised_interrupt_is_taken_inside_the_slice() {
+        use vpdift_asm::csr;
+        const BUDGET: u64 = 200;
+        let mut a = Asm::new(0);
+        a.la(Reg::T0, "handler");
+        a.csrw(csr::MTVEC, Reg::T0);
+        a.li(Reg::T1, csr::MIE_MEIE as i32);
+        a.csrw(csr::MIE, Reg::T1);
+        a.li(Reg::T1, csr::MSTATUS_MIE as i32);
+        a.csrw(csr::MSTATUS, Reg::T1);
+        a.li(Reg::S0, MARKER as i32);
+        a.li(Reg::T2, 1);
+        a.label("raise");
+        a.sw(Reg::T2, 0, Reg::S0); // MEIP rises here
+        for _ in 0..4 {
+            a.addi(Reg::A0, Reg::A0, 1); // all four retire after the handler
+        }
+        a.label("spin");
+        a.addi(Reg::A3, Reg::A3, 1);
+        a.j("spin");
+        a.label("handler");
+        a.mv(Reg::A1, Reg::A0); // increments retired before the interrupt
+        a.csrr(Reg::A2, csr::MEPC);
+        a.sw(Reg::Zero, 0, Reg::S0); // MEIP falls
+        a.mret();
+        let prog = a.assemble().unwrap();
+        let bus = || {
+            let mut mem = FlatMemory::<Plain>::new(0, 4096);
+            mem.load_image(0, prog.image());
+            IrqBus { mem, levels: None }
+        };
+        let check = |cpu: &Cpu<Plain>, engine: &str| {
+            assert_eq!(cpu.reg(Reg::A1), 0, "{engine}: taken before the next instruction");
+            assert_eq!(cpu.reg(Reg::A2), prog.symbol("raise").unwrap() + 4, "{engine}: mepc");
+            assert_eq!(cpu.reg(Reg::A0), 4, "{engine}: the handler returned");
+            assert_eq!(cpu.instret(), BUDGET - 1, "{engine}: one step was the interrupt entry");
+        };
+
+        let (mut cpu, mut mem) = (Cpu::<Plain>::new(), bus());
+        assert_eq!(cpu.exec(&mut mem, BUDGET), (BUDGET, Ok(Step::Executed)));
+        check(&cpu, "interpreter");
+
+        // Blocks are built only at slice starts, so a first run leaves
+        // early at each block not yet cached; once all are, one slice
+        // runs the same path to its budget.
+        let mut eng = BlockCache::new();
+        let (mut cpu, mut mem) = (Cpu::<Plain>::new(), bus());
+        let mut steps = 0;
+        while steps < BUDGET {
+            let (n, step) = eng.exec(&mut cpu, &mut mem, BUDGET - steps);
+            assert_eq!(step, Ok(Step::Executed));
+            steps += n;
+        }
+        check(&cpu, "block cache, warming");
+        let mut cpu = Cpu::<Plain>::new();
+        assert_eq!(eng.exec(&mut cpu, &mut mem, BUDGET), (BUDGET, Ok(Step::Executed)));
+        check(&cpu, "block cache");
     }
 
     #[test]

@@ -23,7 +23,7 @@ mod csr;
 mod engine;
 mod mode;
 
-pub use bus::{Bus, FlatMemory, MemError};
+pub use bus::{Bus, FlatMemory, IrqLevels, MemError};
 pub use cpu::{Cpu, RunExit, Step, DEFAULT_TRAP_LOOP_THRESHOLD};
 pub use csr::CsrFile;
 pub use engine::{BlockCache, CacheStats, ExecMode};

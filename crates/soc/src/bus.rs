@@ -8,7 +8,7 @@ use vpdift_obs::{ArmedBreaks, DynObs, EngineObserverAdapter, ObsEvent, ObsSink, 
 use vpdift_periph::{
     AesEngine, CanController, Clint, Dma, Plic, Ram, Sensor, TaintDebug, Terminal, Uart, Watchdog,
 };
-use vpdift_rv32::{Bus, MemError, TaintMode, Word};
+use vpdift_rv32::{Bus, IrqLevels, MemError, TaintMode, Word};
 use vpdift_sync::MutCell;
 use vpdift_tlm::{FaultRouter, GenericPayload, Loan, Router, TlmResponse, TlmTarget};
 
@@ -171,7 +171,9 @@ pub struct SocBus<M: TaintMode, S: ObsSink> {
     /// store path can skip the engine when no rule applies.
     protected: Vec<AddrRange>,
     mmio_delay: SimTime,
-    irq_dirty: bool,
+    /// Set by every MMIO transaction: the core is due fresh interrupt
+    /// levels ([`Bus::take_irq_levels`]).
+    levels_due: bool,
     /// The taint-idle latch for tags that reach the core other than from
     /// RAM: a tagged MMIO read (terminal, sensor, CAN RX, AES) or a host
     /// register write (`Soc::cpu_mut`). RAM latches its own writes
@@ -221,7 +223,7 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
             dma_ports,
             protected,
             mmio_delay: SimTime::ZERO,
-            irq_dirty: false,
+            levels_due: false,
             tags_live: false,
             stop,
             breaks: ArmedBreaks::default(),
@@ -244,9 +246,16 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
         }
     }
 
-    /// Acknowledges the [`Bus::irq_dirty`] flag.
-    pub fn clear_irq_dirty(&mut self) {
-        self.irq_dirty = false;
+    /// Raises the devices' flagged interrupts ([`SocBus::raise_irqs`]) and
+    /// reads the core's levels from the CLINT and the PLIC.
+    pub(crate) fn irq_levels(&mut self) -> IrqLevels {
+        self.raise_irqs();
+        let Devices { clint, plic, .. } = &self.dev;
+        IrqLevels {
+            timer: clint.timer_pending(),
+            software: clint.soft_pending(),
+            external: plic.eip(),
+        }
     }
 
     /// Accumulated MMIO latency annotations (consumed by the SoC loop).
@@ -298,7 +307,7 @@ impl<M: TaintMode, S: ObsSink> SocBus<M, S> {
             _ => dev.transport(port, p, delay, &mut Loan { mem: ram, engine, obs, pc }),
         });
         self.mmio_delay += delay;
-        self.irq_dirty = true;
+        self.levels_due = true;
         match payload.response() {
             TlmResponse::Ok => Ok(()),
             TlmResponse::AddressError => Err(MemError::Fault { addr: payload.address() }),
@@ -378,12 +387,12 @@ impl<M: TaintMode, S: ObsSink> Bus<M> for SocBus<M, S> {
         self.tags_live || self.ram.tags_live()
     }
 
-    /// Set by every MMIO transaction since the last
-    /// [`SocBus::clear_irq_dirty`]: interrupt levels may have changed (PLIC
-    /// claim, CLINT comparator write, peripheral side effects), so the SoC
-    /// loop re-samples them before the next instruction.
-    fn irq_dirty(&self) -> bool {
-        self.irq_dirty
+    /// The levels `SocBus::irq_levels` reads, once after every MMIO
+    /// transaction: a PLIC claim, a CLINT comparator write or a device
+    /// side effect (a DMA completion, a popped CAN frame) may have changed
+    /// them.
+    fn take_irq_levels(&mut self) -> Option<IrqLevels> {
+        std::mem::take(&mut self.levels_due).then(|| self.irq_levels())
     }
 
     fn atomic_supported(&self, addr: u32, size: u32) -> bool {

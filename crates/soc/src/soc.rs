@@ -8,10 +8,10 @@ use vpdift_kernel::SimTime;
 use vpdift_loader::{Elf32, Segment};
 use vpdift_obs::{BreakSet, NullSink, ObsEvent, ObsSink, StopFlag};
 use vpdift_periph::{
-    AesEngine, CanChannel, CanController, CanHostEndpoint, Clint, Dma, Plic, Ram, Sensor,
-    TaintDebug, Terminal, Uart, Watchdog,
+    AesEngine, CanController, CanHostEndpoint, Clint, Dma, Plic, Ram, Sensor, TaintDebug, Terminal,
+    Uart, Watchdog,
 };
-use vpdift_rv32::{BlockCache, Bus, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
+use vpdift_rv32::{BlockCache, CacheStats, Cpu, ExecMode, Step, TaintMode, Word};
 use vpdift_sync::MutCell;
 use vpdift_tlm::BusFault;
 
@@ -89,12 +89,15 @@ pub struct SocConfig {
     /// Cooperative stop flag polled by [`Soc::run`] once per dispatch
     /// slice: raising it (from a watchpoint, a controlling session or a
     /// fleet deadline reaper) ends the run with [`SocExit::Stopped`] at the
-    /// next slice boundary. A slice is at most one cached block (block
-    /// cache) or the rest of the quantum up to the next MMIO access
-    /// (interpreter). With an enabled observability sink the engines also
-    /// end a slice right after the instruction that raised the flag
-    /// ([`Bus::end_slice_before`]), so watchpoint stops stay exact per
-    /// instruction.
+    /// next slice boundary. On either engine a slice is the rest of the
+    /// quantum, so a stop lands within [`SocConfig::quantum`] steps (1 024
+    /// by default). It ends earlier at a step that is not `Executed` and,
+    /// on the block cache, at an interrupt taken at its start, a block not
+    /// yet cached or a store into cached code. With an enabled
+    /// observability sink the engines also end a slice right after the
+    /// instruction that raised the flag
+    /// ([`Bus::end_slice_before`](vpdift_rv32::Bus::end_slice_before)), so
+    /// watchpoint stops stay exact per instruction.
     pub stop: StopFlag,
     /// Shared PC / instruction-count breakpoints, which stop a run
     /// *before* the matching instruction executes. The run loop checks
@@ -102,11 +105,12 @@ pub struct SocConfig {
     /// an armed pc and never dispatches past the lowest armed instret, so
     /// stops land where a check before every instruction would put them.
     /// A breakpoint armed from another thread during a run takes effect
-    /// from the next slice. Gated twice: on `S::ENABLED` (so `NullSink`
-    /// batch runs compile the check out — unlike the stop poll, nothing
-    /// external ever needs to break an unobserved session) and on the
-    /// set's one-relaxed-load [`BreakSet::armed`] fast path. Share a set
-    /// via [`SocBuilder::breakpoints`].
+    /// from the next slice, so within [`SocConfig::quantum`] steps. Gated
+    /// twice: on `S::ENABLED` (so `NullSink` batch runs compile the check
+    /// out — unlike the stop poll, nothing external ever needs to break an
+    /// unobserved session) and on the set's one-relaxed-load
+    /// [`BreakSet::armed`] fast path. Share a set via
+    /// [`SocBuilder::breakpoints`].
     pub breaks: BreakSet,
 }
 
@@ -187,7 +191,6 @@ pub struct Soc<M: TaintMode, S: ObsSink = NullSink> {
     exec: EngineKind,
     /// Quanta since the last taint-spread sample (see [`SPREAD_PERIOD`]).
     quanta_since_spread: u32,
-    can_host: CanHostEndpoint,
 }
 
 /// Taint-spread is sampled (an O(ram) scan) every this many quanta.
@@ -244,9 +247,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         if config.sensor_thread {
             sensor.start();
         }
-        let can_channel = CanChannel::new();
-        let can_host = can_channel.host_endpoint();
-        let can = CanController::new("can", policy.source_tag("can.rx"), can_channel);
+        let can = CanController::new("can", policy.source_tag("can.rx"));
         let aes = AesEngine::new(policy.grant_declassify("aes"), policy.source_tag("aes.out"));
         let dev = Devices {
             clint: Clint::new(),
@@ -271,7 +272,7 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
             ExecMode::BlockCache => EngineKind::Block(Box::default()),
         };
 
-        Soc { config, now: SimTime::ZERO, cpu, bus, exec, quanta_since_spread: 0, can_host }
+        Soc { config, now: SimTime::ZERO, cpu, bus, exec, quanta_since_spread: 0 }
     }
 
     /// Loads a program image, applies the policy's classification rules to
@@ -372,13 +373,11 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
     }
 
     /// Raises the devices' flagged interrupts in the PLIC and samples the
-    /// CPU's interrupt levels.
+    /// CPU's interrupt levels. Inside a quantum the engines take the levels
+    /// after every device access instead
+    /// ([`Bus::take_irq_levels`](vpdift_rv32::Bus::take_irq_levels)).
     fn sync_irq_lines(&mut self) {
-        self.bus.raise_irqs();
-        let dev = &self.bus.dev;
-        self.cpu.set_timer_irq(dev.clint.timer_pending());
-        self.cpu.set_soft_irq(dev.clint.soft_pending());
-        self.cpu.set_external_irq(dev.plic.eip());
+        self.cpu.set_irq_levels(self.bus.irq_levels());
     }
 
     /// Runs the VP for at most `max_insns` CPU steps. A *step* is one
@@ -437,10 +436,11 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                     break;
                 }
                 // Engine dispatch happens per slice, inside the quantum. A
-                // slice ends wherever the platform must be looked at again
-                // (MMIO, non-`Executed` steps, the budget), so interrupt-
-                // line resampling, watchdog and time accounting below stay
-                // identical between engines.
+                // slice runs to the budget unless a step is not `Executed`,
+                // a stop lands or the block cache yields (`BlockCache::exec`);
+                // device accesses hand the core its interrupt levels inside
+                // the slice (`Bus::take_irq_levels`), so watchdog and time
+                // accounting below stay identical between engines.
                 let mut budget = quantum - stepped;
                 // Breakpoints fire *before* the matching instruction
                 // executes, so a resumed run continues from the exact
@@ -489,13 +489,6 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
                         exit = Some(SocExit::Violation(v));
                         break;
                     }
-                }
-                // MMIO may have changed interrupt levels (PLIC claim,
-                // comparator writes): re-sample before the next slice so a
-                // completed handler is not spuriously re-entered.
-                if self.bus.irq_dirty() {
-                    self.bus.clear_irq_dirty();
-                    self.sync_irq_lines();
                 }
             }
             steps_left -= stepped.min(steps_left);
@@ -668,9 +661,11 @@ impl<M: TaintMode, S: ObsSink> Soc<M, S> {
         &mut self.bus.dev.sensor
     }
 
-    /// The host side of the CAN link (the remote ECU).
-    pub fn can_host(&self) -> &CanHostEndpoint {
-        &self.can_host
+    /// The host side of the CAN wire (the remote ECU's end), lent by the
+    /// CAN controller that owns the wire. A frame sent here raises the CAN
+    /// RX interrupt when the next run samples interrupts.
+    pub fn can_host(&mut self) -> &mut CanHostEndpoint {
+        self.bus.dev.can.host()
     }
 
     /// The DMA controller.

@@ -12,10 +12,12 @@
 //! store, by a DMA burst and from the host.
 //! Two hot blocks that share a jump-cache slot, one killed mid-loop, have
 //! a case of their own.
-//! The slice-dispatch yield rules have their own cases: an interrupt
-//! raised by an MMIO store mid-block, step-exact short run budgets, and a
-//! stop flag raised on a `NullSink` SoC.
-//! With an observed sink a slice runs whole blocks, so every stop must
+//! The slice-dispatch rules have their own cases: interrupts raised by an
+//! MMIO store mid-block (a CLINT store, a DMA completion) and one left
+//! pending across `mret` into a chained block, a store killing the block
+//! chained after it, step-exact short run budgets, and a stop flag raised
+//! on a `NullSink` SoC.
+//! With an observed sink a slice runs chained blocks, so every stop must
 //! still land on its exact instruction: the `exact_stop_*` cases stop a
 //! serve-style `StreamSink` SoC mid-block at a PC breakpoint, an instret
 //! breakpoint, a range watch, a sink watch and a violation watch, at the
@@ -502,8 +504,8 @@ fn watchdog_timeout_is_engine_invariant() {
 
 /// A CLINT `msip` store in the middle of a straight-line block raises a
 /// software interrupt that must be taken before the next instruction, as
-/// the interpreter takes it: the slice has to end right after the MMIO
-/// store so the SoC re-samples the interrupt lines.
+/// the interpreter takes it: the bus hands the core its new interrupt
+/// levels right after the MMIO store, inside the slice.
 #[test]
 fn mmio_raised_interrupt_is_taken_mid_block_on_both_engines() {
     use taintvp::asm::csr;
@@ -545,6 +547,163 @@ fn mmio_raised_interrupt_is_taken_mid_block_on_both_engines() {
     assert_eq!(soc.run(1_000), SocExit::Break);
     assert_eq!(soc.cpu().reg(Reg::A1), 0, "the interrupt preempts the first increment");
     assert_eq!(soc.cpu().reg(Reg::A0), 8);
+}
+
+/// Runs `prog` on `mode` and returns the exit and the values of `regs`.
+fn exit_and_regs<M: TaintMode>(
+    prog: &taintvp::asm::Program,
+    mode: ExecMode,
+    regs: &[Reg],
+) -> (SocExit, Vec<u32>) {
+    let cfg = Soc::<M>::builder().sensor_thread(false).engine(mode).build();
+    let mut soc = Soc::<M>::new(cfg);
+    soc.load_program(prog);
+    let exit = soc.run(10_000);
+    (exit, regs.iter().map(|&r| soc.cpu().reg(r).val()).collect())
+}
+
+/// Asserts that `prog` ends in `ebreak` with `regs` holding `want` on both
+/// engines and both VPs, and that the engines agree on the whole run.
+/// Returns the UART bytes.
+fn assert_final_regs(prog: &taintvp::asm::Program, regs: &[Reg], want: &[u32]) -> Vec<u8> {
+    let want = (SocExit::Break, want.to_vec());
+    for mode in [ExecMode::Interp, ExecMode::BlockCache] {
+        assert_eq!(exit_and_regs::<Plain>(prog, mode, regs), want, "VP on {mode}");
+        assert_eq!(exit_and_regs::<Tainted>(prog, mode, regs), want, "VP+ on {mode}");
+    }
+    let [pi, pc] = run_both::<Plain>(prog, 10_000);
+    assert_eq!(pi, pc, "VP engines disagree");
+    let [ti, tc] = run_both::<Tainted>(prog, 10_000);
+    assert_eq!(ti, tc, "VP+ engines disagree");
+    pi.1
+}
+
+/// A store in one block kills the block the slice chains into right after
+/// it: the chain entry looks the successor up again, finds it dead and
+/// leaves the slice, so the patched instruction takes effect at once.
+#[test]
+fn a_store_kills_the_block_chained_after_it_in_the_same_slice() {
+    let mut a = Asm::new(0);
+    a.entry();
+    a.li(Reg::A0, 0);
+    a.li(Reg::S0, 2); // two passes
+    a.la(Reg::S1, "scratch"); // the first pass stores here
+    a.la(Reg::S2, "patch"); // the second pass patches the next block
+    a.li(Reg::T1, ADD_100 as i32);
+    a.label("loop");
+    a.sw(Reg::T1, 0, Reg::S1);
+    a.mv(Reg::S1, Reg::S2);
+    a.j("patch"); // the block ends: the slice chains into `patch`
+    a.label("patch");
+    a.addi(Reg::A0, Reg::A0, 1); // `addi a0, a0, 100` on the second pass
+    a.addi(Reg::S0, Reg::S0, -1);
+    a.bnez(Reg::S0, "loop");
+    a.ebreak();
+    a.label("scratch");
+    a.word(0);
+    let prog = a.assemble().expect("chained-patch guest assembles");
+    assert_final_regs(&prog, &[Reg::A0], &[1 + 100]);
+}
+
+/// A DMA transfer started by a `CTRL` store in the middle of a block
+/// raises its completion interrupt through the PLIC, and the core takes
+/// it before the next instruction: the bus raises the flagged source and
+/// hands the core its levels right after the store. The one-byte burst
+/// goes to the UART, so no RAM changes and nothing else ends the slice.
+#[test]
+fn dma_completion_raised_mid_block_is_taken_before_the_next_instruction() {
+    use taintvp::asm::csr;
+    use taintvp::periph::dma::regs as dma;
+    use taintvp::periph::plic::regs as plic;
+
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T0, "handler");
+    a.csrw(csr::MTVEC, Reg::T0);
+    a.li(Reg::S1, map::PLIC_BASE as i32);
+    a.li(Reg::T1, 1 << map::IRQ_DMA);
+    a.sw(Reg::T1, plic::ENABLE as i32, Reg::S1);
+    a.li(Reg::T1, csr::MIE_MEIE as i32);
+    a.csrw(csr::MIE, Reg::T1);
+    a.li(Reg::T1, csr::MSTATUS_MIE as i32);
+    a.csrw(csr::MSTATUS, Reg::T1);
+    a.li(Reg::S0, map::DMA_BASE as i32);
+    a.la(Reg::T1, "byte");
+    a.sw(Reg::T1, dma::SRC as i32, Reg::S0);
+    a.li(Reg::T1, map::UART_BASE as i32);
+    a.sw(Reg::T1, dma::DST as i32, Reg::S0);
+    a.li(Reg::T1, 1);
+    a.sw(Reg::T1, dma::LEN as i32, Reg::S0);
+    a.label("start");
+    a.sw(Reg::T1, dma::CTRL as i32, Reg::S0); // the burst completes here
+    for _ in 0..8 {
+        a.addi(Reg::A0, Reg::A0, 1); // all eight retire after the handler
+    }
+    a.label("wait");
+    a.beqz(Reg::A2, "wait"); // until the handler has claimed
+    a.ebreak();
+    a.label("handler");
+    a.mv(Reg::A1, Reg::A0); // increments retired before the interrupt
+    a.lw(Reg::A2, plic::CLAIM as i32, Reg::S1);
+    a.csrr(Reg::A3, csr::MEPC);
+    a.mret();
+    a.label("byte");
+    a.byte(b'D');
+    let prog = a.assemble().expect("dma guest assembles");
+    let after_start = prog.symbol("start").expect("label") + 4;
+    let uart = assert_final_regs(
+        &prog,
+        &[Reg::A1, Reg::A2, Reg::A3, Reg::A0],
+        &[0, map::IRQ_DMA, after_start, 8],
+    );
+    assert_eq!(uart, b"D", "the burst reached the UART");
+}
+
+/// An interrupt that becomes pending inside a trap handler, where
+/// `mstatus.MIE` is clear, is taken as soon as `mret` sets it again:
+/// before the first instruction of the block `mret` returns to, also when
+/// that block is cached and the slice chains into it.
+#[test]
+fn an_interrupt_pending_across_mret_is_taken_before_the_chained_return_block() {
+    use taintvp::asm::csr;
+    use taintvp::periph::clint::regs as clint;
+
+    let mut a = Asm::new(0);
+    a.entry();
+    a.la(Reg::T0, "handler");
+    a.csrw(csr::MTVEC, Reg::T0);
+    a.li(Reg::T1, csr::MIE_MSIE as i32);
+    a.csrw(csr::MIE, Reg::T1);
+    a.li(Reg::T1, csr::MSTATUS_MIE as i32);
+    a.csrw(csr::MSTATUS, Reg::T1);
+    a.li(Reg::S0, (map::CLINT_BASE + clint::MSIP) as i32);
+    a.li(Reg::S2, 2); // two passes: the second returns into a cached block
+    a.label("loop");
+    a.ecall();
+    a.label("back");
+    a.addi(Reg::A0, Reg::A0, 1);
+    a.addi(Reg::S2, Reg::S2, -1);
+    a.bnez(Reg::S2, "loop");
+    a.ebreak();
+    a.label("handler");
+    a.csrr(Reg::T3, csr::MCAUSE);
+    a.blt(Reg::T3, Reg::Zero, "irq");
+    a.li(Reg::T2, 1);
+    a.sw(Reg::T2, 0, Reg::S0); // msip = 1: pending until `mret`
+    a.csrr(Reg::T4, csr::MEPC);
+    a.addi(Reg::T4, Reg::T4, 4);
+    a.csrw(csr::MEPC, Reg::T4);
+    a.mret(); // returns to `back`
+    a.label("irq");
+    a.addi(Reg::S3, Reg::S3, 1); // interrupt entries
+    a.mv(Reg::A1, Reg::A0); // increments retired before this entry
+    a.csrr(Reg::A2, csr::MEPC);
+    a.sw(Reg::Zero, 0, Reg::S0); // msip = 0
+    a.mret();
+    let prog = a.assemble().expect("mret guest assembles");
+    let back = prog.symbol("back").expect("label");
+    // One entry per pass, each before that pass's increment.
+    assert_final_regs(&prog, &[Reg::S3, Reg::A1, Reg::A2, Reg::A0], &[2, 1, back, 2]);
 }
 
 /// Repeated short `Soc::run(n)` calls, `n` cycling through `1..=300`,
